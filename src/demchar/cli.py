@@ -4,7 +4,8 @@ Subcommands compute crystal graphs, step-by-step characters, window
 sums, tableau polynomials, string-function limits, verification suites,
 and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
-bytes, regardless of the --threads setting.
+bytes.  --threads is accepted for compatibility and has no effect;
+every command runs on one thread.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
 4 resource guard tripped.
@@ -321,6 +322,18 @@ def _want(args, default: str) -> str:
     return args.format if args.format else default
 
 
+def _emit_json_or_csv(args, obj, header: list[str], rows) -> None:
+    """Write obj as JSON (the default) or a CSV table; ``rows`` is a
+    zero-argument function, so a JSON run never builds the table."""
+    fmt = _want(args, "json")
+    if fmt == "json":
+        _emit(_json_text(obj), args.out)
+    elif fmt == "csv":
+        _emit(_csv_text(header, rows()), args.out)
+    else:
+        raise ConfigError(f"{args.command} output supports json or csv, not {fmt!r}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -328,21 +341,15 @@ def _want(args, default: str) -> str:
 def cmd_graph(args) -> int:
     crystal = _crystal(args.type, args.rank)
     fmt = _want(args, "dot")
+    if fmt == "dot":
+        _emit(crystal.to_dot() + "\n", args.out)
+        return EXIT_OK
     edges = []
     for i in crystal.cartan.index_set:
         for b in crystal.elements:
             target = crystal.f(i, b)
             if target is not None:
                 edges.append((b, target, i))
-    if fmt == "dot":
-        lines = ["digraph crystal {", "  rankdir=LR;"]
-        for b in crystal.elements:
-            lines.append(f'  "{b}";')
-        for b, target, i in edges:
-            lines.append(f'  "{b}" -> "{target}" [label="{i}"];')
-        lines.append("}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
     if fmt == "csv":
         _emit(
             _csv_text(["from", "to", "label"], [[b, t, i] for b, t, i in edges]),
@@ -378,9 +385,7 @@ def cmd_character(args) -> int:
         raise ConfigError("step count must be nonnegative")
     characters = {}
     if args.method in ("paths", "both"):
-        characters["paths"] = character_by_paths(
-            schedule, args.k, threads=args.threads
-        )
+        characters["paths"] = character_by_paths(schedule, args.k)
     if args.method in ("operators", "both"):
         characters["operators"] = character_by_operators(schedule, args.k)
     equal = None
@@ -414,19 +419,12 @@ def cmd_character(args) -> int:
             full_segment, perm, crystal.cartan, requested
         ).to_json_obj()
         obj["full_segment_equal"] = full_segment == primary
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
-        _emit(
-            _csv_text(
-                ["weight", "delta", "coeff"],
-                _character_rows(_transport(primary, perm, crystal.cartan, requested)),
-            ),
-            args.out,
-        )
-    else:
-        raise ConfigError(f"character output supports json or csv, not {fmt!r}")
+    _emit_json_or_csv(
+        args,
+        obj,
+        ["weight", "delta", "coeff"],
+        lambda: _character_rows(_transport(primary, perm, crystal.cartan, requested)),
+    )
     if equal is False or (full_segment is not None and not obj["full_segment_equal"]):
         return EXIT_MISMATCH
     return EXIT_OK
@@ -482,13 +480,7 @@ def cmd_onedsum(args) -> int:
         "method": method_name,
         "polynomial": _poly_obj(poly),
     }
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
-        _emit(_csv_text(["exponent", "coefficient"], _poly_rows(poly)), args.out)
-    else:
-        raise ConfigError(f"onedsum output supports json or csv, not {fmt!r}")
+    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
     return EXIT_OK
 
 
@@ -504,13 +496,7 @@ def cmd_kostka(args) -> int:
         "n": args.n,
         "polynomial": _poly_obj(poly),
     }
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
-        _emit(_csv_text(["exponent", "coefficient"], _poly_rows(poly)), args.out)
-    else:
-        raise ConfigError(f"kostka output supports json or csv, not {fmt!r}")
+    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
     return EXIT_OK
 
 
@@ -543,13 +529,7 @@ def cmd_stringfn(args) -> int:
     }
     if mu is not None:
         obj["mu"] = mu.to_json_obj()
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
-        _emit(_csv_text(["exponent", "coefficient"], _poly_rows(poly)), args.out)
-    else:
-        raise ConfigError(f"stringfn output supports json or csv, not {fmt!r}")
+    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
     return EXIT_OK
 
 
@@ -558,7 +538,7 @@ def cmd_verify(args) -> int:
         if args.jmax is None:
             raise ConfigError("verify formulas needs --jmax")
         try:
-            report = verify_type(args.type, args.jmax, args.rank, threads=args.threads)
+            report = verify_type(args.type, args.jmax, args.rank)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         _emit(_json_text(report), args.out)
@@ -578,7 +558,7 @@ def cmd_verify(args) -> int:
                 mismatches = [
                     k
                     for k in range(k_max + 1)
-                    if character_by_paths(schedule, k, threads=args.threads)
+                    if character_by_paths(schedule, k)
                     != character_by_operators(schedule, k)
                 ]
                 failed = failed or bool(mismatches)
@@ -641,21 +621,15 @@ def cmd_decomp_search(args) -> int:
         "classical": args.classical,
         "results": entries,
     }
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
-        rows = [
-            [
-                " ".join(str(c) for c in entry["xi"]),
-                entry["found"],
-                len(entry["witness"]),
-            ]
+    _emit_json_or_csv(
+        args,
+        obj,
+        ["xi", "found", "strings"],
+        lambda: [
+            [" ".join(str(c) for c in entry["xi"]), entry["found"], len(entry["witness"])]
             for entry in entries
-        ]
-        _emit(_csv_text(["xi", "found", "strings"], rows), args.out)
-    else:
-        raise ConfigError(f"decomp-search output supports json or csv, not {fmt!r}")
+        ],
+    )
     return EXIT_OK if all_found else EXIT_MISMATCH
 
 
@@ -667,7 +641,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     common.add_argument("--format", choices=["json", "dot", "csv"], help="output format")
-    common.add_argument("--threads", type=int, default=1, help="worker thread bound")
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     common.add_argument(
         "--max-weyl-length",
         type=int,

@@ -10,8 +10,7 @@ as a sum over paths and by iterated Demazure operators.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .crystals import Element, PerfectCrystal
@@ -20,44 +19,12 @@ from .weights import FormalCharacter, WeylElement, demazure_op
 
 
 @dataclass(frozen=True)
-class AlteredTable:
-    """Index table with point overrides and an optional shorter segment,
-    exposing the same interface as a schedule. Exists to feed deliberately
-    broken tables to the condition checks."""
-
-    base: Schedule
-    d: int
-    overrides: tuple[tuple[int, int, int], ...] = ()
-
-    def index(self, j: int, a: int) -> int:
-        if not 1 <= a <= self.d:
-            raise ValueError(f"step {a} outside 1..{self.d}")
-        for jj, aa, ii in self.overrides:
-            if (jj, aa) == (j, a):
-                return ii
-        return self.base.index(j, a)
-
-    def decompose(self, k: int) -> tuple[int, int]:
-        if k < 1:
-            raise ValueError("global steps start at 1")
-        j, a = divmod(k - 1, self.d)
-        return j + 1, a + 1
-
-    def flat_index(self, k: int) -> int:
-        j, a = self.decompose(k)
-        return self.index(j, a)
-
-    def weyl_word(self, k: int) -> tuple[int, ...]:
-        return tuple(self.flat_index(m) for m in range(k, 0, -1))
-
-
-@dataclass(frozen=True)
 class DemazureSchedule:
     """A ground state together with the index table that grows its
     Demazure path sets."""
 
     ground: GroundState
-    table: Schedule | AlteredTable
+    table: Schedule
 
     @property
     def crystal(self) -> PerfectCrystal:
@@ -75,25 +42,14 @@ class DemazureSchedule:
         """Copy whose table answers i at segment j, step a."""
         if i not in self.crystal.cartan.index_set:
             raise ValueError(f"{i} is not a Dynkin index")
-        base = self.table.base if isinstance(self.table, AlteredTable) else self.table
-        overrides = (
-            self.table.overrides if isinstance(self.table, AlteredTable) else ()
-        )
-        return DemazureSchedule(
-            self.ground, AlteredTable(base, self.table.d, overrides + ((j, a, i),))
-        )
+        overrides = self.table.overrides + ((j, a, i),)
+        return replace(self, table=replace(self.table, overrides=overrides))
 
     def with_shortened_table(self) -> "DemazureSchedule":
         """Copy whose segments stop one lowering step early."""
         if self.table.d < 2:
             raise ValueError("table too short to shorten")
-        base = self.table.base if isinstance(self.table, AlteredTable) else self.table
-        overrides = (
-            self.table.overrides if isinstance(self.table, AlteredTable) else ()
-        )
-        return DemazureSchedule(
-            self.ground, AlteredTable(base, self.table.d - 1, overrides)
-        )
+        return replace(self, table=replace(self.table, d=self.table.d - 1))
 
 
 def demazure_schedule(
@@ -207,41 +163,13 @@ def demazure_paths(s: DemazureSchedule, k: int, method: str = "product") -> Dema
     return DemazureCrystal(k, window, frozenset(words), s.table.weyl_word(k))
 
 
-def _word_key(crystal: PerfectCrystal, word: Word) -> tuple[int, ...]:
-    return tuple(crystal.index(b) for b in word)
-
-
-def character_by_paths(
-    s: DemazureSchedule, k: int, threads: int = 1
-) -> FormalCharacter:
+def character_by_paths(s: DemazureSchedule, k: int) -> FormalCharacter:
     """Sum of e^{weight} over the path set after k steps, with exact
-    delta-coordinates. Work splits by leading letter; partial sums merge
-    in a fixed order so the result never depends on thread count."""
+    delta-coordinates."""
     pc = demazure_paths(s, k)
-    ground, crystal = s.ground, s.crystal
-    if k == 0:
-        return FormalCharacter.monomial(ground.path_weight(0, ()))
-    buckets: dict[Element, list[Word]] = {}
-    for word in pc.words:
-        buckets.setdefault(word[0], []).append(word)
-    leads = sorted(buckets, key=crystal.index)
-    for lead in leads:
-        buckets[lead].sort(key=lambda w: _word_key(crystal, w))
-
-    def partial(lead: Element) -> FormalCharacter:
-        return FormalCharacter.from_weights(
-            ground.path_weight(pc.window, word) for word in buckets[lead]
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial, leads))
-    else:
-        parts = [partial(lead) for lead in leads]
-    total = FormalCharacter.zero()
-    for part in parts:
-        total = total + part
-    return total
+    return FormalCharacter.from_weights(
+        s.ground.path_weight(pc.window, word) for word in pc.words
+    )
 
 
 def character_by_operators(s: DemazureSchedule, k: int) -> FormalCharacter:
@@ -256,13 +184,14 @@ def character_by_operators(s: DemazureSchedule, k: int) -> FormalCharacter:
     return chi
 
 
-def character_json(s: DemazureSchedule, k: int, threads: int = 1) -> dict:
-    """JSON view of the step-k character and its path set."""
-    pc = demazure_paths(s, k)
-    chi = character_by_paths(s, k, threads=threads)
+def character_json(s: DemazureSchedule, k: int) -> dict:
+    """JSON view of the step-k character and its path set. Every path
+    contributes one exponential, so the path count is the character's
+    dimension."""
+    chi = character_by_paths(s, k)
     return {
         "k": k,
-        "weyl_word": [int(i) for i in pc.weyl_word],
+        "weyl_word": [int(i) for i in s.table.weyl_word(k)],
         "character": chi.to_json_obj(),
-        "path_count": pc.path_count,
+        "path_count": chi.eval_dimension(),
     }

@@ -11,7 +11,6 @@ enumeration and the recursive evaluation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, perfect_crystal
@@ -23,9 +22,9 @@ from .qring import (
     qfactorial,
     qmultinomial,
 )
-from .weights import Weight
+from .weights import FAMILIES, Weight
 
-FAMILY_KEYS = ("A1", "B1", "D1", "A2odd", "A2even", "D2")
+FAMILY_KEYS = FAMILIES
 
 Element = str
 MuParam = tuple[int, ...]
@@ -336,27 +335,19 @@ def _check_cell(
     }
 
 
-def verify_type(family: str, j_max: int, rank: int, threads: int = 1) -> dict:
+def verify_type(family: str, j_max: int, rank: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
     letter and every reachable window weight up to ``j_max``."""
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     crystal = perfect_crystal(family, rank)
-    cells = []
-    for j in range(j_max + 1):
-        for coords in sorted(tail_weight_support(crystal, j)):
-            for b in crystal.elements:
-                cells.append((b, coords, j))
-
-    def run(cell):
-        b, coords, j = cell
-        return _check_cell(family, crystal, b, coords, j)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
+    cells = [
+        (b, coords, j)
+        for j in range(j_max + 1)
+        for coords in sorted(tail_weight_support(crystal, j))
+        for b in crystal.elements
+    ]
+    outcomes = (_check_cell(family, crystal, b, coords, j) for b, coords, j in cells)
     mismatches = [entry for entry in outcomes if entry is not None]
     return {
         "type": family,

@@ -23,7 +23,6 @@ the rewriting of scheduled path characters through the unrestricted sum.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +55,7 @@ class StabilizationGuardError(RuntimeError):
 
     def __init__(self, max_j: int, degree: int):
         super().__init__(
-            f"truncation to degree {degree} not stable for two consecutive "
+            f"truncation to degree {degree} not stable for three consecutive "
             f"aligned windows up to j = {max_j}"
         )
         self.max_j = max_j
@@ -68,7 +67,6 @@ class StabilizationGuardError(RuntimeError):
 
 
 _G_MEMO: dict[tuple, LaurentPoly] = {}
-_G_LOCK = threading.Lock()
 
 
 def _g_classical(
@@ -90,8 +88,7 @@ def _g_classical(
             inner = _g_classical(crystal, bp, rest, j - 1)
             if inner:
                 val = val + inner.shift(j * crystal.energy(b, bp))
-    with _G_LOCK:
-        _G_MEMO.setdefault(key, val)
+    _G_MEMO[key] = val
     return val
 
 
@@ -245,7 +242,6 @@ def x_enumerate(
 
 
 _X_MEMO: dict[tuple, LaurentPoly] = {}
-_X_LOCK = threading.Lock()
 
 
 def _x_rec(
@@ -278,8 +274,7 @@ def _x_rec(
                 )
                 if inner:
                     val = val + inner.shift(j * crystal.energy(b, bp))
-    with _X_LOCK:
-        _X_MEMO.setdefault(key, val)
+    _X_MEMO[key] = val
     return val
 
 
@@ -568,13 +563,6 @@ def _accumulate(
             acc.pop(weight, None)
 
 
-def _character_from(acc: dict[Weight, int]) -> FormalCharacter:
-    chi = FormalCharacter.zero()
-    for weight in sorted(acc, key=lambda w: (w.lambda_coords, w.delta_coord)):
-        chi = chi + FormalCharacter.monomial(weight, acc[weight])
-    return chi
-
-
 def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
     """Character of the step-k path set, rewritten as a weight-indexed
     superposition of unrestricted sums one window shorter, with the
@@ -599,7 +587,7 @@ def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
                 continue
             base = lam_j + Weight(coords) + wtb
             _accumulate(acc, base, cj, poly.shift(head_shift))
-    return _character_from(acc)
+    return FormalCharacter(acc)
 
 
 def character_at_full_segment(s: DemazureSchedule, j: int) -> FormalCharacter:
@@ -619,4 +607,4 @@ def character_at_full_segment(s: DemazureSchedule, j: int) -> FormalCharacter:
         if not poly:
             continue
         _accumulate(acc, lam_j + Weight(coords), cj, poly)
-    return _character_from(acc)
+    return FormalCharacter(acc)

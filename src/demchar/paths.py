@@ -48,6 +48,7 @@ class GroundState:
         self.lam = lam.classical()
         self._lams = [self.lam]
         self._bars: list[Element] = []
+        self._cs = [0]
 
     def _extend(self, upto: int) -> None:
         while len(self._bars) < upto:
@@ -72,12 +73,16 @@ class GroundState:
     def period(self) -> int:
         return self.crystal.sigma_period(self.lam)
 
-    @cache
     def c(self, j: int) -> int:
-        """Energy of the ground-state word of length j."""
-        return sum(
-            k * self.crystal.energy(self.bar(k + 1), self.bar(k)) for k in range(1, j + 1)
-        )
+        """Energy of the ground-state word of length j >= 0."""
+        if j < 0:
+            raise ValueError("window must be nonnegative")
+        while len(self._cs) <= j:
+            k = len(self._cs)
+            self._cs.append(
+                self._cs[-1] + k * self.crystal.energy(self.bar(k + 1), self.bar(k))
+            )
+        return self._cs[j]
 
     def _units(self, j: int, word: Word, i: int) -> list[tuple[int, int]]:
         crystal = self.crystal
@@ -139,7 +144,9 @@ class Schedule:
 
     Two families admit a second valid index sequence (reordering a pair of
     commuting steps around the fork or the tail of the letter chain);
-    variant=2 selects it where it exists.
+    variant=2 selects it where it exists. Point overrides (segment, step,
+    index) take precedence over the family rule; they exist to feed
+    deliberately broken tables to the condition checks.
     """
 
     family: str
@@ -147,6 +154,7 @@ class Schedule:
     lam_node: int
     d: int
     variant: int = 1
+    overrides: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
         if self.variant not in (1, 2):
@@ -163,6 +171,9 @@ class Schedule:
         """Lowering index at step a (1-based) of segment j (1-based)."""
         if not 1 <= a <= self.d:
             raise ValueError(f"step {a} outside 1..{self.d}")
+        for jj, aa, ii in self.overrides:
+            if (jj, aa) == (j, a):
+                return ii
         n, fam, node = self.n, self.family, self.lam_node
         head = 0 if j % 2 == 1 else 1
         if fam == "A1":

@@ -93,12 +93,6 @@ class LaurentPoly:
         for key in sorted(self._terms):
             yield Fraction(key, 2), self._terms[key]
 
-    def support_min(self) -> Fraction | None:
-        return Fraction(min(self._terms), 2) if self._terms else None
-
-    def support_max(self) -> Fraction | None:
-        return Fraction(max(self._terms), 2) if self._terms else None
-
     def eval_at_one(self) -> int:
         """Sum of coefficients, i.e. the specialization q = 1."""
         return sum(self._terms.values())

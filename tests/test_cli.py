@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import demchar
 from demchar.cli import main
 from demchar.crystals import perfect_crystal
 from demchar.weights import FormalCharacter, demazure_op
@@ -365,10 +368,15 @@ class TestDeterminism:
         assert serial.read_bytes() == threaded.read_bytes()
 
 
-@pytest.mark.skipif(shutil.which("demchar") is None, reason="script not on PATH")
 def test_console_script():
+    src = str(Path(demchar.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        ["demchar", "graph", "A1", "1"], capture_output=True, text=True
+        [sys.executable, "-m", "demchar.cli", "graph", "A1", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("digraph")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == perfect_crystal("A1", 1).to_dot() + "\n"

@@ -1,5 +1,7 @@
 """Tests for ground-state data, truncated paths, and scheduled growth."""
 
+import gc
+import weakref
 from itertools import islice, product
 
 import pytest
@@ -78,6 +80,21 @@ class TestGroundState:
         for family, n, node in [("B1", 3, 3), ("A2even", 2, 2), ("D2", 2, 0)]:
             gs = make_ground_state(family, n, node)
             assert [gs.c(j) for j in range(5)] == [0] * 5
+
+    def test_energy_normalization_out_of_order(self):
+        gs = make_ground_state("B1", 3, 0)
+        assert gs.c(4) == 2
+        assert [gs.c(j) for j in range(5)] == [0, -1, 1, -2, 2]
+        with pytest.raises(ValueError):
+            gs.c(-1)
+
+    def test_energy_memo_does_not_keep_ground_state_alive(self):
+        gs = make_ground_state("B1", 3, 0)
+        assert gs.c(3) == -2
+        ref = weakref.ref(gs)
+        del gs
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("family,n,node", SCHEDULED)
     def test_window_weight_matches_telescoped_letters(self, family, n, node):
