@@ -5,7 +5,8 @@ sums, tableau polynomials, string-function limits, verification suites,
 and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
 bytes.  --threads is accepted for compatibility and has no effect;
-every command runs on one thread.
+every command runs on one thread.  A --format the subcommand cannot
+write (verify writes JSON only) exits 2 before any work is done.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
 4 resource guard tripped.
@@ -318,20 +319,42 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _want(args, default: str) -> str:
-    return args.format if args.format else default
+# Output formats of each subcommand, its default first.
+_FORMATS = {
+    "graph": ("dot", "json", "csv"),
+    "character": ("json", "csv"),
+    "onedsum": ("json", "csv"),
+    "kostka": ("json", "csv"),
+    "stringfn": ("json", "csv"),
+    "verify": ("json",),
+    "decomp-search": ("json", "csv"),
+}
+
+
+def _check_format(args) -> None:
+    """Reject a format the subcommand cannot write, before any work."""
+    allowed = _FORMATS[args.command]
+    if args.format and args.format not in allowed:
+        if len(allowed) <= 2:
+            names = " or ".join(allowed)
+        else:
+            names = ", ".join(allowed[:-1]) + ", or " + allowed[-1]
+        raise ConfigError(
+            f"{args.command} output supports {names}, not {args.format!r}"
+        )
+
+
+def _want(args) -> str:
+    return args.format or _FORMATS[args.command][0]
 
 
 def _emit_json_or_csv(args, obj, header: list[str], rows) -> None:
     """Write obj as JSON (the default) or a CSV table; ``rows`` is a
     zero-argument function, so a JSON run never builds the table."""
-    fmt = _want(args, "json")
-    if fmt == "json":
-        _emit(_json_text(obj), args.out)
-    elif fmt == "csv":
+    if _want(args) == "csv":
         _emit(_csv_text(header, rows()), args.out)
     else:
-        raise ConfigError(f"{args.command} output supports json or csv, not {fmt!r}")
+        _emit(_json_text(obj), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +363,7 @@ def _emit_json_or_csv(args, obj, header: list[str], rows) -> None:
 
 def cmd_graph(args) -> int:
     crystal = _crystal(args.type, args.rank)
-    fmt = _want(args, "dot")
+    fmt = _want(args)
     if fmt == "dot":
         _emit(crystal.to_dot() + "\n", args.out)
         return EXIT_OK
@@ -356,19 +379,15 @@ def cmd_graph(args) -> int:
             args.out,
         )
         return EXIT_OK
-    if fmt == "json":
-        obj = {
-            "type": args.type,
-            "rank": args.rank,
-            "alphabet": list(crystal.elements),
-            "weights": {
-                b: crystal.weight(b).to_json_obj() for b in crystal.elements
-            },
-            "edges": [{"from": b, "to": t, "label": i} for b, t, i in edges],
-        }
-        _emit(_json_text(obj), args.out)
-        return EXIT_OK
-    raise ConfigError(f"graph output supports dot, json, or csv, not {fmt!r}")
+    obj = {
+        "type": args.type,
+        "rank": args.rank,
+        "alphabet": list(crystal.elements),
+        "weights": {b: crystal.weight(b).to_json_obj() for b in crystal.elements},
+        "edges": [{"from": b, "to": t, "label": i} for b, t, i in edges],
+    }
+    _emit(_json_text(obj), args.out)
+    return EXIT_OK
 
 
 def cmd_character(args) -> int:
@@ -736,6 +755,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_format(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, perfect_crystal
-from .onedsums import g_enumerate, g_recursive, tail_weight_support
+from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
 from .qring import (
     ZERO,
     LaurentPoly,
@@ -316,11 +316,11 @@ def _check_cell(
     b: Element,
     coords: tuple[int, ...],
     j: int,
+    enumerated: LaurentPoly,
 ) -> dict | None:
     weight = Weight(coords)
     mu = mu_from_weight(family, crystal.cartan.size - 1, weight, j)
     closed = g_closed_form(family, b, mu, j)
-    enumerated = g_enumerate(crystal, b, weight, j)
     recursive = g_recursive(crystal, b, weight, j)
     values = {"closed": closed, "enumerate": enumerated, "recursive": recursive}
     if family == "B1" and b == "0":
@@ -337,22 +337,27 @@ def _check_cell(
 
 def verify_type(family: str, j_max: int, rank: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
-    letter and every reachable window weight up to ``j_max``."""
+    letter and every reachable window weight up to ``j_max``.  The
+    enumeration route lists the tails of each window length once and
+    reads every cell of that length from the one table."""
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     crystal = perfect_crystal(family, rank)
-    cells = [
-        (b, coords, j)
-        for j in range(j_max + 1)
-        for coords in sorted(tail_weight_support(crystal, j))
-        for b in crystal.elements
-    ]
-    outcomes = (_check_cell(family, crystal, b, coords, j) for b, coords, j in cells)
-    mismatches = [entry for entry in outcomes if entry is not None]
+    cells = 0
+    mismatches = []
+    for j in range(j_max + 1):
+        table = g_enumerate_table(crystal, j)
+        for coords in sorted(tail_weight_support(crystal, j)):
+            for b in crystal.elements:
+                cells += 1
+                enumerated = table.get((b, coords), ZERO)
+                entry = _check_cell(family, crystal, b, coords, j, enumerated)
+                if entry is not None:
+                    mismatches.append(entry)
     return {
         "type": family,
         "rank": rank,
         "j_max": j_max,
-        "cells_checked": len(cells),
+        "cells_checked": cells,
         "mismatches": mismatches,
     }

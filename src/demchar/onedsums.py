@@ -13,12 +13,16 @@ Three graded sums over fixed-head letter sequences of one crystal:
 
 Each comes as a brute-force enumeration and a memoized recursion, and
 the restricted sums additionally as Weyl alternating sums over the
-unrestricted one. Also here: the reflection identity relating the
-unrestricted sum along an f-string to its reflected weights, a search
-for f-string decompositions of the non-admissible set, the
-Kostka-Foulkes specialization over symmetric-power crystals, the
-large-window stabilization toward string and branching functions, and
-the rewriting of scheduled path characters through the unrestricted sum.
+unrestricted one.  The enumeration route lists every tail once, depth
+first on plain int tables of letter weights, local energies and
+epsilons, and shares no code or memo with the recursion route.
+
+Also here: the reflection identity relating the unrestricted sum along
+an f-string to its reflected weights, a search for f-string
+decompositions of the non-admissible set, the Kostka-Foulkes
+specialization over symmetric-power crystals, the large-window
+stabilization toward string and branching functions, and the rewriting
+of scheduled path characters through the unrestricted sum.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .demazure import DemazureSchedule
-from .paths import GroundState, enumerate_paths
+from .paths import GroundState
 from .qring import ONE, ZERO, LaurentPoly
-from .tensor import TensorWord
 from .weights import FormalCharacter, Weight, enumerate_weyl, weyl_by_length
 
 
@@ -106,14 +110,102 @@ def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
     return val.shift(mu.delta_coord) if val else ZERO
 
 
+# ---------------------------------------------------------------------------
+# Tail enumeration on integer tables
+
+
+def _walk_tails(
+    crystal: PerfectCrystal,
+    j: int,
+    start: tuple[int, ...],
+    idx: tuple[int, ...] = (),
+    drop_node0: bool = False,
+) -> dict[tuple, Counter]:
+    """List every length-j tail once, depth first over letter indices.
+
+    The running state starts at ``start`` and adds each letter's weight
+    coordinates (node 0 zeroed when ``drop_node0``); a letter is taken
+    only if its epsilon at every node of ``idx`` fits under the state.
+    Returns tail-energy counts keyed by (first letter, end state), the
+    first letter being None when j = 0.  The head term j * H(head,
+    first letter) is left to the reader of a bucket.
+    """
+    letters = crystal.elements
+    wts = [crystal.weight(b).lambda_coords for b in letters]
+    if drop_node0:
+        wts = [(0,) + wt[1:] for wt in wts]
+    energy = [[crystal.energy(b, bp) for bp in letters] for b in letters]
+    eps = [tuple((i, crystal.epsilon(i, b)) for i in idx) for b in letters]
+    rows = [(t, b, wts[t], eps[t]) for t, b in enumerate(letters)]
+    buckets: dict[tuple, Counter] = {}
+
+    def extend(depth: int, state: tuple[int, ...], first, prev: int, acc: int) -> None:
+        if depth == j:
+            buckets.setdefault((first, state), Counter())[acc] += 1
+            return
+        scale = j - depth
+        for t, b, wt, checks in rows:
+            if all(e <= state[i] for i, e in checks):
+                extend(
+                    depth + 1,
+                    tuple(map(add, state, wt)),
+                    b if depth == 0 else first,
+                    t,
+                    acc + scale * energy[prev][t] if depth else 0,
+                )
+
+    extend(0, start, None, 0, 0)
+    return buckets
+
+
+def _head_terms(crystal: PerfectCrystal, b: Element, j: int, first, counts: Counter):
+    """(energy, count) pairs of one bucket read under the head letter b."""
+    shift = 0 if first is None else j * crystal.energy(b, first)
+    return ((e + shift, c) for e, c in counts.items())
+
+
+def _read(
+    crystal: PerfectCrystal,
+    buckets: dict[tuple, Counter],
+    b: Element,
+    end: tuple[int, ...],
+    j: int,
+) -> LaurentPoly:
+    """Energy polynomial of the head-b words whose tails end at ``end``."""
+    return LaurentPoly.from_terms(
+        pair
+        for (first, state), counts in buckets.items()
+        if state == end
+        for pair in _head_terms(crystal, b, j, first, counts)
+    )
+
+
 def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
     """Unrestricted sum by listing every head-b sequence of tail weight mu."""
     if j < 0:
         raise ValueError("length must be nonnegative")
     if crystal.cartan.level(mu) != 0:
         return ZERO
-    energies = Counter(word.energy() for word in enumerate_paths(crystal, b, mu, j))
-    return LaurentPoly.from_terms(energies.items()).shift(mu.delta_coord)
+    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
+    return _read(crystal, buckets, b, mu.lambda_coords, j).shift(mu.delta_coord)
+
+
+def g_enumerate_table(
+    crystal: PerfectCrystal, j: int
+) -> dict[tuple[Element, tuple[int, ...]], LaurentPoly]:
+    """Unrestricted sums of every head letter and reachable tail weight,
+    from one listing of the length-j tails: the value at (b, coords)
+    equals ``g_enumerate(crystal, b, Weight(coords), j)``."""
+    if j < 0:
+        raise ValueError("length must be nonnegative")
+    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
+    pairs: dict[tuple[Element, tuple[int, ...]], list] = {}
+    for (first, coords), counts in buckets.items():
+        for b in crystal.elements:
+            pairs.setdefault((b, coords), []).extend(
+                _head_terms(crystal, b, j, first, counts)
+            )
+    return {key: LaurentPoly.from_terms(terms) for key, terms in pairs.items()}
 
 
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
@@ -224,21 +316,8 @@ def x_enumerate(
         return ONE if state0 == target else ZERO
     if _head_blocked(crystal, b, xi, classical, idx):
         return ZERO
-    energies: Counter = Counter()
-
-    def extend(seq: list[Element], state: Weight) -> None:
-        if len(seq) == j:
-            if state == target:
-                energies[TensorWord(crystal, (b, *seq)).energy()] += 1
-            return
-        for bp in crystal.elements:
-            if _fits(crystal, state, bp, idx):
-                seq.append(bp)
-                extend(seq, _canon(state + crystal.weight(bp), classical))
-                seq.pop()
-
-    extend([], state0)
-    return LaurentPoly.from_terms(energies.items())
+    buckets = _walk_tails(crystal, j, state0.lambda_coords, idx, drop_node0=classical)
+    return _read(crystal, buckets, b, target.lambda_coords, j)
 
 
 _X_MEMO: dict[tuple, LaurentPoly] = {}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import demchar
+from demchar import cli
 from demchar.cli import main
 from demchar.crystals import perfect_crystal
 from demchar.weights import FormalCharacter, demazure_op
@@ -161,6 +162,19 @@ class TestCharacter:
         )
         assert code == 2
 
+    def test_rejected_format_exits_before_the_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the character was computed")
+
+        monkeypatch.setattr(cli, "character_by_paths", refuse)
+        code, out, err = run(
+            capsys, "character", "D1", "4", "--lambda", "L0", "--k", "24",
+            "--format", "dot",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: character output supports json or csv, not 'dot'\n"
+
 
 class TestOnedsum:
     def test_json_contract(self, capsys):
@@ -297,6 +311,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "formulas", "--type", "A1", "--rank", "1")
         assert code == 2
         assert "jmax" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "dot"])
+    def test_non_json_format_rejected_before_any_suite(self, capsys, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "verify_type", refuse)
+        monkeypatch.setattr(cli, "verify_perfect", refuse)
+        for suite in ("formulas", "perfect"):
+            code, out, err = run(
+                capsys, "verify", suite, "--type", "A1", "--rank", "1",
+                "--jmax", "2", "--format", fmt,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: verify output supports json, not {fmt!r}\n"
+
+    def test_explicit_json_matches_default(self, capsys):
+        argv = ["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "2"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--format", "json")
 
     def test_character_suite_covers_variants(self, capsys):
         code, out, _ = run(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demchar import onedsums
 from demchar.crystals import perfect_crystal
 from demchar.formulas import (
     FAMILY_KEYS,
@@ -294,6 +295,20 @@ class TestVerifier:
         )
         report = verify_type("A1", 2, 1)
         assert report["cells_checked"] == expected
+
+    @pytest.mark.parametrize("family,rank,j_max", [("D2", 2, 3), ("A1", 1, 0)])
+    def test_one_tail_walk_per_window_length(self, monkeypatch, family, rank, j_max):
+        walked = []
+        walk = onedsums._walk_tails
+
+        def counting(crystal, j, *args, **kwargs):
+            walked.append(j)
+            return walk(crystal, j, *args, **kwargs)
+
+        monkeypatch.setattr(onedsums, "_walk_tails", counting)
+        report = verify_type(family, j_max, rank)
+        assert report["mismatches"] == []
+        assert walked == list(range(j_max + 1))
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ superpositions, the disjoint-string decomposition search, the
 tableau-polynomial bridge, and stabilized window limits.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from oracles import (
     partitions_of,
 )
 
+from demchar import onedsums
 from demchar.crystals import perfect_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
 from demchar.onedsums import (
@@ -29,6 +32,7 @@ from demchar.onedsums import (
     check_2m_relation,
     check_disjoint_decomposition,
     g_enumerate,
+    g_enumerate_table,
     g_recursive,
     is_admissible,
     kostka,
@@ -40,6 +44,7 @@ from demchar.onedsums import (
 )
 from demchar.paths import GroundState, enumerate_paths, scheduled_nodes
 from demchar.qring import LaurentPoly
+from demchar.tensor import TensorWord
 from demchar.weights import Weight, dominant_classical_weights
 
 ZERO = LaurentPoly.from_terms([])
@@ -79,6 +84,125 @@ def classical_dominants(crystal, j):
         if all(x >= 0 for x in coords[1:]):
             out.add(Weight((0,) + coords[1:]))
     return sorted(out, key=lambda w: w.lambda_coords)
+
+
+# ---------------------------------------------------------------------------
+# The tail walker of the enumeration route, against brute force over B^j
+
+FAMILY_MINIMA = [
+    ("A1", 1),
+    ("B1", 3),
+    ("D1", 4),
+    ("A2odd", 3),
+    ("A2even", 1),
+    ("D2", 2),
+]
+
+
+def brute_g_table(c, j):
+    """Energy counts of every word (head, tail) with |tail| = j, by head
+    and tail weight, from itertools.product and TensorWord."""
+    counts = {}
+    for head in c.elements:
+        for tail in itertools.product(c.elements, repeat=j):
+            key = (head, TensorWord(c, tail).weight().lambda_coords)
+            energy = TensorWord(c, (head, *tail)).energy()
+            counts.setdefault(key, Counter())[energy] += 1
+    return {key: poly(energies.items()) for key, energies in counts.items()}
+
+
+def canon(w, classical):
+    """The coordinates a restricted sum keeps: no delta, and no node 0
+    in the classical case."""
+    return Weight((0,) + w.lambda_coords[1:]) if classical else w.classical()
+
+
+def brute_admissible_tails(c, xi, j, classical, idx):
+    """(tail, end state) for every tail of j letters that stays admissible
+    at the nodes idx from xi down, testing each step on Weights."""
+    out = []
+    for tail in itertools.product(c.elements, repeat=j):
+        state = canon(xi, classical)
+        for letter in tail:
+            if any(c.epsilon(i, letter) > state.pairing(i) for i in idx):
+                break
+            state = canon(state + c.weight(letter), classical)
+        else:
+            out.append((tail, state))
+    return out
+
+
+def brute_x(c, b, xi, eta, j, tails, classical, idx):
+    """The restricted sum from a list of admissible tails; zero when the
+    head letter b does not fit one step above xi."""
+    if j == 0:
+        return ONE if canon(xi, classical) == canon(eta, classical) else ZERO
+    above = canon(canon(xi, classical) - c.weight(b), classical)
+    if any(c.epsilon(i, b) > above.pairing(i) for i in idx):
+        return ZERO
+    energies = Counter(
+        TensorWord(c, (b, *tail)).energy()
+        for tail, end in tails
+        if end == canon(eta, classical)
+    )
+    return poly(energies.items())
+
+
+class TestTailWalker:
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_table_matches_brute_force(self, family, n):
+        c = perfect_crystal(family, n)
+        for j in range(4):
+            assert g_enumerate_table(c, j) == brute_g_table(c, j), (family, j)
+
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_restricted_matches_brute_force(self, family, n):
+        c = perfect_crystal(family, n)
+        ct = c.cartan
+        doms = list(dominant_classical_weights(ct, 1))
+        bars = classical_dominants(c, 2)[:3]
+        zero = Weight.zero(ct.size)
+        # (classical, indices argument, nodes checked, xi with its etas)
+        cases = [
+            (False, None, ct.index_set, [(xi, doms) for xi in doms]),
+            (True, None, ct.classical_index_set, [(xi, bars) for xi in bars]),
+            (True, (), (), [(xi, [zero]) for xi in bars]),
+        ]
+        for classical, indices, idx, pairs in cases:
+            for xi, etas in pairs:
+                for j in range(4):
+                    tails = brute_admissible_tails(c, xi, j, classical, idx)
+                    for b in c.elements:
+                        for eta in etas:
+                            got = x_enumerate(
+                                c, b, xi, eta, j, classical=classical, indices=indices
+                            )
+                            want = brute_x(c, b, xi, eta, j, tails, classical, idx)
+                            assert got == want, (family, classical, idx, b, xi, eta, j)
+
+    def test_enumeration_never_calls_the_recursion(self, monkeypatch):
+        c = perfect_crystal("B1", 3)
+        zero = Weight.zero(4)
+        lam = c.cartan.fundamental_weight(0)
+        bar = Weight((0, 1, 0, 0))
+
+        def values():
+            return (
+                g_enumerate(c, "0", zero, 3),
+                g_enumerate_table(c, 2),
+                x_enumerate(c, "1~", lam, lam, 4),
+                x_enumerate(c, "1", bar, bar, 2, classical=True),
+            )
+
+        expected = values()
+        assert all(expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumeration route called the recursion")
+
+        monkeypatch.setattr(onedsums, "_g_classical", refuse)
+        monkeypatch.setattr(onedsums, "_x_rec", refuse)
+        assert values() == expected
 
 
 # ---------------------------------------------------------------------------
