@@ -9,7 +9,7 @@ every command runs on one thread.  A --format the subcommand cannot
 write (verify writes JSON only) exits 2 before any work is done.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
-4 resource guard tripped.
+4 stabilization window guard tripped.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .demazure import (
 from .formulas import verify_type
 from .onedsums import (
     StabilizationGuardError,
-    WeylSumGuardError,
     character_at_full_segment,
     check_disjoint_decomposition,
     g_enumerate,
@@ -74,16 +73,8 @@ def _parse_weight(text: str, size: int) -> Weight:
     comma-separated coordinate list over all nodes."""
     text = text.strip()
     if text.upper().startswith("L") and "," not in text:
-        try:
-            node = int(text[1:])
-        except ValueError as exc:
-            raise ConfigError(f"bad weight token {text!r}") from exc
-        if not 0 <= node < size:
-            raise ConfigError(
-                f"node {node} out of range; this diagram has nodes 0..{size - 1}"
-            )
         coords = [0] * size
-        coords[node] = 1
+        coords[_parse_lambda_node(text, size)] = 1
         return Weight(tuple(coords))
     try:
         coords = tuple(int(part) for part in text.split(","))
@@ -176,10 +167,6 @@ def _resolve_scheduled_node(family: str, rank: int, node: int):
     """
     crystal = _crystal(family, rank)
     size = crystal.cartan.size
-    if not 0 <= node < size:
-        raise ConfigError(
-            f"node {node} out of range; this diagram has nodes 0..{size - 1}"
-        )
     available = scheduled_nodes(family, rank)
     identity = tuple(range(size))
     if node in available:
@@ -267,9 +254,14 @@ def _parse_lambda_node(text: str, size: int) -> int:
     if not text.upper().startswith("L"):
         raise ConfigError(f"highest weights are selected by node token L0..L{size - 1}")
     try:
-        return int(text[1:])
+        node = int(text[1:])
     except ValueError as exc:
         raise ConfigError(f"bad weight token {text!r}") from exc
+    if not 0 <= node < size:
+        raise ConfigError(
+            f"node {node} out of range; this diagram has nodes 0..{size - 1}"
+        )
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +474,10 @@ def cmd_onedsum(args) -> int:
             poly = x_recursive(crystal, b, xi, eta, args.j, classical=classical)
         elif args.method == "weyl":
             method_name = "weyl_sum"
-            poly = x_by_weyl_sum(
-                crystal,
-                b,
-                xi,
-                eta,
-                args.j,
-                classical=classical,
-                max_weyl_length=args.max_weyl_length,
-            )
+            try:
+                poly = x_by_weyl_sum(crystal, b, xi, eta, args.j, classical=classical)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError(f"unknown method {args.method!r}")
     obj = {
@@ -523,10 +510,6 @@ def cmd_stringfn(args) -> int:
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
     node = _parse_lambda_node(args.lam, size)
-    if not 0 <= node < size:
-        raise ConfigError(
-            f"node {node} out of range; this diagram has nodes 0..{size - 1}"
-        )
     lam = crystal.cartan.fundamental_weight(node)
     if args.M < 0:
         raise ConfigError("truncation degree must be nonnegative")
@@ -663,13 +646,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; no effect"
     )
-    common.add_argument(
-        "--max-weyl-length",
-        type=int,
-        default=12,
-        dest="max_weyl_length",
-        help="reflection-length guard for alternating sums",
-    )
 
     parser = argparse.ArgumentParser(
         prog="demchar",
@@ -760,9 +736,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except WeylSumGuardError as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except StabilizationGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

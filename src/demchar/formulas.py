@@ -325,7 +325,7 @@ def _check_cell(
     values = {"closed": closed, "enumerate": enumerated, "recursive": recursive}
     if family == "B1" and b == "0":
         values["closed_other_pivot"] = g_closed_form(family, b, mu, j, pivot=1)
-    if len({str(v) for v in values.values()}) == 1:
+    if all(v == closed for v in values.values()):
         return None
     return {
         "b": b,

@@ -37,21 +37,7 @@ from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .demazure import DemazureSchedule
 from .paths import GroundState
 from .qring import ONE, ZERO, LaurentPoly
-from .weights import FormalCharacter, Weight, enumerate_weyl, weyl_by_length
-
-
-class WeylSumGuardError(RuntimeError):
-    """Affine Weyl-sum shells failed to terminate within the length cap."""
-
-    def __init__(self, max_length: int, bound, last_min_offset):
-        super().__init__(
-            f"no terminating shell up to length {max_length}: need a zero "
-            f"shell whose minimal null-root offset exceeds {bound}, last "
-            f"shell reached offset {last_min_offset}"
-        )
-        self.max_length = max_length
-        self.bound = bound
-        self.last_min_offset = last_min_offset
+from .weights import CartanType, FormalCharacter, Weight
 
 
 class StabilizationGuardError(RuntimeError):
@@ -377,14 +363,28 @@ def x_recursive(
     return _x_rec(crystal, b, state0, target, j, idx, classical)
 
 
-def _max_abs_energy(crystal: PerfectCrystal) -> int:
-    return max(
-        abs(crystal.energy(x, y)) for x in crystal.elements for y in crystal.elements
-    )
+def _fold(
+    ct: CartanType, coords: tuple[int, ...], idx: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, int]:
+    """Reflect coords into the dominant chamber of the nodes idx.
 
-
-def _classical_rho(size: int) -> Weight:
-    return Weight((0,) + (1,) * (size - 1))
+    While some coordinate c at a node i of idx is negative, subtract c
+    times alpha_i (column i of the Cartan matrix); a step at node 0 also
+    subtracts c from the null-root offset.  Returns the folded
+    coordinates, the number of steps and the offset.  Folding w(lam) for
+    a regular dominant lam takes length(w) steps and ends at lam plus
+    the offset times the null root.
+    """
+    v = list(coords)
+    steps = offset = 0
+    while (i := next((i for i in idx if v[i] < 0), None)) is not None:
+        c = v[i]
+        for k, row in enumerate(ct.matrix):
+            v[k] -= c * row[i]
+        if i == 0:
+            offset -= c
+        steps += 1
+    return tuple(v), steps, offset
 
 
 def x_by_weyl_sum(
@@ -394,63 +394,47 @@ def x_by_weyl_sum(
     eta: Weight,
     j: int,
     classical: bool = False,
-    max_weyl_length: int = 12,
 ) -> LaurentPoly:
     """Restricted sum as a determinant-signed superposition of
     unrestricted sums at reflected weights.
 
-    Classical: the finite reflection group is summed in full. Affine:
-    shells of increasing length accumulate until one whole shell
-    contributes zero while every argument in it sits further from level
-    zero, in null-root offset, than the energy grading can reach; past
-    that point no shell can contribute.
+    The terms are the Weyl elements w (finite group when classical,
+    affine group otherwise) with g(b, w(eta + rho) - (xi + rho), j)
+    nonzero, so their arguments lie in the tail-weight support.  Each
+    support point mu is folded: xi + rho + mu is reflected into the
+    dominant chamber of the checked nodes, and it is a term exactly when
+    it lands on eta + rho there, with sign (-1)^steps and argument mu
+    minus the offset times the null root.  The chamber is a fundamental
+    domain for the group on weights of positive level, which xi + rho
+    has, so every fold stops; eta + rho is regular, so no term is
+    counted twice.  The sum is therefore finite and exact, with nothing
+    to tune.
 
     The boundary-letter zero clause is definitional, so it is applied
-    before summing; the superposition itself computes the value on the
-    admissible-boundary domain.
+    before summing.  Past it, xi and eta must be dominant at the checked
+    nodes, the domain of the identity; otherwise ValueError.
     """
     if j < 0:
         raise ValueError("length must be nonnegative")
     ct = crystal.cartan
-    if j >= 1 and _head_blocked(
-        crystal, b, xi, classical, _indices(crystal, classical, None)
-    ):
+    idx = _indices(crystal, classical, None)
+    if j >= 1 and _head_blocked(crystal, b, xi, classical, idx):
         return ZERO
-    if classical:
-        rho = _classical_rho(ct.size)
-        target = _canon(eta, True) + rho
-        base = _canon(xi, True) + rho
-        total = ZERO
-        for w in enumerate_weyl(ct, classical_only=True):
-            moved = _canon(w.apply(target), True) - base
-            lifted = ct.level_zero(moved.lambda_coords[1:])
-            if lifted is None:
-                continue
-            val = g_recursive(crystal, b, lifted, j)
-            if val:
-                total = total + (val if w.det == 1 else -val)
-        return total
-    rho = ct.rho()
-    target = eta.classical() + rho
-    base = xi.classical() + rho
-    bound = j * j * _max_abs_energy(crystal)
+    for name, w in (("xi", xi), ("eta", eta)):
+        if not ct.is_dominant(w, idx):
+            raise ValueError(
+                f"{name} = {w} is not dominant at nodes {list(idx)}; the Weyl "
+                f"sum holds only for dominant weights"
+            )
+    base = tuple(c + 1 for c in xi.lambda_coords)
+    target = tuple(eta.pairing(i) + 1 for i in idx)
     total = ZERO
-    last_min = None
-    for shell in weyl_by_length(ct, None, max_weyl_length):
-        shell_total = ZERO
-        min_offset = None
-        for w in shell:
-            arg = w.apply(target) - base
-            offset = abs(arg.delta_coord)
-            min_offset = offset if min_offset is None else min(min_offset, offset)
-            val = g_recursive(crystal, b, arg, j)
-            if val:
-                shell_total = shell_total + (val if w.det == 1 else -val)
-        total = total + shell_total
-        last_min = min_offset
-        if not shell_total and min_offset is not None and min_offset > bound:
-            return total
-    raise WeylSumGuardError(max_weyl_length, bound, last_min)
+    for mu in tail_weight_support(crystal, j):
+        folded, steps, offset = _fold(ct, tuple(map(add, base, mu)), idx)
+        if tuple(folded[i] for i in idx) == target:
+            val = g_recursive(crystal, b, Weight(mu, -offset), j)
+            total = total + (-val if steps % 2 else val)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -409,26 +409,6 @@ def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
     return sorted(results, key=_weight_sort_key)
 
 
-def enumerate_weyl(
-    ct: CartanType,
-    classical_only: bool = False,
-    max_length: int | None = None,
-) -> list[WeylElement]:
-    """Flat list of Weyl elements, optionally restricted to the finite subgroup.
-
-    With classical_only the node-0 reflection is dropped and the whole (finite)
-    subgroup is returned unless capped; otherwise the full group is infinite
-    and max_length is mandatory.
-    """
-    if not classical_only and max_length is None:
-        raise ValueError("the full group is infinite; a max_length cap is required")
-    gens = tuple(ct.classical_index_set) if classical_only else None
-    out: list[WeylElement] = []
-    for shell in weyl_by_length(ct, gens, max_length):
-        out.extend(shell)
-    return out
-
-
 def _weight_sort_key(w: Weight) -> tuple:
     return (w.lambda_coords, w.delta_coord)
 

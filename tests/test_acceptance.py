@@ -254,7 +254,8 @@ def test_04_signed_reflection_sums_match_direct_restriction():
     """The determinant-signed superposition of unrestricted sums equals
     direct restricted enumeration: classically over the finite
     reflection group, and at the affine nodes for common levels one and
-    two, with shells settling before reflection length 12."""
+    two, each a finite sum over the tail weights folded into the
+    dominant chamber."""
     for family, rank in [("A1", 1), ("A1", 2)]:
         crystal = perfect_crystal(family, rank)
         doms = classical_dominants(crystal, 3)
@@ -271,9 +272,7 @@ def test_04_signed_reflection_sums_match_direct_restriction():
                 for xi in affine:
                     for eta in affine:
                         for j in range(4):
-                            lhs = x_by_weyl_sum(
-                                crystal, b, xi, eta, j, max_weyl_length=12
-                            )
+                            lhs = x_by_weyl_sum(crystal, b, xi, eta, j)
                             assert lhs == x_enumerate(crystal, b, xi, eta, j), (
                                 family, rank, level, b, xi, eta, j,
                             )

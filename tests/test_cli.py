@@ -176,6 +176,23 @@ class TestCharacter:
         assert err == "error: character output supports json or csv, not 'dot'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("character", "A1", "1", "--lambda", "L5", "--k", "2"),
+        ("stringfn", "--type", "A1", "--rank", "1", "--lambda", "L5", "--M", "3"),
+        ("onedsum", "x", "--type", "A1", "--rank", "1", "--b", "0", "--j", "1",
+         "--xi", "L5", "--eta", "L0"),
+    ],
+    ids=["character", "stringfn", "onedsum"],
+)
+def test_weight_node_out_of_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: node 5 out of range; this diagram has nodes 0..1\n"
+
+
 class TestOnedsum:
     def test_json_contract(self, capsys):
         obj = run_json(
@@ -208,14 +225,24 @@ class TestOnedsum:
         assert obj["method"] == "weyl_sum"
         assert obj["polynomial"]["display"] == "q^2"
 
-    def test_guard_exit(self, capsys):
-        code, _, err = run(
-            capsys, "onedsum", "x", "--type", "A1", "--rank", "1",
-            "--b", "1", "--j", "2", "--xi", "L0", "--eta", "L0",
-            "--method", "weyl", "--max-weyl-length", "3",
+    def test_affine_superposition_matches_enumeration(self, capsys):
+        query = (
+            "onedsum", "x", "--type", "D1", "--rank", "4", "--b", "4",
+            "--j", "3", "--xi", "L0", "--eta", "L3",
         )
-        assert code == 4
-        assert "guard" in err
+        weyl = run_json(capsys, *query, "--method", "weyl")
+        enum = run_json(capsys, *query, "--method", "enumerate")
+        assert weyl["polynomial"] == enum["polynomial"]
+
+    def test_superposition_rejects_non_dominant_weight(self, capsys):
+        code, out, err = run(
+            capsys, "onedsum", "x", "--type", "A1", "--rank", "1",
+            "--b", "0", "--j", "2", "--xi", "0,1", "--eta=-2,3",
+            "--method", "weyl",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not dominant" in err
 
     def test_unrestricted_rejects_superposition(self, capsys):
         code, _, _ = run(

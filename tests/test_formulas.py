@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demchar import onedsums
+from demchar import formulas, onedsums
 from demchar.crystals import perfect_crystal
 from demchar.formulas import (
     FAMILY_KEYS,
@@ -309,6 +309,23 @@ class TestVerifier:
         report = verify_type(family, j_max, rank)
         assert report["mismatches"] == []
         assert walked == list(range(j_max + 1))
+
+    def test_disagreeing_route_is_reported(self, monkeypatch):
+        """A route off by one monomial in one cell yields exactly that
+        cell as a mismatch, with every route's value."""
+        real = formulas.g_recursive
+
+        def skewed(crystal, b, weight, j):
+            value = real(crystal, b, weight, j)
+            if (b, weight.lambda_coords, j) == ("0", (0, 0), 2):
+                return value + LaurentPoly.q_power(7)
+            return value
+
+        monkeypatch.setattr(formulas, "g_recursive", skewed)
+        report = verify_type("A1", 2, 1)
+        assert [(m["b"], m["j"]) for m in report["mismatches"]] == [("0", 2)]
+        [entry] = report["mismatches"]
+        assert entry["closed"] == entry["enumerate"] != entry["recursive"]
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from demchar.crystals import perfect_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
 from demchar.onedsums import (
     StabilizationGuardError,
-    WeylSumGuardError,
     character_at_full_segment,
     character_via_onedsums,
     check_2m_relation,
@@ -45,7 +44,13 @@ from demchar.onedsums import (
 from demchar.paths import GroundState, enumerate_paths, scheduled_nodes
 from demchar.qring import LaurentPoly
 from demchar.tensor import TensorWord
-from demchar.weights import Weight, dominant_classical_weights
+from demchar.weights import (
+    Weight,
+    cartan_type,
+    dominant_classical_weights,
+    finite_weyl_group,
+    weyl_by_length,
+)
 
 ZERO = LaurentPoly.from_terms([])
 ONE = LaurentPoly.from_terms([(0, 1)])
@@ -419,7 +424,7 @@ class TestSignedReflectionSums:
                         rhs = x_enumerate(c, b, xi, eta, j, classical=True)
                         assert lhs == rhs, (family, n, b, xi, eta, j)
 
-    @pytest.mark.parametrize("family,n", [("A1", 1), ("A1", 2)])
+    @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
     @pytest.mark.parametrize("level", [1, 2])
     def test_affine_superposition_terminates_and_matches(self, family, n, level):
         c = perfect_crystal(family, n)
@@ -428,7 +433,7 @@ class TestSignedReflectionSums:
             for xi in doms:
                 for eta in doms:
                     for j in range(4):
-                        lhs = x_by_weyl_sum(c, b, xi, eta, j, max_weyl_length=12)
+                        lhs = x_by_weyl_sum(c, b, xi, eta, j)
                         rhs = x_enumerate(c, b, xi, eta, j)
                         assert lhs == rhs, (family, n, level, b, xi, eta, j)
 
@@ -439,13 +444,37 @@ class TestSignedReflectionSums:
         assert x_by_weyl_sum(c, "0", lam, lam, 0) == ONE
         assert x_by_weyl_sum(c, "0", lam, other, 0) == ZERO
 
-    def test_shell_guard_raises_when_capped(self):
+    def test_matches_enumeration_and_rejects_non_dominant_weights(self):
         c = perfect_crystal("A1", 1)
         lam = c.cartan.fundamental_weight(0)
-        with pytest.raises(WeylSumGuardError) as info:
-            x_by_weyl_sum(c, "1", lam, lam, 2, max_weyl_length=3)
-        assert info.value.max_length == 3
-        assert info.value.bound == 4
+        assert x_by_weyl_sum(c, "1", lam, lam, 2) == x_enumerate(c, "1", lam, lam, 2)
+        xi = Weight((0, 1))
+        with pytest.raises(ValueError, match="eta .* not dominant"):
+            x_by_weyl_sum(c, "0", xi, Weight((-2, 3)), 2)
+        with pytest.raises(ValueError, match="xi .* not dominant"):
+            x_by_weyl_sum(c, "0", Weight((3, -1)), lam, 0)
+        with pytest.raises(ValueError, match="eta .* not dominant"):
+            x_by_weyl_sum(c, "0", xi, Weight((3, -1)), 1, classical=True)
+        # Node 0 is not checked in the classical sum.
+        assert x_by_weyl_sum(c, "0", xi, Weight((-1, 1)), 0, classical=True) == ONE
+
+    @pytest.mark.parametrize(
+        "family,n", [(f, n + k) for f, n in FAMILY_MINIMA for k in (0, 1)]
+    )
+    def test_fold_undoes_every_weyl_element(self, family, n):
+        """Folding w(rho + Lambda_0) returns rho + Lambda_0 at the checked
+        nodes in length(w) steps, with the null-root offset w put on."""
+        ct = cartan_type(family, n)
+        lam = ct.rho() + ct.fundamental_weight(0)
+        affine, classical = tuple(ct.index_set), tuple(ct.classical_index_set)
+        cases = [(w, affine) for shell in weyl_by_length(ct, None, 5) for w in shell]
+        cases += [(w, classical) for w in finite_weyl_group(ct, classical)]
+        for w, idx in cases:
+            moved = w.apply(lam)
+            folded, steps, offset = onedsums._fold(ct, moved.lambda_coords, idx)
+            assert [folded[i] for i in idx] == [lam.pairing(i) for i in idx], w
+            assert steps == w.length, w
+            assert offset == -moved.delta_coord, w
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from demchar.weights import (
     WeylElement,
     cartan_type,
     demazure_op,
-    enumerate_weyl,
     finite_weyl_group,
     weyl_by_length,
 )
@@ -259,26 +258,6 @@ class TestCoxeterRelations:
         for _ in range(8):
             elem = elem.prepend(1).prepend(0)
             assert elem != WeylElement.identity(ct)
-
-
-class TestEnumerateWeyl:
-    def test_classical_matches_finite_group(self):
-        ct = cartan_type("A1", 2)
-        flat = enumerate_weyl(ct, classical_only=True)
-        assert len(flat) == 6
-        assert set(flat) == set(finite_weyl_group(ct, tuple(ct.classical_index_set)))
-
-    def test_affine_requires_cap(self):
-        ct = cartan_type("A1", 1)
-        with pytest.raises(ValueError):
-            enumerate_weyl(ct)
-        capped = enumerate_weyl(ct, max_length=3)
-        assert [w.length for w in capped] == [0, 1, 1, 2, 2, 3, 3]
-
-    def test_classical_cap_truncates(self):
-        ct = cartan_type("B1", 3)
-        short = enumerate_weyl(ct, classical_only=True, max_length=1)
-        assert [w.length for w in short] == [0, 1, 1, 1]
 
 
 class TestFormalCharacter:
