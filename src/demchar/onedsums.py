@@ -13,9 +13,13 @@ Three graded sums over fixed-head letter sequences of one crystal:
 
 Each comes as a brute-force enumeration and a memoized recursion, and
 the restricted sums additionally as Weyl alternating sums over the
-unrestricted one.  The enumeration route lists every tail once, depth
-first on plain int tables of letter weights, local energies and
-epsilons, and shares no code or memo with the recursion route.
+unrestricted one.  The recursion route is one memoized kernel for all
+three sums, on plain int tables of letter weights, local energies and
+epsilons: ``_recursion`` caches one memo per crystal, checked node set
+and node-0 treatment, so ``_recursion.cache_clear()`` frees every memo
+and ``cache_info()`` counts them.  The enumeration route lists every
+tail once, depth first, on the same tables, and shares no other code
+or memo with the recursion route.
 
 Also here: the reflection identity relating the unrestricted sum along
 an f-string to its reflected weights, a search for f-string
@@ -30,7 +34,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cache
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
@@ -56,30 +61,60 @@ class StabilizationGuardError(RuntimeError):
 # Unrestricted sum g
 
 
-_G_MEMO: dict[tuple, LaurentPoly] = {}
+def _check_size(crystal: PerfectCrystal, *weights: Weight) -> None:
+    size = crystal.cartan.size
+    for w in weights:
+        if len(w.lambda_coords) != size:
+            raise ValueError(
+                f"weight {w} needs {size} coordinates, one per node of "
+                f"{crystal.name}; it has {len(w.lambda_coords)}"
+            )
 
 
-def _g_classical(
-    crystal: PerfectCrystal, b: Element, coords: tuple[int, ...], j: int
-) -> LaurentPoly:
-    """Recursion on classical coordinates; null-root bookkeeping is the
-    caller's job."""
-    key = (crystal, b, coords, j)
-    hit = _G_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if j == 0:
-        val = ONE if not any(coords) else ZERO
-    else:
+@cache
+def _tables(
+    crystal: PerfectCrystal, idx: tuple[int, ...], drop_node0: bool
+) -> tuple[tuple, tuple, tuple]:
+    """Int tables by letter index: weight coordinates (node 0 zeroed
+    when ``drop_node0``), the local energy matrix H and the epsilons at
+    the nodes ``idx``."""
+    letters = crystal.elements
+    wts = tuple(crystal.weight(b).lambda_coords for b in letters)
+    if drop_node0:
+        wts = tuple((0,) + wt[1:] for wt in wts)
+    energy = tuple(tuple(crystal.energy(b, bp) for bp in letters) for b in letters)
+    eps = tuple(tuple(crystal.epsilon(i, b) for i in idx) for b in letters)
+    return wts, energy, eps
+
+
+@cache
+def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], drop_node0: bool):
+    """Memoized recursion on the head letter, shared by g, x and xbar.
+
+    ``rec(t, fit, rest, j)`` sums q^energy over the length-j tails after
+    letter index t: ``fit`` is the running state at the nodes ``idx``,
+    which must admit each letter's epsilons, and ``rest`` is the weight
+    the tail must still carry.  Each ``rec`` keeps its own memo, so
+    ``_recursion.cache_clear()`` drops them all.
+    """
+    wts, energy, eps = _tables(crystal, idx, drop_node0)
+    rows = [(u, wt, eps[u], tuple(wt[i] for i in idx)) for u, wt in enumerate(wts)]
+
+    @cache
+    def rec(t: int, fit: tuple, rest: tuple, j: int) -> LaurentPoly:
+        if j == 0:
+            return ONE if not any(rest) else ZERO
         val = ZERO
-        for bp in crystal.elements:
-            wt = crystal.weight(bp).lambda_coords
-            rest = tuple(c - w for c, w in zip(coords, wt))
-            inner = _g_classical(crystal, bp, rest, j - 1)
-            if inner:
-                val = val + inner.shift(j * crystal.energy(b, bp))
-    _G_MEMO[key] = val
-    return val
+        h = energy[t]
+        for u, wt, e, step in rows:
+            if all(map(le, e, fit)):
+                fit_u = tuple(map(add, fit, step))
+                inner = rec(u, fit_u, tuple(map(sub, rest, wt)), j - 1)
+                if inner:
+                    val = val + inner.shift(j * h[u])
+        return val
+
+    return rec
 
 
 def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
@@ -90,9 +125,10 @@ def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
     """
     if j < 0:
         raise ValueError("length must be nonnegative")
+    _check_size(crystal, mu)
     if crystal.cartan.level(mu) != 0:
         return ZERO
-    val = _g_classical(crystal, b, mu.lambda_coords, j)
+    val = _recursion(crystal, (), False)(crystal.index(b), (), mu.lambda_coords, j)
     return val.shift(mu.delta_coord) if val else ZERO
 
 
@@ -116,13 +152,10 @@ def _walk_tails(
     first letter being None when j = 0.  The head term j * H(head,
     first letter) is left to the reader of a bucket.
     """
-    letters = crystal.elements
-    wts = [crystal.weight(b).lambda_coords for b in letters]
-    if drop_node0:
-        wts = [(0,) + wt[1:] for wt in wts]
-    energy = [[crystal.energy(b, bp) for bp in letters] for b in letters]
-    eps = [tuple((i, crystal.epsilon(i, b)) for i in idx) for b in letters]
-    rows = [(t, b, wts[t], eps[t]) for t, b in enumerate(letters)]
+    wts, energy, eps = _tables(crystal, idx, drop_node0)
+    rows = [
+        (t, b, wts[t], tuple(zip(idx, eps[t]))) for t, b in enumerate(crystal.elements)
+    ]
     buckets: dict[tuple, Counter] = {}
 
     def extend(depth: int, state: tuple[int, ...], first, prev: int, acc: int) -> None:
@@ -170,6 +203,7 @@ def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
     """Unrestricted sum by listing every head-b sequence of tail weight mu."""
     if j < 0:
         raise ValueError("length must be nonnegative")
+    _check_size(crystal, mu)
     if crystal.cartan.level(mu) != 0:
         return ZERO
     buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
@@ -242,39 +276,48 @@ def _indices(crystal: PerfectCrystal, classical: bool, indices) -> tuple[int, ..
     return tuple(ct.classical_index_set if classical else ct.index_set)
 
 
-def _canon(w: Weight, classical: bool) -> Weight:
-    """Drop the coordinates the restriction ignores: always the
-    delta-coordinate, plus the node-0 coordinate in the classical case."""
-    if classical:
-        return Weight((0,) + tuple(w.lambda_coords[1:]))
-    return w.classical()
+def _canon(coords: tuple[int, ...], classical: bool) -> tuple[int, ...]:
+    """Drop the node-0 coordinate in the classical case; the restriction
+    ignores it (and always the delta-coordinate)."""
+    return (0,) + coords[1:] if classical else coords
+
+
+def _fits(
+    crystal: PerfectCrystal, state: tuple[int, ...], b: Element, idx: tuple[int, ...]
+) -> bool:
+    return all(crystal.epsilon(i, b) <= state[i] for i in idx)
 
 
 def is_admissible(
     crystal: PerfectCrystal, xi: Weight, b: Element, classical: bool = False
 ) -> bool:
     """Whether every raising capacity of b fits under xi at the checked nodes."""
-    idx = _indices(crystal, classical, None)
-    return all(crystal.epsilon(i, b) <= xi.pairing(i) for i in idx)
+    return _fits(crystal, xi.lambda_coords, b, _indices(crystal, classical, None))
 
 
-def _fits(crystal: PerfectCrystal, state: Weight, b: Element, idx: tuple[int, ...]) -> bool:
-    return all(crystal.epsilon(i, b) <= state.pairing(i) for i in idx)
-
-
-def _head_blocked(
+def _restricted(
     crystal: PerfectCrystal,
     b: Element,
     xi: Weight,
+    eta: Weight,
+    j: int,
     classical: bool,
-    idx: tuple[int, ...],
-) -> bool:
-    """The boundary letter b is inadmissible one step above xi.
-
-    The restricted sums are zero by definition in that case (for positive
-    length); equivalently, some lowering capacity of b exceeds xi."""
-    head_state = _canon(_canon(xi, classical) - crystal.weight(b), classical)
-    return not _fits(crystal, head_state, b, idx)
+    indices: Sequence[int] | None,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """Checked nodes and the canonical start and end coordinates of a
+    restricted sum, or None when the sum is zero by definition: for
+    positive length, the boundary letter b is inadmissible one step
+    above xi (equivalently, some lowering capacity of b exceeds xi)."""
+    if j < 0:
+        raise ValueError("length must be nonnegative")
+    _check_size(crystal, xi, eta)
+    idx = _indices(crystal, classical, indices)
+    start = _canon(xi.lambda_coords, classical)
+    if j >= 1:
+        head = _canon(tuple(map(sub, start, crystal.weight(b).lambda_coords)), classical)
+        if not _fits(crystal, head, b, idx):
+            return None
+    return idx, start, _canon(eta.lambda_coords, classical)
 
 
 def x_enumerate(
@@ -293,54 +336,12 @@ def x_enumerate(
     step above xi, else the value is zero. An explicit ``indices`` tuple
     overrides the checked node set (empty = no restriction).
     """
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    idx = _indices(crystal, classical, indices)
-    state0 = _canon(xi, classical)
-    target = _canon(eta, classical)
-    if j == 0:
-        return ONE if state0 == target else ZERO
-    if _head_blocked(crystal, b, xi, classical, idx):
+    setup = _restricted(crystal, b, xi, eta, j, classical, indices)
+    if setup is None:
         return ZERO
-    buckets = _walk_tails(crystal, j, state0.lambda_coords, idx, drop_node0=classical)
-    return _read(crystal, buckets, b, target.lambda_coords, j)
-
-
-_X_MEMO: dict[tuple, LaurentPoly] = {}
-
-
-def _x_rec(
-    crystal: PerfectCrystal,
-    b: Element,
-    state: Weight,
-    target: Weight,
-    j: int,
-    idx: tuple[int, ...],
-    classical: bool,
-) -> LaurentPoly:
-    key = (crystal, b, state.lambda_coords, target.lambda_coords, j, idx)
-    hit = _X_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if j == 0:
-        val = ONE if state == target else ZERO
-    else:
-        val = ZERO
-        for bp in crystal.elements:
-            if _fits(crystal, state, bp, idx):
-                inner = _x_rec(
-                    crystal,
-                    bp,
-                    _canon(state + crystal.weight(bp), classical),
-                    target,
-                    j - 1,
-                    idx,
-                    classical,
-                )
-                if inner:
-                    val = val + inner.shift(j * crystal.energy(b, bp))
-    _X_MEMO[key] = val
-    return val
+    idx, start, end = setup
+    buckets = _walk_tails(crystal, j, start, idx, drop_node0=classical)
+    return _read(crystal, buckets, b, end, j)
 
 
 def x_recursive(
@@ -353,14 +354,13 @@ def x_recursive(
     indices: Sequence[int] | None = None,
 ) -> LaurentPoly:
     """Restricted sum by memoized recursion; must equal x_enumerate."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    idx = _indices(crystal, classical, indices)
-    state0 = _canon(xi, classical)
-    target = _canon(eta, classical)
-    if j >= 1 and _head_blocked(crystal, b, xi, classical, idx):
+    setup = _restricted(crystal, b, xi, eta, j, classical, indices)
+    if setup is None:
         return ZERO
-    return _x_rec(crystal, b, state0, target, j, idx, classical)
+    idx, start, end = setup
+    rec = _recursion(crystal, idx, classical)
+    fit = tuple(start[i] for i in idx)
+    return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j)
 
 
 def _fold(
@@ -414,20 +414,19 @@ def x_by_weyl_sum(
     before summing.  Past it, xi and eta must be dominant at the checked
     nodes, the domain of the identity; otherwise ValueError.
     """
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    ct = crystal.cartan
-    idx = _indices(crystal, classical, None)
-    if j >= 1 and _head_blocked(crystal, b, xi, classical, idx):
+    setup = _restricted(crystal, b, xi, eta, j, classical, None)
+    if setup is None:
         return ZERO
+    idx, start, end = setup
+    ct = crystal.cartan
     for name, w in (("xi", xi), ("eta", eta)):
         if not ct.is_dominant(w, idx):
             raise ValueError(
                 f"{name} = {w} is not dominant at nodes {list(idx)}; the Weyl "
                 f"sum holds only for dominant weights"
             )
-    base = tuple(c + 1 for c in xi.lambda_coords)
-    target = tuple(eta.pairing(i) + 1 for i in idx)
+    base = tuple(c + 1 for c in start)
+    target = tuple(end[i] + 1 for i in idx)
     total = ZERO
     for mu in tail_weight_support(crystal, j):
         folded, steps, offset = _fold(ct, tuple(map(add, base, mu)), idx)
@@ -468,7 +467,7 @@ def check_disjoint_decomposition(
     of full lowering strings, each rooted where the raising capacity
     overshoots xi by exactly one."""
     idx = _indices(crystal, classical, None)
-    state = _canon(xi, classical)
+    state = _canon(xi.lambda_coords, classical)
     bad = tuple(
         b
         for b in sorted(crystal.elements, key=crystal.index)
@@ -478,7 +477,7 @@ def check_disjoint_decomposition(
     candidates = []
     for bp in sorted(crystal.elements, key=crystal.index):
         for i in idx:
-            if crystal.epsilon(i, bp) == state.pairing(i) + 1:
+            if crystal.epsilon(i, bp) == state[i] + 1:
                 string = _f_string(crystal, bp, i)
                 if set(string) <= bad_set:
                     candidates.append((bp, i, string))

@@ -193,6 +193,22 @@ def test_weight_node_out_of_range(capsys, argv):
     assert err == "error: node 5 out of range; this diagram has nodes 0..1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("character", "A1", "2", "--lambda", "0,1,0", "--k", "2"),
+        ("stringfn", "--type", "A1", "--rank", "2", "--lambda", "0,1,0", "--M", "3"),
+    ],
+    ids=["character", "stringfn"],
+)
+def test_lambda_takes_only_node_tokens(capsys, argv):
+    """A coordinate vector is a weight for --mu/--xi/--eta, not --lambda."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: highest weights are selected by node token L0..L2\n"
+
+
 class TestOnedsum:
     def test_json_contract(self, capsys):
         obj = run_json(

@@ -205,8 +205,31 @@ class TestTailWalker:
         def refuse(*args, **kwargs):
             raise AssertionError("the enumeration route called the recursion")
 
-        monkeypatch.setattr(onedsums, "_g_classical", refuse)
-        monkeypatch.setattr(onedsums, "_x_rec", refuse)
+        monkeypatch.setattr(onedsums, "_recursion", refuse)
+        assert values() == expected
+
+    def test_recursion_never_calls_the_enumeration(self, monkeypatch):
+        c = perfect_crystal("B1", 3)
+        zero = Weight.zero(4)
+        lam = c.cartan.fundamental_weight(0)
+        bar = Weight((0, 1, 0, 0))
+
+        def values():
+            return (
+                g_recursive(c, "0", zero, 3),
+                x_recursive(c, "1~", lam, lam, 4),
+                x_recursive(c, "1", bar, bar, 2, classical=True),
+                kostka((2, 1), 1, 3, 2),
+            )
+
+        expected = values()
+        assert all(expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursion route called the enumeration")
+
+        onedsums._recursion.cache_clear()
+        monkeypatch.setattr(onedsums, "_walk_tails", refuse)
         assert values() == expected
 
 
@@ -227,6 +250,19 @@ class TestUnrestricted:
         c = perfect_crystal("A1", 1)
         with pytest.raises(ValueError):
             g_recursive(c, "0", Weight.zero(2), -1)
+
+    def test_wrong_size_weights_rejected(self):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        for bad in (Weight((0,)), Weight((0, 0, 5))):
+            for g in (g_enumerate, g_recursive):
+                with pytest.raises(ValueError, match="needs 2 coordinates"):
+                    g(c, "0", bad, 2)
+            for x in (x_enumerate, x_recursive, x_by_weyl_sum):
+                with pytest.raises(ValueError, match="needs 2 coordinates"):
+                    x(c, "0", bad, lam, 2)
+                with pytest.raises(ValueError, match="needs 2 coordinates"):
+                    x(c, "0", lam, bad, 2)
 
     def test_nonzero_level_gives_zero(self):
         c = perfect_crystal("A1", 1)
@@ -358,14 +394,17 @@ class TestRestricted:
     def test_unfiltered_indices_reproduce_unrestricted(self):
         """Disabling every admissibility index turns the restricted sum
         into the unrestricted one for the matching window weight."""
-        c = perfect_crystal("A1", 1)
-        zero = Weight.zero(2)
-        for b in c.elements:
-            for j in (1, 2, 3):
-                for mu in level_zero_weights(c, j):
-                    xi = Weight((0,) + tuple(-x for x in mu.lambda_coords[1:]))
-                    lhs = x_enumerate(c, b, xi, zero, j, classical=True, indices=())
-                    assert lhs == g_recursive(c, b, mu, j), (b, j, mu)
+        for family, n in MINIMAL_RANKS:
+            c = perfect_crystal(family, n)
+            zero = Weight.zero(c.cartan.size)
+            for b in c.elements:
+                for j in (1, 2, 3):
+                    for mu in level_zero_weights(c, j):
+                        want = g_recursive(c, b, mu, j)
+                        xi = Weight((0,) + tuple(-x for x in mu.lambda_coords[1:]))
+                        for x in (x_enumerate, x_recursive):
+                            lhs = x(c, b, xi, zero, j, classical=True, indices=())
+                            assert lhs == want, (family, n, x.__name__, b, j, mu)
 
     @pytest.mark.parametrize(
         "family,n", [("A1", 1), ("A1", 2), ("A2even", 1), ("D2", 2)]
@@ -641,6 +680,27 @@ class TestStabilizedLimits:
         lam = c.cartan.fundamental_weight(0)
         with pytest.raises(StabilizationGuardError):
             stabilized_limit("g", c, lam, 40, max_j=4)
+
+    def test_values_survive_a_cache_clear(self):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        zero = Weight.zero(2)
+        bar = Weight((0, 1))
+
+        def values():
+            return (
+                g_recursive(c, "0", zero, 4),
+                x_recursive(c, "1", lam, lam, 4),
+                x_recursive(c, "0", bar, zero, 3, classical=True),
+                stabilized_limit("g", c, lam, 5),
+                stabilized_limit("xbar", c, lam, 4, eta=zero),
+            )
+
+        before = values()
+        assert all(before)
+        onedsums._recursion.cache_clear()
+        assert onedsums._recursion.cache_info().currsize == 0
+        assert values() == before
 
     def test_argument_validation(self):
         c = perfect_crystal("A1", 1)
