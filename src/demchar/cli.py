@@ -19,6 +19,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -724,10 +725,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a coordinate vector.  argparse reads a value with a
+# leading minus sign, such as "-1,1", as an option, so such a value is
+# joined to its option as "--mu=-1,1" before parsing.
+_VECTOR_OPTIONS = ("--mu", "--xi", "--eta")
+_NEGATIVE_VECTOR = re.compile(r"-\d+(\s*,\s*-?\d+)*")
+
+
+def _join_negative_vectors(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VECTOR.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_negative_vectors(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

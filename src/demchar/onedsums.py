@@ -15,11 +15,19 @@ Each comes as a brute-force enumeration and a memoized recursion, and
 the restricted sums additionally as Weyl alternating sums over the
 unrestricted one.  The recursion route is one memoized kernel for all
 three sums, on plain int tables of letter weights, local energies and
-epsilons: ``_recursion`` caches one memo per crystal, checked node set
-and node-0 treatment, so ``_recursion.cache_clear()`` frees every memo
-and ``cache_info()`` counts them.  The enumeration route lists every
-tail once, depth first, on the same tables, and shares no other code
-or memo with the recursion route.
+epsilons: ``_recursion`` caches one memo per crystal, checked node set,
+node-0 treatment and window, so ``_recursion.cache_clear()`` frees
+every memo and ``cache_info()`` counts them.  A kernel value is None
+(zero) or the lowest exponent with the dense coefficients from there
+up; values become ``LaurentPoly`` only at the API edge.  Without a
+window, as in ``g_recursive`` and ``x_recursive``, every coefficient is
+kept.  ``stabilized_limit`` reads only the lowest ``degree + 1``
+coefficients, so it runs the kernel with that window: each memo entry
+keeps ``degree + 1`` coefficients, and the letters after a head are
+tried in order of a lower bound on their lowest exponent and skipped
+from the first one whose bound lies past the window.  The enumeration
+route lists every tail once, depth first, on the same tables, and
+shares no other code or memo with the recursion route.
 
 Also here: the reflection identity relating the unrestricted sum along
 an f-string to its reflected weights, a search for f-string
@@ -31,26 +39,30 @@ of scheduled path characters through the unrestricted sum.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import ceil, inf
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .demazure import DemazureSchedule
 from .paths import GroundState
-from .qring import ONE, ZERO, LaurentPoly
+from .qring import ZERO, LaurentPoly
 from .weights import CartanType, FormalCharacter, Weight
 
 
 class StabilizationGuardError(RuntimeError):
-    """Truncations kept changing up to the window cap."""
+    """Truncations kept changing up to the window cap, or the next
+    window was deeper than the interpreter stack allows."""
 
-    def __init__(self, max_j: int, degree: int):
+    def __init__(self, max_j: int, degree: int, message: str | None = None):
         super().__init__(
-            f"truncation to degree {degree} not stable for three consecutive "
+            message
+            or f"truncation to degree {degree} not stable for three consecutive "
             f"aligned windows up to j = {max_j}"
         )
         self.max_j = max_j
@@ -88,33 +100,108 @@ def _tables(
 
 
 @cache
-def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], drop_node0: bool):
+def _recursion(
+    crystal: PerfectCrystal,
+    idx: tuple[int, ...],
+    drop_node0: bool,
+    window: int | None,
+):
     """Memoized recursion on the head letter, shared by g, x and xbar.
 
     ``rec(t, fit, rest, j)`` sums q^energy over the length-j tails after
     letter index t: ``fit`` is the running state at the nodes ``idx``,
     which must admit each letter's epsilons, and ``rest`` is the weight
-    the tail must still carry.  Each ``rec`` keeps its own memo, so
-    ``_recursion.cache_clear()`` drops them all.
+    the tail must still carry.  A value is None (zero) or ``(low,
+    coeffs)``: the lowest exponent and the dense coefficients from there
+    up.  Each ``rec`` keeps its own memo, so ``_recursion.cache_clear()``
+    drops them all.
+
+    With a ``window`` M only the coefficients at low .. low + M are kept.
+    That is exact, because every coefficient counts words: nothing
+    cancels, and a term within M of the root's lowest exponent comes from
+    inner terms within M of their own lowest ones.  The letters after t
+    are tried in order of the lower bound j * H(t, u) + floor[j-1][u] on
+    their lowest exponent, where floor[m][u] is the least energy of any
+    length-m tail after u, weights and admissibility ignored; the first
+    letter whose bound lies past the lowest exponent found plus M ends
+    the loop.  Without a window every coefficient is kept and no letter
+    is skipped.
     """
     wts, energy, eps = _tables(crystal, idx, drop_node0)
+    letters = range(len(wts))
     rows = [(u, wt, eps[u], tuple(wt[i] for i in idx)) for u, wt in enumerate(wts)]
+    reach = inf if window is None else window
+    floor = [[0] * len(wts)]
+    orders: dict[tuple[int, int], list] = {}
+
+    def order(t: int, j: int) -> list:
+        """(bound, head energy, row) for the letters after t, by bound."""
+        key = (t, j)
+        if key not in orders:
+            while len(floor) < j:
+                m, prev = len(floor), floor[-1]
+                floor.append(
+                    [min(m * h[v] + prev[v] for v in letters) for h in energy]
+                )
+            below, h = floor[j - 1], energy[t]
+            orders[key] = sorted(
+                (j * h[u] + below[u], j * h[u], rows[u]) for u in letters
+            )
+        return orders[key]
 
     @cache
-    def rec(t: int, fit: tuple, rest: tuple, j: int) -> LaurentPoly:
+    def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         if j == 0:
-            return ONE if not any(rest) else ZERO
-        val = ZERO
-        h = energy[t]
-        for u, wt, e, step in rows:
+            return None if any(rest) else (0, (1,))
+        parts = []
+        best, top = inf, -inf
+        for bound, head, (u, wt, e, step) in order(t, j):
+            if bound > best + reach:
+                break
             if all(map(le, e, fit)):
                 fit_u = tuple(map(add, fit, step))
                 inner = rec(u, fit_u, tuple(map(sub, rest, wt)), j - 1)
-                if inner:
-                    val = val + inner.shift(j * h[u])
-        return val
+                if inner is not None:
+                    low, coeffs = inner
+                    low += head
+                    parts.append((low, coeffs))
+                    if low < best:
+                        best = low
+                    if low + len(coeffs) > top:
+                        top = low + len(coeffs)
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        size = min(top - best, reach + 1)
+        acc = [0] * size
+        for low, coeffs in parts:
+            a = low - best
+            if a < size:
+                b = min(size, a + len(coeffs))
+                acc[a:b] = map(add, acc[a:b], coeffs)
+        return best, tuple(acc)
 
     return rec
+
+
+def _poly(value: tuple | None, shift: int | Fraction = 0) -> LaurentPoly:
+    """The LaurentPoly of a kernel value, times q^shift."""
+    if value is None:
+        return ZERO
+    low, coeffs = value
+    return LaurentPoly.from_dense(low + shift if shift else low, coeffs)
+
+
+def _g_value(
+    crystal: PerfectCrystal, b: Element, mu: Weight, j: int, window: int | None
+) -> tuple | None:
+    """Kernel value of g before the q^(delta-coordinate) factor."""
+    if j < 0:
+        raise ValueError("length must be nonnegative")
+    _check_size(crystal, mu)
+    if crystal.cartan.level(mu) != 0:
+        return None
+    rec = _recursion(crystal, (), False, window)
+    return rec(crystal.index(b), (), mu.lambda_coords, j)
 
 
 def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
@@ -123,13 +210,7 @@ def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
     Zero unless mu has level zero; the delta-coordinate of mu only
     scales the result by a power of q.
     """
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    _check_size(crystal, mu)
-    if crystal.cartan.level(mu) != 0:
-        return ZERO
-    val = _recursion(crystal, (), False)(crystal.index(b), (), mu.lambda_coords, j)
-    return val.shift(mu.delta_coord) if val else ZERO
+    return _poly(_g_value(crystal, b, mu, j, None), mu.delta_coord)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +425,26 @@ def x_enumerate(
     return _read(crystal, buckets, b, end, j)
 
 
+def _x_value(
+    crystal: PerfectCrystal,
+    b: Element,
+    xi: Weight,
+    eta: Weight,
+    j: int,
+    classical: bool,
+    indices: Sequence[int] | None,
+    window: int | None,
+) -> tuple | None:
+    """Kernel value of x (or xbar when classical)."""
+    setup = _restricted(crystal, b, xi, eta, j, classical, indices)
+    if setup is None:
+        return None
+    idx, start, end = setup
+    rec = _recursion(crystal, idx, classical, window)
+    fit = tuple(start[i] for i in idx)
+    return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j)
+
+
 def x_recursive(
     crystal: PerfectCrystal,
     b: Element,
@@ -354,13 +455,7 @@ def x_recursive(
     indices: Sequence[int] | None = None,
 ) -> LaurentPoly:
     """Restricted sum by memoized recursion; must equal x_enumerate."""
-    setup = _restricted(crystal, b, xi, eta, j, classical, indices)
-    if setup is None:
-        return ZERO
-    idx, start, end = setup
-    rec = _recursion(crystal, idx, classical)
-    fit = tuple(start[i] for i in idx)
-    return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j)
+    return _poly(_x_value(crystal, b, xi, eta, j, classical, indices, None))
 
 
 def _fold(
@@ -569,26 +664,48 @@ def stabilized_limit(
     period = gs.period()
     size = crystal.cartan.size
 
-    def value(j: int) -> LaurentPoly:
+    def root(j: int) -> tuple[tuple | None, int | Fraction]:
+        """Kernel value at window j, windowed to ``degree``, and its shift."""
         head = gs.bar(j + 1)
         if kind == "g":
             direction = mu if mu is not None else Weight.zero(size)
-            poly = g_recursive(crystal, head, direction, j)
-        elif kind == "x":
+            # A negative delta-coordinate lowers every exponent, so the
+            # window must reach that much further up.
+            reach = degree + max(0, ceil(-direction.delta_coord))
+            return _g_value(crystal, head, direction, j, reach), direction.delta_coord
+        if kind == "x":
             if xi is None or eta is None:
                 raise ValueError("kind 'x' needs xi and eta")
-            poly = x_recursive(
-                crystal, head, xi.classical() + gs.window_weight(j), eta, j
-            )
-        elif kind == "xbar":
+            start = xi.classical() + gs.window_weight(j)
+            return _x_value(crystal, head, start, eta, j, False, None, degree), 0
+        if kind == "xbar":
             if eta is None:
                 raise ValueError("kind 'xbar' needs eta")
-            poly = x_recursive(
-                crystal, head, gs.window_weight(j), eta, j, classical=True
+            start = gs.window_weight(j)
+            return _x_value(crystal, head, start, eta, j, True, None, degree), 0
+        raise ValueError(f"unknown kind {kind!r}")
+
+    def value(j: int) -> LaurentPoly:
+        try:
+            val, shift = root(j)
+        except RecursionError as exc:
+            raise StabilizationGuardError(
+                j,
+                degree,
+                f"window j = {j} is deeper than the interpreter stack allows "
+                f"(recursion limit {sys.getrecursionlimit()}); truncation to "
+                f"degree {degree} not reached",
+            ) from exc
+        if val is None:
+            return ZERO
+        if val[0] < gs.c(j):
+            # The window reaches c(j) + degree only from a lowest
+            # exponent at or above c(j).
+            raise ArithmeticError(
+                f"window {j}: lowest exponent {val[0]} lies below c(j) = "
+                f"{gs.c(j)}; the windowed kernel lacks terms up to degree {degree}"
             )
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return poly.shift(-gs.c(j)).truncate(degree)
+        return _poly(val, shift - gs.c(j)).truncate(degree)
 
     j = period * -(-degree // period)
     if j + 2 * period > max_j:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from functools import cache
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 ExpLike = Union[int, Fraction]
 
@@ -81,6 +82,13 @@ class LaurentPoly:
             else:
                 terms.pop(key, None)
         return cls(terms, _trusted=True)
+
+    @classmethod
+    def from_dense(cls, low: ExpLike, coeffs: Sequence[int]) -> "LaurentPoly":
+        """sum_k coeffs[k] * q^(low + k), for int coefficients."""
+        base = _double(low)
+        doubled = range(base, base + 2 * len(coeffs), 2)
+        return cls({e: c for e, c in zip(doubled, coeffs) if c}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -253,19 +261,37 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(quotient, _trusted=True)
 
 
+@cache
+def _qbinomial_row(n: int, base_exp: int) -> tuple[LaurentPoly, ...]:
+    """Gaussian binomials [n, k] in q^base_exp for k = 0..n, by the
+    q-Pascal rule [n, k] = [n-1, k-1] + q^(base_exp*k) [n-1, k]; no
+    division.  ``_qbinomial_row.cache_clear()`` frees the table."""
+    if n == 0:
+        return (ONE,)
+    prev = _qbinomial_row(n - 1, base_exp)
+    return (
+        (ONE,)
+        + tuple(prev[k - 1] + prev[k].shift(base_exp * k) for k in range(1, n))
+        + (ONE,)
+    )
+
+
 def qmultinomial(j: int, gamma: Iterable[int], base_exp: int = 1) -> LaurentPoly:
     """(q)_j / prod_b (q)_{gamma_b} when j = sum(gamma) with all parts >= 0.
 
     Returns the zero polynomial otherwise. base_exp = 2 substitutes q -> q^2
-    throughout. Division must be exact; a remainder signals an arithmetic bug.
+    throughout. Computed as the product over parts of the Gaussian
+    binomials [gamma_1 + ... + gamma_i, gamma_i], so no division is needed.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
     parts = list(gamma)
     if any(g < 0 for g in parts) or sum(parts) != j:
         return ZERO
-    num = qfactorial(j, base_exp)
-    den = ONE
+    result = ONE
+    total = 0
     for g in parts:
-        den = den * qfactorial(g, base_exp)
-    return exact_div(num, den)
+        total += g
+        if g and g != total:  # [total, 0] = [total, total] = 1
+            result = result * _qbinomial_row(total, base_exp)[g]
+    return result

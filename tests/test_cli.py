@@ -232,6 +232,36 @@ class TestOnedsum:
         assert rec["polynomial"] == enum["polynomial"]
         assert enum["method"] == "enumerate"
 
+    @pytest.mark.parametrize(
+        "argv,vectors",
+        [
+            (
+                ("onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2"),
+                (("--mu", "-2,2"),),
+            ),
+            (
+                ("onedsum", "x", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2"),
+                (("--xi", "-1,3"), ("--eta", "-1,3")),
+            ),
+            (
+                ("stringfn", "--type", "A1", "--rank", "2", "--lambda", "L0", "--M", "3"),
+                (("--mu", "-1,2,-1"),),
+            ),
+        ],
+        ids=["onedsum-g", "onedsum-x", "stringfn"],
+    )
+    def test_leading_minus_vector_is_a_value(self, capsys, argv, vectors):
+        split = [token for pair in vectors for token in pair]
+        joined = [f"{flag}={value}" for flag, value in vectors]
+        code, out, err = run(capsys, *argv, *split)
+        assert code == 0, err
+        assert run(capsys, *argv, *joined) == (0, out, "")
+        obj = json.loads(out)
+        echoed = obj["params"] if "params" in obj else obj
+        for flag, value in vectors:
+            coords = [int(x) for x in value.split(",")]
+            assert echoed[flag[2:]]["lambda"] == coords
+
     def test_signed_superposition_method(self, capsys):
         obj = run_json(
             capsys, "onedsum", "x", "--type", "A1", "--rank", "1",
@@ -337,6 +367,16 @@ class TestStringFn:
         )
         assert code == 4
         assert "guard" in err
+
+    def test_window_deeper_than_the_stack_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "stringfn", "--type", "A1", "--rank", "1",
+            "--lambda", "L0", "--M", "1500", "--max-window", "4000",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("guard: window j = 1500 is deeper than the interpreter stack")
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ tableau-polynomial bridge, and stabilized window limits.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ from oracles import (
     partitions_of,
 )
 
-from demchar import onedsums
+from demchar import cli, onedsums
 from demchar.crystals import perfect_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
 from demchar.onedsums import (
@@ -713,6 +714,176 @@ class TestStabilizedLimits:
             stabilized_limit("x", c, lam, 2)
         with pytest.raises(ValueError):
             stabilized_limit("xbar", c, lam, 2)
+
+
+# ---------------------------------------------------------------------------
+# The windowed recursion kernel, against whole polynomials
+
+
+def lowest(p, m):
+    """The kernel form of p's lowest m + 1 coefficients, trimmed: None for
+    zero, else (lowest exponent, dense coefficients up to m above it)."""
+    if not p:
+        return None
+    low = int(next(p.terms())[0])
+    return trimmed((low, tuple(p.coeff(e) for e in range(low, low + m + 1))))
+
+
+def trimmed(value):
+    """A kernel value without trailing zero coefficients: a windowed
+    value may end in zeros where the window cut later terms off."""
+    if value is None:
+        return None
+    low, coeffs = value
+    while coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return low, coeffs
+
+
+def whole_polynomial_limit(kind, c, lam, degree, mu=None, xi=None, eta=None, max_j=64):
+    """stabilized_limit from whole polynomials: g_recursive or x_recursive
+    at each aligned window, normalized by c(j) and truncated, returned
+    once three consecutive windows agree."""
+    gs = GroundState(c, lam)
+    period = gs.period()
+
+    def value(j):
+        head = gs.bar(j + 1)
+        if kind == "g":
+            direction = mu if mu is not None else Weight.zero(c.cartan.size)
+            p = g_recursive(c, head, direction, j)
+        elif kind == "x":
+            p = x_recursive(c, head, xi.classical() + gs.window_weight(j), eta, j)
+        else:
+            p = x_recursive(c, head, gs.window_weight(j), eta, j, classical=True)
+        return p.shift(-gs.c(j)).truncate(degree)
+
+    j = period * -(-degree // period)
+    seen = [value(j)]
+    while len(seen) < 3 or not seen[-1] == seen[-2] == seen[-3]:
+        j += period
+        if j > max_j:
+            raise StabilizationGuardError(max_j, degree)
+        seen.append(value(j))
+    return seen[-1]
+
+
+class TestWindowedKernel:
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_g_keeps_the_lowest_coefficients(self, family, n):
+        c = perfect_crystal(family, n)
+        recs = [onedsums._recursion(c, (), False, m) for m in range(5)]
+        for j in range(6):
+            for coords in sorted(tail_weight_support(c, j)):
+                for b in c.elements:
+                    whole = g_recursive(c, b, Weight(coords), j)
+                    for m, rec in enumerate(recs):
+                        got = rec(c.index(b), (), coords, j)
+                        assert trimmed(got) == lowest(whole, m), (family, m, j, coords, b)
+
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    @pytest.mark.parametrize("classical", [False, True], ids=["affine", "classical"])
+    def test_x_keeps_the_lowest_coefficients(self, family, n, classical):
+        c = perfect_crystal(family, n)
+        doms = list(dominant_classical_weights(c.cartan, 1))
+        for j in range(6):
+            for b, xi, eta in itertools.product(c.elements, doms, doms):
+                whole = x_recursive(c, b, xi, eta, j, classical=classical)
+                for m in range(5):
+                    got = onedsums._x_value(c, b, xi, eta, j, classical, None, m)
+                    assert trimmed(got) == lowest(whole, m), (family, m, j, b, xi, eta)
+
+    @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
+    def test_limits_equal_whole_polynomial_truncations(self, family, n):
+        c = perfect_crystal(family, n)
+        ct = c.cartan
+        zero = Weight.zero(ct.size)
+        doms = list(dominant_classical_weights(ct, 1))
+        for lam in doms:
+            bar = Weight((0,) + lam.lambda_coords[1:])
+            for degree in range(4):
+                cases = [
+                    ("g", {}),
+                    ("g", {"mu": ct.simple_root(ct.size - 1)}),
+                    ("g", {"mu": Weight(zero.lambda_coords, -2)}),
+                    ("xbar", {"eta": bar}),
+                    ("xbar", {"eta": zero}),
+                ] + [("x", {"xi": lam, "eta": eta, "max_j": 40}) for eta in doms]
+                for kind, kw in cases:
+                    want = whole_polynomial_limit(kind, c, lam, degree, **kw)
+                    got = stabilized_limit(kind, c, lam, degree, **kw)
+                    assert got == want, (family, n, lam, degree, kind, kw)
+
+    def test_negative_delta_direction_reaches_below_zero(self):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        mu = Weight((0, 0), -2)
+        got = stabilized_limit("g", c, lam, 3, mu=mu)
+        assert got == poly([(k - 2, partition_count(k)) for k in range(6)])
+
+    @pytest.mark.parametrize("kind", ["g", "x", "xbar"])
+    def test_root_below_ground_energy_raises(self, monkeypatch, kind):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        kw = {
+            "g": {},
+            "x": {"xi": lam, "eta": Weight((2, 0)), "max_j": 40},
+            "xbar": {"eta": Weight((0, 0))},
+        }[kind]
+        assert stabilized_limit(kind, c, lam, 3, **kw)
+        ground = GroundState.c
+        monkeypatch.setattr(GroundState, "c", lambda self, j: ground(self, j) + 1)
+        with pytest.raises(ArithmeticError, match="below c"):
+            stabilized_limit(kind, c, lam, 3, **kw)
+
+    def test_window_prunes_the_memo(self):
+        c = perfect_crystal("B1", 3)
+        zero = Weight.zero(4)
+        onedsums._recursion.cache_clear()
+        g_recursive(c, "0", zero, 6)
+        whole = onedsums._recursion(c, (), False, None).cache_info().currsize
+        onedsums._recursion(c, (), False, 0)(c.index("0"), (), zero.lambda_coords, 6)
+        windowed = onedsums._recursion(c, (), False, 0).cache_info().currsize
+        assert windowed < whole
+
+
+# The stringfn commands of the benchmark (type, rank, M), plus two
+# directions given as coordinate vectors with a leading minus sign.
+STRINGFN_COMMANDS = [
+    ("A1", 2, 12, None),
+    ("A1", 1, 30, None),
+    ("A1", 3, 4, None),
+    ("D1", 4, 3, None),
+    ("D2", 2, 6, None),
+    ("A1", 2, 6, "-1,2,-1"),
+    ("B1", 3, 3, "-2,0,1,0"),
+]
+
+
+@pytest.mark.parametrize("family,n,m,mu", STRINGFN_COMMANDS)
+def test_stringfn_stdout_matches_whole_polynomial_reference(capsys, family, n, m, mu):
+    argv = ["stringfn", "--type", family, "--rank", str(n), "--lambda", "L0", "--M", str(m)]
+    if mu is not None:
+        argv += ["--mu", mu]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    c = perfect_crystal(family, n)
+    direction = Weight(tuple(int(x) for x in mu.split(","))) if mu else None
+    want = whole_polynomial_limit("g", c, c.cartan.fundamental_weight(0), m, mu=direction)
+    obj = {
+        "type": family,
+        "rank": n,
+        "lambda": "L0",
+        "M": m,
+        "coefficients": [want.coeff(k) for k in range(m + 1)],
+        "polynomial": {
+            "terms": [[str(e), k] for e, k in want.terms()],
+            "display": str(want),
+        },
+    }
+    if direction is not None:
+        obj["mu"] = direction.to_json_obj()
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             LaurentPoly.q_power(Fraction(1, 3))
 
+    def test_from_dense(self):
+        assert LaurentPoly.from_dense(-1, (2, 0, 3)) == poly_of((-1, 2), (1, 3))
+        half = LaurentPoly.from_dense(Fraction(1, 2), (1, 0, 0))
+        assert half == LaurentPoly.q_power(Fraction(1, 2))
+        assert LaurentPoly.from_dense(4, (0, 0)) == LaurentPoly.zero()
+
     def test_cancellation(self):
         p = poly_of((0, 1), (1, 2))
         q = poly_of((0, -1), (1, -2), (2, 5))
