@@ -233,6 +233,8 @@ def _transport(
     Coordinates permute (node i of the result reads node perm[i] of the
     input); null-root coordinates pick up the lattice-map corrections,
     re-anchored so the requested fundamental weight sits at offset zero.
+    The corrections may be rational; a transported null-root coordinate
+    that is not an integer is a ConfigError.
     """
     if perm == tuple(range(len(perm))):
         return chi
@@ -246,7 +248,12 @@ def _transport(
             - sum(u[perm[i]] * c[i] for i in range(len(perm)))
             + c[requested]
         )
-        coeffs[Weight(coords, delta)] = coeff
+        if delta.denominator != 1:
+            raise ConfigError(
+                f"diagram symmetry sends {weight} to the non-integral "
+                f"null-root coordinate {delta}"
+            )
+        coeffs[Weight(coords, int(delta))] = coeff
     return FormalCharacter(coeffs)
 
 
@@ -270,10 +277,7 @@ def _parse_lambda_node(text: str, size: int) -> int:
 
 
 def _poly_obj(poly: LaurentPoly) -> dict:
-    return {
-        "terms": [[str(exp), coeff] for exp, coeff in poly.terms()],
-        "display": str(poly),
-    }
+    return {"terms": _poly_rows(poly), "display": str(poly)}
 
 
 def _json_text(obj) -> str:

@@ -11,7 +11,6 @@ multi-step strings through the middle of the graph are counted correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations
 from typing import Hashable, Iterable, Mapping

@@ -182,16 +182,3 @@ def character_by_operators(s: DemazureSchedule, k: int) -> FormalCharacter:
     for m in range(1, k + 1):
         chi = demazure_op(ct, s.table.flat_index(m), chi)
     return chi
-
-
-def character_json(s: DemazureSchedule, k: int) -> dict:
-    """JSON view of the step-k character and its path set. Every path
-    contributes one exponential, so the path count is the character's
-    dimension."""
-    chi = character_by_paths(s, k)
-    return {
-        "k": k,
-        "weyl_word": [int(i) for i in s.table.weyl_word(k)],
-        "character": chi.to_json_obj(),
-        "path_count": chi.eval_dimension(),
-    }

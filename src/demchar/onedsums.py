@@ -42,9 +42,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import ceil, inf
+from math import inf
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -183,7 +182,7 @@ def _recursion(
     return rec
 
 
-def _poly(value: tuple | None, shift: int | Fraction = 0) -> LaurentPoly:
+def _poly(value: tuple | None, shift: int = 0) -> LaurentPoly:
     """The LaurentPoly of a kernel value, times q^shift."""
     if value is None:
         return ZERO
@@ -664,14 +663,14 @@ def stabilized_limit(
     period = gs.period()
     size = crystal.cartan.size
 
-    def root(j: int) -> tuple[tuple | None, int | Fraction]:
+    def root(j: int) -> tuple[tuple | None, int]:
         """Kernel value at window j, windowed to ``degree``, and its shift."""
         head = gs.bar(j + 1)
         if kind == "g":
             direction = mu if mu is not None else Weight.zero(size)
             # A negative delta-coordinate lowers every exponent, so the
             # window must reach that much further up.
-            reach = degree + max(0, ceil(-direction.delta_coord))
+            reach = degree + max(0, -direction.delta_coord)
             return _g_value(crystal, head, direction, j, reach), direction.delta_coord
         if kind == "x":
             if xi is None or eta is None:
@@ -734,7 +733,7 @@ def _accumulate(
     acc: dict[Weight, int], base: Weight, cj: int, poly: LaurentPoly
 ) -> None:
     for exp, coeff in poly.terms():
-        weight = base.with_delta(Fraction(cj) - exp)
+        weight = base.with_delta(cj - exp)
         value = acc.get(weight, 0) + coeff
         if value:
             acc[weight] = value

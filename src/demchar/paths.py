@@ -12,7 +12,6 @@ letter at each segment boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator
 
@@ -123,7 +122,7 @@ class GroundState:
             cur = word[j - position]
             energy += position * crystal.energy(prev, cur)
             prev = cur
-        return total.with_delta(Fraction(self.c(j) - energy))
+        return total.with_delta(self.c(j) - energy)
 
 
 def scheduled_nodes(family: str, n: int) -> tuple[int, ...]:
@@ -325,12 +324,3 @@ def enumerate_paths(
 
     extend([], zero)
     return out
-
-
-def truncated_path_json(gs: GroundState, j: int, word: Word) -> dict:
-    """JSON form of one window-j truncated path."""
-    return {
-        "j": j,
-        "word": [str(b) for b in word],
-        "weight": gs.path_weight(j, word).to_json_obj(),
-    }

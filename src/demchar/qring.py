@@ -1,29 +1,24 @@
-"""Exact sparse Laurent polynomials in q with half-integer exponents.
+"""Exact sparse Laurent polynomials in q with integer exponents.
 
-Exponents live in (1/2)Z and are stored as doubled integers so that all
-arithmetic is integer-only. Coefficients are arbitrary-precision ints.
-The zero polynomial is the empty term map.
+Exponents and coefficients are arbitrary-precision ints, so all
+arithmetic is integer-only; an exponent or coefficient that is not an
+integer value is rejected with ``ValueError``.  The zero polynomial is
+the empty term map.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-ExpLike = Union[int, Fraction]
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
-def _double(exp: ExpLike) -> int:
-    """Convert an exponent in (1/2)Z to its doubled-integer encoding."""
-    if isinstance(exp, int):
-        return 2 * exp
-    frac = Fraction(exp)
-    doubled = frac * 2
-    if doubled.denominator != 1:
-        raise ValueError(f"exponent {exp} is not a half-integer")
-    return int(doubled)
+def _integral(x) -> int:
+    """x as an int; ValueError when x is not an integer value."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x} is not an integer")
+    return n
 
 
 class InexactDivisionError(ArithmeticError):
@@ -37,9 +32,9 @@ class InexactDivisionError(ArithmeticError):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in q.
 
-    The internal map sends doubled exponents to nonzero integer
-    coefficients; construct via :meth:`zero`, :meth:`one`,
-    :meth:`monomial`, :meth:`from_terms`, or arithmetic.
+    The internal map sends int exponents to nonzero int coefficients;
+    construct via :meth:`zero`, :meth:`one`, :meth:`monomial`,
+    :meth:`from_terms`, or arithmetic.
     """
 
     __slots__ = ("_terms",)
@@ -50,7 +45,7 @@ class LaurentPoly:
         elif _trusted:
             self._terms = dict(terms)
         else:
-            self._terms = {int(e): int(c) for e, c in terms.items() if c != 0}
+            self._terms = {_integral(e): _integral(c) for e, c in terms.items() if c != 0}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -61,22 +56,22 @@ class LaurentPoly:
         return cls({0: 1}, _trusted=True)
 
     @classmethod
-    def monomial(cls, coeff: int, exp: ExpLike = 0) -> "LaurentPoly":
-        """coeff * q^exp, exp an int or half-integer Fraction."""
+    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
+        """coeff * q^exp."""
         if coeff == 0:
             return cls.zero()
-        return cls({_double(exp): int(coeff)}, _trusted=True)
+        return cls({_integral(exp): _integral(coeff)}, _trusted=True)
 
     @classmethod
-    def q_power(cls, exp: ExpLike) -> "LaurentPoly":
+    def q_power(cls, exp: int) -> "LaurentPoly":
         return cls.monomial(1, exp)
 
     @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[ExpLike, int]]) -> "LaurentPoly":
+    def from_terms(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
         terms: dict[int, int] = {}
         for exp, coeff in pairs:
-            key = _double(exp)
-            value = terms.get(key, 0) + int(coeff)
+            key = _integral(exp)
+            value = terms.get(key, 0) + _integral(coeff)
             if value:
                 terms[key] = value
             else:
@@ -84,43 +79,42 @@ class LaurentPoly:
         return cls(terms, _trusted=True)
 
     @classmethod
-    def from_dense(cls, low: ExpLike, coeffs: Sequence[int]) -> "LaurentPoly":
+    def from_dense(cls, low: int, coeffs: Sequence[int]) -> "LaurentPoly":
         """sum_k coeffs[k] * q^(low + k), for int coefficients."""
-        base = _double(low)
-        doubled = range(base, base + 2 * len(coeffs), 2)
-        return cls({e: c for e, c in zip(doubled, coeffs) if c}, _trusted=True)
+        return cls({e: c for e, c in enumerate(coeffs, _integral(low)) if c}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, exp: ExpLike) -> int:
-        return self._terms.get(_double(exp), 0)
+    def coeff(self, exp: int) -> int:
+        return self._terms.get(_integral(exp), 0)
 
-    def terms(self) -> Iterator[tuple[Fraction, int]]:
+    def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs sorted by exponent."""
         for key in sorted(self._terms):
-            yield Fraction(key, 2), self._terms[key]
+            yield key, self._terms[key]
 
     def eval_at_one(self) -> int:
         """Sum of coefficients, i.e. the specialization q = 1."""
         return sum(self._terms.values())
 
-    def shift(self, exp: ExpLike) -> "LaurentPoly":
+    def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by q^exp."""
-        offset = _double(exp)
+        offset = _integral(exp)
         if offset == 0:
             return self
         return LaurentPoly({e + offset: c for e, c in self._terms.items()}, _trusted=True)
 
     def scale_exponents(self, factor: int) -> "LaurentPoly":
         """Substitute q -> q^factor (factor a positive integer)."""
+        factor = _integral(factor)
         if factor <= 0:
             raise ValueError("factor must be positive")
         return LaurentPoly({e * factor: c for e, c in self._terms.items()}, _trusted=True)
 
-    def truncate(self, max_exp: ExpLike) -> "LaurentPoly":
+    def truncate(self, max_exp: int) -> "LaurentPoly":
         """Drop all terms with exponent strictly above max_exp."""
-        cap = _double(max_exp)
+        cap = _integral(max_exp)
         return LaurentPoly({e: c for e, c in self._terms.items() if e <= cap}, _trusted=True)
 
     def __bool__(self) -> bool:
@@ -189,7 +183,7 @@ class LaurentPoly:
             if exp == 0:
                 body = str(abs(coeff))
             else:
-                power = "q" if exp == 1 else f"q^{exp}" if exp.denominator == 1 else f"q^({exp})"
+                power = "q" if exp == 1 else f"q^{exp}"
                 body = power if abs(coeff) == 1 else f"{abs(coeff)}*{power}"
             sign = "-" if coeff < 0 else "+"
             chunks.append(f"{sign} {body}")
@@ -197,15 +191,27 @@ class LaurentPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
     def to_json_obj(self) -> dict:
-        """{"terms": [[doubled_exponent, coeff_string], ...]} sorted ascending."""
-        return {"terms": [[e, str(self._terms[e])] for e in sorted(self._terms)]}
+        """{"terms": [[doubled_exponent, coeff_string], ...]} sorted ascending.
+
+        Exponents are written doubled: this is the format of the ``verify``
+        mismatch entries, which must keep their bytes.
+        """
+        return {"terms": [[2 * e, str(c)] for e, c in self.terms()]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj["terms"]})
+        """Inverse of :meth:`to_json_obj`; an odd doubled exponent is a
+        ValueError."""
+        terms = {}
+        for doubled, coeff in obj["terms"]:
+            exp, odd = divmod(_integral(doubled), 2)
+            if odd:
+                raise ValueError(f"doubled exponent {doubled} is odd")
+            terms[exp] = int(coeff)
+        return cls(terms)
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":

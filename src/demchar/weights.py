@@ -2,20 +2,20 @@
 
 Covers six families of affine Kac-Moody types with node set {0..n}:
 untwisted A, B, D and twisted A (odd and even) and D. Weights carry
-coordinates in the fundamental-weight basis plus a separate delta
-coordinate; Weyl group elements track both their action on weights and
-their inverse's action on the simple-root basis (for Bruhat tests).
+integer coordinates in the fundamental-weight basis plus a separate
+integer delta coordinate; Weyl group elements track both their action
+on weights and their inverse's action on the simple-root basis (for
+Bruhat tests).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .qring import LaurentPoly
+from .qring import LaurentPoly, _integral
 
 FAMILIES = ("A1", "B1", "D1", "A2odd", "A2even", "D2")
 
@@ -24,14 +24,18 @@ _MIN_N = {"A1": 1, "B1": 3, "D1": 4, "A2odd": 3, "A2even": 1, "D2": 2}
 
 @dataclass(frozen=True)
 class Weight:
-    """Affine weight: fundamental-weight coordinates plus a delta coordinate."""
+    """Affine weight: fundamental-weight coordinates plus a delta coordinate.
+
+    All coordinates are ints; a coordinate that is not an integer value
+    raises ValueError.
+    """
 
     lambda_coords: tuple[int, ...]
-    delta_coord: Fraction = Fraction(0)
+    delta_coord: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_coords", tuple(int(c) for c in self.lambda_coords))
-        object.__setattr__(self, "delta_coord", Fraction(self.delta_coord))
+        object.__setattr__(self, "lambda_coords", tuple(map(_integral, self.lambda_coords)))
+        object.__setattr__(self, "delta_coord", _integral(self.delta_coord))
 
     @classmethod
     def zero(cls, size: int) -> "Weight":
@@ -45,8 +49,8 @@ class Weight:
         """Image with the delta coordinate dropped."""
         return Weight(self.lambda_coords)
 
-    def with_delta(self, delta: Fraction | int) -> "Weight":
-        return Weight(self.lambda_coords, Fraction(delta))
+    def with_delta(self, delta: int) -> "Weight":
+        return Weight(self.lambda_coords, delta)
 
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
@@ -81,15 +85,15 @@ class Weight:
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> dict:
-        return {
-            "lambda": list(self.lambda_coords),
-            "delta": [self.delta_coord.numerator, self.delta_coord.denominator],
-        }
+        """The delta coordinate is written as the fraction [delta, 1]."""
+        return {"lambda": list(self.lambda_coords), "delta": [self.delta_coord, 1]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Weight":
         num, den = obj["delta"]
-        return cls(tuple(obj["lambda"]), Fraction(num, den))
+        if den != 1:
+            raise ValueError(f"delta {num}/{den} must have denominator 1")
+        return cls(tuple(obj["lambda"]), num)
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,10 @@ class CartanType:
     def simple_root(self, i: int) -> Weight:
         """alpha_i = sum_j A[j][i] Lambda_j, plus delta when i = 0."""
         coords = tuple(self.matrix[j][i] for j in range(self.size))
-        return Weight(coords, Fraction(1 if i == 0 else 0))
+        return Weight(coords, 1 if i == 0 else 0)
 
     def null_root(self) -> Weight:
-        return Weight((0,) * self.size, Fraction(1))
+        return Weight((0,) * self.size, 1)
 
     def rho(self) -> Weight:
         """Sum of all fundamental weights."""
@@ -515,7 +519,7 @@ class FormalCharacter:
         The convention q = (exponential of -delta) turns the coefficient of
         each classical weight into a Laurent polynomial in q.
         """
-        grouped: dict[tuple[int, ...], list[tuple[Fraction, int]]] = {}
+        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for w, c in self._coeffs.items():
             grouped.setdefault(w.lambda_coords, []).append((-w.delta_coord, c))
         return {

@@ -1,7 +1,6 @@
 """Scheduled path-set growth: structural condition checks, the two path
 constructions, and the path-sum/operator character equality."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from demchar.demazure import (
     ConditionReport,
     character_by_operators,
     character_by_paths,
-    character_json,
     check_conditions,
     demazure_paths,
     demazure_schedule,
@@ -210,14 +208,3 @@ class TestCharacterDetails:
             k = j * first.d
             assert demazure_paths(first, k).words == demazure_paths(second, k).words
             assert character_by_paths(first, k) == character_by_paths(second, k)
-
-    def test_json_shape(self):
-        s = make("A1", 2, 0)
-        obj = character_json(s, 3)
-        assert set(obj) == {"k", "weyl_word", "character", "path_count"}
-        assert obj["k"] == 3
-        assert obj["weyl_word"] == [int(i) for i in s.table.weyl_word(3)]
-        assert len(obj["weyl_word"]) == 3
-        assert obj["path_count"] == demazure_paths(s, 3).path_count
-        assert obj["character"] == character_by_paths(s, 3).to_json_obj()
-        json.dumps(obj)

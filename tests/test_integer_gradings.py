@@ -1,0 +1,99 @@
+"""Every computed grading is a plain int.
+
+Energies, the normalisation c(j) and path delta-coordinates are
+integers, so the library keeps delta-coordinates and q-exponents as
+ints end to end.  The CLI's diagram relabelling solves for rational
+null-root offsets; on the weights it transports they cancel, and the
+transported characters are plain ints too.
+"""
+
+import pytest
+
+from demchar import cli
+from demchar.crystals import perfect_crystal
+from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
+from demchar.onedsums import (
+    character_at_full_segment,
+    g_recursive,
+    stabilized_limit,
+    tail_weight_support,
+    x_recursive,
+)
+from demchar.paths import scheduled_nodes
+from demchar.weights import Weight, dominant_classical_weights
+
+FAMILY_MINIMA = [
+    ("A1", 1),
+    ("B1", 3),
+    ("D1", 4),
+    ("A2odd", 3),
+    ("A2even", 1),
+    ("D2", 2),
+]
+
+
+def assert_int_deltas(chi):
+    for weight, _ in chi.terms():
+        assert type(weight.delta_coord) is int, weight
+        assert all(type(c) is int for c in weight.lambda_coords), weight
+
+
+def assert_int_exponents(poly):
+    for exp, coeff in poly.terms():
+        assert type(exp) is int and type(coeff) is int, poly
+
+
+@pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+def test_characters_have_int_deltas(family, n):
+    c = perfect_crystal(family, n)
+    lam = c.cartan.fundamental_weight(scheduled_nodes(family, n)[0])
+    s = demazure_schedule(c, lam)
+    for k in range(s.d + 1):
+        assert_int_deltas(character_by_paths(s, k))
+        assert_int_deltas(character_by_operators(s, k))
+    assert_int_deltas(character_at_full_segment(s, 1))
+
+
+@pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+def test_onedsums_have_int_exponents(family, n):
+    c = perfect_crystal(family, n)
+    for j in range(3):
+        for coords in sorted(tail_weight_support(c, j)):
+            for b in c.elements:
+                assert_int_exponents(g_recursive(c, b, Weight(coords, -1), j))
+    doms = dominant_classical_weights(c.cartan, 1)
+    for b in c.elements:
+        for xi in doms:
+            for eta in doms:
+                assert_int_exponents(x_recursive(c, b, xi, eta, 2))
+                assert_int_exponents(x_recursive(c, b, xi, eta, 2, classical=True))
+    lam = c.cartan.fundamental_weight(scheduled_nodes(family, n)[0])
+    for delta in (0, -2):
+        mu = Weight.zero(c.cartan.size).with_delta(delta)
+        assert_int_exponents(stabilized_limit("g", c, lam, 3, mu=mu))
+
+
+@pytest.mark.parametrize(
+    "family,rank,node,k", [("A1", 2, 1, 2), ("D1", 4, 4, 6), ("B1", 3, 1, 5)]
+)
+def test_relabelled_cli_characters_have_int_deltas(
+    monkeypatch, capsys, family, rank, node, k
+):
+    transported = []
+    original = cli._transport
+
+    def record(*args):
+        chi = original(*args)
+        transported.append(chi)
+        return chi
+
+    monkeypatch.setattr(cli, "_transport", record)
+    code = cli.main(
+        ["character", family, str(rank), "--lambda", f"L{node}", "--k", str(k)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    # paths, operators and the full-segment form, all relabelled
+    assert len(transported) == 3
+    for chi in transported:
+        assert_int_deltas(chi)

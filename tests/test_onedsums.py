@@ -10,7 +10,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -292,7 +291,7 @@ class TestUnrestricted:
         c = perfect_crystal("A1", 1)
         mu = c.weight("0")
         base = g_recursive(c, "0", mu, 3)
-        for t in (1, -2, Fraction(1, 2)):
+        for t in (1, -2):
             assert g_recursive(c, "0", mu.with_delta(t), 3) == base.shift(t)
 
     @pytest.mark.parametrize("family,n", MINIMAL_RANKS)

@@ -374,14 +374,3 @@ class TestEnumeratePaths:
         for mu in weights:
             total += len(enumerate_paths(crystal, head, mu, j))
         assert total == len(crystal.elements) ** j
-
-    def test_json_shape(self):
-        from demchar.paths import truncated_path_json
-
-        gs = make_ground_state("A1", 1, 0)
-        obj = truncated_path_json(gs, 1, ("0",))
-        assert obj == {
-            "j": 1,
-            "word": ["0"],
-            "weight": {"lambda": [-1, 2], "delta": [-1, 1]},
-        }

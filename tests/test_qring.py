@@ -43,15 +43,39 @@ class TestBasics:
         assert p.coeff(0) == 0
 
     def test_half_integer_exponents(self):
-        p = LaurentPoly.q_power(Fraction(1, 2))
-        assert (p * p) == LaurentPoly.q_power(1)
+        # Exponents are integers: a half-integer is rejected, an integral
+        # Fraction is read as its int.
+        with pytest.raises(ValueError):
+            LaurentPoly.q_power(Fraction(1, 2))
         with pytest.raises(ValueError):
             LaurentPoly.q_power(Fraction(1, 3))
+        p = LaurentPoly.q_power(Fraction(2))
+        assert p == LaurentPoly.q_power(2)
+        assert [type(e) for e, _ in p.terms()] == [int]
+
+    def test_non_integral_exponents_rejected_everywhere(self):
+        p = poly_of((0, 1), (1, 2))
+        for call in (
+            lambda: LaurentPoly.monomial(1, 0.5),
+            lambda: poly_of((Fraction(1, 2), 1)),
+            lambda: LaurentPoly.from_dense(Fraction(1, 2), (1,)),
+            lambda: p.coeff(Fraction(1, 2)),
+            lambda: p.shift(Fraction(1, 2)),
+            lambda: p.truncate(1.5),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_untrusted_terms_reject_non_integers(self):
+        with pytest.raises(ValueError):
+            LaurentPoly({1: 2.7})
+        with pytest.raises(ValueError):
+            LaurentPoly({Fraction(1, 2): 1})
+        assert LaurentPoly({1: 2.0, 3: 0}) == LaurentPoly.monomial(2, 1)
 
     def test_from_dense(self):
         assert LaurentPoly.from_dense(-1, (2, 0, 3)) == poly_of((-1, 2), (1, 3))
-        half = LaurentPoly.from_dense(Fraction(1, 2), (1, 0, 0))
-        assert half == LaurentPoly.q_power(Fraction(1, 2))
+        assert LaurentPoly.from_dense(1, (1, 0, 0)) == LaurentPoly.q_power(1)
         assert LaurentPoly.from_dense(4, (0, 0)) == LaurentPoly.zero()
 
     def test_cancellation(self):
@@ -77,10 +101,14 @@ class TestBasics:
         assert p.truncate(1) == poly_of((0, 1), (1, 2))
 
     def test_json_round_trip(self):
-        p = poly_of((Fraction(1, 2), 3), (-1, -2), (0, 7))
+        # The JSON form keeps its doubled exponents; an odd one would be
+        # a half-integer exponent and is rejected.
+        p = poly_of((3, 3), (-1, -2), (0, 7))
         assert LaurentPoly.from_json(p.to_json()) == p
         obj = p.to_json_obj()
-        assert obj["terms"] == [[-2, "-2"], [0, "7"], [1, "3"]]
+        assert obj["terms"] == [[-2, "-2"], [0, "7"], [6, "3"]]
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj({"terms": [[0, "7"], [1, "3"]]})
 
     def test_hash_consistency(self):
         assert hash(poly_of((1, 2))) == hash(LaurentPoly.monomial(2, 1))

@@ -39,19 +39,35 @@ ALL_SMALL_TYPES = [
 
 class TestWeight:
     def test_arithmetic(self):
-        a = Weight((1, 0), Fraction(1, 2))
-        b = Weight((0, 2), Fraction(1))
-        assert a + b == Weight((1, 2), Fraction(3, 2))
-        assert a - b == Weight((1, -2), Fraction(-1, 2))
-        assert -a == Weight((-1, 0), Fraction(-1, 2))
-        assert 3 * a == Weight((3, 0), Fraction(3, 2))
+        a = Weight((1, 0), 1)
+        b = Weight((0, 2), 3)
+        assert a + b == Weight((1, 2), 4)
+        assert a - b == Weight((1, -2), -2)
+        assert -a == Weight((-1, 0), -1)
+        assert 3 * a == Weight((3, 0), 3)
+        assert type((a + b).delta_coord) is int
+
+    def test_non_integral_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            Weight((1.5, 0))
+        with pytest.raises(ValueError):
+            Weight((1, 0), Fraction(1, 2))
+        with pytest.raises(ValueError):
+            Weight((1, 0)).with_delta(0.5)
+        w = Weight((2.0, 0), Fraction(-3))
+        assert w == Weight((2, 0), -3)
+        assert type(w.delta_coord) is int
 
     def test_classical_drops_delta(self):
         assert Weight((1, 2), Fraction(5)).classical() == Weight((1, 2))
 
     def test_json_round_trip(self):
-        w = Weight((0, -3, 1), Fraction(-7, 2))
+        # delta keeps its [numerator, denominator] form; the denominator is 1.
+        w = Weight((0, -3, 1), -7)
+        assert w.to_json_obj() == {"lambda": [0, -3, 1], "delta": [-7, 1]}
         assert Weight.from_json_obj(w.to_json_obj()) == w
+        with pytest.raises(ValueError):
+            Weight.from_json_obj({"lambda": [0, -3, 1], "delta": [-7, 2]})
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
