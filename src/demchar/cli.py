@@ -7,6 +7,9 @@ writes deterministic output: identical inputs give byte-identical
 bytes.  --threads is accepted for compatibility and has no effect;
 every command runs on one thread.  A --format the subcommand cannot
 write (verify writes JSON only) exits 2 before any work is done.
+character computes at the requested weight; a node without a family
+schedule borrows one through a diagram symmetry (paths.schedule_for),
+recorded under "lambda" in the output.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
 4 stabilization window guard tripped.
@@ -17,11 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .crystals import PerfectCrystal, perfect_crystal, verify_perfect
@@ -101,160 +102,6 @@ def _require_letter(crystal: PerfectCrystal, b: str) -> str:
             f"letter {b!r} is not in the alphabet {list(crystal.elements)}"
         )
     return b
-
-
-# ---------------------------------------------------------------------------
-# Highest-weight relabeling through diagram symmetry
-
-
-def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
-    size = crystal.cartan.size
-    a = crystal.cartan.matrix
-    return [
-        perm
-        for perm in itertools.permutations(range(size))
-        if all(
-            a[perm[i]][perm[j]] == a[i][j]
-            for i in range(size)
-            for j in range(size)
-        )
-    ]
-
-
-def _crystal_twist(crystal: PerfectCrystal, perm: tuple[int, ...]):
-    """A letter bijection intertwining each arrow i with arrow perm[i],
-    or None when the relabeled graph is not isomorphic to the original."""
-    elements = crystal.elements
-    index_set = crystal.cartan.index_set
-    start = elements[0]
-    for image in elements:
-        sigma = {start: image}
-        queue = [start]
-        ok = True
-        while queue and ok:
-            b = queue.pop()
-            for i in index_set:
-                for step in (crystal.f, crystal.e):
-                    nb = step(i, b)
-                    tb = step(perm[i], sigma[b])
-                    if (nb is None) != (tb is None):
-                        ok = False
-                        break
-                    if nb is None:
-                        continue
-                    if nb in sigma:
-                        if sigma[nb] != tb:
-                            ok = False
-                            break
-                    else:
-                        sigma[nb] = tb
-                        queue.append(nb)
-                if not ok:
-                    break
-        if ok and len(sigma) == len(elements) and len(set(sigma.values())) == len(
-            elements
-        ):
-            return sigma
-    return None
-
-
-def _resolve_scheduled_node(family: str, rank: int, node: int):
-    """Map a requested fundamental-weight node onto one with a growth
-    schedule, through a diagram symmetry that also relabels the crystal.
-
-    Returns (scheduled node, node permutation) where permutation sends
-    the requested node to the scheduled one; identity when no relabeling
-    is needed.
-    """
-    crystal = _crystal(family, rank)
-    size = crystal.cartan.size
-    available = scheduled_nodes(family, rank)
-    identity = tuple(range(size))
-    if node in available:
-        return node, identity
-    for perm in _cartan_permutations(crystal):
-        if perm[node] in available and _crystal_twist(crystal, perm) is not None:
-            return perm[node], perm
-    raise ConfigError(
-        f"no growth schedule for node {node} of {family} rank {rank}, and no "
-        f"diagram symmetry maps it onto one of {list(available)}"
-    )
-
-
-def _delta_corrections(ct, perm: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Null-root offsets c_i such that the lattice map sending each
-    simple root alpha_i to alpha_{perm[i]} sends the i-th fundamental
-    weight to the perm[i]-th plus c_i times the null root.
-
-    Solves sum_i c_i A[i][j] = d_{perm[j]} - d_j where d_j is the
-    null-root coefficient of alpha_j; any solution works, because the
-    residual freedom cancels on weights of equal level once the top
-    term is re-anchored.
-    """
-    size = ct.size
-    d = [ct.simple_root(j).delta_coord for j in range(size)]
-    rhs = [d[perm[j]] - d[j] for j in range(size)]
-    m = [
-        [Fraction(ct.matrix[i][j]) for i in range(size)] + [Fraction(rhs[j])]
-        for j in range(size)
-    ]
-    pivots = []
-    row = 0
-    for col in range(size):
-        pivot = next((r for r in range(row, size) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        scale = m[row][col]
-        m[row] = [x / scale for x in m[row]]
-        for r in range(size):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, size):
-        if m[r][size]:
-            raise ConfigError("diagram symmetry does not lift to the weight lattice")
-    c = [Fraction(0)] * size
-    for r, col in pivots:
-        c[col] = m[r][size]
-    for j in range(size):
-        total = sum(c[i] * ct.matrix[i][j] for i in range(size))
-        assert total + d[j] == d[perm[j]]
-    return tuple(c)
-
-
-def _transport(
-    chi: FormalCharacter, perm: tuple[int, ...], ct, requested: int
-) -> FormalCharacter:
-    """Pull a character back along a node permutation.
-
-    Coordinates permute (node i of the result reads node perm[i] of the
-    input); null-root coordinates pick up the lattice-map corrections,
-    re-anchored so the requested fundamental weight sits at offset zero.
-    The corrections may be rational; a transported null-root coordinate
-    that is not an integer is a ConfigError.
-    """
-    if perm == tuple(range(len(perm))):
-        return chi
-    c = _delta_corrections(ct, perm)
-    coeffs = {}
-    for weight, coeff in chi.terms():
-        u = weight.lambda_coords
-        coords = tuple(u[perm[i]] for i in range(len(perm)))
-        delta = (
-            weight.delta_coord
-            - sum(u[perm[i]] * c[i] for i in range(len(perm)))
-            + c[requested]
-        )
-        if delta.denominator != 1:
-            raise ConfigError(
-                f"diagram symmetry sends {weight} to the non-integral "
-                f"null-root coordinate {delta}"
-            )
-        coeffs[Weight(coords, int(delta))] = coeff
-    return FormalCharacter(coeffs)
 
 
 def _parse_lambda_node(text: str, size: int) -> int:
@@ -391,14 +238,14 @@ def cmd_character(args) -> int:
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
     requested = _parse_lambda_node(args.lam, size)
-    node, perm = _resolve_scheduled_node(args.type, args.rank, requested)
-    lam = crystal.cartan.fundamental_weight(node)
+    lam = crystal.cartan.fundamental_weight(requested)
     try:
         schedule = demazure_schedule(crystal, lam, variant=args.variant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.k < 0:
         raise ConfigError("step count must be nonnegative")
+    table = schedule.table
     characters = {}
     if args.method in ("paths", "both"):
         characters["paths"] = character_by_paths(schedule, args.k)
@@ -417,29 +264,23 @@ def cmd_character(args) -> int:
         "rank": args.rank,
         "lambda": {
             "requested": f"L{requested}",
-            "computed": f"L{node}",
-            "node_map": list(perm),
+            "computed": f"L{table.lam_node}",
+            "node_map": list(table.node_map or range(size)),
         },
         "k": args.k,
         "steps_per_segment": schedule.d,
-        "word": [perm.index(schedule.table.flat_index(m)) for m in range(1, args.k + 1)],
+        "word": [table.flat_index(m) for m in range(1, args.k + 1)],
         "characters": {
-            key: _transport(chi, perm, crystal.cartan, requested).to_json_obj()
-            for key, chi in sorted(characters.items())
+            key: chi.to_json_obj() for key, chi in sorted(characters.items())
         },
     }
     if equal is not None:
         obj["equal"] = equal
     if full_segment is not None:
-        obj["full_segment"] = _transport(
-            full_segment, perm, crystal.cartan, requested
-        ).to_json_obj()
+        obj["full_segment"] = full_segment.to_json_obj()
         obj["full_segment_equal"] = full_segment == primary
     _emit_json_or_csv(
-        args,
-        obj,
-        ["weight", "delta", "coeff"],
-        lambda: _character_rows(_transport(primary, perm, crystal.cartan, requested)),
+        args, obj, ["weight", "delta", "coeff"], lambda: _character_rows(primary)
     )
     if equal is False or (full_segment is not None and not obj["full_segment_equal"]):
         return EXIT_MISMATCH

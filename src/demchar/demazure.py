@@ -55,10 +55,11 @@ class DemazureSchedule:
 def demazure_schedule(
     crystal: PerfectCrystal, lam, variant: int = 1
 ) -> DemazureSchedule:
-    """Build the ground state and index table for a scheduled weight."""
-    return DemazureSchedule(
-        GroundState(crystal, lam), schedule_for(crystal, lam, variant)
-    )
+    """Build the index table and the ground state for a fundamental
+    weight, its own or borrowed through a diagram symmetry (see
+    schedule_for); the table is looked up first."""
+    table = schedule_for(crystal, lam, variant)
+    return DemazureSchedule(GroundState(crystal, lam), table)
 
 
 @dataclass(frozen=True)

@@ -53,37 +53,21 @@ def rank_of(family: str, mu: Sequence[int]) -> int:
 
 
 def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
-    """The level-zero classical weight named by a parameter vector.
+    """The level-zero classical weight named by a parameter vector: the
+    sum of mu_k times the weight of letter k.
 
-    For "A1" the vector is indexed by the letters themselves and the
-    fundamental-weight coefficients are consecutive differences taken
-    cyclically.  For the other families it is indexed 1..n and the
-    endpoint coefficients follow the family's weight dictionary.
+    For "A1" the vector is indexed by the letters 0..n themselves; for
+    the other families by the letters 1..n.  A rank below the family's
+    minimum raises the crystal's ValueError.
     """
     mu = _require_ints(mu)
     n = rank_of(family, mu)
-    if family == "A1":
-        coords = [mu[-1] - mu[0]]
-        coords.extend(mu[k - 1] - mu[k] for k in range(1, n + 1))
-        return Weight(tuple(coords))
-    m = (0,) + mu  # 1-based access
-    if family in ("B1", "D1", "A2odd"):
-        if n < 2:
-            raise ValueError(f"family {family} needs rank at least 2")
-        coords = [-m[1] - m[2]]
-    elif family == "A2even":
-        coords = [-m[1]]
-    else:  # D2
-        coords = [-2 * m[1]]
-    coords.extend(m[k] - m[k + 1] for k in range(1, n))
-    if family == "D1":
-        coords[-1] = m[n - 1] - m[n]
-        coords.append(m[n - 1] + m[n])
-    elif family == "A2odd":
-        coords.append(m[n])
-    else:  # B1, A2even, D2
-        coords.append(2 * m[n])
-    return Weight(tuple(coords))
+    crystal = perfect_crystal(family, n)
+    first = 0 if family == "A1" else 1
+    total = Weight.zero(crystal.cartan.size)
+    for k, count in enumerate(mu, first):
+        total = total + count * crystal.weight(str(k))
+    return total
 
 
 def mu_from_weight(

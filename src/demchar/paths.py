@@ -143,7 +143,10 @@ class Schedule:
 
     Two families admit a second valid index sequence (reordering a pair of
     commuting steps around the fork or the tail of the letter chain);
-    variant=2 selects it where it exists. Point overrides (segment, step,
+    variant=2 selects it where it exists. A node without a family rule
+    borrows the rule of lam_node through a diagram symmetry: node_map
+    sends each node to its image (the requested node to lam_node) and is
+    empty when the rule applies directly. Point overrides (segment, step,
     index) take precedence over the family rule; they exist to feed
     deliberately broken tables to the condition checks.
     """
@@ -154,6 +157,7 @@ class Schedule:
     d: int
     variant: int = 1
     overrides: tuple[tuple[int, int, int], ...] = ()
+    node_map: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.variant not in (1, 2):
@@ -173,6 +177,11 @@ class Schedule:
         for jj, aa, ii in self.overrides:
             if (jj, aa) == (j, a):
                 return ii
+        i = self._family_index(j, a)
+        return self.node_map.index(i) if self.node_map else i
+
+    def _family_index(self, j: int, a: int) -> int:
+        """The family rule's index, labelled as at lam_node."""
         n, fam, node = self.n, self.family, self.lam_node
         head = 0 if j % 2 == 1 else 1
         if fam == "A1":
@@ -226,20 +235,106 @@ class Schedule:
         return elem
 
 
+def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
+    """Node permutations preserving the Cartan matrix, in lexicographic
+    order. A partial map grows node by node, trying images in increasing
+    order, while the off-diagonal entries among assigned nodes agree (the
+    diagonal is 2 throughout)."""
+    a = crystal.cartan.matrix
+    size = len(a)
+    out: list[tuple[int, ...]] = []
+    perm: list[int] = []
+
+    def extend() -> None:
+        i = len(perm)
+        if i == size:
+            out.append(tuple(perm))
+            return
+        for image in range(size):
+            if image not in perm and all(
+                a[image][p] == a[i][j] and a[p][image] == a[j][i]
+                for j, p in enumerate(perm)
+            ):
+                perm.append(image)
+                extend()
+                perm.pop()
+
+    extend()
+    return out
+
+
+def _crystal_twist(crystal: PerfectCrystal, perm: tuple[int, ...]):
+    """A letter bijection intertwining each arrow i with arrow perm[i],
+    or None when the relabeled graph is not isomorphic to the original."""
+    elements = crystal.elements
+    index_set = crystal.cartan.index_set
+    start = elements[0]
+    for image in elements:
+        sigma = {start: image}
+        queue = [start]
+        ok = True
+        while queue and ok:
+            b = queue.pop()
+            for i in index_set:
+                for step in (crystal.f, crystal.e):
+                    nb = step(i, b)
+                    tb = step(perm[i], sigma[b])
+                    if (nb is None) != (tb is None):
+                        ok = False
+                        break
+                    if nb is None:
+                        continue
+                    if nb in sigma:
+                        if sigma[nb] != tb:
+                            ok = False
+                            break
+                    else:
+                        sigma[nb] = tb
+                        queue.append(nb)
+                if not ok:
+                    break
+        if ok and len(sigma) == len(elements) and len(set(sigma.values())) == len(
+            elements
+        ):
+            return sigma
+    return None
+
+
 def schedule_for(crystal: PerfectCrystal, lam: Weight, variant: int = 1) -> Schedule:
-    family, n = crystal.cartan.family, crystal.cartan.n
-    for node in scheduled_nodes(family, n):
-        if lam.lambda_coords == crystal.cartan.fundamental_weight(node).lambda_coords:
-            d = {
-                "A1": n,
-                "B1": 2 * n - 1,
-                "D1": 2 * n - 2,
-                "A2odd": 2 * n - 1,
-                "A2even": 2 * n,
-                "D2": 2 * n,
-            }[family]
-            return Schedule(family, n, node, d, variant)
-    raise ValueError(f"no schedule for weight {lam} in family {family}")
+    """Index table for a fundamental weight: the family rule of its node,
+    or of the first scheduled node (in lexicographic order of the node
+    permutations) that a diagram symmetry relabelling the crystal's
+    arrows carries it onto."""
+    ct = crystal.cartan
+    family, n = ct.family, ct.n
+    node = next(
+        (
+            i
+            for i in ct.index_set
+            if lam.lambda_coords == ct.fundamental_weight(i).lambda_coords
+        ),
+        None,
+    )
+    if node is None:
+        raise ValueError(f"no schedule for weight {lam} in family {family}")
+    d = {
+        "A1": n,
+        "B1": 2 * n - 1,
+        "D1": 2 * n - 2,
+        "A2odd": 2 * n - 1,
+        "A2even": 2 * n,
+        "D2": 2 * n,
+    }[family]
+    available = scheduled_nodes(family, n)
+    if node in available:
+        return Schedule(family, n, node, d, variant)
+    for perm in _cartan_permutations(crystal):
+        if perm[node] in available and _crystal_twist(crystal, perm) is not None:
+            return Schedule(family, n, perm[node], d, variant, node_map=perm)
+    raise ValueError(
+        f"no growth schedule for node {node} of {family} rank {n}, and no "
+        f"diagram symmetry maps it onto one of {list(available)}"
+    )
 
 
 def element_closure(crystal: PerfectCrystal, elements: Iterable[Element], i: int) -> set[Element]:

@@ -428,8 +428,7 @@ class FormalCharacter:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[Weight, int] | None = None):
-        data = {w: int(c) for w, c in (coeffs or {}).items() if c}
-        self._coeffs = data
+        self._coeffs = {w: _integral(c) for w, c in (coeffs or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "FormalCharacter":

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,13 +132,45 @@ class TestCharacter:
     def test_relabeling_rejects_arrow_reversing_symmetries(self):
         # Cycle reflections preserve the Cartan matrix but turn the
         # letter crystal into its dual; they must not be used.
-        from demchar.cli import _cartan_permutations, _crystal_twist
+        from demchar.paths import _cartan_permutations, _crystal_twist
 
         crystal = perfect_crystal("A1", 2)
         perms = _cartan_permutations(crystal)
         assert len(perms) == 6
         accepted = [p for p in perms if _crystal_twist(crystal, p) is not None]
         assert accepted == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+
+    def test_symmetry_search_grows_node_by_node(self, capsys):
+        # A1 12 has 13! node permutations and 26 diagram automorphisms.
+        start = time.perf_counter()
+        obj = run_json(
+            capsys, "character", "A1", "12", "--lambda", "L5", "--k", "0",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert obj["lambda"]["computed"] == "L0"
+        assert obj["lambda"]["node_map"] == [(i - 5) % 13 for i in range(13)]
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("D1", "5", "--lambda", "L5", "--k", "16"),
+                "2631edc1ad59b9d1f451eb9ca840422cc2addcece0ff40527ec86770bb8d5508",
+            ),
+            (
+                ("D2", "2", "--lambda", "L2", "--k", "8"),
+                "f01f96615315c174d75b3124d7a058716760f6345af8aa03f6a31f260a63e12e",
+            ),
+        ],
+        ids=["D1-5-L5", "D2-2-L2"],
+    )
+    def test_relabelled_output_bytes_pinned(self, capsys, argv, digest):
+        # Both nodes sit at a nonzero null-root offset from the node whose
+        # schedule they borrow; the bytes come from computing the character
+        # at that node and carrying it back along the symmetry.
+        code, out, _ = run(capsys, "character", *argv, "--method", "both")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_unsupported_weight(self, capsys):
         code, _, err = run(

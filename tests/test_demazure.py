@@ -26,12 +26,24 @@ RANKS = {
     "D2": (2,),
 }
 
+# Level-1 nodes at minimal rank without a family rule of their own; each
+# borrows one through a diagram symmetry.
+RELABELLED = [
+    ("A1", 1, 1),
+    ("B1", 3, 1),
+    ("D1", 4, 1),
+    ("D1", 4, 3),
+    ("D1", 4, 4),
+    ("A2odd", 3, 1),
+    ("D2", 2, 2),
+]
+
 CASES = [
     (family, n, node)
     for family, ns in RANKS.items()
     for n in ns
     for node in scheduled_nodes(family, n)
-]
+] + RELABELLED
 
 VARIANT_CASES = [("B1", 3, 3), ("D1", 4, 0)]
 
@@ -105,10 +117,22 @@ class TestConditionDetails:
 
 class TestScheduleConstruction:
     def test_unscheduled_weight_rejected(self):
+        # comark 2: no diagram symmetry moves node 2 onto a scheduled node
         crystal = perfect_crystal("B1", 3)
-        lam = crystal.cartan.fundamental_weight(1)
+        lam = crystal.cartan.fundamental_weight(2)
         with pytest.raises(ValueError):
             demazure_schedule(crystal, lam)
+
+    def test_relabelled_table_lives_at_the_requested_weight(self):
+        crystal = perfect_crystal("D1", 5)
+        s = demazure_schedule(crystal, crystal.cartan.fundamental_weight(5))
+        assert s.table.lam_node == 0
+        assert s.table.node_map == (4, 5, 3, 2, 1, 0)
+        assert s.ground.lam == crystal.cartan.fundamental_weight(5).classical()
+        borrowed = demazure_schedule(crystal, crystal.cartan.fundamental_weight(0))
+        for k in range(1, 2 * s.d + 1):
+            i = borrowed.table.flat_index(k)
+            assert s.table.node_map[s.table.flat_index(k)] == i
 
     def test_variant_two_only_where_offered(self):
         crystal = perfect_crystal("B1", 3)

@@ -100,6 +100,13 @@ class TestParameterDictionaries:
         with pytest.raises(ValueError):
             rank_of("E8", (1, 2))
 
+    @pytest.mark.parametrize(
+        "family,mu", [("B1", (1, 1)), ("D1", (1, 1, 1)), ("A2odd", (1, 1)), ("D2", (1,))]
+    )
+    def test_rejects_rank_below_the_crystal(self, family, mu):
+        with pytest.raises(ValueError, match="needs n >="):
+            mu_to_weight(family, mu)
+
     def test_rejects_wrong_weight_size(self):
         with pytest.raises(ValueError):
             mu_from_weight("B1", 3, Weight((0, 0, 0)), 0)

@@ -2,9 +2,9 @@
 
 Energies, the normalisation c(j) and path delta-coordinates are
 integers, so the library keeps delta-coordinates and q-exponents as
-ints end to end.  The CLI's diagram relabelling solves for rational
-null-root offsets; on the weights it transports they cancel, and the
-transported characters are plain ints too.
+ints end to end.  A node that borrows its schedule through a diagram
+symmetry has its characters computed at its own weight, so they are
+plain ints too.
 """
 
 import pytest
@@ -79,21 +79,25 @@ def test_onedsums_have_int_exponents(family, n):
 def test_relabelled_cli_characters_have_int_deltas(
     monkeypatch, capsys, family, rank, node, k
 ):
-    transported = []
-    original = cli._transport
+    computed = []
 
-    def record(*args):
-        chi = original(*args)
-        transported.append(chi)
-        return chi
+    def recording(route):
+        def record(*args):
+            chi = route(*args)
+            computed.append(chi)
+            return chi
 
-    monkeypatch.setattr(cli, "_transport", record)
+        return record
+
+    routes = ("character_by_paths", "character_by_operators", "character_at_full_segment")
+    for name in routes:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     code = cli.main(
         ["character", family, str(rank), "--lambda", f"L{node}", "--k", str(k)]
     )
     capsys.readouterr()
     assert code == 0
-    # paths, operators and the full-segment form, all relabelled
-    assert len(transported) == 3
-    for chi in transported:
+    # paths, operators and the full-segment form, all at the relabelled node
+    assert len(computed) == 3
+    for chi in computed:
         assert_int_deltas(chi)

@@ -243,9 +243,10 @@ class TestScheduleBookkeeping:
         assert scheduled_nodes("D2", 2) == (0,)
 
     def test_unscheduled_weight_rejected(self):
+        # comark 2: no diagram symmetry moves node 2 onto a scheduled node
         crystal = perfect_crystal("B1", 3)
         with pytest.raises(ValueError):
-            schedule_for(crystal, Weight((0, 1, 0, 0)))
+            schedule_for(crystal, Weight((0, 0, 1, 0)))
 
 
 VARIANT_CASES = [("B1", 3, 3), ("D1", 4, 0)]

@@ -291,6 +291,16 @@ class TestFormalCharacter:
         assert prod.coeff(w1 + w2) == 4
         assert prod.coeff(w2 + w2) == 4
 
+    def test_non_integral_coefficients_rejected(self):
+        w = Weight((1, 0))
+        for bad in (2.7, 0.5, Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                FormalCharacter({w: bad})
+        with pytest.raises(ValueError):
+            FormalCharacter.from_json_obj([{"weight": w.to_json_obj(), "coeff": 1.5}])
+        assert FormalCharacter({w: 2.0}).coeff(w) == 2
+        assert type(FormalCharacter({w: Fraction(4, 2)}).coeff(w)) is int
+
     def test_from_weights_counts_multiplicity(self):
         w = Weight((1, 1))
         chi = FormalCharacter.from_weights([w, w, Weight((0, 0))])
