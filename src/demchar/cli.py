@@ -45,7 +45,6 @@ from .onedsums import (
     x_enumerate,
     x_recursive,
 )
-from .paths import scheduled_nodes
 from .qring import LaurentPoly
 from .weights import FormalCharacter, Weight, dominant_classical_weights
 
@@ -395,7 +394,7 @@ def cmd_verify(args) -> int:
         crystal = _crystal(args.type, args.rank)
         cases = []
         failed = False
-        for node in scheduled_nodes(args.type, args.rank):
+        for node in crystal.cartan.index_set:
             lam = crystal.cartan.fundamental_weight(node)
             for variant in (1, 2):
                 try:

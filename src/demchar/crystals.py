@@ -11,7 +11,7 @@ multi-step strings through the middle of the graph are counted correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, permutations
 from typing import Hashable, Iterable, Mapping
 
@@ -88,6 +88,18 @@ class PerfectCrystal:
     def energy(self, b: Element, bp: Element) -> int:
         """Local energy H(b (x) bp)."""
         return self._H[(b, bp)]
+
+    @cached_property
+    def weight_table(self) -> tuple[tuple[int, ...], ...]:
+        """Weight coordinates of each letter, by letter index."""
+        return tuple(self._wt[b].lambda_coords for b in self.elements)
+
+    @cached_property
+    def energy_table(self) -> tuple[tuple[int, ...], ...]:
+        """Local energies H(b (x) bp) by the letter indices of b and bp."""
+        return tuple(
+            tuple(self._H[(b, bp)] for bp in self.elements) for b in self.elements
+        )
 
     def phi_weight(self, b: Element) -> Weight:
         return Weight(tuple(self._phi[(i, b)] for i in self.cartan.index_set))

@@ -10,12 +10,13 @@ as a sum over paths and by iterated Demazure operators.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
 
 from .crystals import Element, PerfectCrystal
 from .paths import GroundState, Schedule, Word, leading_sets, paths_at_step, schedule_for
-from .weights import FormalCharacter, WeylElement, demazure_op
+from .weights import FormalCharacter, WeylElement, demazure_step
 
 
 @dataclass(frozen=True)
@@ -166,20 +167,22 @@ def demazure_paths(s: DemazureSchedule, k: int, method: str = "product") -> Dema
 
 def character_by_paths(s: DemazureSchedule, k: int) -> FormalCharacter:
     """Sum of e^{weight} over the path set after k steps, with exact
-    delta-coordinates."""
+    delta-coordinates.  Each path's weight is an int key
+    (``GroundState.path_key``); Weights are built once per distinct key."""
     pc = demazure_paths(s, k)
-    return FormalCharacter.from_weights(
-        s.ground.path_weight(pc.window, word) for word in pc.words
+    return FormalCharacter.from_keys(
+        Counter(s.ground.path_key(pc.window, word) for word in pc.words)
     )
 
 
 def character_by_operators(s: DemazureSchedule, k: int) -> FormalCharacter:
     """Iterated Demazure operators on e^{weight of the ground state},
-    applied along the schedule's reflection word."""
+    applied along the schedule's reflection word.  The k steps run on int
+    keys (``demazure_step``); Weights are built once at the end."""
     if k < 0:
         raise ValueError("steps must be nonnegative")
-    chi = FormalCharacter.monomial(s.ground.window_weight(0))
     ct = s.crystal.cartan
+    terms = FormalCharacter.monomial(s.ground.window_weight(0)).to_keys()
     for m in range(1, k + 1):
-        chi = demazure_op(ct, s.table.flat_index(m), chi)
-    return chi
+        terms = demazure_step(ct, s.table.flat_index(m), terms)
+    return FormalCharacter.from_keys(terms)

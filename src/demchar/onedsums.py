@@ -25,9 +25,13 @@ kept.  ``stabilized_limit`` reads only the lowest ``degree + 1``
 coefficients, so it runs the kernel with that window: each memo entry
 keeps ``degree + 1`` coefficients, and the letters after a head are
 tried in order of a lower bound on their lowest exponent and skipped
-from the first one whose bound lies past the window.  The enumeration
-route lists every tail once, depth first, on the same tables, and
-shares no other code or memo with the recursion route.
+from the first one whose bound lies past the window.  With or without
+a window, a letter is skipped when the weight left after it lies
+outside the box the remaining letters can reach, so the memos hold no
+dead states.  The enumeration route lists every tail once, depth first,
+on the same tables, and shares no other code or memo with the recursion
+route.  The full-segment characters read the kernel straight into int
+keys and build their Weights once per term.
 
 Also here: the reflection identity relating the unrestricted sum along
 an f-string to its reflected weights, a search for f-string
@@ -89,13 +93,11 @@ def _tables(
     """Int tables by letter index: weight coordinates (node 0 zeroed
     when ``drop_node0``), the local energy matrix H and the epsilons at
     the nodes ``idx``."""
-    letters = crystal.elements
-    wts = tuple(crystal.weight(b).lambda_coords for b in letters)
+    wts = crystal.weight_table
     if drop_node0:
         wts = tuple((0,) + wt[1:] for wt in wts)
-    energy = tuple(tuple(crystal.energy(b, bp) for bp in letters) for b in letters)
-    eps = tuple(tuple(crystal.epsilon(i, b) for i in idx) for b in letters)
-    return wts, energy, eps
+    eps = tuple(tuple(crystal.epsilon(i, b) for i in idx) for b in crystal.elements)
+    return wts, crystal.energy_table, eps
 
 
 @cache
@@ -123,13 +125,24 @@ def _recursion(
     their lowest exponent, where floor[m][u] is the least energy of any
     length-m tail after u, weights and admissibility ignored; the first
     letter whose bound lies past the lowest exponent found plus M ends
-    the loop.  Without a window every coefficient is kept and no letter
-    is skipped.
+    the loop.  Without a window every coefficient is kept and the bound
+    skips no letter.
+
+    With or without a window, a letter is skipped when the weight left
+    for the tail after it lies outside the box that m = j - 1 letters can
+    reach: between m times the least and m times the greatest entry of
+    each coordinate over the kernel's letter weights (node 0 zeroed when
+    ``drop_node0``).  No tail can carry such a weight, so the skipped
+    call could only return None: the skip is exact, and it keeps dead
+    states out of the memo.
     """
     wts, energy, eps = _tables(crystal, idx, drop_node0)
     letters = range(len(wts))
     rows = [(u, wt, eps[u], tuple(wt[i] for i in idx)) for u, wt in enumerate(wts)]
     reach = inf if window is None else window
+    least = [min(col) for col in zip(*wts)]
+    most = [max(col) for col in zip(*wts)]
+    boxes: dict[int, tuple[tuple, tuple]] = {}
     floor = [[0] * len(wts)]
     orders: dict[tuple[int, int], list] = {}
 
@@ -148,18 +161,28 @@ def _recursion(
             )
         return orders[key]
 
+    def box(m: int) -> tuple[tuple, tuple]:
+        """Coordinatewise bounds of any sum of m letter weights."""
+        if m not in boxes:
+            boxes[m] = tuple(m * c for c in least), tuple(m * c for c in most)
+        return boxes[m]
+
     @cache
     def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         if j == 0:
             return None if any(rest) else (0, (1,))
         parts = []
         best, top = inf, -inf
+        low_m, high_m = box(j - 1)
         for bound, head, (u, wt, e, step) in order(t, j):
             if bound > best + reach:
                 break
+            left = tuple(map(sub, rest, wt))
+            if not (all(map(le, low_m, left)) and all(map(le, left, high_m))):
+                continue
             if all(map(le, e, fit)):
                 fit_u = tuple(map(add, fit, step))
-                inner = rec(u, fit_u, tuple(map(sub, rest, wt)), j - 1)
+                inner = rec(u, fit_u, left, j - 1)
                 if inner is not None:
                     low, coeffs = inner
                     low += head
@@ -308,8 +331,11 @@ def g_enumerate_table(
     return {key: LaurentPoly.from_terms(terms) for key, terms in pairs.items()}
 
 
+@cache
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
-    """Classical coordinate tuples reachable as sums of j letter weights."""
+    """Classical coordinate tuples reachable as sums of j letter weights.
+    Cached per crystal and length; ``tail_weight_support.cache_clear()``
+    frees the sets."""
     if j < 0:
         raise ValueError("length must be nonnegative")
     sums = {Weight.zero(crystal.cartan.size).lambda_coords}
@@ -729,16 +755,24 @@ def stabilized_limit(
 # Scheduled path characters through the unrestricted sum
 
 
-def _accumulate(
-    acc: dict[Weight, int], base: Weight, cj: int, poly: LaurentPoly
+def _add_terms(
+    acc: dict[tuple[int, ...], int],
+    coords: tuple[int, ...],
+    cj: int,
+    value: tuple | None,
+    shift: int = 0,
 ) -> None:
-    for exp, coeff in poly.terms():
-        weight = base.with_delta(cj - exp)
-        value = acc.get(weight, 0) + coeff
-        if value:
-            acc[weight] = value
-        else:
-            acc.pop(weight, None)
+    """Add the terms of a g kernel value, times q^shift, to int keys
+    (*coords, cj - exponent).  The callers read the kernel directly, with
+    no level check: a tail weight is a sum of letter weights, and those
+    have level zero."""
+    if value is None:
+        return
+    low, coeffs = value
+    for exp, coeff in enumerate(coeffs, low + shift):
+        if coeff:
+            key = (*coords, cj - exp)
+            acc[key] = acc.get(key, 0) + coeff
 
 
 def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
@@ -753,19 +787,18 @@ def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
     j, a = s.table.decompose(k)
     cj = gs.c(j)
     head = gs.bar(j + 1)
-    lam_j = gs.window_weight(j)
-    acc: dict[Weight, int] = {}
-    support = sorted(tail_weight_support(crystal, j - 1))
-    for b in sorted(s.leading_sets(j)[a], key=crystal.index):
+    lam_j = gs.window_weight(j).lambda_coords
+    rec = _recursion(crystal, (), False, None)
+    support = tail_weight_support(crystal, j - 1)
+    acc: dict[tuple[int, ...], int] = {}
+    for b in s.leading_sets(j)[a]:
+        t = crystal.index(b)
         head_shift = j * crystal.energy(head, b)
-        wtb = crystal.weight(b)
+        base = tuple(map(add, lam_j, crystal.weight_table[t]))
         for coords in support:
-            poly = g_recursive(crystal, b, Weight(coords), j - 1)
-            if not poly:
-                continue
-            base = lam_j + Weight(coords) + wtb
-            _accumulate(acc, base, cj, poly.shift(head_shift))
-    return FormalCharacter(acc)
+            value = rec(t, (), coords, j - 1)
+            _add_terms(acc, tuple(map(add, base, coords)), cj, value, head_shift)
+    return FormalCharacter.from_keys(acc)
 
 
 def character_at_full_segment(s: DemazureSchedule, j: int) -> FormalCharacter:
@@ -777,12 +810,10 @@ def character_at_full_segment(s: DemazureSchedule, j: int) -> FormalCharacter:
     if j == 0:
         return FormalCharacter.monomial(gs.window_weight(0))
     cj = gs.c(j)
-    head = gs.bar(j + 1)
-    lam_j = gs.window_weight(j)
-    acc: dict[Weight, int] = {}
-    for coords in sorted(tail_weight_support(crystal, j)):
-        poly = g_recursive(crystal, head, Weight(coords), j)
-        if not poly:
-            continue
-        _accumulate(acc, lam_j + Weight(coords), cj, poly)
-    return FormalCharacter(acc)
+    head = crystal.index(gs.bar(j + 1))
+    lam_j = gs.window_weight(j).lambda_coords
+    rec = _recursion(crystal, (), False, None)
+    acc: dict[tuple[int, ...], int] = {}
+    for coords in tail_weight_support(crystal, j):
+        _add_terms(acc, tuple(map(add, lam_j, coords)), cj, rec(head, (), coords, j))
+    return FormalCharacter.from_keys(acc)

@@ -110,19 +110,26 @@ class GroundState:
         moved[idx - 1] = self.crystal.e(i, moved[idx - 1])
         return tuple(moved)
 
+    def path_key(self, j: int, word: Word) -> tuple[int, ...]:
+        """Affine weight of a window-j path, ground-state normalized, as
+        plain ints: its coordinates followed by its delta-coordinate.
+        Read off the crystal's weight and energy tables."""
+        crystal = self.crystal
+        wts, energy = crystal.weight_table, crystal.energy_table
+        letters = [crystal.index(b) for b in word]
+        rows = [wts[t] for t in letters]
+        coords = map(sum, zip(self.window_weight(j).lambda_coords, *rows))
+        total = 0
+        prev = crystal.index(self.bar(j + 1))
+        for position, t in zip(range(j, 0, -1), letters):
+            total += position * energy[prev][t]
+            prev = t
+        return (*coords, self.c(j) - total)
+
     def path_weight(self, j: int, word: Word) -> Weight:
         """Affine weight of a window-j path, ground-state normalized."""
-        crystal = self.crystal
-        total = self.window_weight(j)
-        for b in word:
-            total = total + crystal.weight(b)
-        energy = 0
-        prev = self.bar(j + 1)
-        for position in range(j, 0, -1):
-            cur = word[j - position]
-            energy += position * crystal.energy(prev, cur)
-            prev = cur
-        return total.with_delta(self.c(j) - energy)
+        *coords, delta = self.path_key(j, word)
+        return Weight(tuple(coords), delta)
 
 
 def scheduled_nodes(family: str, n: int) -> tuple[int, ...]:

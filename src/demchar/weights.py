@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .qring import LaurentPoly, _integral
@@ -445,6 +446,15 @@ class FormalCharacter:
             data[w] = data.get(w, 0) + 1
         return cls(data)
 
+    @classmethod
+    def from_keys(cls, counts: Mapping[tuple[int, ...], int]) -> "FormalCharacter":
+        """Character of int keys (*coordinates, delta) with coefficients."""
+        return cls({Weight(key[:-1], key[-1]): c for key, c in counts.items()})
+
+    def to_keys(self) -> dict[tuple[int, ...], int]:
+        """Coefficients keyed by (*coordinates, delta), as ``from_keys`` reads."""
+        return {(*w.lambda_coords, w.delta_coord): c for w, c in self._coeffs.items()}
+
     def coeff(self, w: Weight) -> int:
         return self._coeffs.get(w, 0)
 
@@ -548,30 +558,34 @@ class FormalCharacter:
         return cls({Weight.from_json_obj(t["weight"]): t["coeff"] for t in obj})
 
 
-def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
-    """Demazure operator D_i extended linearly over a formal character.
+def demazure_step(
+    ct: CartanType, i: int, terms: Mapping[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Demazure operator D_i on coefficients keyed by (*coordinates, delta).
 
     On a single exponential with exponent mu, writing m for the pairing of
     mu + rho against h_i: the result is the sum of exponentials mu - t*alpha_i
     for 0 <= t < m when m > 0, zero when m = 0, and minus the sum of
-    mu + t*alpha_i for 1 <= t <= -m when m < 0.
+    mu + t*alpha_i for 1 <= t <= -m when m < 0.  Zero coefficients are
+    dropped.
     """
-    alpha = ct.simple_root(i)
-    data: dict[Weight, int] = {}
-
-    def accum(w: Weight, c: int) -> None:
-        total = data.get(w, 0) + c
-        if total:
-            data[w] = total
-        elif w in data:
-            del data[w]
-
-    for mu, c in chi.terms():
-        m = mu.pairing(i) + 1
+    root = ct.simple_root(i)
+    alpha = (*root.lambda_coords, root.delta_coord)
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in terms.items():
+        m = mu[i] + 1
         if m > 0:
-            for t in range(m):
-                accum(mu - t * alpha, c)
+            for _ in range(m):
+                out[mu] = out.get(mu, 0) + c
+                mu = tuple(map(sub, mu, alpha))
         elif m < 0:
-            for t in range(1, -m + 1):
-                accum(mu + t * alpha, -c)
-    return FormalCharacter(data)
+            for _ in range(-m):
+                mu = tuple(map(add, mu, alpha))
+                out[mu] = out.get(mu, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
+    """Demazure operator D_i extended linearly over a formal character:
+    ``demazure_step`` on the int keys of chi, wrapped back into Weights."""
+    return FormalCharacter.from_keys(demazure_step(ct, i, chi.to_keys()))

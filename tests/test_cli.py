@@ -172,6 +172,45 @@ class TestCharacter:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("D1", "4", "--k", "24"),
+                "70d5153c2977ac9bd54fa1c38a5f05137f0a1ba8f4d6fb46a1da4ef9956abe9c",
+            ),
+            (
+                ("B1", "3", "--k", "20"),
+                "5044cd66af5ec1ee337a5c72a6f286860cb883ab772d3242877a8d93f182fd6f",
+            ),
+            (
+                ("A1", "2", "--k", "15"),
+                "d7b2f294fde1f3ea60ecd59be2380edef9d7548901336dacc0f4633e5fe9a94f",
+            ),
+            (
+                ("A2odd", "3", "--k", "20"),
+                "b848d72773ba6d167f9b6d8ca7c2b98a7caf46e2cb2a47f515af556f58af5eb3",
+            ),
+            (
+                ("D2", "2", "--k", "16"),
+                "2ecf8e2f362f1d40ab0945638f15c75606942f19b6d37a19cacda6e1a45083b1",
+            ),
+        ],
+        ids=["D1-4-k24", "B1-3-k20", "A1-2-k15", "A2odd-3-k20", "D2-2-k16"],
+    )
+    def test_int_keyed_routes_keep_output_bytes(self, capsys, argv, digest):
+        # The character commands of the benchmark, at L0 with both methods
+        # (and, for D1 4 at a full segment, the one-dimensional-sum form);
+        # the digests were recorded when every route built a Weight per
+        # intermediate term.
+        family, rank, *rest = argv
+        code, out, _ = run(
+            capsys, "character", family, rank, "--lambda", "L0", *rest,
+            "--method", "both",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_unsupported_weight(self, capsys):
         code, _, err = run(
             capsys, "character", "A2even", "1", "--lambda", "L0", "--k", "1"
@@ -458,10 +497,25 @@ class TestVerify:
         cases = json.loads(out)["cases"]
         assert [(c["lambda"], c["variant"]) for c in cases] == [
             ("L0", 1),
+            ("L1", 1),
             ("L3", 1),
             ("L3", 2),
         ]
         assert all(c["mismatches"] == [] for c in cases)
+
+    def test_character_suite_covers_relabelled_nodes(self, capsys):
+        # D1 4 schedules only L0; L1, L3 and L4 borrow its rule (and its
+        # second variant) through diagram symmetries, and L2 has none.
+        code, out, _ = run(
+            capsys, "verify", "character", "--type", "D1", "--rank", "4",
+            "--kmax", "7",
+        )
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert [(c["lambda"], c["variant"]) for c in cases] == [
+            (f"L{node}", variant) for node in (0, 1, 3, 4) for variant in (1, 2)
+        ]
+        assert all(c["k_max"] == 7 and c["mismatches"] == [] for c in cases)
 
     def test_perfectness_suite(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from demchar import demazure, onedsums, paths, weights
 from demchar.crystals import perfect_crystal
 from demchar.demazure import (
     ConditionReport,
@@ -232,3 +233,31 @@ class TestCharacterDetails:
             k = j * first.d
             assert demazure_paths(first, k).words == demazure_paths(second, k).words
             assert character_by_paths(first, k) == character_by_paths(second, k)
+
+    def test_routes_share_no_code(self, monkeypatch):
+        # Each route gives its value with the other two routes' int-keyed
+        # cores patched to raise: the path weight, the Demazure step and
+        # the recursion kernel.
+        s = make("D1", 4, 0)
+        k = 2 * s.d
+        want = character_by_paths(s, k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("another route's code ran")
+
+        routes = {
+            "paths": (lambda: character_by_paths(s, k), "path_key"),
+            "operators": (lambda: character_by_operators(s, k), "demazure_step"),
+            "full segment": (lambda: onedsums.character_at_full_segment(s, 2), "_recursion"),
+        }
+        for name, (route, own) in routes.items():
+            onedsums._recursion.cache_clear()
+            with monkeypatch.context() as m:
+                if own != "path_key":
+                    m.setattr(paths.GroundState, "path_key", refuse)
+                if own != "demazure_step":
+                    m.setattr(weights, "demazure_step", refuse)
+                    m.setattr(demazure, "demazure_step", refuse)
+                if own != "_recursion":
+                    m.setattr(onedsums, "_recursion", refuse)
+                assert route() == want, name

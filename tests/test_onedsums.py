@@ -321,6 +321,16 @@ class TestUnrestricted:
                 )
                 assert total == len(c.elements) ** j
 
+    def test_tail_weight_support_is_cached(self):
+        c = perfect_crystal("B1", 3)
+        tail_weight_support.cache_clear()
+        first = tail_weight_support(c, 3)
+        assert tail_weight_support(c, 3) is first
+        assert tail_weight_support.cache_info().currsize == 1
+        tail_weight_support.cache_clear()
+        assert tail_weight_support.cache_info().currsize == 0
+        assert tail_weight_support(c, 3) == first
+
     @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
     def test_string_reflection_relation(self, family, n):
         """The 2m-term reflection relation, on random level-zero weights."""
@@ -910,6 +920,16 @@ class TestCharacterBridge:
             assert character_at_full_segment(s, j) == character_by_paths(
                 s, j * s.d
             ), (family, n, node, j)
+
+    def test_box_keeps_dead_states_out_of_the_memo(self):
+        # Without the coordinate box the full-segment route leaves 23,601
+        # states in this memo, about 95% of them remaining weights that no
+        # tail of the remaining length can carry.
+        c = perfect_crystal("D1", 4)
+        s = demazure_schedule(c, c.cartan.fundamental_weight(0))
+        onedsums._recursion.cache_clear()
+        character_at_full_segment(s, 4)
+        assert onedsums._recursion(c, (), False, None).cache_info().currsize <= 3000
 
 
 # ---------------------------------------------------------------------------
