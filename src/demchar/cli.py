@@ -8,7 +8,7 @@ bytes.  --threads is accepted for compatibility and has no effect;
 every command runs on one thread.  A --format the subcommand cannot
 write (verify writes JSON only) exits 2 before any work is done.
 character computes at the requested weight; a node without a family
-schedule borrows one through a diagram symmetry (paths.schedule_for),
+schedule borrows one through a diagram symmetry (demazure_schedule),
 recorded under "lambda" in the output.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
@@ -26,12 +26,7 @@ import sys
 from pathlib import Path
 
 from .crystals import PerfectCrystal, perfect_crystal, verify_perfect
-from .demazure import (
-    DemazureSchedule,
-    character_by_operators,
-    character_by_paths,
-    demazure_schedule,
-)
+from .demazure import character_by_operators, character_by_paths, demazure_schedule
 from .formulas import verify_type
 from .onedsums import (
     StabilizationGuardError,
@@ -101,6 +96,11 @@ def _require_letter(crystal: PerfectCrystal, b: str) -> str:
             f"letter {b!r} is not in the alphabet {list(crystal.elements)}"
         )
     return b
+
+
+def _require_nonnegative(option: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ConfigError(f"{option} must be nonnegative, got {value}")
 
 
 def _parse_lambda_node(text: str, size: int) -> int:
@@ -244,7 +244,6 @@ def cmd_character(args) -> int:
         raise ConfigError(str(exc)) from exc
     if args.k < 0:
         raise ConfigError("step count must be nonnegative")
-    table = schedule.table
     characters = {}
     if args.method in ("paths", "both"):
         characters["paths"] = character_by_paths(schedule, args.k)
@@ -263,12 +262,12 @@ def cmd_character(args) -> int:
         "rank": args.rank,
         "lambda": {
             "requested": f"L{requested}",
-            "computed": f"L{table.lam_node}",
-            "node_map": list(table.node_map or range(size)),
+            "computed": f"L{schedule.lam_node}",
+            "node_map": list(schedule.node_map or range(size)),
         },
         "k": args.k,
         "steps_per_segment": schedule.d,
-        "word": [table.flat_index(m) for m in range(1, args.k + 1)],
+        "word": [schedule.flat_index(m) for m in range(1, args.k + 1)],
         "characters": {
             key: chi.to_json_obj() for key, chi in sorted(characters.items())
         },
@@ -391,6 +390,7 @@ def cmd_verify(args) -> int:
         _emit(_json_text(report), args.out)
         return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
     if args.suite == "character":
+        _require_nonnegative("--kmax", args.kmax)
         crystal = _crystal(args.type, args.rank)
         cases = []
         failed = False
@@ -426,6 +426,7 @@ def cmd_verify(args) -> int:
         _emit(_json_text(obj), args.out)
         return EXIT_MISMATCH if failed else EXIT_OK
     if args.suite == "perfect":
+        _require_nonnegative("--level", args.level)
         crystal = _crystal(args.type, args.rank)
         report = verify_perfect(crystal, args.level)
         obj = {
@@ -444,6 +445,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decomp_search(args) -> int:
+    _require_nonnegative("--level", args.level)
     crystal = _crystal(args.type, args.rank)
     entries = []
     all_found = True

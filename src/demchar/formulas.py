@@ -205,7 +205,7 @@ def _ordered(crystal: PerfectCrystal, counts: dict[Element, int]) -> tuple[int, 
     return tuple(counts[label] for label in crystal.elements)
 
 
-def _pivot_of(family: str, crystal: PerfectCrystal, b: Element, pivot: int | None):
+def _pivot_of(crystal: PerfectCrystal, b: Element, pivot: int | None):
     if pivot is not None:
         return str(pivot)
     if b == "0":
@@ -245,7 +245,7 @@ def g_closed_form(
 
     total = ZERO
     if family in ("B1", "D1"):
-        s = _pivot_of(family, crystal, b, pivot)
+        s = _pivot_of(crystal, b, pivot)
         sbar = s + "~"
         for counts in _count_vectors(crystal, mu, j):
             expo = (

@@ -52,8 +52,7 @@ from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
-from .demazure import DemazureSchedule
-from .paths import GroundState
+from .paths import GroundState, Schedule
 from .qring import ZERO, LaurentPoly
 from .weights import CartanType, FormalCharacter, Weight
 
@@ -637,6 +636,8 @@ def kostka(xi: Sequence[int], l: int, j: int, n: int) -> LaurentPoly:
     xi is a partition of l*j with at most n+1 parts, read as the weight
     with coordinate xi_i - xi_{i+1} at node i.
     """
+    if l < 0 or j < 0:
+        raise ValueError(f"l and j must be nonnegative, got l = {l}, j = {j}")
     parts = tuple(int(p) for p in xi)
     if any(p < 0 for p in parts) or any(
         a < c for a, c in zip(parts, parts[1:])
@@ -685,6 +686,12 @@ def stabilized_limit(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if kind not in ("g", "x", "xbar"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "x" and (xi is None or eta is None):
+        raise ValueError("kind 'x' needs xi and eta")
+    if kind == "xbar" and eta is None:
+        raise ValueError("kind 'xbar' needs eta")
     gs = GroundState(crystal, lam)
     period = gs.period()
     size = crystal.cartan.size
@@ -699,16 +706,10 @@ def stabilized_limit(
             reach = degree + max(0, -direction.delta_coord)
             return _g_value(crystal, head, direction, j, reach), direction.delta_coord
         if kind == "x":
-            if xi is None or eta is None:
-                raise ValueError("kind 'x' needs xi and eta")
             start = xi.classical() + gs.window_weight(j)
             return _x_value(crystal, head, start, eta, j, False, None, degree), 0
-        if kind == "xbar":
-            if eta is None:
-                raise ValueError("kind 'xbar' needs eta")
-            start = gs.window_weight(j)
-            return _x_value(crystal, head, start, eta, j, True, None, degree), 0
-        raise ValueError(f"unknown kind {kind!r}")
+        start = gs.window_weight(j)  # kind "xbar"
+        return _x_value(crystal, head, start, eta, j, True, None, degree), 0
 
     def value(j: int) -> LaurentPoly:
         try:
@@ -775,7 +776,7 @@ def _add_terms(
             acc[key] = acc.get(key, 0) + coeff
 
 
-def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
+def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:
     """Character of the step-k path set, rewritten as a weight-indexed
     superposition of unrestricted sums one window shorter, with the
     leading letter summed over the current leading set."""
@@ -784,7 +785,7 @@ def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
     gs, crystal = s.ground, s.crystal
     if k == 0:
         return FormalCharacter.monomial(gs.window_weight(0))
-    j, a = s.table.decompose(k)
+    j, a = s.decompose(k)
     cj = gs.c(j)
     head = gs.bar(j + 1)
     lam_j = gs.window_weight(j).lambda_coords
@@ -801,7 +802,7 @@ def character_via_onedsums(s: DemazureSchedule, k: int) -> FormalCharacter:
     return FormalCharacter.from_keys(acc)
 
 
-def character_at_full_segment(s: DemazureSchedule, j: int) -> FormalCharacter:
+def character_at_full_segment(s: Schedule, j: int) -> FormalCharacter:
     """Character after j whole segments: one unrestricted sum per weight
     with the ground-state letter above the window as head."""
     if j < 0:

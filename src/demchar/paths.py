@@ -11,11 +11,11 @@ letter at each segment boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterable, Iterator
 
-from .crystals import Element, PerfectCrystal, perfect_crystal, verify_perfect
+from .crystals import Element, PerfectCrystal, verify_perfect
 from .tensor import TensorWord, signature_scan
 from .weights import Weight, WeylElement
 
@@ -146,20 +146,21 @@ def scheduled_nodes(family: str, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-segment sequence of lowering indices for one ground state.
+    """A ground state with the per-segment sequence of lowering indices
+    that grows its Demazure path sets.
 
     Two families admit a second valid index sequence (reordering a pair of
     commuting steps around the fork or the tail of the letter chain);
     variant=2 selects it where it exists. A node without a family rule
     borrows the rule of lam_node through a diagram symmetry: node_map
     sends each node to its image (the requested node to lam_node) and is
-    empty when the rule applies directly. Point overrides (segment, step,
+    empty when the rule applies directly. The ground state sits at the
+    requested node's fundamental weight. Point overrides (segment, step,
     index) take precedence over the family rule; they exist to feed
     deliberately broken tables to the condition checks.
     """
 
-    family: str
-    n: int
+    ground: GroundState
     lam_node: int
     d: int
     variant: int = 1
@@ -169,13 +170,21 @@ class Schedule:
     def __post_init__(self):
         if self.variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {self.variant}")
-        has_second = (self.family == "B1" and self.lam_node == self.n) or (
-            self.family == "D1" and self.lam_node == 0
+        ct = self.crystal.cartan
+        has_second = (ct.family == "B1" and self.lam_node == ct.n) or (
+            ct.family == "D1" and self.lam_node == 0
         )
         if self.variant == 2 and not has_second:
             raise ValueError(
-                f"family {self.family} at node {self.lam_node} has a single schedule"
+                f"family {ct.family} at node {self.lam_node} has a single schedule"
             )
+        node = self.node_map.index(self.lam_node) if self.node_map else self.lam_node
+        if self.ground.lam.lambda_coords != ct.fundamental_weight(node).lambda_coords:
+            raise ValueError(f"ground state at {self.ground.lam} is not at node {node}")
+
+    @property
+    def crystal(self) -> PerfectCrystal:
+        return self.ground.crystal
 
     def index(self, j: int, a: int) -> int:
         """Lowering index at step a (1-based) of segment j (1-based)."""
@@ -189,7 +198,8 @@ class Schedule:
 
     def _family_index(self, j: int, a: int) -> int:
         """The family rule's index, labelled as at lam_node."""
-        n, fam, node = self.n, self.family, self.lam_node
+        ct = self.crystal.cartan
+        n, fam, node = ct.n, ct.family, self.lam_node
         head = 0 if j % 2 == 1 else 1
         if fam == "A1":
             return (a - j) % (n + 1)
@@ -235,11 +245,33 @@ class Schedule:
         """Word of the Weyl element after k steps, newest reflection first."""
         return tuple(self.flat_index(m) for m in range(k, 0, -1))
 
-    def weyl_element(self, ct, k: int) -> WeylElement:
-        elem = WeylElement.identity(ct)
+    def weyl_element(self, k: int) -> WeylElement:
+        elem = WeylElement.identity(self.crystal.cartan)
         for m in range(1, k + 1):
             elem = elem.prepend(self.flat_index(m))
         return elem
+
+    def leading_sets(self, j: int) -> list[set[Element]]:
+        """Growing leftmost-factor sets B_0 .. B_d within segment j, from
+        the ground-state letter through the full crystal."""
+        crystal = self.crystal
+        sets = [{self.ground.bar(j)}]
+        for a in range(1, self.d + 1):
+            i = self.index(j, a)
+            sets.append(_closure(sets[-1], lambda b: crystal.f(i, b)))
+        return sets
+
+    def with_index_override(self, j: int, a: int, i: int) -> "Schedule":
+        """Copy whose table answers i at segment j, step a."""
+        if i not in self.crystal.cartan.index_set:
+            raise ValueError(f"{i} is not a Dynkin index")
+        return replace(self, overrides=self.overrides + ((j, a, i),))
+
+    def with_shortened_table(self) -> "Schedule":
+        """Copy whose segments stop one lowering step early."""
+        if self.d < 2:
+            raise ValueError("table too short to shorten")
+        return replace(self, d=self.d - 1)
 
 
 def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
@@ -307,11 +339,14 @@ def _crystal_twist(crystal: PerfectCrystal, perm: tuple[int, ...]):
     return None
 
 
-def schedule_for(crystal: PerfectCrystal, lam: Weight, variant: int = 1) -> Schedule:
-    """Index table for a fundamental weight: the family rule of its node,
-    or of the first scheduled node (in lexicographic order of the node
-    permutations) that a diagram symmetry relabelling the crystal's
-    arrows carries it onto."""
+def demazure_schedule(
+    crystal: PerfectCrystal, lam: Weight, variant: int = 1
+) -> Schedule:
+    """Schedule for a fundamental weight, with the ground state at lam
+    itself: the family rule of its node, or of the first scheduled node
+    (in lexicographic order of the node permutations) that a diagram
+    symmetry relabelling the crystal's arrows carries it onto. The index
+    table is looked up before the ground state is built."""
     ct = crystal.cartan
     family, n = ct.family, ct.n
     node = next(
@@ -334,67 +369,51 @@ def schedule_for(crystal: PerfectCrystal, lam: Weight, variant: int = 1) -> Sche
     }[family]
     available = scheduled_nodes(family, n)
     if node in available:
-        return Schedule(family, n, node, d, variant)
+        return Schedule(GroundState(crystal, lam), node, d, variant)
     for perm in _cartan_permutations(crystal):
         if perm[node] in available and _crystal_twist(crystal, perm) is not None:
-            return Schedule(family, n, perm[node], d, variant, node_map=perm)
+            ground = GroundState(crystal, lam)
+            return Schedule(ground, perm[node], d, variant, node_map=perm)
     raise ValueError(
         f"no growth schedule for node {node} of {family} rank {n}, and no "
         f"diagram symmetry maps it onto one of {list(available)}"
     )
 
 
-def element_closure(crystal: PerfectCrystal, elements: Iterable[Element], i: int) -> set[Element]:
-    """Close a set of crystal elements under repeated lowering by i."""
-    out = set(elements)
+def _closure(items: Iterable, lower) -> set:
+    """Close a set under repeated lowering; lower returns None at the end
+    of a string."""
+    out = set(items)
     frontier = list(out)
     while frontier:
-        nxt = crystal.f(i, frontier.pop())
+        nxt = lower(frontier.pop())
         if nxt is not None and nxt not in out:
             out.add(nxt)
             frontier.append(nxt)
     return out
 
 
-def leading_sets(gs: GroundState, sched: Schedule, j: int) -> list[set[Element]]:
-    """Growing leftmost-factor sets B_0 .. B_d within segment j."""
-    sets = [{gs.bar(j)}]
-    for a in range(1, sched.d + 1):
-        sets.append(element_closure(gs.crystal, sets[-1], sched.index(j, a)))
-    return sets
-
-
-def path_closure(gs: GroundState, j: int, words: Iterable[Word], i: int) -> set[Word]:
-    """Close a set of window-j words under repeated lowering by i."""
-    out = set(words)
-    frontier = list(out)
-    while frontier:
-        nxt = gs.path_f(j, frontier.pop(), i)
-        if nxt is not None and nxt not in out:
-            out.add(nxt)
-            frontier.append(nxt)
-    return out
-
-
-def grow_paths(gs: GroundState, sched: Schedule) -> Iterator[tuple[int, int, set[Word]]]:
+def grow_paths(s: Schedule) -> Iterator[tuple[int, int, set[Word]]]:
     """Yield (k, window, path set) for k = 0, 1, 2, ... along the schedule."""
+    gs = s.ground
     window = 0
     words: set[Word] = {()}
     yield 0, 0, set(words)
     k = 0
     while True:
         k += 1
-        j, a = sched.decompose(k)
+        j, a = s.decompose(k)
         if a == 1:
             window = j
             words = {(gs.bar(j),) + word for word in words}
-        words = path_closure(gs, window, words, sched.index(j, a))
+        i = s.index(j, a)
+        words = _closure(words, lambda word: gs.path_f(window, word, i))
         yield k, window, set(words)
 
 
-def paths_at_step(gs: GroundState, sched: Schedule, k: int) -> tuple[int, set[Word]]:
+def paths_at_step(s: Schedule, k: int) -> tuple[int, set[Word]]:
     """Window and path set after k growth steps."""
-    for step, window, words in grow_paths(gs, sched):
+    for step, window, words in grow_paths(s):
         if step == k:
             return window, words
     raise AssertionError("unreachable")

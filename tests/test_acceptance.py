@@ -172,7 +172,7 @@ def test_03_recursions_shifts_and_string_identities():
             lam_j = gs.window_weight(j)
             mus = level_zero_weights(crystal, min(j, 2))[:4]
             for a in range(schedule.d):
-                i = schedule.table.index(j, a + 1)
+                i = schedule.index(j, a + 1)
                 alpha = ct.simple_root(i)
                 for mu in mus:
                     def term(b, arg):

@@ -417,6 +417,13 @@ class TestKostka:
         assert code == 2
         assert "partition" in err
 
+    def test_rejects_negative_box_sides(self, capsys):
+        code, out, err = run(
+            capsys, "kostka", "--xi", "3", "--l", "-1", "--j", "-3", "--n", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: l and j must be nonnegative, got l = -1, j = -3\n"
+
 
 class TestStringFn:
     def test_partition_series(self, capsys):
@@ -527,6 +534,25 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope", "--type", "A1", "--rank", "1"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["verify", "character", "--type", "A1", "--rank", "1", "--kmax", "-1"], "--kmax"),
+        (["verify", "perfect", "--type", "A1", "--rank", "1", "--level", "-2"], "--level"),
+        (["decomp-search", "--type", "A1", "--rank", "1", "--level", "-1"], "--level"),
+    ],
+)
+def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, option):
+    # a negative bound would check nothing and still report success
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_crystal", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be nonnegative, got {argv[-1]}\n"
 
 
 class TestDecompSearch:

@@ -65,7 +65,7 @@ class TestConditions:
 
     def test_mutated_first_index_detected(self, family, n, node):
         s = make(family, n, node)
-        orig = s.table.index(1, 1)
+        orig = s.index(1, 1)
         for i in s.crystal.cartan.index_set:
             if i == orig:
                 continue
@@ -85,7 +85,7 @@ class TestConditions:
 class TestConditionDetails:
     def test_repeated_index_fails_ascent(self):
         s = make("A1", 2, 0)
-        mutated = s.with_index_override(1, 2, s.table.index(1, 1))
+        mutated = s.with_index_override(1, 2, s.index(1, 1))
         report = check_conditions(mutated, 2)
         assert not report.ok
         assert any(v.startswith("ascent:") for v in report.violations)
@@ -98,13 +98,17 @@ class TestConditionDetails:
     def test_override_answers_only_at_its_own_step(self):
         s = make("B1", 3, 0)
         mutated = s.with_index_override(2, 3, 0)
-        assert type(mutated.table) is type(s.table)
-        assert s.table.index(2, 3) != 0
-        assert mutated.table.index(2, 3) == 0
+        assert type(mutated) is type(s)
+        # copies share the ground state object, so none of its caches
+        # (letters, window weights, c(j)) is rebuilt
+        assert mutated.ground is s.ground
+        assert s.with_shortened_table().ground is s.ground
+        assert s.index(2, 3) != 0
+        assert mutated.index(2, 3) == 0
         for j in (1, 2, 3):
             for a in range(1, s.d + 1):
                 if (j, a) != (2, 3):
-                    assert mutated.table.index(j, a) == s.table.index(j, a), (j, a)
+                    assert mutated.index(j, a) == s.index(j, a), (j, a)
 
     def test_bad_override_index_rejected(self):
         s = make("A1", 2, 0)
@@ -127,13 +131,13 @@ class TestScheduleConstruction:
     def test_relabelled_table_lives_at_the_requested_weight(self):
         crystal = perfect_crystal("D1", 5)
         s = demazure_schedule(crystal, crystal.cartan.fundamental_weight(5))
-        assert s.table.lam_node == 0
-        assert s.table.node_map == (4, 5, 3, 2, 1, 0)
+        assert s.lam_node == 0
+        assert s.node_map == (4, 5, 3, 2, 1, 0)
         assert s.ground.lam == crystal.cartan.fundamental_weight(5).classical()
         borrowed = demazure_schedule(crystal, crystal.cartan.fundamental_weight(0))
         for k in range(1, 2 * s.d + 1):
-            i = borrowed.table.flat_index(k)
-            assert s.table.node_map[s.table.flat_index(k)] == i
+            i = borrowed.flat_index(k)
+            assert s.node_map[s.flat_index(k)] == i
 
     def test_variant_two_only_where_offered(self):
         crystal = perfect_crystal("B1", 3)
@@ -154,7 +158,7 @@ class TestPathSets:
     def test_product_count(self, family, n, node):
         s = make(family, n, node)
         for k in range(1, 2 * s.d + 1):
-            j, a = s.table.decompose(k)
+            j, a = s.decompose(k)
             pc = demazure_paths(s, k)
             assert pc.window == j
             assert pc.path_count == len(s.leading_sets(j)[a]) * len(
@@ -213,7 +217,7 @@ class TestCharacters:
         prev = character_by_paths(s, 0)
         for k in range(1, 2 * s.d + 1):
             cur = character_by_paths(s, k)
-            assert cur == demazure_op(ct, s.table.flat_index(k), prev)
+            assert cur == demazure_op(ct, s.flat_index(k), prev)
             prev = cur
 
 

@@ -606,6 +606,10 @@ class TestTableauPolynomials:
             kostka((1, 1, 1, 1), 1, 4, 2)
         with pytest.raises(ValueError):
             kostka((2, 1), 1, 4, 2)
+        # l * j still matches the partition, so only a sign check stops these
+        for l, j in ((-1, -3), (-3, -1)):
+            with pytest.raises(ValueError, match="l and j must be nonnegative"):
+                kostka((3,), l, j, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +727,13 @@ class TestStabilizedLimits:
             stabilized_limit("x", c, lam, 2)
         with pytest.raises(ValueError):
             stabilized_limit("xbar", c, lam, 2)
+        # at degree 100 the window guard would trip; the arguments are
+        # checked before it
+        for kind in ("nope", "x", "xbar"):
+            with pytest.raises(ValueError):
+                stabilized_limit(kind, c, lam, 100)
+        with pytest.raises(ValueError, match="needs xi"):
+            stabilized_limit("x", c, lam, 100, eta=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +1009,7 @@ class TestFilteredRecursion:
             lam_j = gs.window_weight(j)
             mus = level_zero_weights(c, min(j, 2))[:6]
             for a in range(s.d):
-                i = s.table.index(j, a + 1)
+                i = s.index(j, a + 1)
                 alpha = ct.simple_root(i)
                 for mu in mus:
                     def term(b, arg):

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 from itertools import islice, product
 
 import pytest
@@ -9,10 +10,9 @@ import pytest
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
     GroundState,
+    demazure_schedule,
     grow_paths,
-    leading_sets,
     paths_at_step,
-    schedule_for,
     scheduled_nodes,
 )
 from demchar.weights import Weight, WeylElement, cartan_type
@@ -163,9 +163,9 @@ class TestTruncatedOperators:
 class TestSchedules:
     def test_last_set_is_whole_crystal(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam)
+        sched = demazure_schedule(gs.crystal, gs.lam)
         for j in (1, 2, 3):
-            sets = leading_sets(gs, sched, j)
+            sets = sched.leading_sets(j)
             assert sets[sched.d] == set(gs.crystal.elements)
             for a in range(sched.d):
                 assert sets[a] <= sets[a + 1]
@@ -174,9 +174,9 @@ class TestSchedules:
         # the boundary never wins the lowering because every current
         # leading factor carries enough raising capacity
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam)
+        sched = demazure_schedule(gs.crystal, gs.lam)
         for j in (1, 2, 3):
-            sets = leading_sets(gs, sched, j)
+            sets = sched.leading_sets(j)
             lam_j = gs.window_weight(j)
             for a in range(1, sched.d + 1):
                 i = sched.index(j, a)
@@ -185,7 +185,7 @@ class TestSchedules:
 
     def test_weyl_words_ascend(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam)
+        sched = demazure_schedule(gs.crystal, gs.lam)
         ct = gs.crystal.cartan
         elem = WeylElement.identity(ct)
         for k in range(1, 2 * sched.d + 1):
@@ -193,20 +193,20 @@ class TestSchedules:
             assert elem.is_ascent(i)
             elem = elem.prepend(i)
         assert elem.length == 2 * sched.d
-        assert elem == sched.weyl_element(ct, 2 * sched.d)
+        assert elem == sched.weyl_element(2 * sched.d)
 
     def test_growth_matches_product_structure(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam)
+        sched = demazure_schedule(gs.crystal, gs.lam)
         crystal = gs.crystal
-        steps = list(islice(grow_paths(gs, sched), 2 * sched.d + 1))
+        steps = list(islice(grow_paths(sched), 2 * sched.d + 1))
         for k, window, words in steps:
             if k == 0:
                 assert words == {()}
                 continue
             j, a = sched.decompose(k)
             assert window == j
-            leading = leading_sets(gs, sched, j)[a]
+            leading = sched.leading_sets(j)[a]
             expected = {
                 (b,) + rest
                 for b in leading
@@ -217,15 +217,15 @@ class TestSchedules:
 
     def test_paths_at_step_agrees_with_generator(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam)
-        window, words = paths_at_step(gs, sched, sched.d)
+        sched = demazure_schedule(gs.crystal, gs.lam)
+        window, words = paths_at_step(sched, sched.d)
         assert window == 1
         assert words == {(b,) for b in gs.crystal.elements}
 
 
 class TestScheduleBookkeeping:
     def test_decompose(self):
-        sched = schedule_for(perfect_crystal("B1", 3), Weight((1, 0, 0, 0)))
+        sched = demazure_schedule(perfect_crystal("B1", 3), Weight((1, 0, 0, 0)))
         assert sched.d == 5
         assert sched.decompose(1) == (1, 1)
         assert sched.decompose(5) == (1, 5)
@@ -233,7 +233,7 @@ class TestScheduleBookkeeping:
         assert sched.decompose(11) == (3, 1)
 
     def test_weyl_word_order(self):
-        sched = schedule_for(perfect_crystal("A1", 2), Weight((1, 0, 0)))
+        sched = demazure_schedule(perfect_crystal("A1", 2), Weight((1, 0, 0)))
         # segment 1 lowers by 0 then 1; the newest reflection is listed first
         assert sched.weyl_word(2) == (1, 0)
 
@@ -246,7 +246,14 @@ class TestScheduleBookkeeping:
         # comark 2: no diagram symmetry moves node 2 onto a scheduled node
         crystal = perfect_crystal("B1", 3)
         with pytest.raises(ValueError):
-            schedule_for(crystal, Weight((0, 0, 1, 0)))
+            demazure_schedule(crystal, Weight((0, 0, 1, 0)))
+
+    def test_ground_state_must_sit_at_the_table_node(self):
+        crystal = perfect_crystal("A1", 2)
+        sched = demazure_schedule(crystal, Weight((1, 0, 0)))
+        other = GroundState(crystal, Weight((0, 1, 0)))
+        with pytest.raises(ValueError, match="not at node 0"):
+            replace(sched, ground=other)
 
 
 VARIANT_CASES = [("B1", 3, 3), ("D1", 4, 0)]
@@ -257,7 +264,7 @@ class TestScheduleVariants:
     def test_variant_two_exists_only_where_printed(self, family, n, node):
         crystal = perfect_crystal(family, n)
         lam = crystal.cartan.fundamental_weight(node)
-        sched = schedule_for(crystal, lam, variant=2)
+        sched = demazure_schedule(crystal, lam, variant=2)
         assert sched.variant == 2
 
     def test_variant_two_rejected_elsewhere(self):
@@ -265,30 +272,30 @@ class TestScheduleVariants:
             crystal = perfect_crystal(family, n)
             lam = crystal.cartan.fundamental_weight(node)
             with pytest.raises(ValueError):
-                schedule_for(crystal, lam, variant=2)
+                demazure_schedule(crystal, lam, variant=2)
 
     def test_middle_node_weight_variant_two_index_row(self):
         crystal = perfect_crystal("B1", 3)
         lam = crystal.cartan.fundamental_weight(3)
-        sched = schedule_for(crystal, lam, variant=2)
+        sched = demazure_schedule(crystal, lam, variant=2)
         assert [sched.index(1, a) for a in range(1, 6)] == [3, 2, 1, 0, 2]
-        canonical = schedule_for(crystal, lam)
+        canonical = demazure_schedule(crystal, lam)
         assert [canonical.index(1, a) for a in range(1, 6)] == [3, 2, 0, 1, 2]
 
     def test_fork_family_variant_two_index_row(self):
         crystal = perfect_crystal("D1", 4)
         lam = crystal.cartan.fundamental_weight(0)
-        sched = schedule_for(crystal, lam, variant=2)
+        sched = demazure_schedule(crystal, lam, variant=2)
         assert [sched.index(1, a) for a in range(1, 7)] == [0, 2, 3, 4, 2, 0]
-        canonical = schedule_for(crystal, lam)
+        canonical = demazure_schedule(crystal, lam)
         assert [canonical.index(1, a) for a in range(1, 7)] == [0, 2, 4, 3, 2, 0]
 
     @pytest.mark.parametrize("family,n,node", VARIANT_CASES)
     def test_variant_two_leading_sets_nest_to_full(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam, variant=2)
+        sched = demazure_schedule(gs.crystal, gs.lam, variant=2)
         for j in (1, 2):
-            sets = leading_sets(gs, sched, j)
+            sets = sched.leading_sets(j)
             assert sets[0] == {gs.bar(j)}
             assert sets[-1] == set(gs.crystal.elements)
             for small, big in zip(sets, sets[1:]):
@@ -297,7 +304,7 @@ class TestScheduleVariants:
     @pytest.mark.parametrize("family,n,node", VARIANT_CASES)
     def test_variant_two_capacity_and_ascents(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam, variant=2)
+        sched = demazure_schedule(gs.crystal, gs.lam, variant=2)
         ct = gs.crystal.cartan
         elem = WeylElement.identity(ct)
         for k in range(1, 2 * sched.d + 1):
@@ -305,7 +312,7 @@ class TestScheduleVariants:
             assert elem.is_ascent(i), (family, k)
             elem = elem.prepend(i)
         for j in (1, 2):
-            sets = leading_sets(gs, sched, j)
+            sets = sched.leading_sets(j)
             lam_j = gs.window_weight(j)
             for a in range(1, sched.d + 1):
                 i = sched.index(j, a)
@@ -315,24 +322,24 @@ class TestScheduleVariants:
     @pytest.mark.parametrize("family,n,node", VARIANT_CASES)
     def test_variants_agree_at_segment_multiples(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        first = schedule_for(gs.crystal, gs.lam)
-        second = schedule_for(gs.crystal, gs.lam, variant=2)
+        first = demazure_schedule(gs.crystal, gs.lam)
+        second = demazure_schedule(gs.crystal, gs.lam, variant=2)
         for j in (1, 2):
             k = j * first.d
-            window1, words1 = paths_at_step(gs, first, k)
-            window2, words2 = paths_at_step(gs, second, k)
+            window1, words1 = paths_at_step(first, k)
+            window2, words2 = paths_at_step(second, k)
             assert window1 == window2 == j
             assert words1 == words2
 
     @pytest.mark.parametrize("family,n,node", VARIANT_CASES)
     def test_variant_two_growth_matches_products(self, family, n, node):
         gs = make_ground_state(family, n, node)
-        sched = schedule_for(gs.crystal, gs.lam, variant=2)
+        sched = demazure_schedule(gs.crystal, gs.lam, variant=2)
         crystal = gs.crystal
-        for k, window, words in islice(grow_paths(gs, sched), 1, 2 * sched.d + 1):
+        for k, window, words in islice(grow_paths(sched), 1, 2 * sched.d + 1):
             j, a = sched.decompose(k)
             expected = set()
-            leading = leading_sets(gs, sched, j)[a]
+            leading = sched.leading_sets(j)[a]
             for lead in leading:
                 for tail in product(crystal.elements, repeat=j - 1):
                     expected.add((lead,) + tail)
