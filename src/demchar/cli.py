@@ -98,9 +98,10 @@ def _require_letter(crystal: PerfectCrystal, b: str) -> str:
     return b
 
 
-def _require_nonnegative(option: str, value: int | None) -> None:
-    if value is not None and value < 0:
-        raise ConfigError(f"{option} must be nonnegative, got {value}")
+def _require_at_least(option: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        bound = f"at least {low}" if low else "nonnegative"
+        raise ConfigError(f"{option} must be {bound}, got {value}")
 
 
 def _parse_lambda_node(text: str, size: int) -> int:
@@ -390,7 +391,7 @@ def cmd_verify(args) -> int:
         _emit(_json_text(report), args.out)
         return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
     if args.suite == "character":
-        _require_nonnegative("--kmax", args.kmax)
+        _require_at_least("--kmax", args.kmax, 0)
         crystal = _crystal(args.type, args.rank)
         cases = []
         failed = False
@@ -402,12 +403,14 @@ def cmd_verify(args) -> int:
                 except ValueError:
                     continue
                 k_max = args.kmax if args.kmax is not None else 2 * schedule.d
-                mismatches = [
-                    k
-                    for k in range(k_max + 1)
-                    if character_by_paths(schedule, k)
-                    != character_by_operators(schedule, k)
-                ]
+                mismatches = []
+                for k in range(k_max + 1):
+                    chi = character_by_paths(schedule, k)
+                    j, rest = divmod(k, schedule.d)
+                    if chi != character_by_operators(schedule, k) or (
+                        k and not rest and chi != character_at_full_segment(schedule, j)
+                    ):
+                        mismatches.append(k)
                 failed = failed or bool(mismatches)
                 cases.append(
                     {
@@ -426,7 +429,7 @@ def cmd_verify(args) -> int:
         _emit(_json_text(obj), args.out)
         return EXIT_MISMATCH if failed else EXIT_OK
     if args.suite == "perfect":
-        _require_nonnegative("--level", args.level)
+        _require_at_least("--level", args.level, 1)
         crystal = _crystal(args.type, args.rank)
         report = verify_perfect(crystal, args.level)
         obj = {
@@ -445,7 +448,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decomp_search(args) -> int:
-    _require_nonnegative("--level", args.level)
+    _require_at_least("--level", args.level, 1)
     crystal = _crystal(args.type, args.rank)
     entries = []
     all_found = True

@@ -5,16 +5,18 @@ a ``paths.Schedule`` (full closure per segment, boundary capacity,
 ascending reflection word), constructs the path set after k steps two
 independent ways (direct product shape versus step-by-step lowering
 closure), and computes the Demazure character both as a sum over paths
-and by iterated Demazure operators. ``demazure_schedule``, the one
-schedule builder, lives in ``paths`` and is importable from here.
+(the segment sum of ``onedsums`` over one listing of the tails, without
+building the path set) and by iterated Demazure operators.
+``demazure_schedule``, the one schedule builder, lives in ``paths`` and
+is importable from here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
+from .onedsums import _segment_character, _walker_terms
 from .paths import Schedule, Word, demazure_schedule, paths_at_step
 from .weights import FormalCharacter, WeylElement, demazure_step
 
@@ -123,12 +125,10 @@ def demazure_paths(s: Schedule, k: int, method: str = "product") -> DemazureCrys
 
 def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
     """Sum of e^{weight} over the path set after k steps, with exact
-    delta-coordinates.  Each path's weight is an int key
-    (``GroundState.path_key``); Weights are built once per distinct key."""
-    pc = demazure_paths(s, k)
-    return FormalCharacter.from_keys(
-        Counter(s.ground.path_key(pc.window, word) for word in pc.words)
-    )
+    delta-coordinates, read as the segment sum over one listing of the
+    tails: the path set itself is never built."""
+    j, a = s.decompose(k)
+    return _segment_character(s, j, a, _walker_terms(s.crystal, j - 1))
 
 
 def character_by_operators(s: Schedule, k: int) -> FormalCharacter:

@@ -30,15 +30,18 @@ a window, a letter is skipped when the weight left after it lies
 outside the box the remaining letters can reach, so the memos hold no
 dead states.  The enumeration route lists every tail once, depth first,
 on the same tables, and shares no other code or memo with the recursion
-route.  The full-segment characters read the kernel straight into int
-keys and build their Weights once per term.
+route.
+
+The scheduled characters are one segment sum over the leading letters
+of a step (``_segment_character``), read from either g source: the tail
+walker for ``demazure.character_by_paths``, the kernel for
+``character_via_onedsums`` and ``character_at_full_segment``.
 
 Also here: the reflection identity relating the unrestricted sum along
 an f-string to its reflected weights, a search for f-string
 decompositions of the non-admissible set, the Kostka-Foulkes
-specialization over symmetric-power crystals, the large-window
-stabilization toward string and branching functions, and the rewriting
-of scheduled path characters through the unrestricted sum.
+specialization over symmetric-power crystals, and the large-window
+stabilization toward string and branching functions.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import inf
 from operator import add, le, sub
 from typing import Iterable, Sequence
@@ -279,10 +282,23 @@ def _walk_tails(
     return buckets
 
 
-def _head_terms(crystal: PerfectCrystal, b: Element, j: int, first, counts: Counter):
-    """(energy, count) pairs of one bucket read under the head letter b."""
-    shift = 0 if first is None else j * crystal.energy(b, first)
-    return ((e + shift, c) for e, c in counts.items())
+def _head_terms(
+    crystal: PerfectCrystal, buckets: dict[tuple, Counter], b: Element, j: int
+):
+    """(end state, energy, count) of every head-b word, read from the
+    buckets of one listing of the length-j tails."""
+    for (first, state), counts in buckets.items():
+        shift = 0 if first is None else j * crystal.energy(b, first)
+        for e, c in counts.items():
+            yield state, e + shift, c
+
+
+def _walker_terms(crystal: PerfectCrystal, j: int):
+    """The enumeration source of head sums of length j: one listing of
+    the length-j tails, read under each head letter as (tail coords,
+    energy, count)."""
+    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
+    return partial(_head_terms, crystal, buckets)
 
 
 def _read(
@@ -294,10 +310,7 @@ def _read(
 ) -> LaurentPoly:
     """Energy polynomial of the head-b words whose tails end at ``end``."""
     return LaurentPoly.from_terms(
-        pair
-        for (first, state), counts in buckets.items()
-        if state == end
-        for pair in _head_terms(crystal, b, j, first, counts)
+        (e, c) for state, e, c in _head_terms(crystal, buckets, b, j) if state == end
     )
 
 
@@ -320,14 +333,12 @@ def g_enumerate_table(
     equals ``g_enumerate(crystal, b, Weight(coords), j)``."""
     if j < 0:
         raise ValueError("length must be nonnegative")
-    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
+    terms = _walker_terms(crystal, j)
     pairs: dict[tuple[Element, tuple[int, ...]], list] = {}
-    for (first, coords), counts in buckets.items():
-        for b in crystal.elements:
-            pairs.setdefault((b, coords), []).extend(
-                _head_terms(crystal, b, j, first, counts)
-            )
-    return {key: LaurentPoly.from_terms(terms) for key, terms in pairs.items()}
+    for b in crystal.elements:
+        for coords, e, c in terms(b, j):
+            pairs.setdefault((b, coords), []).append((e, c))
+    return {key: LaurentPoly.from_terms(found) for key, found in pairs.items()}
 
 
 @cache
@@ -753,53 +764,53 @@ def stabilized_limit(
 
 
 # ---------------------------------------------------------------------------
-# Scheduled path characters through the unrestricted sum
+# Scheduled path characters: one segment sum over two g sources
 
 
-def _add_terms(
-    acc: dict[tuple[int, ...], int],
-    coords: tuple[int, ...],
-    cj: int,
-    value: tuple | None,
-    shift: int = 0,
-) -> None:
-    """Add the terms of a g kernel value, times q^shift, to int keys
-    (*coords, cj - exponent).  The callers read the kernel directly, with
-    no level check: a tail weight is a sum of letter weights, and those
-    have level zero."""
-    if value is None:
-        return
-    low, coeffs = value
-    for exp, coeff in enumerate(coeffs, low + shift):
-        if coeff:
-            key = (*coords, cj - exp)
-            acc[key] = acc.get(key, 0) + coeff
+def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
+    """The recursion source of head sums: the kernel at every point of
+    the tail-weight support, as (tail coords, energy, count).  It reads
+    the kernel directly, with no level check: a tail weight is a sum of
+    letter weights, and those have level zero."""
+    rec = _recursion(crystal, (), False, None)
+    t = crystal.index(b)
+    for coords in tail_weight_support(crystal, m):
+        value = rec(t, (), coords, m)
+        if value is not None:
+            low, coeffs = value
+            for e, c in enumerate(coeffs, low):
+                yield coords, e, c
+
+
+def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
+    """Character of the path set at step a of segment j, as a sum over
+    its leading letters b of e^(lam_j + wt b) q^(j H(bbar(j+1), b)) times
+    the head-b sums of length j - 1, which ``terms(b, j - 1)`` yields as
+    (tail coords, energy, count); a term's delta-coordinate is c(j) minus
+    its whole energy.  Step a = 0 leads with the ground-state letter
+    bbar(j) alone and needs no closure: step 0 is (1, 0), and j whole
+    segments are (j + 1, 0)."""
+    gs, crystal = s.ground, s.crystal
+    cj = gs.c(j)
+    above = gs.bar(j + 1)
+    lam_j = gs.window_weight(j).lambda_coords
+    leading = s.leading_sets(j)[a] if a else {gs.bar(j)}
+    acc: dict[tuple[int, ...], int] = {}
+    for b in leading:
+        base = tuple(map(add, lam_j, crystal.weight_table[crystal.index(b)]))
+        delta = cj - j * crystal.energy(above, b)
+        for coords, e, c in terms(b, j - 1):
+            key = (*map(add, base, coords), delta - e)
+            acc[key] = acc.get(key, 0) + c
+    return FormalCharacter.from_keys(acc)
 
 
 def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:
     """Character of the step-k path set, rewritten as a weight-indexed
     superposition of unrestricted sums one window shorter, with the
     leading letter summed over the current leading set."""
-    if k < 0:
-        raise ValueError("steps must be nonnegative")
-    gs, crystal = s.ground, s.crystal
-    if k == 0:
-        return FormalCharacter.monomial(gs.window_weight(0))
     j, a = s.decompose(k)
-    cj = gs.c(j)
-    head = gs.bar(j + 1)
-    lam_j = gs.window_weight(j).lambda_coords
-    rec = _recursion(crystal, (), False, None)
-    support = tail_weight_support(crystal, j - 1)
-    acc: dict[tuple[int, ...], int] = {}
-    for b in s.leading_sets(j)[a]:
-        t = crystal.index(b)
-        head_shift = j * crystal.energy(head, b)
-        base = tuple(map(add, lam_j, crystal.weight_table[t]))
-        for coords in support:
-            value = rec(t, (), coords, j - 1)
-            _add_terms(acc, tuple(map(add, base, coords)), cj, value, head_shift)
-    return FormalCharacter.from_keys(acc)
+    return _segment_character(s, j, a, partial(_kernel_terms, s.crystal))
 
 
 def character_at_full_segment(s: Schedule, j: int) -> FormalCharacter:
@@ -807,14 +818,4 @@ def character_at_full_segment(s: Schedule, j: int) -> FormalCharacter:
     with the ground-state letter above the window as head."""
     if j < 0:
         raise ValueError("segments must be nonnegative")
-    gs, crystal = s.ground, s.crystal
-    if j == 0:
-        return FormalCharacter.monomial(gs.window_weight(0))
-    cj = gs.c(j)
-    head = crystal.index(gs.bar(j + 1))
-    lam_j = gs.window_weight(j).lambda_coords
-    rec = _recursion(crystal, (), False, None)
-    acc: dict[tuple[int, ...], int] = {}
-    for coords in tail_weight_support(crystal, j):
-        _add_terms(acc, tuple(map(add, lam_j, coords)), cj, rec(head, (), coords, j))
-    return FormalCharacter.from_keys(acc)
+    return _segment_character(s, j + 1, 0, partial(_kernel_terms, s.crystal))

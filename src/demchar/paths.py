@@ -110,10 +110,9 @@ class GroundState:
         moved[idx - 1] = self.crystal.e(i, moved[idx - 1])
         return tuple(moved)
 
-    def path_key(self, j: int, word: Word) -> tuple[int, ...]:
-        """Affine weight of a window-j path, ground-state normalized, as
-        plain ints: its coordinates followed by its delta-coordinate.
-        Read off the crystal's weight and energy tables."""
+    def path_weight(self, j: int, word: Word) -> Weight:
+        """Affine weight of a window-j path, ground-state normalized, read
+        off the crystal's weight and energy tables."""
         crystal = self.crystal
         wts, energy = crystal.weight_table, crystal.energy_table
         letters = [crystal.index(b) for b in word]
@@ -124,12 +123,7 @@ class GroundState:
         for position, t in zip(range(j, 0, -1), letters):
             total += position * energy[prev][t]
             prev = t
-        return (*coords, self.c(j) - total)
-
-    def path_weight(self, j: int, word: Word) -> Weight:
-        """Affine weight of a window-j path, ground-state normalized."""
-        *coords, delta = self.path_key(j, word)
-        return Weight(tuple(coords), delta)
+        return Weight(tuple(coords), self.c(j) - total)
 
 
 def scheduled_nodes(family: str, n: int) -> tuple[int, ...]:
@@ -231,11 +225,12 @@ class Schedule:
         raise ValueError(f"no schedule for family {fam}")
 
     def decompose(self, k: int) -> tuple[int, int]:
-        """Split a global step k >= 1 into (segment, step-in-segment)."""
-        if k < 1:
-            raise ValueError("global steps start at 1")
-        j, a = divmod(k - 1, self.d)
-        return j + 1, a + 1
+        """Split a global step k >= 0 into (segment, step-in-segment).
+        Step 0 is (1, 0): segment 1 before its first lowering."""
+        if k < 0:
+            raise ValueError("steps must be nonnegative")
+        j = max(1, -(-k // self.d))
+        return j, k - (j - 1) * self.d
 
     def flat_index(self, k: int) -> int:
         j, a = self.decompose(k)

@@ -524,6 +524,19 @@ class TestVerify:
         ]
         assert all(c["k_max"] == 7 and c["mismatches"] == [] for c in cases)
 
+    def test_character_suite_checks_full_segments(self, capsys, monkeypatch):
+        # A1 2 has two steps per segment, so k = 2 and 4 end a segment.
+        monkeypatch.setattr(
+            cli, "character_at_full_segment", lambda s, j: FormalCharacter()
+        )
+        code, out, _ = run(
+            capsys, "verify", "character", "--type", "A1", "--rank", "2",
+            "--kmax", "5",
+        )
+        assert code == 3
+        cases = json.loads(out)["cases"]
+        assert [c["mismatches"] for c in cases] == [[2, 4]] * 3
+
     def test_perfectness_suite(self, capsys):
         code, out, _ = run(
             capsys, "verify", "perfect", "--type", "A2odd", "--rank", "3"
@@ -536,23 +549,29 @@ class TestVerify:
         capsys.readouterr()
 
 
+BOUNDS = {"--kmax": "nonnegative", "--level": "at least 1"}
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
         (["verify", "character", "--type", "A1", "--rank", "1", "--kmax", "-1"], "--kmax"),
         (["verify", "perfect", "--type", "A1", "--rank", "1", "--level", "-2"], "--level"),
         (["decomp-search", "--type", "A1", "--rank", "1", "--level", "-1"], "--level"),
+        (["verify", "perfect", "--type", "A1", "--rank", "1", "--level", "0"], "--level"),
+        (["decomp-search", "--type", "A1", "--rank", "1", "--level", "0"], "--level"),
     ],
 )
 def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, option):
-    # a negative bound would check nothing and still report success
+    # a negative bound, or level 0, would check nothing and still report
+    # success
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "_crystal", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {option} must be nonnegative, got {argv[-1]}\n"
+    assert err == f"error: {option} must be {BOUNDS[option]}, got {argv[-1]}\n"
 
 
 class TestDecompSearch:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from demchar import demazure, onedsums, paths, weights
+from demchar import demazure, onedsums, weights
 from demchar.crystals import perfect_crystal
 from demchar.demazure import (
     ConditionReport,
@@ -240,7 +240,7 @@ class TestCharacterDetails:
 
     def test_routes_share_no_code(self, monkeypatch):
         # Each route gives its value with the other two routes' int-keyed
-        # cores patched to raise: the path weight, the Demazure step and
+        # cores patched to raise: the tail walker, the Demazure step and
         # the recursion kernel.
         s = make("D1", 4, 0)
         k = 2 * s.d
@@ -250,18 +250,29 @@ class TestCharacterDetails:
             raise AssertionError("another route's code ran")
 
         routes = {
-            "paths": (lambda: character_by_paths(s, k), "path_key"),
+            "paths": (lambda: character_by_paths(s, k), "_walk_tails"),
             "operators": (lambda: character_by_operators(s, k), "demazure_step"),
             "full segment": (lambda: onedsums.character_at_full_segment(s, 2), "_recursion"),
         }
         for name, (route, own) in routes.items():
             onedsums._recursion.cache_clear()
             with monkeypatch.context() as m:
-                if own != "path_key":
-                    m.setattr(paths.GroundState, "path_key", refuse)
+                if own != "_walk_tails":
+                    m.setattr(onedsums, "_walk_tails", refuse)
                 if own != "demazure_step":
                     m.setattr(weights, "demazure_step", refuse)
                     m.setattr(demazure, "demazure_step", refuse)
                 if own != "_recursion":
                     m.setattr(onedsums, "_recursion", refuse)
                 assert route() == want, name
+
+    def test_paths_route_builds_no_path_set(self, monkeypatch):
+        s = make("D1", 4, 0)
+        k = 2 * s.d
+        want = character_by_operators(s, k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the path set was built")
+
+        monkeypatch.setattr(demazure, "demazure_paths", refuse)
+        assert character_by_paths(s, k) == want

@@ -910,27 +910,48 @@ def test_stringfn_stdout_matches_whole_polynomial_reference(capsys, family, n, m
 # Character bridge
 
 
-class TestCharacterBridge:
-    @pytest.mark.parametrize("family,n,node", SCHEDULED)
-    def test_matches_path_characters(self, family, n, node):
-        c = perfect_crystal(family, n)
-        s = demazure_schedule(c, c.cartan.fundamental_weight(node))
-        for k in range(2 * s.d + 1):
-            assert character_via_onedsums(s, k) == character_by_paths(s, k), (
-                family,
-                n,
-                node,
-                k,
-            )
+def level_one_nodes(family, n):
+    ct = perfect_crystal(family, n).cartan
+    return [i for i in ct.index_set if ct.level(ct.fundamental_weight(i)) == 1]
 
-    @pytest.mark.parametrize("family,n,node", SCHEDULED)
+
+LEVEL_ONE = [
+    (family, n, node)
+    for family, n in MINIMAL_RANKS
+    for node in level_one_nodes(family, n)
+]
+
+
+def every_variant(family, n, node):
+    """The schedules of a level-1 node, its own or a borrowed one, in
+    each variant that exists."""
+    c = perfect_crystal(family, n)
+    lam = c.cartan.fundamental_weight(node)
+    out = [demazure_schedule(c, lam)]
+    try:
+        out.append(demazure_schedule(c, lam, variant=2))
+    except ValueError:
+        pass
+    return out
+
+
+class TestCharacterBridge:
+    @pytest.mark.parametrize("family,n,node", LEVEL_ONE)
+    def test_matches_path_characters(self, family, n, node):
+        for s in every_variant(family, n, node):
+            for k in range(2 * s.d + 2):
+                assert character_via_onedsums(s, k) == character_by_paths(s, k), (
+                    s.variant,
+                    k,
+                )
+
+    @pytest.mark.parametrize("family,n,node", LEVEL_ONE)
     def test_full_segments_match(self, family, n, node):
-        c = perfect_crystal(family, n)
-        s = demazure_schedule(c, c.cartan.fundamental_weight(node))
-        for j in (0, 1, 2):
-            assert character_at_full_segment(s, j) == character_by_paths(
-                s, j * s.d
-            ), (family, n, node, j)
+        for s in every_variant(family, n, node):
+            for j in (0, 1, 2):
+                assert character_at_full_segment(s, j) == character_by_paths(
+                    s, j * s.d
+                ), (s.variant, j)
 
     def test_box_keeps_dead_states_out_of_the_memo(self):
         # Without the coordinate box the full-segment route leaves 23,601
