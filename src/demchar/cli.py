@@ -6,7 +6,8 @@ and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
 bytes.  --threads is accepted for compatibility and has no effect;
 every command runs on one thread.  A --format the subcommand cannot
-write (verify writes JSON only) exits 2 before any work is done.
+write (verify writes JSON only), or a negative count bound, exits 2
+before any work is done.
 character computes at the requested weight; a node without a family
 schedule borrows one through a diagram symmetry (demazure_schedule),
 recorded under "lambda" in the output.
@@ -31,6 +32,7 @@ from .formulas import verify_type
 from .onedsums import (
     StabilizationGuardError,
     character_at_full_segment,
+    character_via_onedsums,
     check_disjoint_decomposition,
     g_enumerate,
     g_recursive,
@@ -235,6 +237,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_character(args) -> int:
+    _require_at_least("--k", args.k, 0)
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
     requested = _parse_lambda_node(args.lam, size)
@@ -243,8 +246,6 @@ def cmd_character(args) -> int:
         schedule = demazure_schedule(crystal, lam, variant=args.variant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.k < 0:
-        raise ConfigError("step count must be nonnegative")
     characters = {}
     if args.method in ("paths", "both"):
         characters["paths"] = character_by_paths(schedule, args.k)
@@ -287,11 +288,10 @@ def cmd_character(args) -> int:
 
 
 def cmd_onedsum(args) -> int:
+    _require_at_least("--j", args.j, 0)
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
     b = _require_letter(crystal, args.b)
-    if args.j < 0:
-        raise ConfigError("window length must be nonnegative")
     params: dict = {"type": args.type, "rank": args.rank, "b": b, "j": args.j}
     method_name = args.method
     if args.kind == "g":
@@ -352,12 +352,12 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_stringfn(args) -> int:
+    _require_at_least("--M", args.M, 0)
+    _require_at_least("--max-window", args.max_window, 0)
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
     node = _parse_lambda_node(args.lam, size)
     lam = crystal.cartan.fundamental_weight(node)
-    if args.M < 0:
-        raise ConfigError("truncation degree must be nonnegative")
     mu = _parse_weight(args.mu, size) if args.mu else None
     try:
         poly = stabilized_limit(
@@ -384,6 +384,7 @@ def cmd_verify(args) -> int:
     if args.suite == "formulas":
         if args.jmax is None:
             raise ConfigError("verify formulas needs --jmax")
+        _require_at_least("--jmax", args.jmax, 0)
         try:
             report = verify_type(args.type, args.jmax, args.rank)
         except ValueError as exc:
@@ -407,8 +408,10 @@ def cmd_verify(args) -> int:
                 for k in range(k_max + 1):
                     chi = character_by_paths(schedule, k)
                     j, rest = divmod(k, schedule.d)
-                    if chi != character_by_operators(schedule, k) or (
-                        k and not rest and chi != character_at_full_segment(schedule, j)
+                    if (
+                        chi != character_by_operators(schedule, k)
+                        or chi != character_via_onedsums(schedule, k)
+                        or (k and not rest and chi != character_at_full_segment(schedule, j))
                     ):
                         mismatches.append(k)
                 failed = failed or bool(mismatches)

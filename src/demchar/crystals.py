@@ -107,12 +107,6 @@ class PerfectCrystal:
     def epsilon_weight(self, b: Element) -> Weight:
         return Weight(tuple(self._eps[(i, b)] for i in self.cartan.index_set))
 
-    def minimal_elements(self, level: int) -> list[Element]:
-        """Elements whose epsilon-weight has the given level."""
-        return [
-            b for b in self.elements if self.cartan.level(self.epsilon_weight(b)) == level
-        ]
-
     def ground_element(self, lam: Weight) -> Element:
         """The unique element whose phi-weight equals lam classically."""
         hits = [
@@ -135,14 +129,6 @@ class PerfectCrystal:
             cur = self.sigma(cur)
             period += 1
         return period
-
-    def level_one_dominant(self) -> list[Weight]:
-        """Dominant classical weights of level 1 in this family."""
-        return [
-            self.cartan.fundamental_weight(i)
-            for i, c in enumerate(self.cartan.comarks)
-            if c == 1
-        ]
 
     def to_dot(self) -> str:
         """Graphviz rendering with deterministic node and edge order."""

@@ -33,10 +33,6 @@ class ConditionReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def first_violation(self) -> str | None:
-        return self.violations[0] if self.violations else None
-
 
 def check_conditions(s: Schedule, j_max: int) -> ConditionReport:
     """Verify, for every segment up to j_max: the lowering closure reaches
@@ -89,10 +85,6 @@ class DemazureCrystal:
     window: int
     words: frozenset[Word]
     weyl_word: tuple[int, ...]
-
-    @property
-    def path_count(self) -> int:
-        return len(self.words)
 
 
 def demazure_paths(s: Schedule, k: int, method: str = "product") -> DemazureCrystal:

@@ -24,8 +24,6 @@ from .qring import (
 )
 from .weights import FAMILIES, Weight
 
-FAMILY_KEYS = FAMILIES
-
 Element = str
 MuParam = tuple[int, ...]
 
@@ -45,7 +43,7 @@ def rank_of(family: str, mu: Sequence[int]) -> int:
         if len(mu) < 2:
             raise ValueError("letter-count vector needs at least two entries")
         return len(mu) - 1
-    if family not in FAMILY_KEYS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not mu:
         raise ValueError("parameter vector must be nonempty")
@@ -98,7 +96,7 @@ def mu_from_weight(
         if mu[-1] - mu[0] != c[0]:
             raise ValueError("weight is not level zero")
         return mu
-    if family not in FAMILY_KEYS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     m = [0] * (rank + 1)
     if family == "D1":

@@ -37,11 +37,12 @@ of a step (``_segment_character``), read from either g source: the tail
 walker for ``demazure.character_by_paths``, the kernel for
 ``character_via_onedsums`` and ``character_at_full_segment``.
 
-Also here: the reflection identity relating the unrestricted sum along
-an f-string to its reflected weights, a search for f-string
-decompositions of the non-admissible set, the Kostka-Foulkes
-specialization over symmetric-power crystals, and the large-window
-stabilization toward string and branching functions.
+Also here: a search for f-string decompositions of the non-admissible
+set, the Kostka-Foulkes specialization over symmetric-power crystals,
+and the large-window stabilization toward string and branching
+functions.  The reflection identity relating the unrestricted sum along
+an f-string to its reflected weights is a test reference
+(``tests/brute.py``) evaluated on ``g_recursive``.
 """
 
 from __future__ import annotations
@@ -357,28 +358,6 @@ def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int,
             for wt in letters
         }
     return frozenset(sums)
-
-
-def check_2m_relation(
-    crystal: PerfectCrystal, b: Element, i: int, mu: Weight, j: int
-) -> bool:
-    """Compare the two f-string sums of the unrestricted 1dsum: weights
-    shifted t steps along the root versus their reflections, each side
-    twisted by q^(t*j) at the node-0 index. Exact evaluation."""
-    ct = crystal.cartan
-    m = crystal.phi(i, b)
-    alpha = ct.simple_root(i)
-    twist = j if i == 0 else 0
-    lhs = ZERO
-    rhs = ZERO
-    cur = b
-    for t in range(m + 1):
-        lhs = lhs + g_recursive(crystal, cur, mu + t * alpha, j).shift(t * twist)
-        reflected = ct.reflect(mu + (m - t) * alpha, i)
-        rhs = rhs + g_recursive(crystal, cur, reflected, j).shift(t * twist)
-        if t < m:
-            cur = crystal.f(i, cur)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,24 @@ capacity and lowering capacity given by the window weight. Path sets for
 the Demazure recursion grow by repeated lowering along a per-family
 schedule of Dynkin indices, widening the window by one ground-state
 letter at each segment boundary.
+
+``Schedule`` is the one schedule type and ``demazure_schedule`` its one
+builder. The path sets themselves (``grow_paths``, ``paths_at_step``,
+``GroundState.path_f``/``path_e``) restate the paper's construction,
+which ``demazure.demazure_paths`` compares with the product form; the
+character routes read the schedule and the ground state but never build
+a path set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
 from .crystals import Element, PerfectCrystal, verify_perfect
-from .tensor import TensorWord, signature_scan
-from .weights import Weight, WeylElement
+from .tensor import signature_scan
+from .weights import Weight
 
 Word = tuple[Element, ...]
 
@@ -149,16 +156,13 @@ class Schedule:
     borrows the rule of lam_node through a diagram symmetry: node_map
     sends each node to its image (the requested node to lam_node) and is
     empty when the rule applies directly. The ground state sits at the
-    requested node's fundamental weight. Point overrides (segment, step,
-    index) take precedence over the family rule; they exist to feed
-    deliberately broken tables to the condition checks.
+    requested node's fundamental weight.
     """
 
     ground: GroundState
     lam_node: int
     d: int
     variant: int = 1
-    overrides: tuple[tuple[int, int, int], ...] = ()
     node_map: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -184,9 +188,6 @@ class Schedule:
         """Lowering index at step a (1-based) of segment j (1-based)."""
         if not 1 <= a <= self.d:
             raise ValueError(f"step {a} outside 1..{self.d}")
-        for jj, aa, ii in self.overrides:
-            if (jj, aa) == (j, a):
-                return ii
         i = self._family_index(j, a)
         return self.node_map.index(i) if self.node_map else i
 
@@ -240,12 +241,6 @@ class Schedule:
         """Word of the Weyl element after k steps, newest reflection first."""
         return tuple(self.flat_index(m) for m in range(k, 0, -1))
 
-    def weyl_element(self, k: int) -> WeylElement:
-        elem = WeylElement.identity(self.crystal.cartan)
-        for m in range(1, k + 1):
-            elem = elem.prepend(self.flat_index(m))
-        return elem
-
     def leading_sets(self, j: int) -> list[set[Element]]:
         """Growing leftmost-factor sets B_0 .. B_d within segment j, from
         the ground-state letter through the full crystal."""
@@ -255,18 +250,6 @@ class Schedule:
             i = self.index(j, a)
             sets.append(_closure(sets[-1], lambda b: crystal.f(i, b)))
         return sets
-
-    def with_index_override(self, j: int, a: int, i: int) -> "Schedule":
-        """Copy whose table answers i at segment j, step a."""
-        if i not in self.crystal.cartan.index_set:
-            raise ValueError(f"{i} is not a Dynkin index")
-        return replace(self, overrides=self.overrides + ((j, a, i),))
-
-    def with_shortened_table(self) -> "Schedule":
-        """Copy whose segments stop one lowering step early."""
-        if self.d < 2:
-            raise ValueError("table too short to shorten")
-        return replace(self, d=self.d - 1)
 
 
 def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
@@ -412,31 +395,3 @@ def paths_at_step(s: Schedule, k: int) -> tuple[int, set[Word]]:
         if step == k:
             return window, words
     raise AssertionError("unreachable")
-
-
-def enumerate_paths(
-    crystal: PerfectCrystal, head: Element, mu: Weight, j: int
-) -> list[TensorWord]:
-    """Words (head, b_j, ..., b_1) whose length-j tail carries classical
-    weight mu; the head contributes energy but not weight.
-
-    Deterministic order: tails sorted by element index, leftmost first.
-    """
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    target = mu.lambda_coords
-    zero = Weight.zero(crystal.cartan.size)
-    out: list[TensorWord] = []
-
-    def extend(tail: list[Element], acc: Weight) -> None:
-        if len(tail) == j:
-            if acc.lambda_coords == target:
-                out.append(TensorWord(crystal, (head, *tail)))
-            return
-        for b in crystal.elements:
-            tail.append(b)
-            extend(tail, acc + crystal.weight(b))
-            tail.pop()
-
-    extend([], zero)
-    return out

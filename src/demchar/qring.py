@@ -8,7 +8,6 @@ the empty term map.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -105,13 +104,6 @@ class LaurentPoly:
             return self
         return LaurentPoly({e + offset: c for e, c in self._terms.items()}, _trusted=True)
 
-    def scale_exponents(self, factor: int) -> "LaurentPoly":
-        """Substitute q -> q^factor (factor a positive integer)."""
-        factor = _integral(factor)
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return LaurentPoly({e * factor: c for e, c in self._terms.items()}, _trusted=True)
-
     def truncate(self, max_exp: int) -> "LaurentPoly":
         """Drop all terms with exponent strictly above max_exp."""
         cap = _integral(max_exp)
@@ -198,9 +190,6 @@ class LaurentPoly:
         """
         return {"terms": [[2 * e, str(c)] for e, c in self.terms()]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
         """Inverse of :meth:`to_json_obj`; an odd doubled exponent is a
@@ -212,10 +201,6 @@ class LaurentPoly:
                 raise ValueError(f"doubled exponent {doubled} is odd")
             terms[exp] = int(coeff)
         return cls(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(text))
 
 
 ZERO = LaurentPoly.zero()

@@ -114,27 +114,3 @@ class TensorWord:
         for k in range(1, len(self.factors)):
             total += k * self.crystal.energy(self.factor(k + 1), self.factor(k))
         return total
-
-
-def all_words(crystal: PerfectCrystal, length: int) -> Iterable[TensorWord]:
-    """All tensor words of the given length, rightmost factor varying fastest."""
-    if length == 0:
-        yield TensorWord(crystal, ())
-        return
-    for shorter in all_words(crystal, length - 1):
-        for b in crystal.elements:
-            yield TensorWord(crystal, shorter.factors + (b,))
-
-
-def energy_shift_under_raising(i: int, word: TensorWord, n: int) -> int:
-    """Energy difference E(e_i^n applied to word) - E(word).
-
-    The n-fold raising must stay nonzero; raises ValueError otherwise.
-    """
-    raised = word
-    for _ in range(n):
-        nxt = raised.e(i)
-        if nxt is None:
-            raise ValueError(f"raising by node {i} kills the word after {n} steps")
-        raised = nxt
-    return raised.energy() - word.energy()

@@ -1,22 +1,24 @@
-"""Affine weight lattices, Cartan data, and Weyl groups.
+"""Affine weight lattices, Cartan data, Weyl group elements and the
+Demazure step.
 
 Covers six families of affine Kac-Moody types with node set {0..n}:
 untwisted A, B, D and twisted A (odd and even) and D. Weights carry
 integer coordinates in the fundamental-weight basis plus a separate
-integer delta coordinate; Weyl group elements track both their action
-on weights and their inverse's action on the simple-root basis (for
-Bruhat tests).
+integer delta coordinate. A Weyl group element tracks both its action
+on weights and its inverse's action on the simple-root basis, so a
+reflection word can be checked to ascend in Bruhat length step by step
+(``demazure.check_conditions``). The Demazure operator runs on int
+keys (*coordinates, delta) in ``demazure_step``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .qring import LaurentPoly, _integral
+from .qring import _integral
 
 FAMILIES = ("A1", "B1", "D1", "A2odd", "A2even", "D2")
 
@@ -130,33 +132,12 @@ class CartanType:
         coords = tuple(self.matrix[j][i] for j in range(self.size))
         return Weight(coords, 1 if i == 0 else 0)
 
-    def null_root(self) -> Weight:
-        return Weight((0,) * self.size, 1)
-
     def rho(self) -> Weight:
         """Sum of all fundamental weights."""
         return Weight((1,) * self.size)
 
     def level(self, w: Weight) -> int:
         return sum(c * m for c, m in zip(self.comarks, w.lambda_coords))
-
-    def bar_coords(self, w: Weight) -> tuple[int, ...]:
-        """Coordinates at nodes 1..n only (Lambda_0 and delta forgotten)."""
-        return w.lambda_coords[1:]
-
-    def level_zero(self, upper_coords: Sequence[int]) -> Weight | None:
-        """The unique level-zero weight with given coordinates at nodes 1..n.
-
-        Returns None when no such weight exists in the integral lattice
-        (possible only when the node-0 comark exceeds 1).
-        """
-        upper = tuple(upper_coords)
-        if len(upper) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(upper)}")
-        head, rem = divmod(-sum(c * m for c, m in zip(self.comarks[1:], upper)), self.comarks[0])
-        if rem:
-            return None
-        return Weight((head,) + upper)
 
     def reflect(self, w: Weight, i: int) -> Weight:
         """Simple reflection r_i acting on a weight."""
@@ -356,41 +337,6 @@ class WeylElement:
         return f"WeylElement({self.word})"
 
 
-def weyl_by_length(
-    ct: CartanType,
-    generators: Sequence[int] | None = None,
-    max_length: int | None = None,
-) -> Iterator[list[WeylElement]]:
-    """Yield lists of distinct Weyl elements grouped by increasing length.
-
-    Stops when the group is exhausted or max_length is passed. With the
-    classical generator subset the iteration always terminates; with all
-    generators the group is infinite, so provide max_length or break.
-    """
-    gens = tuple(ct.index_set if generators is None else generators)
-    seen = {_identity(ct.size + 1)}
-    frontier = [WeylElement.identity(ct)]
-    length = 0
-    while frontier and (max_length is None or length <= max_length):
-        yield frontier
-        nxt: dict[tuple, WeylElement] = {}
-        for w in frontier:
-            for i in gens:
-                if not w.is_ascent(i):
-                    continue
-                extended = w.prepend(i)
-                if extended.mat not in seen and extended.mat not in nxt:
-                    nxt[extended.mat] = extended
-        seen.update(nxt)
-        frontier = sorted(nxt.values(), key=lambda w: w.word)
-        length += 1
-
-
-def finite_weyl_group(ct: CartanType, generators: Sequence[int]) -> list[WeylElement]:
-    """All elements generated by the given reflections (must be finite)."""
-    return [w for shell in weyl_by_length(ct, generators) for w in shell]
-
-
 def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
     """All classical dominant weights of the given level, sorted by coordinates.
 
@@ -421,9 +367,9 @@ def _weight_sort_key(w: Weight) -> tuple:
 class FormalCharacter:
     """Finite integer combination of formal exponentials of affine weights.
 
-    Stored as a weight -> coefficient map with no zero entries. Supports ring
-    operations (the product is the convolution of exponents) and a projection
-    to per-classical-weight Laurent polynomials in q = (exponential of -delta).
+    Stored as a weight -> coefficient map with no zero entries. The
+    character routes build one from int keys (*coordinates, delta) and
+    compare, add and write it; all other arithmetic runs on the int keys.
     """
 
     __slots__ = ("_coeffs",)
@@ -432,19 +378,8 @@ class FormalCharacter:
         self._coeffs = {w: _integral(c) for w, c in (coeffs or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "FormalCharacter":
-        return cls()
-
-    @classmethod
     def monomial(cls, w: Weight, coeff: int = 1) -> "FormalCharacter":
         return cls({w: coeff})
-
-    @classmethod
-    def from_weights(cls, weights: Iterable[Weight]) -> "FormalCharacter":
-        data: dict[Weight, int] = {}
-        for w in weights:
-            data[w] = data.get(w, 0) + 1
-        return cls(data)
 
     @classmethod
     def from_keys(cls, counts: Mapping[tuple[int, ...], int]) -> "FormalCharacter":
@@ -455,24 +390,8 @@ class FormalCharacter:
         """Coefficients keyed by (*coordinates, delta), as ``from_keys`` reads."""
         return {(*w.lambda_coords, w.delta_coord): c for w, c in self._coeffs.items()}
 
-    def coeff(self, w: Weight) -> int:
-        return self._coeffs.get(w, 0)
-
     def terms(self) -> list[tuple[Weight, int]]:
         return sorted(self._coeffs.items(), key=lambda kv: _weight_sort_key(kv[0]))
-
-    def support(self) -> list[Weight]:
-        return [w for w, _ in self.terms()]
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def term_count(self) -> int:
-        return len(self._coeffs)
-
-    def eval_dimension(self) -> int:
-        """Sum of all coefficients (the dimension when all are multiplicities)."""
-        return sum(self._coeffs.values())
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -482,9 +401,6 @@ class FormalCharacter:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
         if not isinstance(other, FormalCharacter):
             return NotImplemented
@@ -492,57 +408,6 @@ class FormalCharacter:
         for w, c in other._coeffs.items():
             data[w] = data.get(w, 0) + c
         return FormalCharacter(data)
-
-    def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        data = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            data[w] = data.get(w, 0) - c
-        return FormalCharacter(data)
-
-    def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter({w: -c for w, c in self._coeffs.items()})
-
-    def __mul__(self, other: "FormalCharacter | int") -> "FormalCharacter":
-        if isinstance(other, int):
-            return FormalCharacter({w: c * other for w, c in self._coeffs.items()})
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        data: dict[Weight, int] = {}
-        for w1, c1 in self._coeffs.items():
-            for w2, c2 in other._coeffs.items():
-                w = w1 + w2
-                data[w] = data.get(w, 0) + c1 * c2
-        return FormalCharacter(data)
-
-    __rmul__ = __mul__
-
-    def shift(self, w: Weight) -> "FormalCharacter":
-        """Multiplication by a single exponential."""
-        return FormalCharacter({wt + w: c for wt, c in self._coeffs.items()})
-
-    def by_classical(self) -> dict[tuple[int, ...], LaurentPoly]:
-        """Group terms by classical weight; delta exponents become q-powers.
-
-        The convention q = (exponential of -delta) turns the coefficient of
-        each classical weight into a Laurent polynomial in q.
-        """
-        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for w, c in self._coeffs.items():
-            grouped.setdefault(w.lambda_coords, []).append((-w.delta_coord, c))
-        return {
-            coords: LaurentPoly.from_terms(pairs) for coords, pairs in grouped.items()
-        }
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            prefix = "" if c == 1 else f"{c}*"
-            parts.append(f"{prefix}e({w})")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"FormalCharacter({self._coeffs!r})"
@@ -552,10 +417,6 @@ class FormalCharacter:
             {"weight": w.to_json_obj(), "coeff": c}
             for w, c in self.terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "FormalCharacter":
-        return cls({Weight.from_json_obj(t["weight"]): t["coeff"] for t in obj})
 
 
 def demazure_step(
@@ -583,9 +444,3 @@ def demazure_step(
                 mu = tuple(map(add, mu, alpha))
                 out[mu] = out.get(mu, 0) - c
     return {key: c for key, c in out.items() if c}
-
-
-def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
-    """Demazure operator D_i extended linearly over a formal character:
-    ``demazure_step`` on the int keys of chi, wrapped back into Weights."""
-    return FormalCharacter.from_keys(demazure_step(ct, i, chi.to_keys()))

@@ -9,6 +9,7 @@ statistic, semistandard tableaux).
 import json
 import random
 
+from brute import all_words, check_2m_relation, enumerate_paths
 from oracles import (
     colored_partition_counts,
     kostka_foulkes_by_charge,
@@ -26,7 +27,6 @@ from demchar.demazure import (
 )
 from demchar.formulas import verify_type
 from demchar.onedsums import (
-    check_2m_relation,
     check_disjoint_decomposition,
     g_enumerate,
     g_recursive,
@@ -37,9 +37,8 @@ from demchar.onedsums import (
     x_enumerate,
     x_recursive,
 )
-from demchar.paths import GroundState, enumerate_paths, scheduled_nodes
+from demchar.paths import GroundState, scheduled_nodes
 from demchar.qring import ZERO, LaurentPoly
-from demchar.tensor import all_words
 from demchar.weights import Weight, dominant_classical_weights
 
 MINIMAL_RANKS = [

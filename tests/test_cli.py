@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from brute import demazure_op
+
 import demchar
 from demchar import cli
 from demchar.cli import main
 from demchar.crystals import perfect_crystal
-from demchar.weights import FormalCharacter, demazure_op
+from demchar.weights import FormalCharacter
 
 
 def run(capsys, *argv):
@@ -127,7 +129,7 @@ class TestCharacter:
         chi = FormalCharacter.monomial(ct.fundamental_weight(node))
         for i in obj["word"]:
             chi = demazure_op(ct, i, chi)
-        assert chi == FormalCharacter.from_json_obj(obj["characters"]["operators"])
+        assert chi.to_json_obj() == obj["characters"]["operators"]
 
     def test_relabeling_rejects_arrow_reversing_symmetries(self):
         # Cycle reflections preserve the Cartan matrix but turn the
@@ -524,18 +526,23 @@ class TestVerify:
         ]
         assert all(c["k_max"] == 7 and c["mismatches"] == [] for c in cases)
 
-    def test_character_suite_checks_full_segments(self, capsys, monkeypatch):
-        # A1 2 has two steps per segment, so k = 2 and 4 end a segment.
-        monkeypatch.setattr(
-            cli, "character_at_full_segment", lambda s, j: FormalCharacter()
-        )
+    @pytest.mark.parametrize(
+        "route",
+        ["character_at_full_segment", "character_via_onedsums", "character_by_operators"],
+    )
+    def test_character_suite_checks_full_segments(self, capsys, monkeypatch, route):
+        # Each route is diffed against the path route: A1 2 has two steps
+        # per segment, so the full-segment route runs at k = 2 and 4, the
+        # other two at every k.
+        mismatches = [2, 4] if route == "character_at_full_segment" else list(range(6))
+        monkeypatch.setattr(cli, route, lambda s, k: FormalCharacter())
         code, out, _ = run(
             capsys, "verify", "character", "--type", "A1", "--rank", "2",
             "--kmax", "5",
         )
         assert code == 3
         cases = json.loads(out)["cases"]
-        assert [c["mismatches"] for c in cases] == [[2, 4]] * 3
+        assert [c["mismatches"] for c in cases] == [mismatches] * 3
 
     def test_perfectness_suite(self, capsys):
         code, out, _ = run(
@@ -549,7 +556,15 @@ class TestVerify:
         capsys.readouterr()
 
 
-BOUNDS = {"--kmax": "nonnegative", "--level": "at least 1"}
+BOUNDS = {
+    "--kmax": "nonnegative",
+    "--level": "at least 1",
+    "--max-window": "nonnegative",
+    "--k": "nonnegative",
+    "--M": "nonnegative",
+    "--j": "nonnegative",
+    "--jmax": "nonnegative",
+}
 
 
 @pytest.mark.parametrize(
@@ -560,6 +575,13 @@ BOUNDS = {"--kmax": "nonnegative", "--level": "at least 1"}
         (["decomp-search", "--type", "A1", "--rank", "1", "--level", "-1"], "--level"),
         (["verify", "perfect", "--type", "A1", "--rank", "1", "--level", "0"], "--level"),
         (["decomp-search", "--type", "A1", "--rank", "1", "--level", "0"], "--level"),
+        (["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "2",
+          "--max-window", "-1"], "--max-window"),
+        (["character", "A1", "1", "--lambda", "L0", "--k", "-1"], "--k"),
+        (["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "-1"], "--M"),
+        (["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--mu", "0,0",
+          "--j", "-1"], "--j"),
+        (["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "-1"], "--jmax"),
     ],
 )
 def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, option):
@@ -569,6 +591,7 @@ def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, optio
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "_crystal", refuse)
+    monkeypatch.setattr(cli, "verify_type", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {option} must be {BOUNDS[option]}, got {argv[-1]}\n"

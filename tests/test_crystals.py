@@ -5,7 +5,7 @@ import math
 import pytest
 
 from demchar.crystals import barred, perfect_crystal, symmetric_crystal, verify_perfect
-from demchar.weights import Weight, cartan_type
+from demchar.weights import Weight, cartan_type, dominant_classical_weights
 
 CRYSTAL_KEYS = [
     ("A1", 1),
@@ -87,8 +87,9 @@ class TestStructure:
 
     def test_perfect_of_level_one(self, family, n):
         crystal = perfect_crystal(family, n)
-        minimal = crystal.minimal_elements(1)
-        dominants = {w.lambda_coords for w in crystal.level_one_dominant()}
+        ct = crystal.cartan
+        minimal = [b for b in crystal.elements if ct.level(crystal.epsilon_weight(b)) == 1]
+        dominants = {w.lambda_coords for w in dominant_classical_weights(ct, 1)}
         eps_images = {crystal.epsilon_weight(b).lambda_coords for b in minimal}
         phi_images = {crystal.phi_weight(b).lambda_coords for b in minimal}
         assert len(minimal) == len(dominants)
@@ -97,8 +98,9 @@ class TestStructure:
 
     def test_sigma_permutes_dominants(self, family, n):
         crystal = perfect_crystal(family, n)
-        dominants = {w.lambda_coords for w in crystal.level_one_dominant()}
-        images = {crystal.sigma(w).lambda_coords for w in crystal.level_one_dominant()}
+        level_one = dominant_classical_weights(crystal.cartan, 1)
+        dominants = {w.lambda_coords for w in level_one}
+        images = {crystal.sigma(w).lambda_coords for w in level_one}
         assert images == dominants
 
 

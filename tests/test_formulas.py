@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from demchar import formulas, onedsums
 from demchar.crystals import perfect_crystal
 from demchar.formulas import (
-    FAMILY_KEYS,
     g_closed_form,
     mu_from_weight,
     mu_to_weight,

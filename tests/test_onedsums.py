@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from brute import check_2m_relation, enumerate_paths, finite_weyl_group, weyl_by_length
 from oracles import (
     colored_partition_counts,
     kostka_foulkes_by_charge,
@@ -28,7 +29,6 @@ from demchar.onedsums import (
     StabilizationGuardError,
     character_at_full_segment,
     character_via_onedsums,
-    check_2m_relation,
     check_disjoint_decomposition,
     g_enumerate,
     g_enumerate_table,
@@ -41,15 +41,13 @@ from demchar.onedsums import (
     x_enumerate,
     x_recursive,
 )
-from demchar.paths import GroundState, enumerate_paths, scheduled_nodes
+from demchar.paths import GroundState, scheduled_nodes
 from demchar.qring import LaurentPoly
 from demchar.tensor import TensorWord
 from demchar.weights import (
     Weight,
     cartan_type,
     dominant_classical_weights,
-    finite_weyl_group,
-    weyl_by_length,
 )
 
 ZERO = LaurentPoly.from_terms([])

@@ -7,6 +7,8 @@ from itertools import islice, product
 
 import pytest
 
+from brute import enumerate_paths
+
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
     GroundState,
@@ -193,7 +195,7 @@ class TestSchedules:
             assert elem.is_ascent(i)
             elem = elem.prepend(i)
         assert elem.length == 2 * sched.d
-        assert elem == sched.weyl_element(2 * sched.d)
+        assert elem.word == sched.weyl_word(2 * sched.d)
 
     def test_growth_matches_product_structure(self, family, n, node):
         gs = make_ground_state(family, n, node)
@@ -348,8 +350,6 @@ class TestScheduleVariants:
 
 class TestEnumeratePaths:
     def test_zero_length(self):
-        from demchar.paths import enumerate_paths
-
         crystal = perfect_crystal("A1", 1)
         zero = Weight((0, 0))
         hits = enumerate_paths(crystal, "0", zero, 0)
@@ -358,8 +358,6 @@ class TestEnumeratePaths:
         assert enumerate_paths(crystal, "0", nonzero, 0) == []
 
     def test_single_step_filter(self):
-        from demchar.paths import enumerate_paths
-
         crystal = perfect_crystal("A1", 1)
         mu = crystal.weight("0").classical()
         hits = enumerate_paths(crystal, "0", mu, 1)
@@ -367,8 +365,6 @@ class TestEnumeratePaths:
 
     @pytest.mark.parametrize("family,n", [("A1", 1), ("A2even", 1), ("D2", 2)])
     def test_weight_partition_is_complete(self, family, n):
-        from demchar.paths import enumerate_paths
-
         crystal = perfect_crystal(family, n)
         j = 2
         total = 0

