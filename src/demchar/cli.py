@@ -336,6 +336,8 @@ def cmd_onedsum(args) -> int:
 
 
 def cmd_kostka(args) -> int:
+    _require_at_least("--l", args.l, 0)
+    _require_at_least("--j", args.j, 0)
     try:
         poly = kostka(_parse_ints(args.xi), args.l, args.j, args.n)
     except ValueError as exc:

@@ -151,8 +151,6 @@ class PerfectnessReport:
 
     level: int
     failures: list[str] = field(default_factory=list)
-    ground_map: dict[Weight, Element] = field(default_factory=dict)
-    sigma_map: dict[Weight, Weight] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -165,8 +163,9 @@ def verify_perfect(crystal: PerfectCrystal, level: int) -> PerfectnessReport:
     Verifies that each dominant classical weight of the given level has a
     unique element whose phi-weight (and, separately, epsilon-weight) matches
     it classically, that every element's epsilon-weight has level at least l,
-    and that the arrow graph is connected. Returns the dominant-weight-to-
-    element map and the induced weight automorphism alongside any failures.
+    and that the arrow graph is connected. Returns the failures; the
+    dominant-weight-to-element map and the induced weight automorphism are
+    ``PerfectCrystal.ground_element`` and ``PerfectCrystal.sigma``.
     """
     report = PerfectnessReport(level)
     ct = crystal.cartan
@@ -190,10 +189,6 @@ def verify_perfect(crystal: PerfectCrystal, level: int) -> PerfectnessReport:
             report.failures.append(
                 f"epsilon-weight {lam}: expected one element, found {len(eps_hits)}"
             )
-        if len(phi_hits) == 1:
-            b = phi_hits[0]
-            report.ground_map[lam] = b
-            report.sigma_map[lam] = crystal.epsilon_weight(b).classical()
     for b in crystal.elements:
         if ct.level(crystal.epsilon_weight(b)) < level:
             report.failures.append(f"element {b}: epsilon level below {level}")

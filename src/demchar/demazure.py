@@ -126,11 +126,13 @@ def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
 def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
     """Iterated Demazure operators on e^{weight of the ground state},
     applied along the schedule's reflection word.  The k steps run on int
-    keys (``demazure_step``); Weights are built once at the end."""
+    keys (``demazure_step``), starting from the ground-state key, and the
+    character keeps them."""
     if k < 0:
         raise ValueError("steps must be nonnegative")
     ct = s.crystal.cartan
-    terms = FormalCharacter.monomial(s.ground.window_weight(0)).to_keys()
+    lam = s.ground.window_weight(0)
+    terms = {(*lam.lambda_coords, lam.delta_coord): 1}
     for m in range(1, k + 1):
         terms = demazure_step(ct, s.flat_index(m), terms)
     return FormalCharacter.from_keys(terms)

@@ -11,11 +11,14 @@ Three graded sums over fixed-head letter sequences of one crystal:
 * the classically restricted sum ``Xbar`` does the same with the node-0
   constraint dropped.
 
-Each comes as a brute-force enumeration and a memoized recursion, and
-the restricted sums additionally as Weyl alternating sums over the
-unrestricted one.  The recursion route is one memoized kernel for all
-three sums, on plain int tables of letter weights, local energies and
-epsilons: ``_recursion`` caches one memo per crystal, checked node set,
+In the paper's unified form all three are one sum with a set of checked
+nodes: none for g, nodes 1..n for Xbar, all nodes for X.  Each comes as
+a brute-force enumeration and a memoized recursion, and the restricted
+sums additionally as Weyl alternating sums over the unrestricted one,
+which read the g kernel at each term.  The recursion route is one
+memoized kernel with one entry, ``_x_value``, for all three sums, on
+plain int tables of letter weights, local energies and epsilons:
+``_recursion`` caches one memo per crystal, checked node set,
 node-0 treatment and window, so ``_recursion.cache_clear()`` frees
 every memo and ``cache_info()`` counts them.  A kernel value is None
 (zero) or the lowest exponent with the dense coefficients from there
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import inf
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
@@ -77,16 +80,6 @@ class StabilizationGuardError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Unrestricted sum g
-
-
-def _check_size(crystal: PerfectCrystal, *weights: Weight) -> None:
-    size = crystal.cartan.size
-    for w in weights:
-        if len(w.lambda_coords) != size:
-            raise ValueError(
-                f"weight {w} needs {size} coordinates, one per node of "
-                f"{crystal.name}; it has {len(w.lambda_coords)}"
-            )
 
 
 @cache
@@ -216,26 +209,15 @@ def _poly(value: tuple | None, shift: int = 0) -> LaurentPoly:
     return LaurentPoly.from_dense(low + shift if shift else low, coeffs)
 
 
-def _g_value(
-    crystal: PerfectCrystal, b: Element, mu: Weight, j: int, window: int | None
-) -> tuple | None:
-    """Kernel value of g before the q^(delta-coordinate) factor."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    _check_size(crystal, mu)
-    if crystal.cartan.level(mu) != 0:
-        return None
-    rec = _recursion(crystal, (), False, window)
-    return rec(crystal.index(b), (), mu.lambda_coords, j)
-
-
 def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
-    """Unrestricted sum by memoized recursion on the head letter.
+    """Unrestricted sum by memoized recursion on the head letter: the
+    kernel's sum from zero to mu with no checked node.
 
     Zero unless mu has level zero; the delta-coordinate of mu only
     scales the result by a power of q.
     """
-    return _poly(_g_value(crystal, b, mu, j, None), mu.delta_coord)
+    zero = Weight.zero(crystal.cartan.size)
+    return _poly(_x_value(crystal, b, zero, mu, j, False, (), None), mu.delta_coord)
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +284,12 @@ def _walker_terms(crystal: PerfectCrystal, j: int):
     return partial(_head_terms, crystal, buckets)
 
 
-def _read(
-    crystal: PerfectCrystal,
-    buckets: dict[tuple, Counter],
-    b: Element,
-    end: tuple[int, ...],
-    j: int,
-) -> LaurentPoly:
-    """Energy polynomial of the head-b words whose tails end at ``end``."""
-    return LaurentPoly.from_terms(
-        (e, c) for state, e, c in _head_terms(crystal, buckets, b, j) if state == end
-    )
-
-
 def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
-    """Unrestricted sum by listing every head-b sequence of tail weight mu."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
-    _check_size(crystal, mu)
-    if crystal.cartan.level(mu) != 0:
-        return ZERO
-    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
-    return _read(crystal, buckets, b, mu.lambda_coords, j).shift(mu.delta_coord)
+    """Unrestricted sum by listing every head-b sequence of tail weight
+    mu: ``x_enumerate`` from zero to mu with no checked node, times
+    q^(delta-coordinate of mu)."""
+    zero = Weight.zero(crystal.cartan.size)
+    return x_enumerate(crystal, b, zero, mu, j, indices=()).shift(mu.delta_coord)
 
 
 def g_enumerate_table(
@@ -402,13 +368,20 @@ def _restricted(
     """Checked nodes and the canonical start and end coordinates of a
     restricted sum, or None when the sum is zero by definition: for
     positive length, the boundary letter b is inadmissible one step
-    above xi (equivalently, some lowering capacity of b exceeds xi)."""
+    above xi (equivalently, some lowering capacity of b exceeds xi) at a
+    checked node; with no checked node it never is."""
     if j < 0:
         raise ValueError("length must be nonnegative")
-    _check_size(crystal, xi, eta)
+    size = crystal.cartan.size
+    for w in (xi, eta):
+        if len(w.lambda_coords) != size:
+            raise ValueError(
+                f"weight {w} needs {size} coordinates, one per node of "
+                f"{crystal.name}; it has {len(w.lambda_coords)}"
+            )
     idx = _indices(crystal, classical, indices)
     start = _canon(xi.lambda_coords, classical)
-    if j >= 1:
+    if j >= 1 and idx:
         head = _canon(tuple(map(sub, start, crystal.weight(b).lambda_coords)), classical)
         if not _fits(crystal, head, b, idx):
             return None
@@ -436,7 +409,9 @@ def x_enumerate(
         return ZERO
     idx, start, end = setup
     buckets = _walk_tails(crystal, j, start, idx, drop_node0=classical)
-    return _read(crystal, buckets, b, end, j)
+    return LaurentPoly.from_terms(
+        (e, c) for state, e, c in _head_terms(crystal, buckets, b, j) if state == end
+    )
 
 
 def _x_value(
@@ -449,9 +424,14 @@ def _x_value(
     indices: Sequence[int] | None,
     window: int | None,
 ) -> tuple | None:
-    """Kernel value of x (or xbar when classical)."""
+    """Kernel value of x, of xbar when classical, and of g with no
+    checked node.  An affine sum between weights of different levels is
+    zero, because every letter weight has level zero."""
     setup = _restricted(crystal, b, xi, eta, j, classical, indices)
     if setup is None:
+        return None
+    ct = crystal.cartan
+    if not classical and ct.level(xi) != ct.level(eta):
         return None
     idx, start, end = setup
     rec = _recursion(crystal, idx, classical, window)
@@ -513,11 +493,13 @@ def x_by_weyl_sum(
     support point mu is folded: xi + rho + mu is reflected into the
     dominant chamber of the checked nodes, and it is a term exactly when
     it lands on eta + rho there, with sign (-1)^steps and argument mu
-    minus the offset times the null root.  The chamber is a fundamental
-    domain for the group on weights of positive level, which xi + rho
-    has, so every fold stops; eta + rho is regular, so no term is
-    counted twice.  The sum is therefore finite and exact, with nothing
-    to tune.
+    minus the offset times the null root.  Each term reads the g kernel
+    at mu directly, as int coefficients shifted down by the offset, and
+    one LaurentPoly is built from all of them.  The chamber is a
+    fundamental domain for the group on weights of positive level, which
+    xi + rho has, so every fold stops; eta + rho is regular, so no term
+    is counted twice.  The sum is therefore finite and exact, with
+    nothing to tune.
 
     The boundary-letter zero clause is definitional, so it is applied
     before summing.  Past it, xi and eta must be dominant at the checked
@@ -536,13 +518,17 @@ def x_by_weyl_sum(
             )
     base = tuple(c + 1 for c in start)
     target = tuple(end[i] + 1 for i in idx)
-    total = ZERO
+    rec = _recursion(crystal, (), False, None)
+    t = crystal.index(b)
+    total: Counter = Counter()
     for mu in tail_weight_support(crystal, j):
         folded, steps, offset = _fold(ct, tuple(map(add, base, mu)), idx)
-        if tuple(folded[i] for i in idx) == target:
-            val = g_recursive(crystal, b, Weight(mu, -offset), j)
-            total = total + (-val if steps % 2 else val)
-    return total
+        if tuple(folded[i] for i in idx) == target and (value := rec(t, (), mu, j)):
+            low, coeffs = value
+            sign = -1 if steps % 2 else 1
+            for e, c in enumerate(coeffs, low - offset):
+                total[e] += sign * c
+    return LaurentPoly.from_terms(total.items())
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +542,6 @@ class DecompositionReport:
     exactly one above the weight, and one witnessing choice of strings."""
 
     non_admissible: tuple[Element, ...]
-    candidates: tuple[tuple[Element, int, tuple[Element, ...]], ...]
     found: bool
     witness: tuple[tuple[Element, int, tuple[Element, ...]], ...]
 
@@ -590,7 +575,6 @@ def check_disjoint_decomposition(
                 string = _f_string(crystal, bp, i)
                 if set(string) <= bad_set:
                     candidates.append((bp, i, string))
-    candidates = tuple(candidates)
 
     def solve(uncovered: frozenset, chosen: list) -> tuple | None:
         if not uncovered:
@@ -609,7 +593,6 @@ def check_disjoint_decomposition(
     witness = solve(frozenset(bad), [])
     return DecompositionReport(
         non_admissible=bad,
-        candidates=candidates,
         found=witness is not None,
         witness=witness if witness is not None else (),
     )
@@ -667,9 +650,11 @@ def stabilized_limit(
     kind="g": string function along the level-zero direction mu
     (default 0). kind="x": branching of the product with a second
     highest weight xi toward eta. kind="xbar": classical branching
-    toward the barred weight eta. The window advances by the period of
-    the ground-state letter cycle, starting no earlier than the
-    requested degree; the result is returned once three consecutive
+    toward the barred weight eta.  Every kind reads the kernel entry
+    ``_x_value`` once per window, windowed to the degree; kind "g" reads
+    it from zero to mu with no checked node.  The window advances by the
+    period of the ground-state letter cycle, starting no earlier than
+    the requested degree; the result is returned once three consecutive
     aligned truncations to that degree agree.  A single agreement is
     not trusted: short windows can coincide by accident before the low
     coefficients have saturated.
@@ -684,26 +669,28 @@ def stabilized_limit(
         raise ValueError("kind 'xbar' needs eta")
     gs = GroundState(crystal, lam)
     period = gs.period()
-    size = crystal.cartan.size
-
-    def root(j: int) -> tuple[tuple | None, int]:
-        """Kernel value at window j, windowed to ``degree``, and its shift."""
-        head = gs.bar(j + 1)
-        if kind == "g":
-            direction = mu if mu is not None else Weight.zero(size)
-            # A negative delta-coordinate lowers every exponent, so the
-            # window must reach that much further up.
-            reach = degree + max(0, -direction.delta_coord)
-            return _g_value(crystal, head, direction, j, reach), direction.delta_coord
-        if kind == "x":
-            start = xi.classical() + gs.window_weight(j)
-            return _x_value(crystal, head, start, eta, j, False, None, degree), 0
-        start = gs.window_weight(j)  # kind "xbar"
-        return _x_value(crystal, head, start, eta, j, True, None, degree), 0
+    zero = Weight.zero(crystal.cartan.size)
+    # The kind picks the start weight at window j, the end weight and the
+    # checked nodes: none for g, all for x, and nodes 1..n for xbar, which
+    # also drops the node-0 coordinate.
+    indices = None
+    if kind == "g":
+        eta, indices = (mu if mu is not None else zero), ()
+    start = {
+        "g": lambda j: zero,
+        "x": lambda j: xi.classical() + gs.window_weight(j),
+        "xbar": gs.window_weight,
+    }[kind]
+    shift = eta.delta_coord if kind == "g" else 0
+    # A negative delta-coordinate lowers every exponent, so the window
+    # must reach that much further up.
+    reach = degree + max(0, -shift)
 
     def value(j: int) -> LaurentPoly:
         try:
-            val, shift = root(j)
+            val = _x_value(
+                crystal, gs.bar(j + 1), start(j), eta, j, kind == "xbar", indices, reach
+            )
         except RecursionError as exc:
             raise StabilizationGuardError(
                 j,

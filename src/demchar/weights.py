@@ -8,14 +8,15 @@ integer delta coordinate. A Weyl group element tracks both its action
 on weights and its inverse's action on the simple-root basis, so a
 reflection word can be checked to ascend in Bruhat length step by step
 (``demazure.check_conditions``). The Demazure operator runs on int
-keys (*coordinates, delta) in ``demazure_step``.
+keys (*coordinates, delta) in ``demazure_step``, and ``FormalCharacter``
+stores the same keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .qring import _integral
@@ -41,7 +42,9 @@ class Weight:
         object.__setattr__(self, "delta_coord", _integral(self.delta_coord))
 
     @classmethod
+    @cache
     def zero(cls, size: int) -> "Weight":
+        """The zero weight of ``size`` coordinates, built once per size."""
         return cls((0,) * size)
 
     def pairing(self, i: int) -> int:
@@ -137,7 +140,7 @@ class CartanType:
         return Weight((1,) * self.size)
 
     def level(self, w: Weight) -> int:
-        return sum(c * m for c, m in zip(self.comarks, w.lambda_coords))
+        return sum(map(mul, self.comarks, w.lambda_coords))
 
     def reflect(self, w: Weight, i: int) -> Weight:
         """Simple reflection r_i acting on a weight."""
@@ -357,25 +360,26 @@ def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
             coords.pop()
 
     fill(0, level, [])
-    return sorted(results, key=_weight_sort_key)
-
-
-def _weight_sort_key(w: Weight) -> tuple:
-    return (w.lambda_coords, w.delta_coord)
+    return sorted(results, key=lambda w: w.lambda_coords)
 
 
 class FormalCharacter:
     """Finite integer combination of formal exponentials of affine weights.
 
-    Stored as a weight -> coefficient map with no zero entries. The
-    character routes build one from int keys (*coordinates, delta) and
-    compare, add and write it; all other arithmetic runs on the int keys.
+    Stored as int keys (*coordinates, delta), the keys every character
+    route computes on, mapped to nonzero int coefficients.  Comparing,
+    adding and writing JSON work on the keys; only ``terms()`` builds
+    ``Weight``s.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[Weight, int] | None = None):
-        self._coeffs = {w: _integral(c) for w, c in (coeffs or {}).items() if c}
+        self._coeffs = {
+            (*w.lambda_coords, w.delta_coord): _integral(c)
+            for w, c in (coeffs or {}).items()
+            if c
+        }
 
     @classmethod
     def monomial(cls, w: Weight, coeff: int = 1) -> "FormalCharacter":
@@ -384,14 +388,19 @@ class FormalCharacter:
     @classmethod
     def from_keys(cls, counts: Mapping[tuple[int, ...], int]) -> "FormalCharacter":
         """Character of int keys (*coordinates, delta) with coefficients."""
-        return cls({Weight(key[:-1], key[-1]): c for key, c in counts.items()})
+        chi = cls()
+        chi._coeffs = {
+            tuple(map(_integral, key)): _integral(c) for key, c in counts.items() if c
+        }
+        return chi
 
     def to_keys(self) -> dict[tuple[int, ...], int]:
         """Coefficients keyed by (*coordinates, delta), as ``from_keys`` reads."""
-        return {(*w.lambda_coords, w.delta_coord): c for w, c in self._coeffs.items()}
+        return dict(self._coeffs)
 
     def terms(self) -> list[tuple[Weight, int]]:
-        return sorted(self._coeffs.items(), key=lambda kv: _weight_sort_key(kv[0]))
+        """(weight, coefficient) pairs sorted by coordinates, then delta."""
+        return [(Weight(key[:-1], key[-1]), c) for key, c in sorted(self._coeffs.items())]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -405,17 +414,19 @@ class FormalCharacter:
         if not isinstance(other, FormalCharacter):
             return NotImplemented
         data = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            data[w] = data.get(w, 0) + c
-        return FormalCharacter(data)
+        for key, c in other._coeffs.items():
+            data[key] = data.get(key, 0) + c
+        return FormalCharacter.from_keys(data)
 
     def __repr__(self) -> str:
-        return f"FormalCharacter({self._coeffs!r})"
+        return f"FormalCharacter({dict(self.terms())!r})"
 
     def to_json_obj(self) -> list[dict]:
+        """Terms in ``terms()`` order, each weight written as
+        ``Weight.to_json_obj`` writes it."""
         return [
-            {"weight": w.to_json_obj(), "coeff": c}
-            for w, c in self.terms()
+            {"weight": {"lambda": list(key[:-1]), "delta": [key[-1], 1]}, "coeff": c}
+            for key, c in sorted(self._coeffs.items())
         ]
 
 

@@ -424,7 +424,7 @@ class TestKostka:
             capsys, "kostka", "--xi", "3", "--l", "-1", "--j", "-3", "--n", "1"
         )
         assert (code, out) == (2, "")
-        assert err == "error: l and j must be nonnegative, got l = -1, j = -3\n"
+        assert err == "error: --l must be nonnegative, got -1\n"
 
 
 class TestStringFn:
@@ -563,6 +563,7 @@ BOUNDS = {
     "--k": "nonnegative",
     "--M": "nonnegative",
     "--j": "nonnegative",
+    "--l": "nonnegative",
     "--jmax": "nonnegative",
 }
 
@@ -582,6 +583,8 @@ BOUNDS = {
         (["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--mu", "0,0",
           "--j", "-1"], "--j"),
         (["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "-1"], "--jmax"),
+        (["kostka", "--xi", "3", "--j", "3", "--n", "1", "--l", "-1"], "--l"),
+        (["kostka", "--xi", "3", "--l", "1", "--n", "1", "--j", "-3"], "--j"),
     ],
 )
 def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, option):
@@ -592,6 +595,7 @@ def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, optio
 
     monkeypatch.setattr(cli, "_crystal", refuse)
     monkeypatch.setattr(cli, "verify_type", refuse)
+    monkeypatch.setattr(cli, "kostka", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {option} must be {BOUNDS[option]}, got {argv[-1]}\n"

@@ -261,6 +261,34 @@ class TestCharacterDetails:
                     m.setattr(onedsums, "_recursion", refuse)
                 assert route() == want, name
 
+    def test_characters_stay_int_keyed(self, monkeypatch):
+        # A route builds Weights for its windows and simple roots only, so
+        # their count grows with the number of segments, not with the
+        # number of terms; only FormalCharacter.terms() builds one per term.
+        built = []
+        init = weights.Weight.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(weights.Weight, "__post_init__", counting)
+        routes = {
+            "paths": character_by_paths,
+            "operators": character_by_operators,
+            "full segment": lambda s, k: onedsums.character_at_full_segment(s, k // s.d),
+        }
+        for name, route in routes.items():
+            counts = {}
+            for segments in (1, 2):
+                s = make("D1", 4, 0)
+                built.clear()
+                chi = route(s, segments * s.d)
+                counts[segments] = len(built), len(chi.to_keys())
+            (weights_1, terms_1), (weights_2, terms_2) = counts[1], counts[2]
+            assert weights_2 < terms_2, name
+            assert weights_2 - weights_1 < terms_2 - terms_1, name
+
     def test_paths_route_builds_no_path_set(self, monkeypatch):
         s = make("D1", 4, 0)
         k = 2 * s.d

@@ -230,6 +230,30 @@ class TestTailWalker:
         monkeypatch.setattr(onedsums, "_walk_tails", refuse)
         assert values() == expected
 
+    def test_weyl_sum_reads_the_kernel(self, monkeypatch):
+        c = perfect_crystal("B1", 3)
+        lam = c.cartan.fundamental_weight(0)
+        bar = Weight((0, 1, 0, 0))
+
+        def values():
+            return (
+                x_by_weyl_sum(c, "1~", lam, lam, 4),
+                x_by_weyl_sum(c, "1", bar, bar, 2, classical=True),
+            )
+
+        expected = values()
+        assert expected == (
+            x_recursive(c, "1~", lam, lam, 4),
+            x_recursive(c, "1", bar, bar, 2, classical=True),
+        )
+        assert all(expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Weyl sum called g_recursive")
+
+        monkeypatch.setattr(onedsums, "g_recursive", refuse)
+        assert values() == expected
+
 
 # ---------------------------------------------------------------------------
 # Unrestricted sums

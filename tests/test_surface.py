@@ -8,10 +8,16 @@ methods, under ``sys.setprofile``.  It runs in a fresh interpreter: the
 crystal builders and the other cached functions run once per process, so
 in this one earlier tests would already have run them.  Run this file as
 a script to print what the sweep reaches, as JSON.
+
+The sweep also pins its output: per command, the exit code, the first 16
+hex digits of sha256(stdout) and stderr must match ``surface_digests.json``.
+After a deliberate change of output, rewrite that file with
+``PYTHONPATH=src python tests/test_surface.py --record``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import inspect
 import io
@@ -23,6 +29,8 @@ from pathlib import Path
 
 from demchar import cli
 from demchar.paths import scheduled_nodes
+
+DIGESTS = Path(__file__).with_name("surface_digests.json")
 
 LAYERS = ("qring", "weights", "crystals", "tensor", "paths", "demazure", "onedsums", "formulas", "cli")
 
@@ -107,28 +115,38 @@ def public_functions() -> dict:
 
 def sweep() -> dict:
     """Run the sweep under a profiler: the public functions, those it
-    entered, and the commands that did not exit 0."""
+    entered, the commands that did not exit 0, and per command its exit
+    code, stdout digest and stderr."""
     public = public_functions()
     commands = sweep_commands()
     reached: set[str] = set()
+    digests: dict[str, list] = {}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in public:
             reached.add(public[frame.f_code])
 
     streams = sys.stdout, sys.stderr
-    sys.stdout = io.TextIOWrapper(io.BytesIO())
-    sys.stderr = io.StringIO()
-    sys.setprofile(profile)
     try:
-        codes = [cli.main(argv) for argv in commands]
+        for argv in commands:
+            out = io.BytesIO()
+            sys.stdout = io.TextIOWrapper(out)
+            sys.stderr = io.StringIO()
+            sys.setprofile(profile)
+            try:
+                code = cli.main(argv)
+            finally:
+                sys.setprofile(None)
+            sys.stdout.flush()
+            digest = hashlib.sha256(out.getvalue()).hexdigest()[:16]
+            digests[" ".join(argv)] = [code, digest, sys.stderr.getvalue()]
     finally:
-        sys.setprofile(None)
         sys.stdout, sys.stderr = streams
     return {
         "public": sorted(public.values()),
         "reached": sorted(reached),
-        "failed": [argv for argv, code in zip(commands, codes) if code != 0],
+        "failed": [argv for argv in commands if digests[" ".join(argv)][0] != 0],
+        "digests": digests,
     }
 
 
@@ -147,7 +165,16 @@ def test_sweep_reaches_every_public_function():
     assert sorted(public - reached - set(ALLOWED)) == [], "neither reached nor allowed"
     assert sorted(set(ALLOWED) - public) == [], "allowed but not a public function"
     assert sorted(set(ALLOWED) & reached) == [], "reached, so no longer needs allowing"
+    pinned = json.loads(DIGESTS.read_text())
+    got = result["digests"]
+    differ = sorted(cmd for cmd in pinned.keys() | got.keys() if pinned.get(cmd) != got.get(cmd))
+    listing = "\n".join(differ)
+    assert differ == [], f"exit code, stdout digest or stderr differs from {DIGESTS.name} for:\n{listing}"
 
 
 if __name__ == "__main__":
-    print(json.dumps(sweep()))
+    result = sweep()
+    if sys.argv[1:] == ["--record"]:
+        DIGESTS.write_text(json.dumps(result["digests"], indent=1, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(result))
