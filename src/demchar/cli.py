@@ -24,6 +24,7 @@ import io
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .crystals import PerfectCrystal, perfect_crystal, verify_perfect
@@ -130,7 +131,80 @@ def _poly_obj(poly: LaurentPoly) -> dict:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
+
+    The stdlib falls back to its slow pure-Python encoder once ``indent``
+    is given, so the layout is written here: dicts with str keys, lists,
+    tuples, strings, ints, bools and None by the stdlib's rules, and a
+    ``FormalCharacter`` as the term list of its sorted int keys, one line
+    template per term.  Any other value goes to ``json.dumps``, with its
+    bytes or its TypeError.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the chunks of obj; ``newline`` is a newline plus the indent
+    of the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, FormalCharacter):
+        _write_character(obj, newline, out)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _write_character(chi: FormalCharacter, newline: str, out: list[str]) -> None:
+    """The term list of chi: per term ``{"weight": {"lambda": [coords],
+    "delta": [delta, 1]}, "coeff": c}`` in sorted key order, each written
+    by one %-template."""
+    items = sorted(chi.to_keys().items())
+    if not items:
+        out.append("[]")
+        return
+    term = newline + "  "
+    field = term + "  "
+    part = field + "  "
+    coord = part + "  "
+    lam = ("," + coord).join(["%d"] * (len(items[0][0]) - 1))
+    template = (
+        term + "{" + field + '"weight": {' + part + '"lambda": [' + coord + lam + part + "],"
+        + part + '"delta": [' + coord + "%d," + coord + "1" + part + "]"
+        + field + "}," + field + '"coeff": %d' + term + "}"
+    )
+    out.append("[" + ",".join([template % (*key, c) for key, c in items]) + newline + "]")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -147,12 +221,8 @@ def _poly_rows(poly: LaurentPoly) -> list[list]:
 
 def _character_rows(chi: FormalCharacter) -> list[list]:
     return [
-        [
-            " ".join(str(c) for c in weight.lambda_coords),
-            str(weight.delta_coord),
-            coeff,
-        ]
-        for weight, coeff in chi.terms()
+        [" ".join(map(str, key[:-1])), str(key[-1]), coeff]
+        for key, coeff in sorted(chi.to_keys().items())
     ]
 
 
@@ -270,14 +340,12 @@ def cmd_character(args) -> int:
         "k": args.k,
         "steps_per_segment": schedule.d,
         "word": [schedule.flat_index(m) for m in range(1, args.k + 1)],
-        "characters": {
-            key: chi.to_json_obj() for key, chi in sorted(characters.items())
-        },
+        "characters": dict(sorted(characters.items())),
     }
     if equal is not None:
         obj["equal"] = equal
     if full_segment is not None:
-        obj["full_segment"] = full_segment.to_json_obj()
+        obj["full_segment"] = full_segment
         obj["full_segment_equal"] = full_segment == primary
     _emit_json_or_csv(
         args, obj, ["weight", "delta", "coeff"], lambda: _character_rows(primary)

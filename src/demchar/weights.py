@@ -367,9 +367,8 @@ class FormalCharacter:
     """Finite integer combination of formal exponentials of affine weights.
 
     Stored as int keys (*coordinates, delta), the keys every character
-    route computes on, mapped to nonzero int coefficients.  Comparing,
-    adding and writing JSON work on the keys; only ``terms()`` builds
-    ``Weight``s.
+    route computes on, mapped to nonzero int coefficients.  Comparing
+    and adding work on the keys; only ``terms()`` builds ``Weight``s.
     """
 
     __slots__ = ("_coeffs",)
@@ -421,14 +420,6 @@ class FormalCharacter:
     def __repr__(self) -> str:
         return f"FormalCharacter({dict(self.terms())!r})"
 
-    def to_json_obj(self) -> list[dict]:
-        """Terms in ``terms()`` order, each weight written as
-        ``Weight.to_json_obj`` writes it."""
-        return [
-            {"weight": {"lambda": list(key[:-1]), "delta": [key[-1], 1]}, "coeff": c}
-            for key, c in sorted(self._coeffs.items())
-        ]
-
 
 def demazure_step(
     ct: CartanType, i: int, terms: Mapping[tuple[int, ...], int]
@@ -439,10 +430,10 @@ def demazure_step(
     mu + rho against h_i: the result is the sum of exponentials mu - t*alpha_i
     for 0 <= t < m when m > 0, zero when m = 0, and minus the sum of
     mu + t*alpha_i for 1 <= t <= -m when m < 0.  Zero coefficients are
-    dropped.
+    dropped.  alpha_i is read as an int key: column i of the Cartan
+    matrix, plus delta at node 0.
     """
-    root = ct.simple_root(i)
-    alpha = (*root.lambda_coords, root.delta_coord)
+    alpha = (*(row[i] for row in ct.matrix), 1 if i == 0 else 0)
     out: dict[tuple[int, ...], int] = {}
     for mu, c in terms.items():
         m = mu[i] + 1

@@ -4,9 +4,10 @@ Unlike ``tests/oracles.py``, which shares no code with the library on
 purpose, everything here is written on top of ``demchar``'s own types
 (crystals, weights, tensor words, the unrestricted sum): word and Weyl
 group enumeration, the Demazure operator on a ``FormalCharacter``, the
-reflection identity of the unrestricted sum, and products of characters
-held as int-keyed dicts.  Each is a slow, direct restatement that the
-tests hold the fast library routes against.
+reflection identity of the unrestricted sum, products of characters
+held as int-keyed dicts, and the JSON layout of a character.  Each is a
+slow, direct restatement that the tests hold the fast library routes
+against.
 """
 
 from __future__ import annotations
@@ -118,6 +119,16 @@ def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter
     """Demazure operator D_i extended linearly over a formal character:
     ``demazure_step`` on the int keys of chi, wrapped back into Weights."""
     return FormalCharacter.from_keys(demazure_step(ct, i, chi.to_keys()))
+
+
+def character_json_obj(chi: FormalCharacter) -> list[dict]:
+    """The JSON layout of a character as nested dicts and lists: its terms
+    in sorted key order, each weight written as ``Weight.to_json_obj``
+    writes it.  The CLI writes the same bytes straight from the keys."""
+    return [
+        {"weight": {"lambda": list(key[:-1]), "delta": [key[-1], 1]}, "coeff": c}
+        for key, c in sorted(chi.to_keys().items())
+    ]
 
 
 def combine(*terms: tuple[int, Keys]) -> dict[tuple[int, ...], int]:

@@ -10,12 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from brute import demazure_op
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from brute import character_json_obj, demazure_op
 
 import demchar
 from demchar import cli
 from demchar.cli import main
 from demchar.crystals import perfect_crystal
+from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
+from demchar.onedsums import character_at_full_segment
 from demchar.weights import FormalCharacter
 
 
@@ -129,7 +134,7 @@ class TestCharacter:
         chi = FormalCharacter.monomial(ct.fundamental_weight(node))
         for i in obj["word"]:
             chi = demazure_op(ct, i, chi)
-        assert chi.to_json_obj() == obj["characters"]["operators"]
+        assert character_json_obj(chi) == obj["characters"]["operators"]
 
     def test_relabeling_rejects_arrow_reversing_symmetries(self):
         # Cycle reflections preserve the Cartan matrix but turn the
@@ -619,6 +624,86 @@ class TestDecompSearch:
         )
         assert code == 0
         assert out.splitlines()[0] == "xi,found,strings"
+
+
+# JSON values of every kind the writer walks itself: ints of both signs
+# and beyond 64 bits, bools, None, strings with quotes, backslashes,
+# control and non-ASCII characters, and nested (possibly empty) dicts,
+# lists and tuples; floats take the json.dumps fallback.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.floats()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '))
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+# Characters of 1 to 4 coordinates plus delta, the empty one included.
+CHARACTERS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda size: st.dictionaries(
+        st.tuples(*[st.integers(-50, 50)] * (size + 1)),
+        st.integers(-(2**70), 2**70).filter(bool),
+        max_size=6,
+    )
+).map(FormalCharacter.from_keys)
+
+
+def nest(value, depth):
+    """value placed ``depth`` containers deep, alternating dict and list."""
+    for level in range(depth):
+        value = {"k": value, "n": level} if level % 2 else [level, value]
+    return value
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_stdlib_bytes(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(CHARACTERS, st.integers(min_value=0, max_value=3))
+    @example(FormalCharacter(), 1)
+    def test_characters_match_reference_layout(self, chi, depth):
+        want = json.dumps(nest(character_json_obj(chi), depth), indent=2) + "\n"
+        assert cli._json_text(nest(chi, depth)) == want
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [object()]])
+    def test_unserializable_raises_as_stdlib(self, obj):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as ours:
+            cli._json_text(obj)
+        assert str(ours.value) == str(stdlib.value)
+
+    def test_bench_sized_character_matches_stdlib(self, capsys):
+        # The largest character command of the benchmark.  The reference
+        # object is its output with each character recomputed by its route
+        # and laid out as nested dicts and lists; the stdlib writes it.
+        code, out, _ = run(
+            capsys, "character", "D1", "4", "--lambda", "L0", "--k", "24",
+            "--method", "both",
+        )
+        assert code == 0
+        crystal = perfect_crystal("D1", 4)
+        s = demazure_schedule(crystal, crystal.cartan.fundamental_weight(0))
+        obj = json.loads(out)
+        obj["characters"] = {
+            "operators": character_json_obj(character_by_operators(s, 24)),
+            "paths": character_json_obj(character_by_paths(s, 24)),
+        }
+        obj["full_segment"] = character_json_obj(
+            character_at_full_segment(s, 24 // s.d)
+        )
+        assert len(obj["full_segment"]) > 1000
+        assert out == json.dumps(obj, indent=2) + "\n"
 
 
 class TestDeterminism:

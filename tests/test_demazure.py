@@ -262,9 +262,11 @@ class TestCharacterDetails:
                 assert route() == want, name
 
     def test_characters_stay_int_keyed(self, monkeypatch):
-        # A route builds Weights for its windows and simple roots only, so
-        # their count grows with the number of segments, not with the
-        # number of terms; only FormalCharacter.terms() builds one per term.
+        # A route builds Weights for its windows only, so their count grows
+        # with the number of segments, not with the number of terms; the
+        # operators route builds none per Demazure step, so its count does
+        # not grow with k at all.  Only FormalCharacter.terms() builds one
+        # per term.
         built = []
         init = weights.Weight.__post_init__
 
@@ -288,6 +290,8 @@ class TestCharacterDetails:
             (weights_1, terms_1), (weights_2, terms_2) = counts[1], counts[2]
             assert weights_2 < terms_2, name
             assert weights_2 - weights_1 < terms_2 - terms_1, name
+            if name == "operators":
+                assert weights_2 == weights_1, counts
 
     def test_paths_route_builds_no_path_set(self, monkeypatch):
         s = make("D1", 4, 0)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import combine, demazure_op, finite_weyl_group, multiply, weyl_by_length
+from brute import (
+    character_json_obj,
+    combine,
+    demazure_op,
+    finite_weyl_group,
+    multiply,
+    weyl_by_length,
+)
 
 from demchar.weights import (
     FAMILIES,
@@ -318,7 +325,7 @@ class TestFormalCharacter:
         chi = FormalCharacter(
             {Weight((2, -1), Fraction(-1)): 1, Weight((1, 0)): 3}
         )
-        obj = chi.to_json_obj()
+        obj = character_json_obj(chi)
         assert obj == [
             {"weight": {"lambda": [1, 0], "delta": [0, 1]}, "coeff": 3},
             {"weight": {"lambda": [2, -1], "delta": [-1, 1]}, "coeff": 1},
