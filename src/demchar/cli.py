@@ -385,14 +385,12 @@ def cmd_onedsum(args) -> int:
             poly = x_enumerate(crystal, b, xi, eta, args.j, classical=classical)
         elif args.method == "recursive":
             poly = x_recursive(crystal, b, xi, eta, args.j, classical=classical)
-        elif args.method == "weyl":
+        else:
             method_name = "weyl_sum"
             try:
                 poly = x_by_weyl_sum(crystal, b, xi, eta, args.j, classical=classical)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        else:
-            raise ConfigError(f"unknown method {args.method!r}")
     obj = {
         "kind": args.kind,
         "params": params,
@@ -406,12 +404,13 @@ def cmd_onedsum(args) -> int:
 def cmd_kostka(args) -> int:
     _require_at_least("--l", args.l, 0)
     _require_at_least("--j", args.j, 0)
+    xi = _parse_ints(args.xi)
     try:
-        poly = kostka(_parse_ints(args.xi), args.l, args.j, args.n)
+        poly = kostka(xi, args.l, args.j, args.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     obj = {
-        "xi": list(_parse_ints(args.xi)),
+        "xi": list(xi),
         "l": args.l,
         "j": args.j,
         "n": args.n,
@@ -501,23 +500,19 @@ def cmd_verify(args) -> int:
         }
         _emit(_json_text(obj), args.out)
         return EXIT_MISMATCH if failed else EXIT_OK
-    if args.suite == "perfect":
-        _require_at_least("--level", args.level, 1)
-        crystal = _crystal(args.type, args.rank)
-        report = verify_perfect(crystal, args.level)
-        obj = {
-            "suite": "perfect",
-            "type": args.type,
-            "rank": args.rank,
-            "level": args.level,
-            "ok": report.ok,
-            "failures": list(report.failures),
-        }
-        _emit(_json_text(obj), args.out)
-        return EXIT_OK if report.ok else EXIT_MISMATCH
-    raise ConfigError(
-        f"unknown suite {args.suite!r}; available: formulas, character, perfect"
-    )
+    _require_at_least("--level", args.level, 1)
+    crystal = _crystal(args.type, args.rank)
+    report = verify_perfect(crystal, args.level)
+    obj = {
+        "suite": "perfect",
+        "type": args.type,
+        "rank": args.rank,
+        "level": args.level,
+        "ok": report.ok,
+        "failures": list(report.failures),
+    }
+    _emit(_json_text(obj), args.out)
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def cmd_decomp_search(args) -> int:

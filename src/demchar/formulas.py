@@ -50,28 +50,12 @@ def rank_of(family: str, mu: Sequence[int]) -> int:
     return len(mu)
 
 
-def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
-    """The level-zero classical weight named by a parameter vector: the
-    sum of mu_k times the weight of letter k.
-
-    For "A1" the vector is indexed by the letters 0..n themselves; for
-    the other families by the letters 1..n.  A rank below the family's
-    minimum raises the crystal's ValueError.
-    """
-    mu = _require_ints(mu)
-    n = rank_of(family, mu)
-    crystal = perfect_crystal(family, n)
-    first = 0 if family == "A1" else 1
-    total = Weight.zero(crystal.cartan.size)
-    for k, count in enumerate(mu, first):
-        total = total + count * crystal.weight(str(k))
-    return total
-
-
 def mu_from_weight(
     family: str, rank: int, weight: Weight, j: int | None = None
 ) -> MuParam:
-    """Invert the weight dictionary; raises ValueError off the image.
+    """The parameter vector mu of a level-zero classical weight: the
+    weight is the sum of mu_k times the weight of letter k, over letters
+    0..n for "A1" and 1..n otherwise.  Raises ValueError off the image.
 
     For "A1" the letter counts are pinned by the window length ``j``,
     which is therefore required.
@@ -235,7 +219,7 @@ def g_closed_form(
         if sum(mu) != j:
             raise ValueError("letter counts must sum to the window length")
         bracket = qmultinomial(j, mu, 1)
-        if bracket.is_zero():
+        if not bracket:
             return ZERO
         counts = dict(zip(crystal.elements, mu))
         expo = _quadratic(counts, ()) // 2 + _energy_term(crystal, b, counts)

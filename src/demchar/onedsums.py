@@ -768,7 +768,7 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
         for coords, e, c in terms(b, j - 1):
             key = (*map(add, base, coords), delta - e)
             acc[key] = acc.get(key, 0) + c
-    return FormalCharacter.from_keys(acc)
+    return FormalCharacter(acc)
 
 
 def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:

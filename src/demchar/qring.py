@@ -32,8 +32,9 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial in q.
 
     The internal map sends int exponents to nonzero int coefficients;
-    construct via :meth:`zero`, :meth:`one`, :meth:`monomial`,
-    :meth:`from_terms`, or arithmetic.
+    construct via :meth:`monomial`, :meth:`from_terms`,
+    :meth:`from_dense`, or arithmetic.  ``bool(p)`` is false exactly for
+    the zero polynomial.
     """
 
     __slots__ = ("_terms",)
@@ -47,23 +48,11 @@ class LaurentPoly:
             self._terms = {_integral(e): _integral(c) for e, c in terms.items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1}, _trusted=True)
-
-    @classmethod
     def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
         """coeff * q^exp."""
         if coeff == 0:
-            return cls.zero()
+            return cls()
         return cls({_integral(exp): _integral(coeff)}, _trusted=True)
-
-    @classmethod
-    def q_power(cls, exp: int) -> "LaurentPoly":
-        return cls.monomial(1, exp)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -82,9 +71,6 @@ class LaurentPoly:
         """sum_k coeffs[k] * q^(low + k), for int coefficients."""
         return cls({e: c for e, c in enumerate(coeffs, _integral(low)) if c}, _trusted=True)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coeff(self, exp: int) -> int:
         return self._terms.get(_integral(exp), 0)
 
@@ -92,10 +78,6 @@ class LaurentPoly:
         """Yield (exponent, coefficient) pairs sorted by exponent."""
         for key in sorted(self._terms):
             yield key, self._terms[key]
-
-    def eval_at_one(self) -> int:
-        """Sum of coefficients, i.e. the specialization q = 1."""
-        return sum(self._terms.values())
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by q^exp."""
@@ -143,7 +125,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
-                return LaurentPoly.zero()
+                return LaurentPoly()
             return LaurentPoly({e: c * other for e, c in self._terms.items()}, _trusted=True)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -190,21 +172,9 @@ class LaurentPoly:
         """
         return {"terms": [[2 * e, str(c)] for e, c in self.terms()]}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        """Inverse of :meth:`to_json_obj`; an odd doubled exponent is a
-        ValueError."""
-        terms = {}
-        for doubled, coeff in obj["terms"]:
-            exp, odd = divmod(_integral(doubled), 2)
-            if odd:
-                raise ValueError(f"doubled exponent {doubled} is odd")
-            terms[exp] = int(coeff)
-        return cls(terms)
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly.monomial(1)
 
 
 def qfactorial(m: int, base_exp: int = 1) -> LaurentPoly:
@@ -213,7 +183,7 @@ def qfactorial(m: int, base_exp: int = 1) -> LaurentPoly:
         raise ValueError("m must be nonnegative")
     result = ONE
     for i in range(1, m + 1):
-        result = result * (ONE - LaurentPoly.q_power(base_exp * i))
+        result = result * (ONE - LaurentPoly.monomial(1, base_exp * i))
     return result
 
 
@@ -223,9 +193,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Raises InexactDivisionError (carrying the remainder) when den does not
     divide num, and ZeroDivisionError when den is zero.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
+    if not num:
         return ZERO
     den_terms = sorted(den._terms.items())
     den_low_exp, den_low_coeff = den_terms[0]

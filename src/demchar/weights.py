@@ -4,12 +4,11 @@ Demazure step.
 Covers six families of affine Kac-Moody types with node set {0..n}:
 untwisted A, B, D and twisted A (odd and even) and D. Weights carry
 integer coordinates in the fundamental-weight basis plus a separate
-integer delta coordinate. A Weyl group element tracks both its action
-on weights and its inverse's action on the simple-root basis, so a
-reflection word can be checked to ascend in Bruhat length step by step
-(``demazure.check_conditions``). The Demazure operator runs on int
-keys (*coordinates, delta) in ``demazure_step``, and ``FormalCharacter``
-stores the same keys.
+integer delta coordinate. A Weyl group element tracks its inverse's
+action on the simple-root basis, so a reflection word can be checked to
+ascend in Bruhat length step by step (``demazure.check_conditions``).
+The Demazure operator runs on int keys (*coordinates, delta) in
+``demazure_step``, and ``FormalCharacter`` stores the same keys.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class Weight:
         """Image with the delta coordinate dropped."""
         return Weight(self.lambda_coords)
 
-    def with_delta(self, delta: int) -> "Weight":
-        return Weight(self.lambda_coords, delta)
-
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
@@ -94,13 +90,6 @@ class Weight:
         """The delta coordinate is written as the fraction [delta, 1]."""
         return {"lambda": list(self.lambda_coords), "delta": [self.delta_coord, 1]}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Weight":
-        num, den = obj["delta"]
-        if den != 1:
-            raise ValueError(f"delta {num}/{den} must have denominator 1")
-        return cls(tuple(obj["lambda"]), num)
-
 
 @dataclass(frozen=True)
 class CartanType:
@@ -130,21 +119,8 @@ class CartanType:
         coords[i] = 1
         return Weight(tuple(coords))
 
-    def simple_root(self, i: int) -> Weight:
-        """alpha_i = sum_j A[j][i] Lambda_j, plus delta when i = 0."""
-        coords = tuple(self.matrix[j][i] for j in range(self.size))
-        return Weight(coords, 1 if i == 0 else 0)
-
-    def rho(self) -> Weight:
-        """Sum of all fundamental weights."""
-        return Weight((1,) * self.size)
-
     def level(self, w: Weight) -> int:
         return sum(map(mul, self.comarks, w.lambda_coords))
-
-    def reflect(self, w: Weight, i: int) -> Weight:
-        """Simple reflection r_i acting on a weight."""
-        return w - w.pairing(i) * self.simple_root(i)
 
     def is_dominant(self, w: Weight, indices: Iterable[int] | None = None) -> bool:
         idx = self.index_set if indices is None else indices
@@ -250,18 +226,6 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tup
 
 
 @cache
-def _weight_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of r_i on (Lambda_0..Lambda_n, delta) coordinates."""
-    size = ct.size
-    m = [list(row) for row in _identity(size + 1)]
-    for j in range(size):
-        m[j][i] -= ct.matrix[j][i]
-    if i == 0:
-        m[size][0] -= 1
-    return tuple(tuple(row) for row in m)
-
-
-@cache
 def _root_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of r_i on simple-root coordinates."""
     size = ct.size
@@ -272,69 +236,41 @@ def _root_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ..
 
 
 class WeylElement:
-    """Weyl group element as a reduced-or-not word of simple reflections.
+    """Weyl group element as a reduced-or-not word of simple reflections,
+    with the ascent test of ``demazure.check_conditions``.
 
     The word (j_1, ..., j_m) denotes r_{j_1} o ... o r_{j_m} (rightmost
-    applied first). `mat` acts on (Lambda, delta) coordinates; `inv_alpha`
-    is the inverse element's matrix on simple-root coordinates.
+    applied first). `inv_alpha` is the inverse element's matrix on
+    simple-root coordinates.
     """
 
-    __slots__ = ("cartan", "word", "mat", "inv_alpha")
+    __slots__ = ("cartan", "word", "inv_alpha")
 
     def __init__(
         self,
         cartan: CartanType,
         word: tuple[int, ...],
-        mat: tuple[tuple[int, ...], ...],
         inv_alpha: tuple[tuple[int, ...], ...],
     ):
         self.cartan = cartan
         self.word = word
-        self.mat = mat
         self.inv_alpha = inv_alpha
 
     @classmethod
     def identity(cls, cartan: CartanType) -> "WeylElement":
-        return cls(cartan, (), _identity(cartan.size + 1), _identity(cartan.size))
+        return cls(cartan, (), _identity(cartan.size))
 
     def prepend(self, i: int) -> "WeylElement":
         """Left-multiply by the simple reflection r_i."""
         return WeylElement(
             self.cartan,
             (i,) + self.word,
-            _matmul(_weight_reflection_matrix(self.cartan, i), self.mat),
             _matmul(self.inv_alpha, _root_reflection_matrix(self.cartan, i)),
         )
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def det(self) -> int:
-        return -1 if len(self.word) % 2 else 1
-
-    def apply(self, w: Weight) -> Weight:
-        size = self.cartan.size
-        coords = tuple(
-            sum(self.mat[j][l] * w.lambda_coords[l] for l in range(size)) for j in range(size)
-        )
-        delta = w.delta_coord + sum(
-            self.mat[size][l] * w.lambda_coords[l] for l in range(size)
-        )
-        return Weight(coords, delta)
 
     def is_ascent(self, i: int) -> bool:
         """True when left-multiplying by r_i increases Bruhat length."""
         return all(self.inv_alpha[j][i] >= 0 for j in range(self.cartan.size))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.cartan == other.cartan and self.mat == other.mat
-
-    def __hash__(self) -> int:
-        return hash((self.cartan.family, self.cartan.n, self.mat))
 
     def __repr__(self) -> str:
         return f"WeylElement({self.word})"
@@ -366,40 +302,22 @@ def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
 class FormalCharacter:
     """Finite integer combination of formal exponentials of affine weights.
 
-    Stored as int keys (*coordinates, delta), the keys every character
-    route computes on, mapped to nonzero int coefficients.  Comparing
-    and adding work on the keys; only ``terms()`` builds ``Weight``s.
+    Built from and stored as int keys (*coordinates, delta), the keys
+    every character route computes on, mapped to nonzero int
+    coefficients; a key entry or coefficient that is not an integer
+    value raises ValueError.  Comparing and adding work on the keys.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[Weight, int] | None = None):
+    def __init__(self, keys: Mapping[tuple[int, ...], int]):
         self._coeffs = {
-            (*w.lambda_coords, w.delta_coord): _integral(c)
-            for w, c in (coeffs or {}).items()
-            if c
+            tuple(map(_integral, key)): _integral(c) for key, c in keys.items() if c
         }
-
-    @classmethod
-    def monomial(cls, w: Weight, coeff: int = 1) -> "FormalCharacter":
-        return cls({w: coeff})
-
-    @classmethod
-    def from_keys(cls, counts: Mapping[tuple[int, ...], int]) -> "FormalCharacter":
-        """Character of int keys (*coordinates, delta) with coefficients."""
-        chi = cls()
-        chi._coeffs = {
-            tuple(map(_integral, key)): _integral(c) for key, c in counts.items() if c
-        }
-        return chi
 
     def to_keys(self) -> dict[tuple[int, ...], int]:
-        """Coefficients keyed by (*coordinates, delta), as ``from_keys`` reads."""
+        """Coefficients keyed by (*coordinates, delta), as the constructor reads."""
         return dict(self._coeffs)
-
-    def terms(self) -> list[tuple[Weight, int]]:
-        """(weight, coefficient) pairs sorted by coordinates, then delta."""
-        return [(Weight(key[:-1], key[-1]), c) for key, c in sorted(self._coeffs.items())]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -415,10 +333,10 @@ class FormalCharacter:
         data = dict(self._coeffs)
         for key, c in other._coeffs.items():
             data[key] = data.get(key, 0) + c
-        return FormalCharacter.from_keys(data)
+        return FormalCharacter(data)
 
     def __repr__(self) -> str:
-        return f"FormalCharacter({dict(self.terms())!r})"
+        return f"FormalCharacter({dict(sorted(self._coeffs.items()))!r})"
 
 
 def demazure_step(

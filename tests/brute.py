@@ -2,8 +2,10 @@
 
 Unlike ``tests/oracles.py``, which shares no code with the library on
 purpose, everything here is written on top of ``demchar``'s own types
-(crystals, weights, tensor words, the unrestricted sum): word and Weyl
-group enumeration, the Demazure operator on a ``FormalCharacter``, the
+(crystals, weights, tensor words, the unrestricted sum): simple roots
+and reflections as weights, word and Weyl group enumeration with the
+weight action of each element, the weight named by a closed-form
+parameter vector, the Demazure operator on a ``FormalCharacter``, the
 reflection identity of the unrestricted sum, products of characters
 held as int-keyed dicts, and the JSON layout of a character.  Each is a
 slow, direct restatement that the tests hold the fast library routes
@@ -12,10 +14,12 @@ against.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from demchar.crystals import Element, PerfectCrystal
+from demchar.crystals import Element, PerfectCrystal, perfect_crystal
+from demchar.formulas import _require_ints, rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
@@ -24,10 +28,44 @@ from demchar.weights import (
     FormalCharacter,
     Weight,
     WeylElement,
+    _identity,
+    _matmul,
     demazure_step,
 )
 
 Keys = Mapping[tuple[int, ...], int]
+
+
+# ---------------------------------------------------------------------------
+# Roots and reflections
+
+
+def simple_root(ct: CartanType, i: int) -> Weight:
+    """alpha_i = sum_j A[j][i] Lambda_j, plus delta when i = 0."""
+    return Weight(tuple(row[i] for row in ct.matrix), 1 if i == 0 else 0)
+
+
+def reflect(ct: CartanType, w: Weight, i: int) -> Weight:
+    """Simple reflection r_i acting on a weight."""
+    return w - w.pairing(i) * simple_root(ct, i)
+
+
+def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
+    """The level-zero classical weight named by a parameter vector: the
+    sum of mu_k times the weight of letter k, the inverse of
+    ``formulas.mu_from_weight``.
+
+    For "A1" the vector is indexed by the letters 0..n themselves; for
+    the other families by the letters 1..n.  A rank below the family's
+    minimum raises the crystal's ValueError.
+    """
+    mu = _require_ints(mu)
+    crystal = perfect_crystal(family, rank_of(family, mu))
+    first = 0 if family == "A1" else 1
+    total = Weight.zero(crystal.cartan.size)
+    for k, count in enumerate(mu, first):
+        total = total + count * crystal.weight(str(k))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +114,83 @@ def enumerate_paths(
 # Weyl groups
 
 
+@cache
+def _weight_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of r_i on (Lambda_0..Lambda_n, delta) coordinates."""
+    size = ct.size
+    m = [list(row) for row in _identity(size + 1)]
+    for j in range(size):
+        m[j][i] -= ct.matrix[j][i]
+    if i == 0:
+        m[size][0] -= 1
+    return tuple(tuple(row) for row in m)
+
+
+class WeylAction:
+    """A Weyl group element with its action on weights: the library's
+    ``WeylElement`` (the word and the ascent test) and ``mat``, the
+    matrix of the element on (Lambda_0..Lambda_n, delta) coordinates.
+    Two elements are equal when their matrices are."""
+
+    __slots__ = ("element", "mat")
+
+    def __init__(self, element: WeylElement, mat: tuple[tuple[int, ...], ...]):
+        self.element = element
+        self.mat = mat
+
+    @classmethod
+    def identity(cls, ct: CartanType) -> "WeylAction":
+        return cls(WeylElement.identity(ct), _identity(ct.size + 1))
+
+    def prepend(self, i: int) -> "WeylAction":
+        """Left-multiply by the simple reflection r_i."""
+        ct = self.element.cartan
+        return WeylAction(
+            self.element.prepend(i), _matmul(_weight_reflection_matrix(ct, i), self.mat)
+        )
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        return self.element.word
+
+    def is_ascent(self, i: int) -> bool:
+        return self.element.is_ascent(i)
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+    @property
+    def det(self) -> int:
+        return -1 if len(self.word) % 2 else 1
+
+    def apply(self, w: Weight) -> Weight:
+        size = self.element.cartan.size
+        coords = tuple(
+            sum(self.mat[j][l] * w.lambda_coords[l] for l in range(size)) for j in range(size)
+        )
+        delta = w.delta_coord + sum(
+            self.mat[size][l] * w.lambda_coords[l] for l in range(size)
+        )
+        return Weight(coords, delta)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeylAction):
+            return NotImplemented
+        return self.element.cartan == other.element.cartan and self.mat == other.mat
+
+    def __hash__(self) -> int:
+        return hash((self.element.cartan.family, self.element.cartan.n, self.mat))
+
+    def __repr__(self) -> str:
+        return f"WeylAction({self.word})"
+
+
 def weyl_by_length(
     ct: CartanType,
     generators: Sequence[int] | None = None,
     max_length: int | None = None,
-) -> Iterator[list[WeylElement]]:
+) -> Iterator[list[WeylAction]]:
     """Yield lists of distinct Weyl elements grouped by increasing length.
 
     Stops when the group is exhausted or max_length is passed. With the
@@ -88,12 +198,12 @@ def weyl_by_length(
     generators the group is infinite, so provide max_length or break.
     """
     gens = tuple(ct.index_set if generators is None else generators)
-    frontier = [WeylElement.identity(ct)]
+    frontier = [WeylAction.identity(ct)]
     seen = {frontier[0].mat}
     length = 0
     while frontier and (max_length is None or length <= max_length):
         yield frontier
-        nxt: dict[tuple, WeylElement] = {}
+        nxt: dict[tuple, WeylAction] = {}
         for w in frontier:
             for i in gens:
                 if not w.is_ascent(i):
@@ -106,7 +216,7 @@ def weyl_by_length(
         length += 1
 
 
-def finite_weyl_group(ct: CartanType, generators: Sequence[int]) -> list[WeylElement]:
+def finite_weyl_group(ct: CartanType, generators: Sequence[int]) -> list[WeylAction]:
     """All elements generated by the given reflections (must be finite)."""
     return [w for shell in weyl_by_length(ct, generators) for w in shell]
 
@@ -115,10 +225,16 @@ def finite_weyl_group(ct: CartanType, generators: Sequence[int]) -> list[WeylEle
 # Characters
 
 
+def key(w: Weight) -> tuple[int, ...]:
+    """The int key (*coordinates, delta) of a weight, as a
+    ``FormalCharacter`` holds it."""
+    return (*w.lambda_coords, w.delta_coord)
+
+
 def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
     """Demazure operator D_i extended linearly over a formal character:
-    ``demazure_step`` on the int keys of chi, wrapped back into Weights."""
-    return FormalCharacter.from_keys(demazure_step(ct, i, chi.to_keys()))
+    ``demazure_step`` on the int keys of chi."""
+    return FormalCharacter(demazure_step(ct, i, chi.to_keys()))
 
 
 def character_json_obj(chi: FormalCharacter) -> list[dict]:
@@ -162,14 +278,14 @@ def check_2m_relation(
     twisted by q^(t*j) at the node-0 index. Exact evaluation."""
     ct = crystal.cartan
     m = crystal.phi(i, b)
-    alpha = ct.simple_root(i)
+    alpha = simple_root(ct, i)
     twist = j if i == 0 else 0
     lhs = ZERO
     rhs = ZERO
     cur = b
     for t in range(m + 1):
         lhs = lhs + g_recursive(crystal, cur, mu + t * alpha, j).shift(t * twist)
-        reflected = ct.reflect(mu + (m - t) * alpha, i)
+        reflected = reflect(ct, mu + (m - t) * alpha, i)
         rhs = rhs + g_recursive(crystal, cur, reflected, j).shift(t * twist)
         if t < m:
             cur = crystal.f(i, cur)

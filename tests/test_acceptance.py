@@ -9,7 +9,7 @@ statistic, semistandard tableaux).
 import json
 import random
 
-from brute import all_words, check_2m_relation, enumerate_paths
+from brute import all_words, check_2m_relation, enumerate_paths, reflect, simple_root
 from oracles import (
     colored_partition_counts,
     kostka_foulkes_by_charge,
@@ -140,7 +140,7 @@ def test_03_recursions_shifts_and_string_identities():
             base = g_recursive(crystal, crystal.elements[0], mu, 2)
             for t in (1, -1, 3):
                 shifted = g_recursive(
-                    crystal, crystal.elements[0], mu.with_delta(t), 2
+                    crystal, crystal.elements[0], Weight(mu.lambda_coords, t), 2
                 )
                 assert shifted == base.shift(t)
 
@@ -164,7 +164,7 @@ def test_03_recursions_shifts_and_string_identities():
         ct = crystal.cartan
         schedule = demazure_schedule(crystal, ct.fundamental_weight(node))
         gs = schedule.ground
-        rho = ct.rho()
+        rho = Weight((1,) * ct.size)
         for j in (1, 2, 3):
             sets = schedule.leading_sets(j)
             head = gs.bar(j + 1)
@@ -172,7 +172,7 @@ def test_03_recursions_shifts_and_string_identities():
             mus = level_zero_weights(crystal, min(j, 2))[:4]
             for a in range(schedule.d):
                 i = schedule.index(j, a + 1)
-                alpha = ct.simple_root(i)
+                alpha = simple_root(ct, i)
                 for mu in mus:
                     def term(b, arg):
                         return g_recursive(crystal, b, arg, j - 1).shift(
@@ -188,7 +188,7 @@ def test_03_recursions_shifts_and_string_identities():
                     second = ZERO
                     for b in sorted(sets[a], key=crystal.index):
                         arg = (
-                            ct.reflect(mu + rho + lam_j, i)
+                            reflect(ct, mu + rho + lam_j, i)
                             - lam_j
                             - rho
                             - crystal.weight(b)
@@ -219,7 +219,7 @@ def test_03_recursions_shifts_and_string_identities():
                         power = mu.pairing(i) + m
                         if power < 0:
                             continue
-                        alpha = ct.simple_root(i)
+                        alpha = simple_root(ct, i)
                         domain, target = [], set()
                         cur = b
                         for t in range(m + 1):
@@ -232,7 +232,7 @@ def test_03_recursions_shifts_and_string_identities():
                                 enumerate_paths(
                                     crystal,
                                     cur,
-                                    ct.reflect(mu + (m - t) * alpha, i).classical(),
+                                    reflect(ct, mu + (m - t) * alpha, i).classical(),
                                     j,
                                 )
                             )
@@ -308,7 +308,7 @@ def test_06_tableau_polynomials_match_charge_oracle():
                 got = {int(e): c for e, c in value.terms()}
                 want = kostka_foulkes_by_charge(shape, (1,) * j)
                 assert got == want, (shape, j, n, got, want)
-                assert value.eval_at_one() == kostka_number(shape, (1,) * j)
+                assert sum(got.values()) == kostka_number(shape, (1,) * j)
 
 
 def test_07_string_functions_stabilize_to_partition_counts():

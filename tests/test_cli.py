@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import character_json_obj, demazure_op
+from brute import character_json_obj, demazure_op, key
 
 import demchar
 from demchar import cli
@@ -131,7 +131,7 @@ class TestCharacter:
         )
         assert obj["equal"] is True
         ct = perfect_crystal(family, rank).cartan
-        chi = FormalCharacter.monomial(ct.fundamental_weight(node))
+        chi = FormalCharacter({key(ct.fundamental_weight(node)): 1})
         for i in obj["word"]:
             chi = demazure_op(ct, i, chi)
         assert character_json_obj(chi) == obj["characters"]["operators"]
@@ -377,6 +377,14 @@ class TestOnedsum:
         )
         assert code == 2
 
+    def test_unknown_method_rejected_by_the_parser(self, capsys):
+        code, out, err = run(
+            capsys, "onedsum", "x", "--type", "A1", "--rank", "1", "--b", "0",
+            "--j", "2", "--xi", "L0", "--eta", "L0", "--method", "bogus",
+        )
+        assert (code, out) == (2, "")
+        assert "argument --method: invalid choice: 'bogus'" in err
+
     def test_missing_target_weight(self, capsys):
         code, _, err = run(
             capsys, "onedsum", "x", "--type", "A1", "--rank", "1",
@@ -540,7 +548,7 @@ class TestVerify:
         # per segment, so the full-segment route runs at k = 2 and 4, the
         # other two at every k.
         mismatches = [2, 4] if route == "character_at_full_segment" else list(range(6))
-        monkeypatch.setattr(cli, route, lambda s, k: FormalCharacter())
+        monkeypatch.setattr(cli, route, lambda s, k: FormalCharacter({}))
         code, out, _ = run(
             capsys, "verify", "character", "--type", "A1", "--rank", "2",
             "--kmax", "5",
@@ -557,8 +565,9 @@ class TestVerify:
         assert json.loads(out)["ok"] is True
 
     def test_unknown_suite(self, capsys):
-        assert main(["verify", "nope", "--type", "A1", "--rank", "1"]) == 2
-        capsys.readouterr()
+        code, out, err = run(capsys, "verify", "nope", "--type", "A1", "--rank", "1")
+        assert (code, out) == (2, "")
+        assert "argument suite: invalid choice: 'nope'" in err
 
 
 BOUNDS = {
@@ -652,7 +661,7 @@ CHARACTERS = st.integers(min_value=1, max_value=4).flatmap(
         st.integers(-(2**70), 2**70).filter(bool),
         max_size=6,
     )
-).map(FormalCharacter.from_keys)
+).map(FormalCharacter)
 
 
 def nest(value, depth):
@@ -670,7 +679,7 @@ class TestJsonWriter:
 
     @settings(max_examples=200, deadline=None)
     @given(CHARACTERS, st.integers(min_value=0, max_value=3))
-    @example(FormalCharacter(), 1)
+    @example(FormalCharacter({}), 1)
     def test_characters_match_reference_layout(self, chi, depth):
         want = json.dumps(nest(character_json_obj(chi), depth), indent=2) + "\n"
         assert cli._json_text(nest(chi, depth)) == want

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from brute import simple_root
+
 from demchar.crystals import barred, perfect_crystal, symmetric_crystal, verify_perfect
 from demchar.weights import Weight, cartan_type, dominant_classical_weights
 
@@ -67,7 +69,7 @@ class TestStructure:
         crystal = perfect_crystal(family, n)
         ct = crystal.cartan
         for i in ct.index_set:
-            root = ct.simple_root(i)
+            root = simple_root(ct, i)
             for b in crystal.elements:
                 image = crystal.f(i, b)
                 if image is not None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields, replace
 
 import pytest
 
-from brute import demazure_op
+from brute import demazure_op, key
 
 from demchar import demazure, onedsums, weights
 from demchar.crystals import perfect_crystal
@@ -200,8 +200,8 @@ class TestCharacters:
     def test_zero_steps_is_highest_weight(self, family, n, node):
         s = make(family, n, node)
         lam = s.crystal.cartan.fundamental_weight(node).classical()
-        assert character_by_paths(s, 0) == FormalCharacter.monomial(lam)
-        assert character_by_operators(s, 0) == FormalCharacter.monomial(lam)
+        assert character_by_paths(s, 0) == FormalCharacter({key(lam): 1})
+        assert character_by_operators(s, 0) == FormalCharacter({key(lam): 1})
 
     def test_paths_equal_operators(self, family, n, node):
         s = make(family, n, node)
@@ -265,8 +265,7 @@ class TestCharacterDetails:
         # A route builds Weights for its windows only, so their count grows
         # with the number of segments, not with the number of terms; the
         # operators route builds none per Demazure step, so its count does
-        # not grow with k at all.  Only FormalCharacter.terms() builds one
-        # per term.
+        # not grow with k at all.
         built = []
         init = weights.Weight.__post_init__
 

@@ -13,7 +13,14 @@ from collections import Counter
 
 import pytest
 
-from brute import check_2m_relation, enumerate_paths, finite_weyl_group, weyl_by_length
+from brute import (
+    check_2m_relation,
+    enumerate_paths,
+    finite_weyl_group,
+    reflect,
+    simple_root,
+    weyl_by_length,
+)
 from oracles import (
     colored_partition_counts,
     kostka_foulkes_by_charge,
@@ -314,7 +321,7 @@ class TestUnrestricted:
         mu = c.weight("0")
         base = g_recursive(c, "0", mu, 3)
         for t in (1, -2):
-            assert g_recursive(c, "0", mu.with_delta(t), 3) == base.shift(t)
+            assert g_recursive(c, "0", Weight(mu.lambda_coords, t), 3) == base.shift(t)
 
     @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
     def test_enumerate_equals_recursive(self, family, n):
@@ -338,8 +345,9 @@ class TestUnrestricted:
         for j in (1, 2, 3):
             for b in list(c.elements)[:2]:
                 total = sum(
-                    g_recursive(c, b, mu, j).eval_at_one()
+                    coeff
                     for mu in level_zero_weights(c, j)
+                    for _, coeff in g_recursive(c, b, mu, j).terms()
                 )
                 assert total == len(c.elements) ** j
 
@@ -536,7 +544,7 @@ class TestSignedReflectionSums:
         """Folding w(rho + Lambda_0) returns rho + Lambda_0 at the checked
         nodes in length(w) steps, with the null-root offset w put on."""
         ct = cartan_type(family, n)
-        lam = ct.rho() + ct.fundamental_weight(0)
+        lam = Weight((1,) * ct.size) + ct.fundamental_weight(0)
         affine, classical = tuple(ct.index_set), tuple(ct.classical_index_set)
         cases = [(w, affine) for shell in weyl_by_length(ct, None, 5) for w in shell]
         cases += [(w, classical) for w in finite_weyl_group(ct, classical)]
@@ -618,7 +626,7 @@ class TestTableauPolynomials:
             for xi in partitions_of(j):
                 if len(xi) > 4:
                     continue
-                value = kostka(xi, 1, j, 3).eval_at_one()
+                value = sum(coeff for _, coeff in kostka(xi, 1, j, 3).terms())
                 assert value == kostka_number(tuple(xi), (1,) * j), (xi, j)
 
     def test_rejects_malformed_shapes(self):
@@ -846,7 +854,7 @@ class TestWindowedKernel:
             for degree in range(4):
                 cases = [
                     ("g", {}),
-                    ("g", {"mu": ct.simple_root(ct.size - 1)}),
+                    ("g", {"mu": simple_root(ct, ct.size - 1)}),
                     ("g", {"mu": Weight(zero.lambda_coords, -2)}),
                     ("xbar", {"eta": bar}),
                     ("xbar", {"eta": zero}),
@@ -1006,7 +1014,7 @@ class TestStringBijection:
                         power = mu.pairing(i) + m
                         if power < 0:
                             continue
-                        alpha = ct.simple_root(i)
+                        alpha = simple_root(ct, i)
                         domain = []
                         cur = b
                         for t in range(m + 1):
@@ -1017,7 +1025,7 @@ class TestStringBijection:
                         target = set()
                         cur = b
                         for t in range(m + 1):
-                            arg = ct.reflect(mu + (m - t) * alpha, i).classical()
+                            arg = reflect(ct, mu + (m - t) * alpha, i).classical()
                             target.update(enumerate_paths(c, cur, arg, j))
                             if t < m:
                                 cur = c.f(i, cur)
@@ -1045,7 +1053,7 @@ class TestFilteredRecursion:
         ct = c.cartan
         s = demazure_schedule(c, c.cartan.fundamental_weight(node))
         gs = s.ground
-        rho = ct.rho()
+        rho = Weight((1,) * ct.size)
         for j in (1, 2, 3):
             sets = s.leading_sets(j)
             head = gs.bar(j + 1)
@@ -1053,7 +1061,7 @@ class TestFilteredRecursion:
             mus = level_zero_weights(c, min(j, 2))[:6]
             for a in range(s.d):
                 i = s.index(j, a + 1)
-                alpha = ct.simple_root(i)
+                alpha = simple_root(ct, i)
                 for mu in mus:
                     def term(b, arg):
                         return g_recursive(c, b, arg, j - 1).shift(
@@ -1069,7 +1077,7 @@ class TestFilteredRecursion:
                     second = ZERO
                     for b in sorted(sets[a], key=c.index):
                         arg = (
-                            ct.reflect(mu + rho + lam_j, i)
+                            reflect(ct, mu + rho + lam_j, i)
                             - lam_j
                             - rho
                             - c.weight(b)

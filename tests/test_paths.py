@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from brute import enumerate_paths
+from brute import enumerate_paths, simple_root
 
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
@@ -158,7 +158,7 @@ class TestTruncatedOperators:
             lowered = gs.path_f(2, word, i)
             if lowered is not None:
                 diff = gs.path_weight(2, word) - gs.path_weight(2, lowered)
-                assert diff == ct.simple_root(i)
+                assert diff == simple_root(ct, i)
 
 
 @pytest.mark.parametrize("family,n,node", SCHEDULED)
@@ -194,7 +194,7 @@ class TestSchedules:
             i = sched.flat_index(k)
             assert elem.is_ascent(i)
             elem = elem.prepend(i)
-        assert elem.length == 2 * sched.d
+        assert len(elem.word) == 2 * sched.d
         assert elem.word == sched.weyl_word(2 * sched.d)
 
     def test_growth_matches_product_structure(self, family, n, node):

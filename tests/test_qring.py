@@ -28,12 +28,12 @@ small_polys = st.dictionaries(
     max_size=5,
 ).map(lambda d: LaurentPoly.from_terms((e, c) for e, c in d.items()))
 
-nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+nonzero_polys = small_polys.filter(bool)
 
 
 class TestBasics:
     def test_zero_is_empty(self):
-        assert ZERO.is_zero()
+        assert not ZERO
         assert list(ZERO.terms()) == []
         assert ZERO == LaurentPoly.monomial(0, 5)
 
@@ -46,11 +46,11 @@ class TestBasics:
         # Exponents are integers: a half-integer is rejected, an integral
         # Fraction is read as its int.
         with pytest.raises(ValueError):
-            LaurentPoly.q_power(Fraction(1, 2))
+            LaurentPoly.monomial(1, Fraction(1, 2))
         with pytest.raises(ValueError):
-            LaurentPoly.q_power(Fraction(1, 3))
-        p = LaurentPoly.q_power(Fraction(2))
-        assert p == LaurentPoly.q_power(2)
+            LaurentPoly.monomial(1, Fraction(1, 3))
+        p = LaurentPoly.monomial(1, Fraction(2))
+        assert p == LaurentPoly.monomial(1, 2)
         assert [type(e) for e, _ in p.terms()] == [int]
 
     def test_non_integral_exponents_rejected_everywhere(self):
@@ -75,8 +75,8 @@ class TestBasics:
 
     def test_from_dense(self):
         assert LaurentPoly.from_dense(-1, (2, 0, 3)) == poly_of((-1, 2), (1, 3))
-        assert LaurentPoly.from_dense(1, (1, 0, 0)) == LaurentPoly.q_power(1)
-        assert LaurentPoly.from_dense(4, (0, 0)) == LaurentPoly.zero()
+        assert LaurentPoly.from_dense(1, (1, 0, 0)) == LaurentPoly.monomial(1, 1)
+        assert LaurentPoly.from_dense(4, (0, 0)) == ZERO
 
     def test_cancellation(self):
         p = poly_of((0, 1), (1, 2))
@@ -88,9 +88,6 @@ class TestBasics:
         assert str(poly_of((0, 1), (1, -1), (2, 3))) == "1 - q + 3*q^2"
         assert str(poly_of((-1, -1),)) == "-q^-1"
 
-    def test_eval_at_one(self):
-        assert poly_of((0, 1), (3, 4), (-2, -2)).eval_at_one() == 3
-
     def test_shift_and_scale(self):
         p = poly_of((0, 1), (1, 1))
         assert p.shift(2) == poly_of((2, 1), (3, 1))
@@ -99,15 +96,10 @@ class TestBasics:
         p = poly_of((0, 1), (1, 2), (5, 3))
         assert p.truncate(1) == poly_of((0, 1), (1, 2))
 
-    def test_json_round_trip(self):
-        # The JSON form keeps its doubled exponents; an odd one would be
-        # a half-integer exponent and is rejected.
+    def test_json_layout(self):
+        # The JSON form keeps its doubled exponents.
         p = poly_of((3, 3), (-1, -2), (0, 7))
-        obj = p.to_json_obj()
-        assert LaurentPoly.from_json_obj(obj) == p
-        assert obj["terms"] == [[-2, "-2"], [0, "7"], [6, "3"]]
-        with pytest.raises(ValueError):
-            LaurentPoly.from_json_obj({"terms": [[0, "7"], [1, "3"]]})
+        assert p.to_json_obj() == {"terms": [[-2, "-2"], [0, "7"], [6, "3"]]}
 
     def test_hash_consistency(self):
         assert hash(poly_of((1, 2))) == hash(LaurentPoly.monomial(2, 1))
@@ -141,7 +133,7 @@ class TestFactorials:
     )
     def test_qmultinomial_at_one_is_multinomial(self, gamma):
         j = sum(gamma)
-        value = qmultinomial(j, gamma).eval_at_one()
+        value = sum(c for _, c in qmultinomial(j, gamma).terms())
         expected = math.factorial(j)
         for g in gamma:
             expected //= math.factorial(g)
@@ -172,7 +164,7 @@ class TestDivision:
     def test_exact_div_simple(self):
         num = qfactorial(3)
         den = qfactorial(2)
-        assert exact_div(num, den) == ONE - LaurentPoly.q_power(3)
+        assert exact_div(num, den) == ONE - LaurentPoly.monomial(1, 3)
 
     def test_exact_div_laurent(self):
         p = poly_of((-2, 1), (3, 5))
@@ -184,7 +176,7 @@ class TestDivision:
         den = poly_of((0, 1), (2, 1))
         with pytest.raises(InexactDivisionError) as err:
             exact_div(num, den)
-        assert not err.value.remainder.is_zero()
+        assert err.value.remainder
 
     def test_inexact_integer_coefficient(self):
         with pytest.raises(InexactDivisionError):

@@ -1,13 +1,23 @@
-"""The library surface: every public module-level function of ``demchar``
-is reached by a compact CLI sweep, or is named on ``ALLOWED`` with the
+"""The library surface: every function and method of ``demchar`` is
+reached by a compact CLI sweep, or is named on ``ALLOWED`` with the
 reason it stays.
+
+A function here is one defined at module level in a layer, private ones
+among them, or a method, classmethod, staticmethod, property or cached
+property of a class defined there.  Dunders and nested closures do not
+count.  A cached function counts by the function it wraps.
 
 The sweep runs every subcommand and output format on the six families at
 minimal rank, with admissible ``x``/``xbar`` queries by all three
 methods, under ``sys.setprofile``.  It runs in a fresh interpreter: the
 crystal builders and the other cached functions run once per process, so
-in this one earlier tests would already have run them.  Run this file as
-a script to print what the sweep reaches, as JSON.
+in this one earlier tests would already have run them.  The profile hook
+is installed before ``demchar`` is imported, so calls made at import
+time count.  After the sweep, ``error_commands`` run too, each with the
+exit code it must give: a tripped guard (4) or bad configuration (2).
+Run this file as a script to print what the sweep reaches, as JSON; each
+function that is neither reached nor allowed is listed on stderr with
+its ``file:line``.
 
 The sweep also pins its output: per command, the exit code, the first 16
 hex digits of sha256(stdout) and stderr must match ``surface_digests.json``.
@@ -25,24 +35,36 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
-from demchar import cli
-from demchar.paths import scheduled_nodes
-
+ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("surface_digests.json")
 
 LAYERS = ("qring", "weights", "crystals", "tensor", "paths", "demazure", "onedsums", "formulas", "cli")
 
-# Public functions that the CLI does not reach, each with its reason.
+# Functions that the CLI does not reach, each with its reason.  A class
+# name allows every method of the class.
 ALLOWED = {
+    "paths.GroundState.path_f": "paper check: lowering a path by the signature rule",
+    "paths.GroundState.path_e": "paper check: raising a path by the signature rule",
+    "paths.GroundState._units": "paper check: the signature of a path, read by path_f and path_e",
+    "paths.GroundState.path_weight": "bench/tracer.py wraps it for paths.path_weight.calls",
     "paths.grow_paths": "paper check: path sets grown by lowering closures",
     "paths.paths_at_step": "paper check: the grown path set after k steps",
     "tensor.signature_scan": "paper check: the signature rule behind GroundState.path_f/path_e",
+    "tensor.TensorWord": "bench/tracer.py wraps TensorWord.energy for tensor.energy.calls",
     "demazure.demazure_paths": "paper check: the path set built two ways",
     "demazure.check_conditions": "paper check: closure, capacity and ascent of a schedule",
+    "demazure.ConditionReport.ok": "paper check: the verdict of check_conditions",
+    "weights.WeylElement": "paper check: the ascent test of check_conditions",
+    "weights._identity": "paper check: WeylElement.identity's root matrix",
+    "weights._matmul": "paper check: WeylElement.prepend's matrix product",
+    "weights._root_reflection_matrix": "paper check: the root action of WeylElement.prepend",
+    "crystals.PerfectCrystal.phi": "paper check: the string lengths GroundState._units reads",
+    "paths.Schedule.weyl_word": "paper check: the reflection word of demazure_paths",
     "onedsums.is_admissible": "bench/workloads.py selects its restricted queries with it",
-    "formulas.mu_to_weight": "the README example of the closed form uses it",
+    "qring.LaurentPoly.to_json_obj": "written only on a verify formulas mismatch",
 }
 
 # family: (rank, head letter, node of xi and eta) for admissible x/xbar
@@ -58,6 +80,8 @@ FAMILIES = {
 
 
 def sweep_commands() -> list[list[str]]:
+    from demchar.paths import scheduled_nodes
+
     commands = [
         ["kostka", "--xi", "2,1", "--l", "1", "--j", "3", "--n", "2", "--format", fmt]
         for fmt in ("json", "csv")
@@ -94,77 +118,152 @@ def sweep_commands() -> list[list[str]]:
             ["decomp-search", *where, "--format", "csv"],
             ["decomp-search", *where, "--classical"],
         ]
+    # Window 2 is the first whose q-multinomials multiply binomials.
+    commands.append(["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "2"])
     return commands
 
 
-def public_functions() -> dict:
-    """Code object -> "layer.name" for each public function defined at
-    module level in a layer; a cached function counts by the function it
-    wraps.  Classes, exception classes among them, are not functions."""
-    public = {}
+def error_commands() -> list[tuple[int, list[str]]]:
+    """Commands that must fail, each with its exit code."""
+    stringfn = ["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0"]
+    return [
+        # three aligned windows do not fit under --max-window
+        (4, [*stringfn, "--M", "5", "--max-window", "3"]),
+        # the start window is deeper than the interpreter stack
+        (4, [*stringfn, "--M", "600", "--max-window", "2000"]),
+        (2, ["character", "A1", "1", "--lambda", "L0", "--k", "2", "--variant", "2"]),
+        (2, ["character", "A2even", "1", "--lambda", "L0", "--k", "2"]),
+        (2, ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2",
+             "--mu", "0,0", "--method", "weyl"]),
+        (2, ["verify", "formulas", "--type", "A1", "--rank", "1"]),
+    ]
+
+
+def _code(obj):
+    """The code object of a function, method, property or cached
+    property, unwrapping a cache; None for anything else."""
+    if isinstance(obj, (classmethod, staticmethod)):
+        obj = obj.__func__
+    elif isinstance(obj, property):
+        obj = obj.fget
+    elif isinstance(obj, cached_property):
+        obj = obj.func
+    obj = getattr(obj, "__wrapped__", obj)
+    return obj.__code__ if inspect.isfunction(obj) else None
+
+
+def functions() -> dict:
+    """Code object -> "layer.name" or "layer.Class.name" for each function
+    and method defined in a layer, dunders left out."""
+    found = {}
     for layer in LAYERS:
-        module = importlib.import_module(f"demchar.{layer}")
+        module = sys.modules[f"demchar.{layer}"]
         for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            obj = getattr(obj, "__wrapped__", obj)
-            if inspect.isfunction(obj):
-                public[obj.__code__] = f"{layer}.{name}"
-    return public
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                if attr is not None and attr.startswith("__") and attr.endswith("__"):
+                    continue
+                code = _code(member)
+                if code is not None:
+                    found[code] = f"{layer}.{name}" if attr is None else f"{layer}.{name}.{attr}"
+    return found
+
+
+def covers(entry: str, name: str) -> bool:
+    """True when the ALLOWED entry names the function or its class."""
+    return entry in (name, name.rpartition(".")[0])
+
+
+def _run(cli, argv: list[str], profile) -> list:
+    """Exit code, stdout digest and stderr of one command, run under the
+    profile hook."""
+    streams = sys.stdout, sys.stderr
+    out = io.BytesIO()
+    sys.stdout = io.TextIOWrapper(out)
+    sys.stderr = io.StringIO()
+    try:
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        sys.stdout.flush()
+        return [code, hashlib.sha256(out.getvalue()).hexdigest()[:16], sys.stderr.getvalue()]
+    finally:
+        sys.stdout, sys.stderr = streams
 
 
 def sweep() -> dict:
-    """Run the sweep under a profiler: the public functions, those it
-    entered, the commands that did not exit 0, and per command its exit
-    code, stdout digest and stderr."""
-    public = public_functions()
-    commands = sweep_commands()
-    reached: set[str] = set()
-    digests: dict[str, list] = {}
+    """Import ``demchar`` and run both command lists under a profiler: the
+    functions with their ``file:line``, those entered, the sweep commands
+    that did not exit 0, the error commands that did not give their exit
+    code, and per command its exit code, stdout digest and stderr."""
+    entered: set = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in public:
-            reached.add(public[frame.f_code])
+        if event == "call":
+            entered.add(frame.f_code)
 
-    streams = sys.stdout, sys.stderr
+    sys.setprofile(profile)
     try:
-        for argv in commands:
-            out = io.BytesIO()
-            sys.stdout = io.TextIOWrapper(out)
-            sys.stderr = io.StringIO()
-            sys.setprofile(profile)
-            try:
-                code = cli.main(argv)
-            finally:
-                sys.setprofile(None)
-            sys.stdout.flush()
-            digest = hashlib.sha256(out.getvalue()).hexdigest()[:16]
-            digests[" ".join(argv)] = [code, digest, sys.stderr.getvalue()]
+        for layer in LAYERS:
+            importlib.import_module(f"demchar.{layer}")
     finally:
-        sys.stdout, sys.stderr = streams
+        sys.setprofile(None)
+    cli = sys.modules["demchar.cli"]
+    commands = sweep_commands()
+    digests = {" ".join(argv): _run(cli, argv, profile) for argv in commands}
+    wrong_exit = []
+    for expected, argv in error_commands():
+        digests[" ".join(argv)] = _run(cli, argv, profile)
+        if digests[" ".join(argv)][0] != expected:
+            wrong_exit.append(argv)
+    found = functions()
     return {
-        "public": sorted(public.values()),
-        "reached": sorted(reached),
+        "functions": {
+            name: f"{Path(code.co_filename).resolve().relative_to(ROOT)}:{code.co_firstlineno}"
+            for code, name in sorted(found.items(), key=lambda item: item[1])
+        },
+        "reached": sorted(found[code] for code in entered if code in found),
         "failed": [argv for argv in commands if digests[" ".join(argv)][0] != 0],
+        "wrong_exit": wrong_exit,
         "digests": digests,
     }
 
 
+def unreached(result: dict) -> list[str]:
+    """``name file:line`` of each function neither reached nor allowed."""
+    reached = set(result["reached"])
+    return [
+        f"{name} {where}"
+        for name, where in result["functions"].items()
+        if name not in reached and not any(covers(entry, name) for entry in ALLOWED)
+    ]
+
+
 def test_sweep_reaches_every_public_function():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, __file__],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    public, reached = set(result["public"]), set(result["reached"])
+    names, reached = set(result["functions"]), set(result["reached"])
     assert result["failed"] == []
-    assert sorted(public - reached - set(ALLOWED)) == [], "neither reached nor allowed"
-    assert sorted(set(ALLOWED) - public) == [], "allowed but not a public function"
-    assert sorted(set(ALLOWED) & reached) == [], "reached, so no longer needs allowing"
+    assert result["wrong_exit"] == []
+    missing = unreached(result)
+    assert missing == [], "neither reached nor allowed:\n" + "\n".join(missing)
+    covered = {entry: {name for name in names if covers(entry, name)} for entry in ALLOWED}
+    assert sorted(entry for entry, own in covered.items() if not own) == [], (
+        "allowed but not defined in demchar"
+    )
+    assert sorted(entry for entry, own in covered.items() if own and own <= reached) == [], (
+        "reached, so no longer needs allowing"
+    )
     pinned = json.loads(DIGESTS.read_text())
     got = result["digests"]
     differ = sorted(cmd for cmd in pinned.keys() | got.keys() if pinned.get(cmd) != got.get(cmd))
@@ -178,3 +277,5 @@ if __name__ == "__main__":
         DIGESTS.write_text(json.dumps(result["digests"], indent=1, sort_keys=True) + "\n")
     else:
         print(json.dumps(result))
+        for line in unreached(result):
+            print(line, file=sys.stderr)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from brute import all_words
+from brute import all_words, simple_root
 
 from demchar.crystals import perfect_crystal
 from demchar.tensor import TensorWord, signature_scan
@@ -173,7 +173,7 @@ class TestWords:
                 lowered = word.f(i)
                 if lowered is not None:
                     diff = word.weight() - lowered.weight()
-                    assert diff.lambda_coords == ct.simple_root(i).lambda_coords
+                    assert diff.lambda_coords == simple_root(ct, i).lambda_coords
 
     def test_scan_matches_iterated_two_factor(self):
         crystal = perfect_crystal("D1", 4)

@@ -8,11 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brute import (
+    WeylAction,
     character_json_obj,
     combine,
     demazure_op,
     finite_weyl_group,
+    key,
     multiply,
+    reflect,
+    simple_root,
     weyl_by_length,
 )
 
@@ -20,7 +24,6 @@ from demchar.weights import (
     FAMILIES,
     FormalCharacter,
     Weight,
-    WeylElement,
     cartan_type,
 )
 
@@ -57,8 +60,6 @@ class TestWeight:
             Weight((1.5, 0))
         with pytest.raises(ValueError):
             Weight((1, 0), Fraction(1, 2))
-        with pytest.raises(ValueError):
-            Weight((1, 0)).with_delta(0.5)
         w = Weight((2.0, 0), Fraction(-3))
         assert w == Weight((2, 0), -3)
         assert type(w.delta_coord) is int
@@ -66,13 +67,10 @@ class TestWeight:
     def test_classical_drops_delta(self):
         assert Weight((1, 2), Fraction(5)).classical() == Weight((1, 2))
 
-    def test_json_round_trip(self):
+    def test_json_layout(self):
         # delta keeps its [numerator, denominator] form; the denominator is 1.
         w = Weight((0, -3, 1), -7)
         assert w.to_json_obj() == {"lambda": [0, -3, 1], "delta": [-7, 1]}
-        assert Weight.from_json_obj(w.to_json_obj()) == w
-        with pytest.raises(ValueError):
-            Weight.from_json_obj({"lambda": [0, -3, 1], "delta": [-7, 2]})
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +118,7 @@ class TestCartanData:
         ct = cartan_type(family, n)
         total = Weight.zero(ct.size)
         for i in ct.index_set:
-            total = total + ct.marks[i] * ct.simple_root(i)
+            total = total + ct.marks[i] * simple_root(ct, i)
         assert total == Weight((0,) * ct.size, 1)
 
     @pytest.mark.parametrize("family,n", ALL_SMALL_TYPES)
@@ -128,7 +126,7 @@ class TestCartanData:
         ct = cartan_type(family, n)
         for i in ct.index_set:
             for j in ct.index_set:
-                assert ct.simple_root(j).pairing(i) == ct.matrix[i][j]
+                assert simple_root(ct, j).pairing(i) == ct.matrix[i][j]
 
     @pytest.mark.parametrize("family,n", ALL_SMALL_TYPES)
     def test_level_of_fundamental_weights(self, family, n):
@@ -136,7 +134,7 @@ class TestCartanData:
         for i in ct.index_set:
             assert ct.level(ct.fundamental_weight(i)) == ct.comarks[i]
         for i in ct.index_set:
-            assert ct.level(ct.simple_root(i)) == 0
+            assert ct.level(simple_root(ct, i)) == 0
 
     @staticmethod
     def _level_zero_lift(ct, upper):
@@ -164,7 +162,7 @@ class TestCartanData:
         for family, n in ALL_SMALL_TYPES:
             ct = cartan_type(family, n)
             for i in ct.classical_index_set:
-                root = ct.simple_root(i)
+                root = simple_root(ct, i)
                 assert self._level_zero_lift(ct, root.lambda_coords[1:]) == root
 
     def test_bad_parameters_rejected(self):
@@ -176,9 +174,9 @@ class TestCartanData:
     def test_reflect(self):
         ct = cartan_type("A1", 1)
         w = ct.fundamental_weight(0)
-        assert ct.reflect(w, 0) == Weight((-1, 2), Fraction(-1))
-        assert ct.reflect(ct.reflect(w, 0), 0) == w
-        assert ct.reflect(w, 1) == w
+        assert reflect(ct, w, 0) == Weight((-1, 2), Fraction(-1))
+        assert reflect(ct, reflect(ct, w, 0), 0) == w
+        assert reflect(ct, w, 1) == w
 
 
 CLASSICAL_ORDERS = [
@@ -212,12 +210,12 @@ class TestWeylGroup:
             ct = cartan_type(family, n)
             w = Weight(tuple((j * 5 + 3) % 7 - 3 for j in range(ct.size)), Fraction(2))
             for i in ct.index_set:
-                elem = WeylElement.identity(ct).prepend(i)
-                assert elem.apply(w) == ct.reflect(w, i)
+                elem = WeylAction.identity(ct).prepend(i)
+                assert elem.apply(w) == reflect(ct, w, i)
 
     def test_involution_and_ascent(self):
         ct = cartan_type("B1", 3)
-        e = WeylElement.identity(ct)
+        e = WeylAction.identity(ct)
         for i in ct.index_set:
             assert e.is_ascent(i)
             r = e.prepend(i)
@@ -250,12 +248,12 @@ class TestWeylGroup:
         word = data.draw(
             st.lists(st.integers(min_value=0, max_value=ct.n), min_size=0, max_size=5)
         )
-        elem = WeylElement.identity(ct)
+        elem = WeylAction.identity(ct)
         for i in reversed(word):
             elem = elem.prepend(i)
         for i in word:
             elem = elem.prepend(i)
-        assert elem == WeylElement.identity(ct)
+        assert elem == WeylAction.identity(ct)
 
 
 def _coxeter_order(a_ij: int, a_ji: int) -> int | None:
@@ -274,94 +272,75 @@ class TestCoxeterRelations:
                 order = _coxeter_order(ct.matrix[i][j], ct.matrix[j][i])
                 if order is None:
                     continue
-                elem = WeylElement.identity(ct)
+                elem = WeylAction.identity(ct)
                 for _ in range(order):
                     elem = elem.prepend(j).prepend(i)
-                assert elem == WeylElement.identity(ct), (family, n, i, j, order)
+                assert elem == WeylAction.identity(ct), (family, n, i, j, order)
 
     def test_affine_a1_pair_has_infinite_order(self):
         ct = cartan_type("A1", 1)
         assert _coxeter_order(ct.matrix[0][1], ct.matrix[1][0]) is None
-        elem = WeylElement.identity(ct)
+        elem = WeylAction.identity(ct)
         for _ in range(8):
             elem = elem.prepend(1).prepend(0)
-            assert elem != WeylElement.identity(ct)
+            assert elem != WeylAction.identity(ct)
 
 
 class TestFormalCharacter:
     def test_ring_operations(self):
         w1 = Weight((1, 0))
         w2 = Weight((0, 1), Fraction(1))
-        a = FormalCharacter.monomial(w1) + FormalCharacter.monomial(w2, 2)
-        b = FormalCharacter.monomial(w1, -1)
+        a = FormalCharacter({key(w1): 1}) + FormalCharacter({key(w2): 2})
+        b = FormalCharacter({key(w1): -1})
         assert (a + b).to_keys() == {(0, 1, 1): 2}
-        assert not (b + FormalCharacter.monomial(w1))
-        assert a + FormalCharacter() == a
+        assert not (b + FormalCharacter({key(w1): 1}))
+        assert a + FormalCharacter({}) == a
         assert multiply(a.to_keys(), a.to_keys()) == {(2, 0, 0): 1, (1, 1, 1): 4, (0, 2, 2): 4}
 
     def test_non_integral_coefficients_rejected(self):
-        w = Weight((1, 0))
         for bad in (2.7, 0.5, Fraction(3, 2)):
             with pytest.raises(ValueError):
-                FormalCharacter({w: bad})
+                FormalCharacter({(1, 0, 0): bad})
         with pytest.raises(ValueError):
-            FormalCharacter.from_keys({(1, 0, 0): 1.5})
-        assert FormalCharacter({w: 2.0}).to_keys() == {(1, 0, 0): 2}
-        assert type(FormalCharacter({w: Fraction(4, 2)}).to_keys()[(1, 0, 0)]) is int
-
-    def test_terms_sorted_lexicographically(self):
-        chi = FormalCharacter(
-            {
-                Weight((1, 0)): 1,
-                Weight((0, 5)): 1,
-                Weight((0, 5), Fraction(-1)): 1,
-            }
-        )
-        assert [w.lambda_coords for w, _ in chi.terms()] == [(0, 5), (0, 5), (1, 0)]
-        deltas = [w.delta_coord for w, _ in chi.terms()]
-        assert deltas == [Fraction(-1), Fraction(0), Fraction(0)]
+            FormalCharacter({(1, 0.5, 0): 1})
+        assert FormalCharacter({(1, 0, 0): 2.0}).to_keys() == {(1, 0, 0): 2}
+        assert type(FormalCharacter({(1, 0, 0): Fraction(4, 2)}).to_keys()[(1, 0, 0)]) is int
 
     def test_json_roundtrip(self):
-        chi = FormalCharacter(
-            {Weight((2, -1), Fraction(-1)): 1, Weight((1, 0)): 3}
-        )
+        chi = FormalCharacter({(2, -1, -1): 1, (1, 0, 0): 3})
         obj = character_json_obj(chi)
         assert obj == [
             {"weight": {"lambda": [1, 0], "delta": [0, 1]}, "coeff": 3},
             {"weight": {"lambda": [2, -1], "delta": [-1, 1]}, "coeff": 1},
         ]
-        assert FormalCharacter.from_keys(chi.to_keys()) == chi
+        assert FormalCharacter(chi.to_keys()) == chi
 
 
 class TestDemazureOperator:
     def test_basic_weight_two_terms(self):
         ct = cartan_type("A1", 1)
         lam = ct.fundamental_weight(0)
-        chi = demazure_op(ct, 0, FormalCharacter.monomial(lam))
-        expected = FormalCharacter.monomial(lam) + FormalCharacter.monomial(
-            lam - ct.simple_root(0)
-        )
+        chi = demazure_op(ct, 0, FormalCharacter({key(lam): 1}))
+        expected = FormalCharacter({key(lam): 1, key(lam - simple_root(ct, 0)): 1})
         assert chi == expected
         assert chi.to_keys()[(-1, 2, -1)] == 1
 
     def test_zero_branch(self):
         ct = cartan_type("A1", 1)
         mu = Weight((-1, 1))
-        assert not demazure_op(ct, 0, FormalCharacter.monomial(mu))
+        assert not demazure_op(ct, 0, FormalCharacter({key(mu): 1}))
 
     def test_negative_branch_is_minus_string(self):
         ct = cartan_type("A1", 1)
         mu = Weight((-3, 3))
-        chi = demazure_op(ct, 0, FormalCharacter.monomial(mu))
-        alpha = ct.simple_root(0)
-        assert chi == FormalCharacter.monomial(mu + alpha, -1) + FormalCharacter.monomial(
-            mu + 2 * alpha, -1
-        )
+        chi = demazure_op(ct, 0, FormalCharacter({key(mu): 1}))
+        alpha = simple_root(ct, 0)
+        assert chi == FormalCharacter({key(mu + alpha): -1, key(mu + 2 * alpha): -1})
 
     @pytest.mark.parametrize("family,n", [("A1", 1), ("A1", 2), ("B1", 3), ("D2", 2)])
     def test_quotient_identity(self, family, n):
         ct = cartan_type(family, n)
-        rho = ct.rho()
+        rho = Weight((1,) * ct.size)
         samples = [
             Weight((0,) * ct.size),
             ct.fundamental_weight(0),
@@ -370,15 +349,15 @@ class TestDemazureOperator:
         ]
 
         def keys(w):
-            return FormalCharacter.monomial(w).to_keys()
+            return {key(w): 1}
 
         for i in ct.index_set:
-            alpha = ct.simple_root(i)
+            alpha = simple_root(ct, i)
             one_minus = combine((1, keys(Weight.zero(ct.size))), (-1, keys(-alpha)))
             for mu in samples:
-                op = demazure_op(ct, i, FormalCharacter.monomial(mu)).to_keys()
+                op = demazure_op(ct, i, FormalCharacter(keys(mu))).to_keys()
                 lhs = multiply(multiply(one_minus, op), keys(rho))
-                rhs = combine((1, keys(mu + rho)), (-1, keys(ct.reflect(mu + rho, i))))
+                rhs = combine((1, keys(mu + rho)), (-1, keys(reflect(ct, mu + rho, i))))
                 assert lhs == rhs, (family, n, i, str(mu))
 
     @pytest.mark.parametrize("family,n", [("A1", 1), ("A2even", 1), ("D2", 2)])
@@ -391,15 +370,15 @@ class TestDemazureOperator:
         ]
         for i in ct.index_set:
             for mu in samples:
-                once = demazure_op(ct, i, FormalCharacter.monomial(mu))
+                once = demazure_op(ct, i, FormalCharacter({key(mu): 1}))
                 assert demazure_op(ct, i, once) == once
 
     def test_linear_over_sums(self):
         ct = cartan_type("A1", 2)
         mu1 = ct.fundamental_weight(1)
         mu2 = Weight((1, -1, 1))
-        combined = FormalCharacter.monomial(mu1, 2) + FormalCharacter.monomial(mu2, -1)
+        combined = FormalCharacter({key(mu1): 2}) + FormalCharacter({key(mu2): -1})
         assert demazure_op(ct, 1, combined).to_keys() == combine(
-            (2, demazure_op(ct, 1, FormalCharacter.monomial(mu1)).to_keys()),
-            (-1, demazure_op(ct, 1, FormalCharacter.monomial(mu2)).to_keys()),
+            (2, demazure_op(ct, 1, FormalCharacter({key(mu1): 1})).to_keys()),
+            (-1, demazure_op(ct, 1, FormalCharacter({key(mu2): 1})).to_keys()),
         )
