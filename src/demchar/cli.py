@@ -404,6 +404,7 @@ def cmd_onedsum(args) -> int:
 def cmd_kostka(args) -> int:
     _require_at_least("--l", args.l, 0)
     _require_at_least("--j", args.j, 0)
+    _require_at_least("--n", args.n, 1)
     xi = _parse_ints(args.xi)
     try:
         poly = kostka(xi, args.l, args.j, args.n)

@@ -3,25 +3,22 @@
 Each crystal family admits an exact q-multinomial expression for the
 energy generating polynomial of a fixed-length letter window: a sum
 over letter-count vectors compatible with the window weight, each term
-a power of q times a Gaussian multinomial (with per-family quadratic
-exponents, cross terms, and factorial bases).  This module encodes the
-six expressions and a verifier that diffs them against direct path
-enumeration and the recursive evaluation.
+a power of q times a Gaussian multinomial.  One loop evaluates all six;
+a per-family table gives the letters left out of the quadratic exponent,
+its divisor and the q-base, and ``_pivot_of`` names the pair whose
+product is the cross term.  A2odd merges that pair into one part, split
+again by a q^2-binomial, and divides once by 1 + q^(g1+g1~) when the
+head letter is outside the pair.  A verifier diffs the closed form
+against direct path enumeration and the recursive evaluation.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .crystals import PerfectCrystal, perfect_crystal
+from .crystals import PerfectCrystal, barred, perfect_crystal
 from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
-from .qring import (
-    ZERO,
-    LaurentPoly,
-    exact_div,
-    qfactorial,
-    qmultinomial,
-)
+from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
 from .weights import FAMILIES, Weight
 
 Element = str
@@ -115,86 +112,65 @@ def mu_from_weight(
 # Letter-count enumeration
 
 
-def _letter_groups(crystal: PerfectCrystal):
-    """Split the alphabet into (numbered, barred-partner, free) labels."""
-    numbered = []
-    free = []
-    for label in crystal.elements:
-        if label.endswith("~"):
-            continue
-        if label in ("0", "phi"):
-            free.append(label)
-        else:
-            numbered.append(label)
-    numbered.sort(key=int)
-    return numbered, free
+def _count_vectors(crystal: PerfectCrystal, mu: MuParam, j: int) -> Iterator[dict[Element, int]]:
+    """All nonnegative letter counts of total ``j`` with pair differences
+    count(k) - count(k~) = mu_k; the free letters "0" and "phi" absorb
+    the remainder.  An alphabet without bars (A1) has the counts ``mu``."""
+    if barred(1) not in crystal:
+        if min(mu) >= 0:
+            yield dict(zip(crystal.elements, mu))
+        return
+    free = [label for label in ("0", "phi") if label in crystal]
 
-
-def _count_vectors(
-    crystal: PerfectCrystal, mu: MuParam, j: int
-) -> Iterator[dict[Element, int]]:
-    """All nonnegative letter counts with pairwise differences ``mu``
-    and total ``j``; counts of unpaired letters absorb the remainder."""
-    numbered, free = _letter_groups(crystal)
-
-    def recurse(idx: int, budget: int, counts: dict[Element, int]):
-        if idx == len(numbered):
-            if not free:
-                if budget == 0:
-                    yield dict(counts)
-                return
-            if len(free) == 1:
-                counts[free[0]] = budget
-                yield dict(counts)
-                return
-            first, second = free
-            for split in range(budget + 1):
-                counts[first] = split
-                counts[second] = budget - split
-                yield dict(counts)
+    def recurse(k: int, budget: int, counts: dict[Element, int]):
+        if k > len(mu):
+            if len(free) == 2:
+                for split in range(budget + 1):
+                    yield {**counts, free[0]: split, free[1]: budget - split}
+            elif free or budget == 0:
+                yield {**counts, **dict.fromkeys(free, budget)}
             return
-        label = numbered[idx]
-        diff = mu[idx]
-        low = max(0, -diff)
-        barred = 0
-        while True:
-            bar_count = low + barred
-            plain_count = diff + bar_count
-            used = plain_count + bar_count
-            if used > budget:
-                return
-            counts[label] = plain_count
-            counts[label + "~"] = bar_count
-            yield from recurse(idx + 1, budget - used, counts)
-            barred += 1
+        diff = mu[k - 1]
+        bar_count = max(0, -diff)
+        while diff + 2 * bar_count <= budget:
+            counts[str(k)] = diff + bar_count
+            counts[barred(k)] = bar_count
+            yield from recurse(k + 1, budget - diff - 2 * bar_count, counts)
+            bar_count += 1
 
-    yield from recurse(0, j, {})
+    yield from recurse(1, j, {})
 
 
 # ---------------------------------------------------------------------------
 # The six closed forms
 
 
-def _quadratic(counts: dict[Element, int], skip: tuple[Element, ...]) -> int:
-    return sum(g * (g - 1) for label, g in counts.items() if label not in skip)
+# Per family: the letters left out of the quadratic exponent, the divisor
+# of that exponent, and the q-base of the multinomial.
+_SHAPES: dict[str, tuple[tuple[Element, ...], int, int]] = {
+    "A1": ((), 2, 1),
+    "B1": ((), 2, 1),
+    "D1": ((), 2, 1),
+    "A2odd": ((), 2, 1),
+    "A2even": (("0",), 2, 1),
+    "D2": (("0", "phi"), 1, 2),
+}
 
 
-def _energy_term(crystal: PerfectCrystal, b: Element, counts) -> int:
-    return sum(crystal.energy(b, label) * g for label, g in counts.items())
-
-
-def _ordered(crystal: PerfectCrystal, counts: dict[Element, int]) -> tuple[int, ...]:
-    return tuple(counts[label] for label in crystal.elements)
-
-
-def _pivot_of(crystal: PerfectCrystal, b: Element, pivot: int | None):
-    if pivot is not None:
-        return str(pivot)
-    if b == "0":
-        # Either endpoint is claimed to give the same value; the larger
-        # one is the default and the verifier diffs both.
-        return str(crystal.cartan.size - 1)
-    return str(crystal.cartan.size - 1) if b.endswith("~") else "1"
+def _pivot_of(family: str, n: int, b: Element, pivot: int | None) -> int | None:
+    """The k whose pair k, k~ enters the cross term, or None.  Only B1 and
+    D1 take a choice of endpoint 1..n; for letter "0" either is claimed to
+    give the same value, the larger one is the default and the verifier
+    diffs both."""
+    if family not in ("B1", "D1"):
+        if pivot is not None:
+            raise ValueError(f"family {family} takes no cross-term pivot")
+        return 1 if family == "A2odd" else None
+    if pivot is None:
+        return n if b == "0" or b.endswith("~") else 1
+    if pivot not in range(1, n + 1):
+        raise ValueError(f"pivot must be one of 1..{n}, got {pivot!r}")
+    return int(pivot)
 
 
 def g_closed_form(
@@ -207,69 +183,43 @@ def g_closed_form(
     """Exact closed form of the unrestricted window sum.
 
     ``mu`` is the family's parameter vector; ``pivot`` overrides the
-    cross-term endpoint for the families that carry one (only letter
-    "0" admits a genuine choice).
+    cross-term endpoint of B1 and D1 (only letter "0" admits a genuine
+    choice).
     """
     if j < 0:
         raise ValueError("window length must be nonnegative")
     mu = _require_ints(mu)
     n = rank_of(family, mu)
     crystal = perfect_crystal(family, n)
-    if family == "A1":
-        if sum(mu) != j:
-            raise ValueError("letter counts must sum to the window length")
-        bracket = qmultinomial(j, mu, 1)
-        if not bracket:
-            return ZERO
-        counts = dict(zip(crystal.elements, mu))
-        expo = _quadratic(counts, ()) // 2 + _energy_term(crystal, b, counts)
-        return bracket.shift(expo)
-
+    if b not in crystal:
+        raise ValueError(f"{b!r} is not a letter of {crystal.name}")
+    if family == "A1" and sum(mu) != j:
+        raise ValueError("letter counts must sum to the window length")
+    k = _pivot_of(family, n, b, pivot)
+    s, sbar = (None, None) if k is None else (str(k), barred(k))
+    skip, divisor, base = _SHAPES[family]
+    energy_row = {label: crystal.energy(b, label) for label in crystal.elements}
     total = ZERO
-    if family in ("B1", "D1"):
-        s = _pivot_of(crystal, b, pivot)
-        sbar = s + "~"
-        for counts in _count_vectors(crystal, mu, j):
-            expo = (
-                _quadratic(counts, ()) // 2
-                - counts[s] * counts[sbar]
-                + _energy_term(crystal, b, counts)
-            )
-            total = total + qmultinomial(j, _ordered(crystal, counts), 1).shift(expo)
-        return total
-    if family == "A2even":
-        for counts in _count_vectors(crystal, mu, j):
-            expo = _quadratic(counts, ("0",)) // 2 + _energy_term(crystal, b, counts)
-            total = total + qmultinomial(j, _ordered(crystal, counts), 1).shift(expo)
-        return total
-    if family == "D2":
-        for counts in _count_vectors(crystal, mu, j):
-            expo = _quadratic(counts, ("0", "phi")) + _energy_term(crystal, b, counts)
-            total = total + qmultinomial(j, _ordered(crystal, counts), 2).shift(expo)
-        return total
-    if family == "A2odd":
-        plain_factorial = qfactorial(j, 1)
-        for counts in _count_vectors(crystal, mu, j):
-            g1, g1bar = counts["1"], counts["1~"]
+    for counts in _count_vectors(crystal, mu, j):
+        quadratic = sum(g * (g - 1) for label, g in counts.items() if label not in skip)
+        cross = 0 if k is None else counts[s] * counts[sbar]
+        energy = sum(energy_row[label] * g for label, g in counts.items())
+        if family == "A2odd":
+            g1, g1bar = counts[s], counts[sbar]
+            rest = [g for label, g in counts.items() if label not in (s, sbar)]
             pair = g1 + g1bar
-            expo = (
-                _quadratic(counts, ()) // 2
-                - g1 * g1bar
-                + _energy_term(crystal, b, counts)
-            )
-            num = qfactorial(pair, 2) * plain_factorial
-            den = qfactorial(g1, 2) * qfactorial(g1bar, 2) * qfactorial(pair, 1)
-            for label, g in counts.items():
-                if label not in ("1", "1~"):
-                    den = den * qfactorial(g, 1)
-            if b not in ("1", "1~"):
+            term = qmultinomial(j, (pair, *rest), 1) * qmultinomial(pair, (g1, g1bar), 2)
+            if b not in (s, sbar):
                 # The even-odd weight factor, rationalized to integer
                 # exponents: (q^{g1} + q^{g1bar}) / (1 + q^{g1+g1bar}).
-                num = num * LaurentPoly.from_terms([(g1, 1), (g1bar, 1)])
-                den = den * LaurentPoly.from_terms([(0, 1), (pair, 1)])
-            total = total + exact_div(num, den).shift(expo)
-        return total
-    raise ValueError(f"unknown family {family!r}")
+                term = exact_div(
+                    term * LaurentPoly.from_terms([(g1, 1), (g1bar, 1)]),
+                    LaurentPoly.from_terms([(0, 1), (pair, 1)]),
+                )
+        else:
+            term = qmultinomial(j, counts.values(), base)
+        total = total + term.shift(quadratic // divisor - cross + energy)
+    return total
 
 
 # ---------------------------------------------------------------------------

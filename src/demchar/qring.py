@@ -177,16 +177,6 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.monomial(1)
 
 
-def qfactorial(m: int, base_exp: int = 1) -> LaurentPoly:
-    """prod_{i=1..m} (1 - q^(base_exp*i)); 1 when m = 0."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    result = ONE
-    for i in range(1, m + 1):
-        result = result * (ONE - LaurentPoly.monomial(1, base_exp * i))
-    return result
-
-
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num/den in the Laurent ring.
 

@@ -579,6 +579,7 @@ BOUNDS = {
     "--j": "nonnegative",
     "--l": "nonnegative",
     "--jmax": "nonnegative",
+    "--n": "at least 1",
 }
 
 
@@ -599,6 +600,7 @@ BOUNDS = {
         (["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "-1"], "--jmax"),
         (["kostka", "--xi", "3", "--j", "3", "--n", "1", "--l", "-1"], "--l"),
         (["kostka", "--xi", "3", "--l", "1", "--n", "1", "--j", "-3"], "--j"),
+        (["kostka", "--xi", "1", "--l", "1", "--j", "1", "--n", "-2"], "--n"),
     ],
 )
 def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, option):

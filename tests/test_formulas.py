@@ -180,6 +180,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             g_closed_form("C7", "1", (0, 0), 1)
 
+    @pytest.mark.parametrize("family,b,mu", [
+        ("B1", "x", (0, 0, 0)),
+        ("B1", "4", (0, 0, 0)),
+        ("A1", "1~", (1, 1)),
+        ("A2odd", "0", (0, 0, 0)),
+        ("D2", 1, (0, 0)),
+    ])
+    def test_rejects_letter_outside_the_alphabet(self, family, b, mu):
+        with pytest.raises(ValueError, match="not a letter"):
+            g_closed_form(family, b, mu, 2)
+
     @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)
     def test_empty_window(self, family, rank):
         zero = (0,) * (rank + 1 if family == "A1" else rank)
@@ -259,6 +270,23 @@ class TestCrossTermPivot:
         )
 
 
+    @pytest.mark.parametrize("family,rank", [("B1", 3), ("D1", 4)])
+    @pytest.mark.parametrize("pivot", [0, 5, -1, 2.5, "1"])
+    def test_rejects_pivot_outside_one_to_n(self, family, rank, pivot):
+        with pytest.raises(ValueError, match="pivot must be one of"):
+            g_closed_form(family, "1", (0,) * rank, 2, pivot=pivot)
+
+    @pytest.mark.parametrize("family,b,mu", [
+        ("A1", "0", (1, 1)),
+        ("A2even", "0", (0,)),
+        ("D2", "0", (0, 0)),
+        ("A2odd", "2", (0, 0, 0)),
+    ])
+    def test_rejects_pivot_without_a_choice_of_endpoint(self, family, b, mu):
+        with pytest.raises(ValueError, match="takes no cross-term pivot"):
+            g_closed_form(family, b, mu, 2, pivot=1)
+
+
 class TestRecursionSubstitution:
     @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)
     def test_closed_form_satisfies_head_recursion(self, family, rank):
@@ -291,6 +319,15 @@ class TestVerifier:
         assert report["type"] == family
         assert report["rank"] == rank
         assert report["j_max"] == 4
+        assert report["cells_checked"] > 0
+        assert report["mismatches"] == []
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A1", 3), ("B1", 4), ("D1", 5), ("A2odd", 4), ("A2even", 3), ("D2", 3)],
+    )
+    def test_no_mismatches_above_minimal_rank(self, family, rank):
+        report = verify_type(family, 3, rank)
         assert report["cells_checked"] > 0
         assert report["mismatches"] == []
 

@@ -13,7 +13,6 @@ from demchar.qring import (
     InexactDivisionError,
     LaurentPoly,
     exact_div,
-    qfactorial,
     qmultinomial,
 )
 
@@ -106,16 +105,6 @@ class TestBasics:
 
 
 class TestFactorials:
-    def test_qfactorial_small(self):
-        assert qfactorial(0) == ONE
-        assert qfactorial(1) == poly_of((0, 1), (1, -1))
-        # (1-q)(1-q^2) = 1 - q - q^2 + q^3
-        assert qfactorial(2) == poly_of((0, 1), (1, -1), (2, -1), (3, 1))
-
-    def test_qfactorial_base_two(self):
-        # (1 - q^2)(1 - q^4)
-        assert qfactorial(2, base_exp=2) == poly_of((0, 1), (2, -1), (4, -1), (6, 1))
-
     def test_qmultinomial_examples(self):
         # [3; (2,1)] = 1 + q + q^2
         assert qmultinomial(3, (2, 1)) == poly_of((0, 1), (1, 1), (2, 1))
@@ -162,8 +151,9 @@ class TestFactorials:
 
 class TestDivision:
     def test_exact_div_simple(self):
-        num = qfactorial(3)
-        den = qfactorial(2)
+        # (1-q)(1-q^2)(1-q^3) / (1-q)(1-q^2)
+        num = poly_of((0, 1), (1, -1), (2, -1), (4, 1), (5, 1), (6, -1))
+        den = poly_of((0, 1), (1, -1), (2, -1), (3, 1))
         assert exact_div(num, den) == ONE - LaurentPoly.monomial(1, 3)
 
     def test_exact_div_laurent(self):
