@@ -2,7 +2,8 @@
 
 Validates the three structural requirements of the growth procedure on
 a ``paths.Schedule`` (full closure per segment, boundary capacity,
-ascending reflection word), constructs the path set after k steps two
+ascending reflection word, tested step by step on w(rho) by
+``weights.ascents``), constructs the path set after k steps two
 independent ways (direct product shape versus step-by-step lowering
 closure), and computes the Demazure character both as a sum over paths
 (the segment sum of ``onedsums`` over one listing of the tails, without
@@ -18,7 +19,7 @@ from itertools import product
 
 from .onedsums import _segment_character, _walker_terms
 from .paths import Schedule, Word, demazure_schedule, paths_at_step
-from .weights import FormalCharacter, WeylElement, demazure_step
+from .weights import FormalCharacter, ascents, demazure_step
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,14 @@ def check_conditions(s: Schedule, j_max: int) -> ConditionReport:
                         f"but {b} raises only {crystal.epsilon(i, b)} < {demand}"
                     )
                     break
-    elem = WeylElement.identity(crystal.cartan)
-    for k in range(1, j_max * s.d + 1):
-        i = s.flat_index(k)
-        if not elem.is_ascent(i):
+    word = s.weyl_word(j_max * s.d)[::-1]
+    for k, (i, up) in enumerate(zip(word, ascents(crystal.cartan, word)), 1):
+        if not up:
             violations.append(
                 f"ascent: step {k} prepends reflection {i} without "
                 f"lengthening the word"
             )
             break
-        elem = elem.prepend(i)
     return ConditionReport(j_max, tuple(violations))
 
 

@@ -61,7 +61,7 @@ from typing import Sequence
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
 from .qring import ZERO, LaurentPoly
-from .weights import CartanType, FormalCharacter, Weight
+from .weights import FormalCharacter, Weight, fold
 
 
 class StabilizationGuardError(RuntimeError):
@@ -315,14 +315,10 @@ def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int,
     frees the sets."""
     if j < 0:
         raise ValueError("length must be nonnegative")
-    sums = {Weight.zero(crystal.cartan.size).lambda_coords}
-    letters = [crystal.weight(b).lambda_coords for b in crystal.elements]
+    sums = {(0,) * crystal.cartan.size}
+    letters = crystal.weight_table
     for _ in range(j):
-        sums = {
-            tuple(c + w for c, w in zip(coords, wt))
-            for coords in sums
-            for wt in letters
-        }
+        sums = {tuple(map(add, coords, wt)) for coords in sums for wt in letters}
     return frozenset(sums)
 
 
@@ -452,30 +448,6 @@ def x_recursive(
     return _poly(_x_value(crystal, b, xi, eta, j, classical, indices, None))
 
 
-def _fold(
-    ct: CartanType, coords: tuple[int, ...], idx: tuple[int, ...]
-) -> tuple[tuple[int, ...], int, int]:
-    """Reflect coords into the dominant chamber of the nodes idx.
-
-    While some coordinate c at a node i of idx is negative, subtract c
-    times alpha_i (column i of the Cartan matrix); a step at node 0 also
-    subtracts c from the null-root offset.  Returns the folded
-    coordinates, the number of steps and the offset.  Folding w(lam) for
-    a regular dominant lam takes length(w) steps and ends at lam plus
-    the offset times the null root.
-    """
-    v = list(coords)
-    steps = offset = 0
-    while (i := next((i for i in idx if v[i] < 0), None)) is not None:
-        c = v[i]
-        for k, row in enumerate(ct.matrix):
-            v[k] -= c * row[i]
-        if i == 0:
-            offset -= c
-        steps += 1
-    return tuple(v), steps, offset
-
-
 def x_by_weyl_sum(
     crystal: PerfectCrystal,
     b: Element,
@@ -522,7 +494,7 @@ def x_by_weyl_sum(
     t = crystal.index(b)
     total: Counter = Counter()
     for mu in tail_weight_support(crystal, j):
-        folded, steps, offset = _fold(ct, tuple(map(add, base, mu)), idx)
+        folded, steps, offset = fold(ct, tuple(map(add, base, mu)), idx)
         if tuple(folded[i] for i in idx) == target and (value := rec(t, (), mu, j)):
             low, coeffs = value
             sign = -1 if steps % 2 else 1

@@ -1,22 +1,24 @@
-"""Affine weight lattices, Cartan data, Weyl group elements and the
-Demazure step.
+"""Affine weight lattices, Cartan data, simple reflections on int
+coordinates and the Demazure step.
 
 Covers six families of affine Kac-Moody types with node set {0..n}:
 untwisted A, B, D and twisted A (odd and even) and D. Weights carry
 integer coordinates in the fundamental-weight basis plus a separate
-integer delta coordinate. A Weyl group element tracks its inverse's
-action on the simple-root basis, so a reflection word can be checked to
-ascend in Bruhat length step by step (``demazure.check_conditions``).
-The Demazure operator runs on int keys (*coordinates, delta) in
-``demazure_step``, and ``FormalCharacter`` stores the same keys.
+integer delta coordinate. All Weyl-group work runs on int coordinates
+and reads one int key per simple root, ``CartanType.simple_roots``:
+the Demazure operator ``demazure_step`` on int keys (*coordinates,
+delta), which ``FormalCharacter`` stores too; ``fold``, which reflects
+a point into a dominant chamber; and ``ascents``, which tests a
+reflection word for ascent in Bruhat length step by step on w(rho)
+(``demazure.check_conditions``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .qring import _integral
 
@@ -113,6 +115,14 @@ class CartanType:
     @property
     def classical_index_set(self) -> range:
         return range(1, self.size)
+
+    @cached_property
+    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
+        """alpha_i for each node i as an int key (*coordinates, delta):
+        column i of the Cartan matrix, plus delta at node 0."""
+        return tuple(
+            (*(row[i] for row in self.matrix), 1 if i == 0 else 0) for i in self.index_set
+        )
 
     def fundamental_weight(self, i: int) -> Weight:
         coords = [0] * self.size
@@ -216,64 +226,44 @@ def cartan_type(family: str, n: int) -> CartanType:
     return CartanType(family, n, matrix, marks, comarks)
 
 
-def _identity(size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if r == c else 0 for c in range(size)) for r in range(size))
+def fold(
+    ct: CartanType, coords: tuple[int, ...], idx: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, int]:
+    """Reflect coords into the dominant chamber of the nodes idx.
 
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(ra * cb for ra, cb in zip(row, col)) for col in cols) for row in a)
-
-
-@cache
-def _root_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of r_i on simple-root coordinates."""
-    size = ct.size
-    m = [list(row) for row in _identity(size)]
-    for j in range(size):
-        m[i][j] -= ct.matrix[i][j]
-    return tuple(tuple(row) for row in m)
-
-
-class WeylElement:
-    """Weyl group element as a reduced-or-not word of simple reflections,
-    with the ascent test of ``demazure.check_conditions``.
-
-    The word (j_1, ..., j_m) denotes r_{j_1} o ... o r_{j_m} (rightmost
-    applied first). `inv_alpha` is the inverse element's matrix on
-    simple-root coordinates.
+    While some coordinate c at a node i of idx is negative, subtract c
+    times alpha_i; its delta part, at node 0 only, is subtracted from the
+    null-root offset.  Returns the folded coordinates, the number of
+    steps and the offset.  Folding w(lam) for a regular dominant lam
+    takes length(w) steps and ends at lam plus the offset times the null
+    root.
     """
+    v = list(coords)
+    steps = offset = 0
+    while (i := next((i for i in idx if v[i] < 0), None)) is not None:
+        c = v[i]
+        alpha = ct.simple_roots[i]
+        for k in range(len(v)):
+            v[k] -= c * alpha[k]
+        offset -= c * alpha[-1]
+        steps += 1
+    return tuple(v), steps, offset
 
-    __slots__ = ("cartan", "word", "inv_alpha")
 
-    def __init__(
-        self,
-        cartan: CartanType,
-        word: tuple[int, ...],
-        inv_alpha: tuple[tuple[int, ...], ...],
-    ):
-        self.cartan = cartan
-        self.word = word
-        self.inv_alpha = inv_alpha
+def ascents(ct: CartanType, word: Iterable[int]) -> Iterator[bool]:
+    """For each index i of word in turn, whether prepending r_i to the
+    element w built so far (rightmost applied first) lengthens it.
 
-    @classmethod
-    def identity(cls, cartan: CartanType) -> "WeylElement":
-        return cls(cartan, (), _identity(cartan.size))
-
-    def prepend(self, i: int) -> "WeylElement":
-        """Left-multiply by the simple reflection r_i."""
-        return WeylElement(
-            self.cartan,
-            (i,) + self.word,
-            _matmul(self.inv_alpha, _root_reflection_matrix(self.cartan, i)),
-        )
-
-    def is_ascent(self, i: int) -> bool:
-        """True when left-multiplying by r_i increases Bruhat length."""
-        return all(self.inv_alpha[j][i] >= 0 for j in range(self.cartan.size))
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self.word})"
+    Tracks w(rho) on int coordinates from rho = (1, ..., 1): r_i w is
+    longer than w exactly when the pairing of w(rho) with h_i is positive
+    (Kac, Infinite-dimensional Lie algebras, Lemma 3.11), and then w(rho)
+    becomes r_i w(rho) = w(rho) - <w(rho), h_i> alpha_i.
+    """
+    v = [1] * ct.size
+    for i in word:
+        c = v[i]
+        yield c > 0
+        v = [x - c * a for x, a in zip(v, ct.simple_roots[i])]
 
 
 def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
@@ -348,10 +338,9 @@ def demazure_step(
     mu + rho against h_i: the result is the sum of exponentials mu - t*alpha_i
     for 0 <= t < m when m > 0, zero when m = 0, and minus the sum of
     mu + t*alpha_i for 1 <= t <= -m when m < 0.  Zero coefficients are
-    dropped.  alpha_i is read as an int key: column i of the Cartan
-    matrix, plus delta at node 0.
+    dropped.  alpha_i is read from ``CartanType.simple_roots``.
     """
-    alpha = (*(row[i] for row in ct.matrix), 1 if i == 0 else 0)
+    alpha = ct.simple_roots[i]
     out: dict[tuple[int, ...], int] = {}
     for mu, c in terms.items():
         m = mu[i] + 1

@@ -3,13 +3,15 @@
 Unlike ``tests/oracles.py``, which shares no code with the library on
 purpose, everything here is written on top of ``demchar``'s own types
 (crystals, weights, tensor words, the unrestricted sum): simple roots
-and reflections as weights, word and Weyl group enumeration with the
-weight action of each element, the weight named by a closed-form
-parameter vector, the Demazure operator on a ``FormalCharacter``, the
-reflection identity of the unrestricted sum, products of characters
-held as int-keyed dicts, and the JSON layout of a character.  Each is a
-slow, direct restatement that the tests hold the fast library routes
-against.
+and reflections as weights, word and Weyl group enumeration, each
+element held as root and weight matrices (``WeylAction``: its Bruhat
+ascent test and its action on weights, sharing no reflection code with
+the library's int-coordinate ``weights.ascents`` and ``weights.fold``),
+the weight named by a closed-form parameter vector, the Demazure
+operator on a ``FormalCharacter``, the reflection identity of the
+unrestricted sum, products of characters held as int-keyed dicts, and
+the JSON layout of a character.  Each is a slow, direct restatement
+that the tests hold the fast library routes against.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from demchar.formulas import _require_ints, rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
-from demchar.weights import (
-    CartanType,
-    FormalCharacter,
-    Weight,
-    WeylElement,
-    _identity,
-    _matmul,
-    demazure_step,
-)
+from demchar.weights import CartanType, FormalCharacter, Weight, demazure_step
 
 Keys = Mapping[tuple[int, ...], int]
 
@@ -114,6 +108,24 @@ def enumerate_paths(
 # Weyl groups
 
 
+def _identity(size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if r == c else 0 for c in range(size)) for r in range(size))
+
+
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(ra * cb for ra, cb in zip(row, col)) for col in cols) for row in a)
+
+
+@cache
+def _root_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of r_i on simple-root coordinates."""
+    m = [list(row) for row in _identity(ct.size)]
+    for j in range(ct.size):
+        m[i][j] -= ct.matrix[i][j]
+    return tuple(tuple(row) for row in m)
+
+
 @cache
 def _weight_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of r_i on (Lambda_0..Lambda_n, delta) coordinates."""
@@ -127,34 +139,45 @@ def _weight_reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], 
 
 
 class WeylAction:
-    """A Weyl group element with its action on weights: the library's
-    ``WeylElement`` (the word and the ascent test) and ``mat``, the
-    matrix of the element on (Lambda_0..Lambda_n, delta) coordinates.
-    Two elements are equal when their matrices are."""
+    """A Weyl group element as a word of simple reflections (j_1, ..., j_m),
+    denoting r_{j_1} o ... o r_{j_m} (rightmost applied first), with two
+    matrices: ``inv_alpha``, the inverse element on simple-root
+    coordinates, which gives the ascent test, and ``mat``, the element on
+    (Lambda_0..Lambda_n, delta) coordinates, which gives its action on
+    weights.  Two elements are equal when their ``mat`` are."""
 
-    __slots__ = ("element", "mat")
+    __slots__ = ("cartan", "word", "inv_alpha", "mat")
 
-    def __init__(self, element: WeylElement, mat: tuple[tuple[int, ...], ...]):
-        self.element = element
+    def __init__(
+        self,
+        cartan: CartanType,
+        word: tuple[int, ...],
+        inv_alpha: tuple[tuple[int, ...], ...],
+        mat: tuple[tuple[int, ...], ...],
+    ):
+        self.cartan = cartan
+        self.word = word
+        self.inv_alpha = inv_alpha
         self.mat = mat
 
     @classmethod
     def identity(cls, ct: CartanType) -> "WeylAction":
-        return cls(WeylElement.identity(ct), _identity(ct.size + 1))
+        return cls(ct, (), _identity(ct.size), _identity(ct.size + 1))
 
     def prepend(self, i: int) -> "WeylAction":
         """Left-multiply by the simple reflection r_i."""
-        ct = self.element.cartan
+        ct = self.cartan
         return WeylAction(
-            self.element.prepend(i), _matmul(_weight_reflection_matrix(ct, i), self.mat)
+            ct,
+            (i,) + self.word,
+            _matmul(self.inv_alpha, _root_reflection_matrix(ct, i)),
+            _matmul(_weight_reflection_matrix(ct, i), self.mat),
         )
 
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.element.word
-
     def is_ascent(self, i: int) -> bool:
-        return self.element.is_ascent(i)
+        """True when left-multiplying by r_i increases Bruhat length: the
+        inverse element maps alpha_i to a positive root."""
+        return all(self.inv_alpha[j][i] >= 0 for j in range(self.cartan.size))
 
     @property
     def length(self) -> int:
@@ -165,7 +188,7 @@ class WeylAction:
         return -1 if len(self.word) % 2 else 1
 
     def apply(self, w: Weight) -> Weight:
-        size = self.element.cartan.size
+        size = self.cartan.size
         coords = tuple(
             sum(self.mat[j][l] * w.lambda_coords[l] for l in range(size)) for j in range(size)
         )
@@ -177,10 +200,10 @@ class WeylAction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylAction):
             return NotImplemented
-        return self.element.cartan == other.element.cartan and self.mat == other.mat
+        return self.cartan == other.cartan and self.mat == other.mat
 
     def __hash__(self) -> int:
-        return hash((self.element.cartan.family, self.element.cartan.n, self.mat))
+        return hash((self.cartan.family, self.cartan.n, self.mat))
 
     def __repr__(self) -> str:
         return f"WeylAction({self.word})"

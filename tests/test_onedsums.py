@@ -55,6 +55,7 @@ from demchar.weights import (
     Weight,
     cartan_type,
     dominant_classical_weights,
+    fold,
 )
 
 ZERO = LaurentPoly.from_terms([])
@@ -550,7 +551,7 @@ class TestSignedReflectionSums:
         cases += [(w, classical) for w in finite_weyl_group(ct, classical)]
         for w, idx in cases:
             moved = w.apply(lam)
-            folded, steps, offset = onedsums._fold(ct, moved.lambda_coords, idx)
+            folded, steps, offset = fold(ct, moved.lambda_coords, idx)
             assert [folded[i] for i in idx] == [lam.pairing(i) for i in idx], w
             assert steps == w.length, w
             assert offset == -moved.delta_coord, w

@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from brute import enumerate_paths, simple_root
+from brute import WeylAction, enumerate_paths, simple_root
 
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
@@ -17,7 +17,7 @@ from demchar.paths import (
     paths_at_step,
     scheduled_nodes,
 )
-from demchar.weights import Weight, WeylElement, cartan_type
+from demchar.weights import Weight, cartan_type
 
 SCHEDULED = [
     ("A1", 1, 0),
@@ -189,7 +189,7 @@ class TestSchedules:
         gs = make_ground_state(family, n, node)
         sched = demazure_schedule(gs.crystal, gs.lam)
         ct = gs.crystal.cartan
-        elem = WeylElement.identity(ct)
+        elem = WeylAction.identity(ct)
         for k in range(1, 2 * sched.d + 1):
             i = sched.flat_index(k)
             assert elem.is_ascent(i)
@@ -308,7 +308,7 @@ class TestScheduleVariants:
         gs = make_ground_state(family, n, node)
         sched = demazure_schedule(gs.crystal, gs.lam, variant=2)
         ct = gs.crystal.cartan
-        elem = WeylElement.identity(ct)
+        elem = WeylAction.identity(ct)
         for k in range(1, 2 * sched.d + 1):
             i = sched.flat_index(k)
             assert elem.is_ascent(i), (family, k)

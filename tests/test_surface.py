@@ -57,10 +57,7 @@ ALLOWED = {
     "demazure.demazure_paths": "paper check: the path set built two ways",
     "demazure.check_conditions": "paper check: closure, capacity and ascent of a schedule",
     "demazure.ConditionReport.ok": "paper check: the verdict of check_conditions",
-    "weights.WeylElement": "paper check: the ascent test of check_conditions",
-    "weights._identity": "paper check: WeylElement.identity's root matrix",
-    "weights._matmul": "paper check: WeylElement.prepend's matrix product",
-    "weights._root_reflection_matrix": "paper check: the root action of WeylElement.prepend",
+    "weights.ascents": "paper check: the ascent test of check_conditions",
     "crystals.PerfectCrystal.phi": "paper check: the string lengths GroundState._units reads",
     "paths.Schedule.weyl_word": "paper check: the reflection word of demazure_paths",
     "onedsums.is_admissible": "bench/workloads.py selects its restricted queries with it",

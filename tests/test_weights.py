@@ -24,6 +24,7 @@ from demchar.weights import (
     FAMILIES,
     FormalCharacter,
     Weight,
+    ascents,
     cartan_type,
 )
 
@@ -42,6 +43,12 @@ ALL_SMALL_TYPES = [
     ("A2even", 3),
     ("D2", 2),
     ("D2", 3),
+]
+
+MINIMAL_AND_NEXT = [
+    (family, n + k)
+    for family, n in (("A1", 1), ("B1", 3), ("D1", 4), ("A2odd", 3), ("A2even", 1), ("D2", 2))
+    for k in (0, 1)
 ]
 
 
@@ -240,6 +247,20 @@ class TestWeylGroup:
             for elem in shell:
                 assert elem.length == shell_len
                 assert elem.det == (-1) ** shell_len
+
+    @pytest.mark.parametrize("family,n", MINIMAL_AND_NEXT)
+    @given(data=st.data())
+    def test_ascents_match_root_matrices(self, family, n, data):
+        """The ascent verdict on w(rho) equals the root-matrix test at every
+        step of a random word, descents included."""
+        ct = cartan_type(family, n)
+        word = data.draw(st.lists(st.integers(min_value=0, max_value=ct.n), max_size=24))
+        elem = WeylAction.identity(ct)
+        expected = []
+        for i in word:
+            expected.append(elem.is_ascent(i))
+            elem = elem.prepend(i)
+        assert list(ascents(ct, word)) == expected
 
     @given(st.sampled_from(ALL_SMALL_TYPES), st.data())
     def test_random_word_is_identity_when_doubled(self, type_key, data):
