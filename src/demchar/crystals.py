@@ -6,13 +6,22 @@ short string labels ("3", "3~" for barred letters, "0", "phi") except in
 the symmetric-power crystal, whose elements are weakly increasing letter
 tuples. String lengths epsilon/phi are precomputed by walking arrows, so
 multi-step strings through the middle of the graph are counted correctly.
+
+A builder gives only the elements, the f-arrows, a name and one int; the
+rest follows from the arrows.  Each letter's weight is phi - epsilon:
+wt(b) = sum_i (phi_i(b) - epsilon_i(b)) Lambda_i.  The local energy H on
+two-letter words b (x) b' is fixed under e_1..e_n and moves by one under
+e_0: up when e_0 acts on the left factor, down when it acts on the right
+(Kang-Kashiwara-Misra-Miwa-Nakashima-Nakayashiki 1992).  That fixes H up
+to a constant, and the int is that constant: H(b0 (x) b0) for the first
+element b0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from typing import Hashable, Iterable, Mapping
 
 from .weights import CartanType, Weight, cartan_type, dominant_classical_weights
@@ -25,16 +34,20 @@ def barred(k: int) -> str:
 
 
 class PerfectCrystal:
-    """Finite affine crystal with weights and a local energy function."""
+    """Finite affine crystal whose weights and local energy come from its
+    arrows, with ``normalization`` = H(b0 (x) b0) for the first element b0.
+
+    Raises ValueError, naming the crystal and a pair, when the two-letter
+    words are not connected or a pair is reached with two energies.
+    """
 
     def __init__(
         self,
         cartan: CartanType,
         elements: Iterable[Element],
         f_arrows: Mapping[tuple[int, Element], Element],
-        weights: Mapping[Element, Weight],
-        energy: Mapping[tuple[Element, Element], int],
         name: str,
+        normalization: int,
     ):
         self.cartan = cartan
         self.elements = tuple(elements)
@@ -42,8 +55,6 @@ class PerfectCrystal:
         self._index = {b: k for k, b in enumerate(self.elements)}
         self._f = dict(f_arrows)
         self._e = {(i, to): frm for (i, frm), to in self._f.items()}
-        self._wt = dict(weights)
-        self._H = dict(energy)
         self._phi: dict[tuple[int, Element], int] = {}
         self._eps: dict[tuple[int, Element], int] = {}
         for i in cartan.index_set:
@@ -60,6 +71,45 @@ class PerfectCrystal:
                     cur = self._e[(i, cur)]
                     steps += 1
                 self._eps[(i, b)] = steps
+        self._H = self._walk_energy(normalization)
+
+    def _walk_energy(self, normalization: int) -> dict[tuple[Element, Element], int]:
+        """H on every two-letter word, walked from (b0, b0) by the
+        two-factor signature rule: e_i acts on the left factor iff
+        phi_i(b) >= epsilon_i(b'), f_i iff phi_i(b) > epsilon_i(b').  H is
+        fixed under i >= 1; e_0 raises it by 1 on the left factor and
+        lowers it by 1 on the right, and f_0 undoes that."""
+        if not self.elements:
+            raise ValueError(f"{self.name}: no elements")
+        b0 = self.elements[0]
+        energy = {(b0, b0): normalization}
+        queue = [(b0, b0)]
+        while queue:
+            b, bp = queue.pop()
+            h = energy[(b, bp)]
+            for i in self.cartan.index_set:
+                phi, eps = self._phi[(i, b)], self._eps[(i, bp)]
+                for arrows, left, up in ((self._e, phi >= eps, 1), (self._f, phi > eps, -1)):
+                    pair = (arrows.get((i, b)), bp) if left else (b, arrows.get((i, bp)))
+                    if None in pair:
+                        continue
+                    moved = h if i else h + (up if left else -up)
+                    if pair not in energy:
+                        energy[pair] = moved
+                        queue.append(pair)
+                    elif energy[pair] != moved:
+                        raise ValueError(
+                            f"{self.name}: pair {pair} reached with energies "
+                            f"{energy[pair]} and {moved}"
+                        )
+        words = ((b, bp) for b in self.elements for bp in self.elements)
+        pair = next((word for word in words if word not in energy), None)
+        if pair is not None:
+            raise ValueError(
+                f"{self.name}: two-letter words not connected; pair {pair} "
+                f"not reached from {(b0, b0)}"
+            )
+        return energy
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -83,7 +133,8 @@ class PerfectCrystal:
         return self._eps[(i, b)]
 
     def weight(self, b: Element) -> Weight:
-        return self._wt[b]
+        """wt(b) = phi-weight minus epsilon-weight."""
+        return Weight(self.weight_table[self._index[b]])
 
     def energy(self, b: Element, bp: Element) -> int:
         """Local energy H(b (x) bp)."""
@@ -91,8 +142,11 @@ class PerfectCrystal:
 
     @cached_property
     def weight_table(self) -> tuple[tuple[int, ...], ...]:
-        """Weight coordinates of each letter, by letter index."""
-        return tuple(self._wt[b].lambda_coords for b in self.elements)
+        """Weight coordinates phi_i - epsilon_i of each letter, by letter index."""
+        return tuple(
+            tuple(self._phi[(i, b)] - self._eps[(i, b)] for i in self.cartan.index_set)
+            for b in self.elements
+        )
 
     @cached_property
     def energy_table(self) -> tuple[tuple[int, ...], ...]:
@@ -162,8 +216,9 @@ def verify_perfect(crystal: PerfectCrystal, level: int) -> PerfectnessReport:
 
     Verifies that each dominant classical weight of the given level has a
     unique element whose phi-weight (and, separately, epsilon-weight) matches
-    it classically, that every element's epsilon-weight has level at least l,
-    and that the arrow graph is connected. Returns the failures; the
+    it classically, and that every element's epsilon-weight has level at
+    least l; the constructor has already checked that the graph is
+    connected, since its two-letter words are. Returns the failures; the
     dominant-weight-to-element map and the induced weight automorphism are
     ``PerfectCrystal.ground_element`` and ``PerfectCrystal.sigma``.
     """
@@ -192,180 +247,64 @@ def verify_perfect(crystal: PerfectCrystal, level: int) -> PerfectnessReport:
     for b in crystal.elements:
         if ct.level(crystal.epsilon_weight(b)) < level:
             report.failures.append(f"element {b}: epsilon level below {level}")
-    if crystal.elements:
-        seen = {crystal.elements[0]}
-        queue = [crystal.elements[0]]
-        while queue:
-            cur = queue.pop()
-            for i in ct.index_set:
-                for nbr in (crystal.f(i, cur), crystal.e(i, cur)):
-                    if nbr is not None and nbr not in seen:
-                        seen.add(nbr)
-                        queue.append(nbr)
-        if len(seen) != len(crystal.elements):
-            report.failures.append(
-                f"graph not connected: reached {len(seen)} of {len(crystal.elements)}"
-            )
     return report
 
 
-def _order_energy(
-    elements: list[Element],
-    rank: Mapping[Element, int],
-    exceptions: Mapping[tuple[Element, Element], int],
-) -> dict[tuple[Element, Element], int]:
-    table = {}
-    for b in elements:
-        for bp in elements:
-            if (b, bp) in exceptions:
-                table[(b, bp)] = exceptions[(b, bp)]
-            else:
-                table[(b, bp)] = 0 if rank[b] < rank[bp] else 1
-    return table
+def _letters(n: int, middle: list[str]) -> list[str]:
+    """The letters 1..n, then the middle ones, then n~..1~."""
+    return [str(k) for k in range(1, n + 1)] + middle + [barred(k) for k in range(n, 0, -1)]
 
 
-def _chain_arrows(n: int) -> dict[tuple[int, str], str]:
-    """Arrows i: i -> i+1 and (i+1)~ -> i~ for 1 <= i <= n-1."""
+def _chain_arrows(n: int, ends: dict[tuple[int, str], str]) -> dict[tuple[int, str], str]:
+    """Arrows i: i -> i+1 and (i+1)~ -> i~ for 1 <= i <= n-1, plus ``ends``."""
     arrows: dict[tuple[int, str], str] = {}
     for i in range(1, n):
         arrows[(i, str(i))] = str(i + 1)
         arrows[(i, barred(i + 1))] = barred(i)
-    return arrows
-
-
-def _with_negated_bars(wt: dict[str, Weight]) -> dict[str, Weight]:
-    full = dict(wt)
-    for b, w in wt.items():
-        if b not in ("0", "phi"):
-            full[barred(int(b))] = -w
-    return full
-
-
-def _fw(ct: CartanType, *pairs: tuple[int, int]) -> Weight:
-    coords = [0] * ct.size
-    for coeff, i in pairs:
-        coords[i] += coeff
-    return Weight(tuple(coords))
+    return arrows | ends
 
 
 def _build_a1(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    elements = [str(k) for k in range(n + 1)]
     arrows = {(i, str(i - 1)): str(i) for i in range(1, n + 1)}
     arrows[(0, str(n))] = "0"
-    weights = {
-        str(k): _fw(ct, (1, (k + 1) % (n + 1)), (-1, k)) for k in range(n + 1)
-    }
-    rank = {str(k): k for k in range(n + 1)}
-    energy = _order_energy(elements, rank, {})
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"A1 n={n}")
+    return PerfectCrystal(ct, [str(k) for k in range(n + 1)], arrows, f"A1 n={n}", 1)
 
 
 def _build_b1(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    elements = [str(k) for k in range(1, n + 1)] + ["0"] + [barred(k) for k in range(n, 0, -1)]
-    arrows = _chain_arrows(n)
-    arrows[(n, str(n))] = "0"
-    arrows[(n, "0")] = barred(n)
-    arrows[(0, barred(2))] = "1"
-    arrows[(0, barred(1))] = "2"
-    wt = {"1": _fw(ct, (1, 1), (-1, 0)), "2": _fw(ct, (1, 2), (-1, 1), (-1, 0)), "0": _fw(ct)}
-    for b in range(3, n):
-        wt[str(b)] = _fw(ct, (1, b), (-1, b - 1))
-    wt[str(n)] = _fw(ct, (2, n), (-1, n - 1))
-    weights = _with_negated_bars(wt)
-    rank = {b: k for k, b in enumerate(elements)}
-    energy = _order_energy(elements, rank, {("0", "0"): 0, ("1", barred(1)): -1})
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"B1 n={n}")
+    ends = {(n, str(n)): "0", (n, "0"): barred(n), (0, barred(2)): "1", (0, barred(1)): "2"}
+    return PerfectCrystal(ct, _letters(n, ["0"]), _chain_arrows(n, ends), f"B1 n={n}", 1)
 
 
 def _build_d1(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    elements = [str(k) for k in range(1, n + 1)] + [barred(k) for k in range(n, 0, -1)]
-    arrows = _chain_arrows(n)
-    arrows[(n, str(n - 1))] = barred(n)
-    arrows[(n, str(n))] = barred(n - 1)
-    arrows[(0, barred(2))] = "1"
-    arrows[(0, barred(1))] = "2"
-    wt = {"1": _fw(ct, (1, 1), (-1, 0)), "2": _fw(ct, (1, 2), (-1, 1), (-1, 0))}
-    for b in range(3, n - 1):
-        wt[str(b)] = _fw(ct, (1, b), (-1, b - 1))
-    wt[str(n - 1)] = _fw(ct, (1, n), (1, n - 1), (-1, n - 2))
-    wt[str(n)] = _fw(ct, (1, n), (-1, n - 1))
-    weights = _with_negated_bars(wt)
-    rank = {str(k): k for k in range(1, n + 1)}
-    rank[barred(n)] = n
-    for k in range(1, n):
-        rank[barred(k)] = 2 * n - k
-    exceptions = {
-        (str(n), barred(n)): 0,
-        (barred(n), str(n)): 0,
-        ("1", barred(1)): -1,
+    ends = {
+        (n, str(n - 1)): barred(n),
+        (n, str(n)): barred(n - 1),
+        (0, barred(2)): "1",
+        (0, barred(1)): "2",
     }
-    energy = _order_energy(elements, rank, exceptions)
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"D1 n={n}")
+    return PerfectCrystal(ct, _letters(n, []), _chain_arrows(n, ends), f"D1 n={n}", 1)
 
 
 def _build_a2odd(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    elements = [str(k) for k in range(1, n + 1)] + [barred(k) for k in range(n, 0, -1)]
-    arrows = _chain_arrows(n)
-    arrows[(n, str(n))] = barred(n)
-    arrows[(0, barred(2))] = "1"
-    arrows[(0, barred(1))] = "2"
-    wt = {"1": _fw(ct, (1, 1), (-1, 0)), "2": _fw(ct, (1, 2), (-1, 1), (-1, 0))}
-    for b in range(3, n + 1):
-        wt[str(b)] = _fw(ct, (1, b), (-1, b - 1))
-    weights = _with_negated_bars(wt)
-    rank = {b: k for k, b in enumerate(elements)}
-    energy = _order_energy(elements, rank, {("1", barred(1)): -1})
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"A2odd n={n}")
+    ends = {(n, str(n)): barred(n), (0, barred(2)): "1", (0, barred(1)): "2"}
+    return PerfectCrystal(ct, _letters(n, []), _chain_arrows(n, ends), f"A2odd n={n}", 1)
 
 
 def _build_a2even(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    elements = [str(k) for k in range(1, n + 1)] + ["0"] + [barred(k) for k in range(n, 0, -1)]
-    arrows = _chain_arrows(n)
-    arrows[(n, str(n))] = "0"
-    arrows[(n, "0")] = barred(n)
-    arrows[(0, barred(1))] = "1"
-    wt = {"0": _fw(ct)}
-    for b in range(1, n):
-        wt[str(b)] = _fw(ct, (1, b), (-1, b - 1))
-    wt[str(n)] = _fw(ct, (2, n), (-1, n - 1))
-    weights = _with_negated_bars(wt)
-    rank = {b: k for k, b in enumerate(elements)}
-    energy = _order_energy(elements, rank, {("0", "0"): 0})
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"A2even n={n}")
+    ends = {(n, str(n)): "0", (n, "0"): barred(n), (0, barred(1)): "1"}
+    return PerfectCrystal(ct, _letters(n, ["0"]), _chain_arrows(n, ends), f"A2even n={n}", 1)
 
 
 def _build_d2(ct: CartanType) -> PerfectCrystal:
     n = ct.n
-    core = [str(k) for k in range(1, n + 1)] + ["0"] + [barred(k) for k in range(n, 0, -1)]
-    elements = core + ["phi"]
-    arrows = _chain_arrows(n)
-    arrows[(n, str(n))] = "0"
-    arrows[(n, "0")] = barred(n)
-    arrows[(0, barred(1))] = "phi"
-    arrows[(0, "phi")] = "1"
-    wt = {"1": _fw(ct, (1, 1), (-2, 0)), "0": _fw(ct), "phi": _fw(ct)}
-    for b in range(2, n):
-        wt[str(b)] = _fw(ct, (1, b), (-1, b - 1))
-    wt[str(n)] = _fw(ct, (2, n), (-1, n - 1))
-    weights = _with_negated_bars(wt)
-    rank = {b: k for k, b in enumerate(core)}
-    energy: dict[tuple[str, str], int] = {}
-    for b in elements:
-        for bp in elements:
-            if b == "phi" and bp == "phi":
-                energy[(b, bp)] = 0
-            elif b == "phi" or bp == "phi":
-                energy[(b, bp)] = 1
-            elif b == "0" and bp == "0":
-                energy[(b, bp)] = 0
-            else:
-                energy[(b, bp)] = 0 if rank[b] < rank[bp] else 2
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"D2 n={n}")
+    ends = {(n, str(n)): "0", (n, "0"): barred(n), (0, barred(1)): "phi", (0, "phi"): "1"}
+    elements = _letters(n, ["0"]) + ["phi"]
+    return PerfectCrystal(ct, elements, _chain_arrows(n, ends), f"D2 n={n}", 2)
 
 
 _BUILDERS = {
@@ -385,31 +324,20 @@ def perfect_crystal(family: str, n: int) -> PerfectCrystal:
     return _BUILDERS[family](ct)
 
 
-def _symmetric_energy(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    l = len(x)
-    return min(
-        sum(1 for xi, yj in zip(x, perm) if xi >= yj) for perm in permutations(y)
-    ) if l else 0
-
-
 @cache
 def symmetric_crystal(n: int, l: int) -> PerfectCrystal:
     """Level-l symmetric-power crystal of untwisted type A rank n.
 
     Elements are weakly increasing tuples over the alphabet 0..n; the
     operator with label i >= 1 turns one letter i-1 into i, and the label-0
-    operator turns one letter n into 0.
+    operator turns one letter n into 0.  As for every crystal here, a
+    word's weight is phi - epsilon (letter k weighs Lambda_{k+1 mod n+1} - Lambda_k)
+    and H follows from the e_0 rule; the normalization is H(0^l (x) 0^l) = l.
     """
     ct = cartan_type("A1", n)
     elements = list(combinations_with_replacement(range(n + 1), l))
-    letter_wt = {k: _fw(ct, (1, (k + 1) % (n + 1)), (-1, k)) for k in range(n + 1)}
-    weights = {}
     arrows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     for word in elements:
-        total = Weight.zero(ct.size)
-        for letter in word:
-            total = total + letter_wt[letter]
-        weights[word] = total
         for i in ct.index_set:
             src = (i - 1) % (n + 1)
             if src in word:
@@ -417,7 +345,4 @@ def symmetric_crystal(n: int, l: int) -> PerfectCrystal:
                 moved.remove(src)
                 moved.append(i if i >= 1 else 0)
                 arrows[(i, word)] = tuple(sorted(moved))
-    energy = {
-        (x, y): _symmetric_energy(x, y) for x in elements for y in elements
-    }
-    return PerfectCrystal(ct, elements, arrows, weights, energy, f"A1 n={n} sym l={l}")
+    return PerfectCrystal(ct, elements, arrows, f"A1 n={n} sym l={l}", l)

@@ -378,7 +378,7 @@ def _restricted(
     idx = _indices(crystal, classical, indices)
     start = _canon(xi.lambda_coords, classical)
     if j >= 1 and idx:
-        head = _canon(tuple(map(sub, start, crystal.weight(b).lambda_coords)), classical)
+        head = _canon(tuple(map(sub, start, crystal.weight_table[crystal.index(b)])), classical)
         if not _fits(crystal, head, b, idx):
             return None
     return idx, start, _canon(eta.lambda_coords, classical)

@@ -7,7 +7,11 @@ and reflections as weights, word and Weyl group enumeration, each
 element held as root and weight matrices (``WeylAction``: its Bruhat
 ascent test and its action on weights, sharing no reflection code with
 the library's int-coordinate ``weights.ascents`` and ``weights.fold``),
-the weight named by a closed-form parameter vector, the Demazure
+the local energy written out by the rules the crystal builders used to
+hold (rank orders with exceptions, D2's 0/1/2 rule, the symmetric
+power's least matching count over all permutations; they share no code
+with the walk that derives H from the arrows), the weight named by a
+closed-form parameter vector, the Demazure
 operator on a ``FormalCharacter``, the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, and
 the JSON layout of a character.  Each is a slow, direct restatement
@@ -17,10 +21,11 @@ that the tests hold the fast library routes against.
 from __future__ import annotations
 
 from functools import cache
+from itertools import permutations
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from demchar.crystals import Element, PerfectCrystal, perfect_crystal
+from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
 from demchar.formulas import _require_ints, rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
@@ -60,6 +65,65 @@ def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
     for k, count in enumerate(mu, first):
         total = total + count * crystal.weight(str(k))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Local energy by hand-written rules
+
+
+def _order_energy(
+    letters: Sequence[str], rank: Mapping[str, int], exceptions: Mapping[tuple[str, str], int]
+) -> dict[tuple[str, str], int]:
+    """H(b (x) b') = 0 when b ranks below b', else 1, bar the exceptions."""
+    return {
+        (b, bp): exceptions.get((b, bp), 0 if rank[b] < rank[bp] else 1)
+        for b in letters
+        for bp in letters
+    }
+
+
+def reference_energy(family: str, n: int) -> dict[tuple[str, str], int]:
+    """The local energy of a level-1 family, written out by rules rather
+    than walked from the arrows: a rank order on the letters with a few
+    exceptions, or, for D2, its own 0/1/2 rule."""
+    up = [str(k) for k in range(1, n + 1)]
+    down = [barred(k) for k in range(n, 0, -1)]
+    if family == "A1":
+        letters = [str(k) for k in range(n + 1)]
+        return _order_energy(letters, {b: k for k, b in enumerate(letters)}, {})
+    if family == "D1":
+        rank = {str(k): k for k in range(1, n + 1)}
+        rank.update({barred(k): 2 * n - k for k in range(1, n)})
+        rank[barred(n)] = n
+        exceptions = {(str(n), barred(n)): 0, (barred(n), str(n)): 0, ("1", barred(1)): -1}
+        return _order_energy(up + down, rank, exceptions)
+    if family == "A2odd":
+        letters = up + down
+        return _order_energy(letters, {b: k for k, b in enumerate(letters)}, {("1", barred(1)): -1})
+    letters = up + ["0"] + down
+    rank = {b: k for k, b in enumerate(letters)}
+    if family == "B1":
+        return _order_energy(letters, rank, {("0", "0"): 0, ("1", barred(1)): -1})
+    if family == "A2even":
+        return _order_energy(letters, rank, {("0", "0"): 0})
+    if family != "D2":
+        raise ValueError(f"unknown family {family!r}")
+    energy = {}
+    for b in letters + ["phi"]:
+        for bp in letters + ["phi"]:
+            if (b == "phi") != (bp == "phi"):
+                energy[(b, bp)] = 1
+            elif b == bp and b in ("phi", "0"):
+                energy[(b, bp)] = 0
+            else:
+                energy[(b, bp)] = 0 if rank[b] < rank[bp] else 2
+    return energy
+
+
+def symmetric_energy(x: Sequence[int], y: Sequence[int]) -> int:
+    """H(x (x) y) on the level-l symmetric power: the least number of
+    pairs x_k >= y_perm(k) over all matchings of the letters of x and y."""
+    return min(sum(1 for a, b in zip(x, perm) if a >= b) for perm in permutations(y))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@ import math
 
 import pytest
 
-from brute import simple_root
+from brute import reference_energy, simple_root, symmetric_energy
 
-from demchar.crystals import barred, perfect_crystal, symmetric_crystal, verify_perfect
+from demchar.crystals import (
+    PerfectCrystal,
+    barred,
+    perfect_crystal,
+    symmetric_crystal,
+    verify_perfect,
+)
 from demchar.weights import Weight, cartan_type, dominant_classical_weights
 
 CRYSTAL_KEYS = [
@@ -203,6 +209,47 @@ class TestFrozenDetails:
         assert first == second
         assert first.count("->") == 6
         assert '"phi" -> "1" [label="0"];' in first
+
+
+MIN_RANK = {"A1": 1, "B1": 3, "D1": 4, "A2odd": 3, "A2even": 1, "D2": 2}
+
+ENERGY_REFERENCE_KEYS = [
+    (family, n) for family, low in MIN_RANK.items() for n in range(low, low + 4)
+] + [("sym", n, l) for n in (1, 2, 3) for l in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("key", ENERGY_REFERENCE_KEYS, ids=lambda k: "-".join(map(str, k)))
+def test_energy_matches_hand_written_rules(key):
+    """The energy walked from the arrows equals the rules written out in
+    ``brute`` on every two-letter word."""
+    if key[0] == "sym":
+        crystal = symmetric_crystal(*key[1:])
+        words = [(x, y) for x in crystal.elements for y in crystal.elements]
+        expected = {(x, y): symmetric_energy(x, y) for x, y in words}
+    else:
+        crystal = perfect_crystal(*key)
+        expected = reference_energy(*key)
+    walked = {(b, bp): crystal.energy(b, bp) for b in crystal.elements for bp in crystal.elements}
+    assert walked == expected
+
+
+class TestConstructorChecks:
+    def test_empty_crystal_rejected(self):
+        with pytest.raises(ValueError, match="^empty: no elements"):
+            PerfectCrystal(cartan_type("A1", 1), [], {}, "empty", 0)
+
+    def test_disconnected_words_rejected(self):
+        ct = cartan_type("A1", 1)
+        with pytest.raises(ValueError, match=r"^two letters: .*not connected; pair \('a', 'b'\)"):
+            PerfectCrystal(ct, ["a", "b"], {}, "two letters", 1)
+
+    def test_two_energies_for_one_pair_rejected(self):
+        # f_0 and f_1 both take a to b, so (b, a) is reached from (a, a)
+        # once with H lowered by the 0-arrow and once with H kept.
+        ct = cartan_type("A1", 1)
+        arrows = {(0, "a"): "b", (1, "a"): "b"}
+        with pytest.raises(ValueError, match=r"^double: pair \('b', 'a'\) reached with energies"):
+            PerfectCrystal(ct, ["a", "b"], arrows, "double", 1)
 
 
 class TestSymmetricCrystal:

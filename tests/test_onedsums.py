@@ -614,13 +614,14 @@ class TestTableauPolynomials:
                     )
 
     def test_rectangular_content_matches_charge_statistic(self):
-        for j in (1, 2, 3):
-            for xi in partitions_of(2 * j):
-                for n in (1, 2):
-                    if len(xi) > n + 1:
-                        continue
-                    lib = {int(e): c for e, c in kostka(xi, 2, j, n).terms()}
-                    assert lib == kostka_foulkes_by_charge(tuple(xi), (2,) * j)
+        for l in (2, 3, 4):
+            for j in (1, 2, 3):
+                for xi in partitions_of(l * j):
+                    for n in (1, 2, 3):
+                        if len(xi) > n + 1:
+                            continue
+                        lib = {int(e): c for e, c in kostka(xi, l, j, n).terms()}
+                        assert lib == kostka_foulkes_by_charge(tuple(xi), (l,) * j), (xi, l, j, n)
 
     def test_counts_tableaux_at_one(self):
         for j in range(1, 7):
