@@ -8,8 +8,8 @@ bytes.  --threads is accepted for compatibility and has no effect;
 every command runs on one thread.  A --format the subcommand cannot
 write (verify writes JSON only), or a negative count bound, exits 2
 before any work is done.
-character computes at the requested weight; a node without a family
-schedule borrows one through a diagram symmetry (demazure_schedule),
+character computes at the requested weight; a node without a word in
+the schedule table borrows one through a diagram symmetry (demazure_schedule),
 recorded under "lambda" in the output.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,

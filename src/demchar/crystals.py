@@ -37,8 +37,9 @@ class PerfectCrystal:
     """Finite affine crystal whose weights and local energy come from its
     arrows, with ``normalization`` = H(b0 (x) b0) for the first element b0.
 
-    Raises ValueError, naming the crystal and a pair, when the two-letter
-    words are not connected or a pair is reached with two energies.
+    Raises ValueError, naming the crystal and an arrow or a pair, when an
+    arrow leaves the nodes or the elements, the two-letter words are not
+    connected, or a pair is reached with two energies.
     """
 
     def __init__(
@@ -54,6 +55,12 @@ class PerfectCrystal:
         self.name = name
         self._index = {b: k for k, b in enumerate(self.elements)}
         self._f = dict(f_arrows)
+        for (i, frm), to in self._f.items():
+            arrow = f"{name}: arrow {(i, frm)!r} -> {to!r}"
+            if i not in cartan.index_set:
+                raise ValueError(f"{arrow} is at a node outside the nodes {list(cartan.index_set)}")
+            if frm not in self._index or to not in self._index:
+                raise ValueError(f"{arrow} names a letter not in the elements")
         self._e = {(i, to): frm for (i, frm), to in self._f.items()}
         self._phi: dict[tuple[int, Element], int] = {}
         self._eps: dict[tuple[int, Element], int] = {}

@@ -327,10 +327,13 @@ def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int,
 
 
 def _indices(crystal: PerfectCrystal, classical: bool, indices) -> tuple[int, ...]:
-    if indices is not None:
-        return tuple(indices)
     ct = crystal.cartan
-    return tuple(ct.classical_index_set if classical else ct.index_set)
+    if indices is None:
+        return tuple(ct.classical_index_set if classical else ct.index_set)
+    for i in indices:
+        if i not in ct.index_set:
+            raise ValueError(f"node {i!r} is outside 0..{ct.n} of {crystal.name}")
+    return tuple(indices)
 
 
 def _canon(coords: tuple[int, ...], classical: bool) -> tuple[int, ...]:

@@ -4,9 +4,15 @@ A path truncated to window j is a word (p(j), ..., p(1)) stored leftmost
 first, together with a virtual boundary factor on the left standing for
 the highest-weight vector over the window: it contributes no raising
 capacity and lowering capacity given by the window weight. Path sets for
-the Demazure recursion grow by repeated lowering along a per-family
-schedule of Dynkin indices, widening the window by one ground-state
-letter at each segment boundary.
+the Demazure recursion grow by repeated lowering along a schedule of
+Dynkin indices, widening the window by one ground-state letter at each
+segment boundary.
+
+The schedule is data plus one rule. ``schedule_words`` holds the
+segment-1 word of each scheduled node. Segment j sits at the window
+weight lambda_j = sigma^j(lambda), so its indices are the segment-1
+indices carried j - 1 steps along the ground state's node cycle, the
+nodes of lambda_0 .. lambda_{p-1}; an index off the cycle stays put.
 
 ``Schedule`` is the one schedule type and ``demazure_schedule`` its one
 builder. The path sets themselves (``grow_paths``, ``paths_at_step``,
@@ -19,7 +25,7 @@ a path set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .crystals import Element, PerfectCrystal, verify_perfect
@@ -133,49 +139,45 @@ class GroundState:
         return Weight(tuple(coords), self.c(j) - total)
 
 
-def scheduled_nodes(family: str, n: int) -> tuple[int, ...]:
-    """Dynkin nodes whose fundamental weight has a growth schedule."""
+def schedule_words(family: str, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Segment-1 lowering indices of each scheduled node: one word, or two
+    where a pair of commuting steps may swap (variant 2: B1's 0 and 1 at
+    node n, D1's n - 1 and n at the fork). Later segments carry these
+    indices along the ground state's node cycle (``Schedule.index``)."""
+    up, down = (0, *range(2, n - 1)), (*range(n - 2, 1, -1), 0)
+    fall, rise = range(n, 1, -1), range(2, n)
+    chain = (*up, n - 1, n, n - 1, *down)
     return {
-        "A1": (0,),
-        "B1": (0, n),
-        "D1": (0,),
-        "A2odd": (0,),
-        "A2even": (n,),
-        "D2": (0,),
+        "A1": {0: (tuple(range(n)),)},
+        "B1": {0: (chain,), n: ((*fall, 0, 1, *rise), (*fall, 1, 0, *rise))},
+        "D1": {0: ((*up, n, n - 1, *down), (*up, n - 1, n, *down))},
+        "A2odd": {0: (chain,)},
+        "A2even": {n: ((*range(n, 0, -1), 0, *range(1, n)),)},
+        "D2": {0: ((*range(n + 1), *range(n - 1, 0, -1)),)},
     }[family]
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A ground state with the per-segment sequence of lowering indices
-    that grows its Demazure path sets.
+    """A ground state with the lowering indices that grow its Demazure
+    path sets: ``word`` is segment 1, and ``index`` carries it along the
+    ground state's node cycle to later segments.
 
-    Two families admit a second valid index sequence (reordering a pair of
-    commuting steps around the fork or the tail of the letter chain);
-    variant=2 selects it where it exists. A node without a family rule
-    borrows the rule of lam_node through a diagram symmetry: node_map
-    sends each node to its image (the requested node to lam_node) and is
-    empty when the rule applies directly. The ground state sits at the
-    requested node's fundamental weight.
+    A node without a word of its own borrows the word of lam_node through
+    a diagram symmetry: node_map sends each node to its image (the
+    requested node to lam_node) and is empty when the word applies
+    directly. The ground state sits at the requested node's fundamental
+    weight, and ``word`` is already relabelled to it.
     """
 
     ground: GroundState
     lam_node: int
-    d: int
+    word: tuple[int, ...]
     variant: int = 1
     node_map: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.variant not in (1, 2):
-            raise ValueError(f"variant must be 1 or 2, got {self.variant}")
         ct = self.crystal.cartan
-        has_second = (ct.family == "B1" and self.lam_node == ct.n) or (
-            ct.family == "D1" and self.lam_node == 0
-        )
-        if self.variant == 2 and not has_second:
-            raise ValueError(
-                f"family {ct.family} at node {self.lam_node} has a single schedule"
-            )
         node = self.node_map.index(self.lam_node) if self.node_map else self.lam_node
         if self.ground.lam.lambda_coords != ct.fundamental_weight(node).lambda_coords:
             raise ValueError(f"ground state at {self.ground.lam} is not at node {node}")
@@ -184,46 +186,24 @@ class Schedule:
     def crystal(self) -> PerfectCrystal:
         return self.ground.crystal
 
+    @property
+    def d(self) -> int:
+        return len(self.word)
+
+    @cached_property
+    def _cycle(self) -> tuple[int, ...]:
+        """Nodes of the window weights lambda_0 .. lambda_{p-1}."""
+        gs = self.ground
+        return tuple(gs.window_weight(t).lambda_coords.index(1) for t in range(gs.period()))
+
     def index(self, j: int, a: int) -> int:
         """Lowering index at step a (1-based) of segment j (1-based)."""
         if not 1 <= a <= self.d:
             raise ValueError(f"step {a} outside 1..{self.d}")
-        i = self._family_index(j, a)
-        return self.node_map.index(i) if self.node_map else i
-
-    def _family_index(self, j: int, a: int) -> int:
-        """The family rule's index, labelled as at lam_node."""
-        ct = self.crystal.cartan
-        n, fam, node = ct.n, ct.family, self.lam_node
-        head = 0 if j % 2 == 1 else 1
-        if fam == "A1":
-            return (a - j) % (n + 1)
-        if fam == "B1" and node == 0:
-            if a == 1 or a == 2 * n - 1:
-                return head
-            return min(a, 2 * n - a)
-        if fam == "B1":
-            if self.variant == 2:
-                return n + 1 - a if a <= n + 1 else a - n
-            return n + 1 - a if a <= n - 1 else a - n
-        if fam == "D1":
-            if a == 1 or a == 2 * n - 2:
-                return head
-            if self.variant == 2:
-                if a == n:
-                    return n
-            elif a == n - 1:
-                return n
-            return min(a, 2 * n - 1 - a)
-        if fam == "A2odd":
-            if a == 1 or a == 2 * n - 1:
-                return head
-            return min(a, 2 * n - a)
-        if fam == "A2even":
-            return abs(n + 1 - a)
-        if fam == "D2":
-            return min(a - 1, 2 * n + 1 - a)
-        raise ValueError(f"no schedule for family {fam}")
+        i, cycle = self.word[a - 1], self._cycle
+        if i in cycle:
+            i = cycle[(cycle.index(i) + j - 1) % len(cycle)]
+        return i
 
     def decompose(self, k: int) -> tuple[int, int]:
         """Split a global step k >= 0 into (segment, step-in-segment).
@@ -321,10 +301,11 @@ def demazure_schedule(
     crystal: PerfectCrystal, lam: Weight, variant: int = 1
 ) -> Schedule:
     """Schedule for a fundamental weight, with the ground state at lam
-    itself: the family rule of its node, or of the first scheduled node
-    (in lexicographic order of the node permutations) that a diagram
-    symmetry relabelling the crystal's arrows carries it onto. The index
-    table is looked up before the ground state is built."""
+    itself: the segment-1 word of its node, or of the first scheduled
+    node (in lexicographic order of the node permutations) that a diagram
+    symmetry relabelling the crystal's arrows carries it onto, relabelled
+    back once. The word table is looked up before the ground state is
+    built."""
     ct = crystal.cartan
     family, n = ct.family, ct.n
     node = next(
@@ -337,25 +318,25 @@ def demazure_schedule(
     )
     if node is None:
         raise ValueError(f"no schedule for weight {lam} in family {family}")
-    d = {
-        "A1": n,
-        "B1": 2 * n - 1,
-        "D1": 2 * n - 2,
-        "A2odd": 2 * n - 1,
-        "A2even": 2 * n,
-        "D2": 2 * n,
-    }[family]
-    available = scheduled_nodes(family, n)
-    if node in available:
-        return Schedule(GroundState(crystal, lam), node, d, variant)
-    for perm in _cartan_permutations(crystal):
-        if perm[node] in available and _crystal_twist(crystal, perm) is not None:
-            ground = GroundState(crystal, lam)
-            return Schedule(ground, perm[node], d, variant, node_map=perm)
-    raise ValueError(
-        f"no growth schedule for node {node} of {family} rank {n}, and no "
-        f"diagram symmetry maps it onto one of {list(available)}"
-    )
+    words = schedule_words(family, n)
+    for perm in [()] if node in words else _cartan_permutations(crystal):
+        lam_node = perm[node] if perm else node
+        if lam_node in words and (not perm or _crystal_twist(crystal, perm) is not None):
+            break
+    else:
+        raise ValueError(
+            f"no growth schedule for node {node} of {family} rank {n}, and no "
+            f"diagram symmetry maps it onto one of {list(words)}"
+        )
+    ground = GroundState(crystal, lam)
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    if variant > len(words[lam_node]):
+        raise ValueError(f"family {family} at node {lam_node} has a single schedule")
+    word = words[lam_node][variant - 1]
+    if perm:
+        word = tuple(map(perm.index, word))
+    return Schedule(ground, lam_node, word, variant, perm)
 
 
 def _closure(items: Iterable, lower) -> set:

@@ -10,8 +10,12 @@ the library's int-coordinate ``weights.ascents`` and ``weights.fold``),
 the local energy written out by the rules the crystal builders used to
 hold (rank orders with exceptions, D2's 0/1/2 rule, the symmetric
 power's least matching count over all permutations; they share no code
-with the walk that derives H from the arrows), the weight named by a
-closed-form parameter vector, the Demazure
+with the walk that derives H from the arrows), the letter weights
+written out per family in the same way (sharing no code with the
+weights read off the arrows), the lowering index of each schedule step
+by the per-family rule with its j-dependence spelled out (sharing no
+code with the ground-state cycle that carries the segment-1 word), the
+weight named by a closed-form parameter vector, the Demazure
 operator on a ``FormalCharacter``, the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, and
 the JSON layout of a character.  Each is a slow, direct restatement
@@ -127,6 +131,44 @@ def symmetric_energy(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Letter weights by hand-written rules
+
+
+def _fw(n: int, *pairs: tuple[int, int]) -> tuple[int, ...]:
+    """The coordinates of sum coeff * Lambda_i over (coeff, i) pairs."""
+    coords = [0] * (n + 1)
+    for coeff, i in pairs:
+        coords[i] += coeff
+    return tuple(coords)
+
+
+def reference_weights(family: str, n: int) -> dict[str, tuple[int, ...]]:
+    """The letter weights of a level-1 family, written out as the crystal
+    builders used to list them rather than read off the arrows: Lambda_k
+    - Lambda_(k-1) up the chain, with each family's own first and last
+    letters, the barred letters negated, and "0" and "phi" of weight 0."""
+    if family == "A1":
+        return {str(k): _fw(n, (1, (k + 1) % (n + 1)), (-1, k)) for k in range(n + 1)}
+    wt = {str(b): _fw(n, (1, b), (-1, b - 1)) for b in range(1, n + 1)}
+    if family in ("B1", "D1", "A2odd"):
+        wt["1"] = _fw(n, (1, 1), (-1, 0))
+        wt["2"] = _fw(n, (1, 2), (-1, 1), (-1, 0))
+    if family in ("B1", "A2even", "D2"):
+        wt[str(n)] = _fw(n, (2, n), (-1, n - 1))
+        wt["0"] = _fw(n)
+    if family == "D1":
+        wt[str(n - 1)] = _fw(n, (1, n), (1, n - 1), (-1, n - 2))
+        wt[str(n)] = _fw(n, (1, n), (-1, n - 1))
+    if family == "D2":
+        wt["1"] = _fw(n, (1, 1), (-2, 0))
+        wt["phi"] = _fw(n)
+    for b, w in list(wt.items()):
+        if b not in ("0", "phi"):
+            wt[barred(int(b))] = tuple(-c for c in w)
+    return wt
+
+
+# ---------------------------------------------------------------------------
 # Words and paths
 
 
@@ -166,6 +208,43 @@ def enumerate_paths(
 
     extend([], zero)
     return out
+
+
+def reference_index(family: str, n: int, lam_node: int, variant: int, j: int, a: int) -> int:
+    """The lowering index at step a of segment j, labelled as at
+    lam_node, by the per-family rule the schedule used to hold: each
+    family's j-dependence written out (the head letter's 0/1 alternation,
+    A1's rotation) instead of carried along the ground-state cycle."""
+    fam, node = family, lam_node
+    head = 0 if j % 2 == 1 else 1
+    if fam == "A1":
+        return (a - j) % (n + 1)
+    if fam == "B1" and node == 0:
+        if a == 1 or a == 2 * n - 1:
+            return head
+        return min(a, 2 * n - a)
+    if fam == "B1":
+        if variant == 2:
+            return n + 1 - a if a <= n + 1 else a - n
+        return n + 1 - a if a <= n - 1 else a - n
+    if fam == "D1":
+        if a == 1 or a == 2 * n - 2:
+            return head
+        if variant == 2:
+            if a == n:
+                return n
+        elif a == n - 1:
+            return n
+        return min(a, 2 * n - 1 - a)
+    if fam == "A2odd":
+        if a == 1 or a == 2 * n - 1:
+            return head
+        return min(a, 2 * n - a)
+    if fam == "A2even":
+        return abs(n + 1 - a)
+    if fam == "D2":
+        return min(a - 1, 2 * n + 1 - a)
+    raise ValueError(f"no schedule for family {fam}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from demchar.onedsums import (
     x_enumerate,
     x_recursive,
 )
-from demchar.paths import GroundState, scheduled_nodes
+from demchar.paths import GroundState, schedule_words
 from demchar.qring import ZERO, LaurentPoly
 from demchar.weights import Weight, dominant_classical_weights
 
@@ -55,7 +55,7 @@ MINIMAL_RANKS = [
 SCHEDULED = [
     (family, rank, node)
     for family, rank in MINIMAL_RANKS
-    for node in scheduled_nodes(family, rank)
+    for node in schedule_words(family, rank)
 ]
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from brute import reference_energy, simple_root, symmetric_energy
+from brute import reference_energy, reference_weights, simple_root, symmetric_energy
 
 from demchar.crystals import (
     PerfectCrystal,
@@ -233,6 +233,24 @@ def test_energy_matches_hand_written_rules(key):
     assert walked == expected
 
 
+@pytest.mark.parametrize("key", ENERGY_REFERENCE_KEYS, ids=lambda k: "-".join(map(str, k)))
+def test_weights_match_hand_written_rules(key):
+    """The weights read off the arrows equal the per-letter weights
+    written out in ``brute``; a symmetric-power word weighs the sum of
+    its letters."""
+    if key[0] == "sym":
+        crystal = symmetric_crystal(*key[1:])
+        letters = reference_weights("A1", key[1])
+        expected = {
+            word: tuple(map(sum, zip(*(letters[str(k)] for k in word))))
+            for word in crystal.elements
+        }
+    else:
+        crystal = perfect_crystal(*key)
+        expected = reference_weights(*key)
+    assert {b: crystal.weight_table[crystal.index(b)] for b in crystal.elements} == expected
+
+
 class TestConstructorChecks:
     def test_empty_crystal_rejected(self):
         with pytest.raises(ValueError, match="^empty: no elements"):
@@ -250,6 +268,18 @@ class TestConstructorChecks:
         arrows = {(0, "a"): "b", (1, "a"): "b"}
         with pytest.raises(ValueError, match=r"^double: pair \('b', 'a'\) reached with energies"):
             PerfectCrystal(ct, ["a", "b"], arrows, "double", 1)
+
+    def test_arrow_to_foreign_letter_rejected(self):
+        ct = cartan_type("A1", 1)
+        arrows = {(1, "a"): "b", (0, "b"): "z"}
+        with pytest.raises(ValueError, match=r"^foreign: arrow \(0, 'b'\) -> 'z'.*not in the elements"):
+            PerfectCrystal(ct, ["a", "b"], arrows, "foreign", 1)
+
+    def test_arrow_at_foreign_node_rejected(self):
+        ct = cartan_type("A1", 1)
+        arrows = {(1, "a"): "b", (0, "b"): "a", (5, "a"): "b"}
+        with pytest.raises(ValueError, match=r"^node 5: arrow \(5, 'a'\) -> 'b'.*outside the nodes \[0, 1\]"):
+            PerfectCrystal(ct, ["a", "b"], arrows, "node 5", 1)
 
 
 class TestSymmetricCrystal:

@@ -17,7 +17,7 @@ from demchar.demazure import (
     demazure_paths,
     demazure_schedule,
 )
-from demchar.paths import Schedule, scheduled_nodes
+from demchar.paths import Schedule, schedule_words
 from demchar.weights import FormalCharacter
 
 RANKS = {
@@ -29,8 +29,8 @@ RANKS = {
     "D2": (2,),
 }
 
-# Level-1 nodes at minimal rank without a family rule of their own; each
-# borrows one through a diagram symmetry.
+# Level-1 nodes at minimal rank without a segment-1 word of their own;
+# each borrows one through a diagram symmetry.
 RELABELLED = [
     ("A1", 1, 1),
     ("B1", 3, 1),
@@ -45,7 +45,7 @@ CASES = [
     (family, n, node)
     for family, ns in RANKS.items()
     for n in ns
-    for node in scheduled_nodes(family, n)
+    for node in schedule_words(family, n)
 ] + RELABELLED
 
 VARIANT_CASES = [("B1", 3, 3), ("D1", 4, 0)]
@@ -94,7 +94,7 @@ class TestConditions:
         s = make(family, n, node)
         if s.d < 2:
             pytest.skip("single-step table cannot be shortened")
-        report = check_conditions(replace(s, d=s.d - 1), 2)
+        report = check_conditions(replace(s, word=s.word[:-1]), 2)
         assert not report.ok
         assert any(v.startswith("closure:") for v in report.violations)
 

@@ -48,7 +48,7 @@ from demchar.onedsums import (
     x_enumerate,
     x_recursive,
 )
-from demchar.paths import GroundState, scheduled_nodes
+from demchar.paths import GroundState, schedule_words
 from demchar.qring import LaurentPoly
 from demchar.tensor import TensorWord
 from demchar.weights import (
@@ -75,7 +75,7 @@ MINIMAL_RANKS = [
 SCHEDULED = [
     (family, n, node)
     for family, n in MINIMAL_RANKS
-    for node in scheduled_nodes(family, n)
+    for node in schedule_words(family, n)
 ]
 
 
@@ -395,6 +395,14 @@ class TestRestricted:
             assert x_enumerate(c, b, lam, lam, 0) == ONE
             assert x_enumerate(c, b, lam, other, 0) == ZERO
             assert x_recursive(c, b, lam, lam, 0) == ONE
+
+    def test_out_of_range_indices_rejected(self):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        for x in (x_enumerate, x_recursive):
+            for bad in (5, -1):
+                with pytest.raises(ValueError, match=rf"^node {bad} is outside 0\.\.1 of "):
+                    x(c, "0", lam, lam, 1, indices=(bad,))
 
     def test_blocked_boundary_letter_gives_zero_on_all_routes(self):
         """A boundary letter that cannot sit under the top weight kills

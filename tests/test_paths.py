@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from brute import WeylAction, enumerate_paths, simple_root
+from brute import WeylAction, enumerate_paths, reference_index, simple_root
 
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
@@ -15,7 +15,7 @@ from demchar.paths import (
     demazure_schedule,
     grow_paths,
     paths_at_step,
-    scheduled_nodes,
+    schedule_words,
 )
 from demchar.weights import Weight, cartan_type
 
@@ -240,9 +240,9 @@ class TestScheduleBookkeeping:
         assert sched.weyl_word(2) == (1, 0)
 
     def test_scheduled_nodes(self):
-        assert scheduled_nodes("B1", 3) == (0, 3)
-        assert scheduled_nodes("A2even", 2) == (2,)
-        assert scheduled_nodes("D2", 2) == (0,)
+        assert tuple(schedule_words("B1", 3)) == (0, 3)
+        assert tuple(schedule_words("A2even", 2)) == (2,)
+        assert tuple(schedule_words("D2", 2)) == (0,)
 
     def test_unscheduled_weight_rejected(self):
         # comark 2: no diagram symmetry moves node 2 onto a scheduled node
@@ -378,3 +378,35 @@ class TestEnumeratePaths:
         for mu in weights:
             total += len(enumerate_paths(crystal, head, mu, j))
         assert total == len(crystal.elements) ** j
+
+
+MIN_RANK = {"A1": 1, "B1": 3, "D1": 4, "A2odd": 3, "A2even": 1, "D2": 2}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(family, n) for family, low in MIN_RANK.items() for n in range(low, low + 4)],
+)
+def test_index_matches_per_family_rule(family, n):
+    """Every node with its own or a borrowed word, both variants, and
+    segments j <= 3 * period + 2: the index carried along the ground-state
+    cycle equals the per-family rule, relabelled through node_map."""
+    crystal = perfect_crystal(family, n)
+    ct = crystal.cartan
+    cells, mismatches = 0, []
+    for node in ct.index_set:
+        for variant in (1, 2):
+            try:
+                sched = demazure_schedule(crystal, ct.fundamental_weight(node), variant)
+            except ValueError:
+                continue
+            for j in range(1, 3 * sched.ground.period() + 3):
+                for a in range(1, sched.d + 1):
+                    want = reference_index(family, n, sched.lam_node, variant, j, a)
+                    if sched.node_map:
+                        want = sched.node_map.index(want)
+                    cells += 1
+                    if sched.index(j, a) != want:
+                        mismatches.append((node, variant, j, a))
+    assert cells
+    assert mismatches == [], f"{len(mismatches)} of {cells} cells differ"

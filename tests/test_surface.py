@@ -77,7 +77,7 @@ FAMILIES = {
 
 
 def sweep_commands() -> list[list[str]]:
-    from demchar.paths import scheduled_nodes
+    from demchar.paths import schedule_words
 
     commands = [
         ["kostka", "--xi", "2,1", "--l", "1", "--j", "3", "--n", "2", "--format", fmt]
@@ -85,7 +85,7 @@ def sweep_commands() -> list[list[str]]:
     ]
     for family, (rank, b, node) in FAMILIES.items():
         where = ["--type", family, "--rank", str(rank)]
-        lam = f"L{scheduled_nodes(family, rank)[0]}"
+        lam = f"L{list(schedule_words(family, rank))[0]}"
         zero = ",".join(["0"] * (rank + 1))
         query = ["--b", b, "--j", "2", "--xi", f"L{node}", "--eta", f"L{node}"]
         commands += [["graph", family, str(rank), "--format", fmt] for fmt in ("dot", "json", "csv")]
