@@ -156,6 +156,11 @@ class PerfectCrystal:
         )
 
     @cached_property
+    def epsilon_table(self) -> tuple[tuple[int, ...], ...]:
+        """Raising capacities epsilon_i of each letter at every node, by letter index."""
+        return tuple(self.epsilon_weight(b).lambda_coords for b in self.elements)
+
+    @cached_property
     def energy_table(self) -> tuple[tuple[int, ...], ...]:
         """Local energies H(b (x) bp) by the letter indices of b and bp."""
         return tuple(

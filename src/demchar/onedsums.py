@@ -8,32 +8,33 @@ Three graded sums over fixed-head letter sequences of one crystal:
   root multiplies the value by the matching power of q;
 * the restricted sum ``X`` keeps only sequences whose running weights
   admit each letter at every Dynkin node;
-* the classically restricted sum ``Xbar`` does the same with the node-0
-  constraint dropped.
+* the classically restricted sum ``Xbar`` does the same with nodes 1..n
+  checked, eta's node 0 fixed by level.
 
 In the paper's unified form all three are one sum with a set of checked
-nodes: none for g, nodes 1..n for Xbar, all nodes for X.  Each comes as
-a brute-force enumeration and a memoized recursion, and the restricted
-sums additionally as Weyl alternating sums over the unrestricted one,
-which read the g kernel at each term.  The recursion route is one
-memoized kernel with one entry, ``_x_value``, for all three sums, on
-plain int tables of letter weights, local energies and epsilons:
-``_recursion`` caches one memo per crystal, checked node set,
-node-0 treatment and window, so ``_recursion.cache_clear()`` frees
-every memo and ``cache_info()`` counts them.  A kernel value is None
-(zero) or the lowest exponent with the dense coefficients from there
-up; values become ``LaurentPoly`` only at the API edge.  Without a
-window, as in ``g_recursive`` and ``x_recursive``, every coefficient is
-kept.  ``stabilized_limit`` reads only the lowest ``degree + 1``
-coefficients, so it runs the kernel with that window: each memo entry
-keeps ``degree + 1`` coefficients, and the letters after a head are
-tried in order of a lower bound on their lowest exponent and skipped
-from the first one whose bound lies past the window.  With or without
-a window, a letter is skipped when the weight left after it lies
-outside the box the remaining letters can reach, so the memos hold no
-dead states.  The enumeration route lists every tail once, depth first,
-on the same tables, and shares no other code or memo with the recursion
-route.
+nodes: none for g, nodes 1..n for Xbar, all nodes for X, all on real
+coordinates; a tail keeps the level of xi, so one boundary rule
+(``_restricted``) turns eta into the end.  Each comes as a brute-force
+enumeration and a memoized recursion, and the restricted sums
+additionally as Weyl alternating sums over the unrestricted one, which
+read the g kernel at each term.  The recursion route is one memoized
+kernel with one entry, ``_x_value``, for all three sums, on the
+crystal's int tables of letter weights, local energies and epsilons:
+``_recursion`` caches one memo per crystal, checked node set and window,
+so ``_recursion.cache_clear()`` frees every memo and ``cache_info()``
+counts them.  A kernel value is None (zero) or the lowest exponent with
+the dense coefficients from there up; values become ``LaurentPoly`` only
+at the API edge.  Without a window, as in ``g_recursive`` and
+``x_recursive``, every coefficient is kept.  ``stabilized_limit`` reads
+only the lowest ``degree + 1`` coefficients, so it runs the kernel with
+that window: each memo entry keeps ``degree + 1`` coefficients, and the
+letters after a head are tried in order of a lower bound on their lowest
+exponent and skipped from the first one whose bound lies past the
+window.  With or without a window, a letter is skipped when the weight
+left after it lies outside the box the remaining letters can reach, so
+the memos hold no dead states.  The enumeration route lists every tail
+once, depth first, on the same tables, and shares no other code or memo
+with the recursion route.
 
 The scheduled characters are one segment sum over the leading letters
 of a step (``_segment_character``), read from either g source: the tail
@@ -83,26 +84,7 @@ class StabilizationGuardError(RuntimeError):
 
 
 @cache
-def _tables(
-    crystal: PerfectCrystal, idx: tuple[int, ...], drop_node0: bool
-) -> tuple[tuple, tuple, tuple]:
-    """Int tables by letter index: weight coordinates (node 0 zeroed
-    when ``drop_node0``), the local energy matrix H and the epsilons at
-    the nodes ``idx``."""
-    wts = crystal.weight_table
-    if drop_node0:
-        wts = tuple((0,) + wt[1:] for wt in wts)
-    eps = tuple(tuple(crystal.epsilon(i, b) for i in idx) for b in crystal.elements)
-    return wts, crystal.energy_table, eps
-
-
-@cache
-def _recursion(
-    crystal: PerfectCrystal,
-    idx: tuple[int, ...],
-    drop_node0: bool,
-    window: int | None,
-):
+def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None):
     """Memoized recursion on the head letter, shared by g, x and xbar.
 
     ``rec(t, fit, rest, j)`` sums q^energy over the length-j tails after
@@ -127,13 +109,13 @@ def _recursion(
     With or without a window, a letter is skipped when the weight left
     for the tail after it lies outside the box that m = j - 1 letters can
     reach: between m times the least and m times the greatest entry of
-    each coordinate over the kernel's letter weights (node 0 zeroed when
-    ``drop_node0``).  No tail can carry such a weight, so the skipped
-    call could only return None: the skip is exact, and it keeps dead
-    states out of the memo.
+    each coordinate over the letter weights.  No tail can carry such a
+    weight, so the skipped call could only return None: the skip is
+    exact, and it keeps dead states out of the memo.
     """
-    wts, energy, eps = _tables(crystal, idx, drop_node0)
+    wts, energy = crystal.weight_table, crystal.energy_table
     letters = range(len(wts))
+    eps = [tuple(e[i] for i in idx) for e in crystal.epsilon_table]
     rows = [(u, wt, eps[u], tuple(wt[i] for i in idx)) for u, wt in enumerate(wts)]
     reach = inf if window is None else window
     least = [min(col) for col in zip(*wts)]
@@ -229,20 +211,19 @@ def _walk_tails(
     j: int,
     start: tuple[int, ...],
     idx: tuple[int, ...] = (),
-    drop_node0: bool = False,
 ) -> dict[tuple, Counter]:
     """List every length-j tail once, depth first over letter indices.
 
     The running state starts at ``start`` and adds each letter's weight
-    coordinates (node 0 zeroed when ``drop_node0``); a letter is taken
-    only if its epsilon at every node of ``idx`` fits under the state.
-    Returns tail-energy counts keyed by (first letter, end state), the
-    first letter being None when j = 0.  The head term j * H(head,
-    first letter) is left to the reader of a bucket.
+    coordinates at every node; a letter is taken only if its epsilon at
+    every node of ``idx`` fits under the state.  Returns tail-energy
+    counts keyed by (first letter, end state), the first letter being
+    None when j = 0.  The head term j * H(head, first letter) is left to
+    the reader of a bucket.
     """
-    wts, energy, eps = _tables(crystal, idx, drop_node0)
+    wts, energy, eps = crystal.weight_table, crystal.energy_table, crystal.epsilon_table
     rows = [
-        (t, b, wts[t], tuple(zip(idx, eps[t]))) for t, b in enumerate(crystal.elements)
+        (t, b, wts[t], tuple((i, eps[t][i]) for i in idx)) for t, b in enumerate(crystal.elements)
     ]
     buckets: dict[tuple, Counter] = {}
 
@@ -333,13 +314,11 @@ def _indices(crystal: PerfectCrystal, classical: bool, indices) -> tuple[int, ..
     for i in indices:
         if i not in ct.index_set:
             raise ValueError(f"node {i!r} is outside 0..{ct.n} of {crystal.name}")
+    if classical and 0 in indices:
+        raise ValueError(
+            f"indices {tuple(indices)} name node 0, which a classical sum leaves unchecked"
+        )
     return tuple(indices)
-
-
-def _canon(coords: tuple[int, ...], classical: bool) -> tuple[int, ...]:
-    """Drop the node-0 coordinate in the classical case; the restriction
-    ignores it (and always the delta-coordinate)."""
-    return (0,) + coords[1:] if classical else coords
 
 
 def _fits(
@@ -363,28 +342,40 @@ def _restricted(
     j: int,
     classical: bool,
     indices: Sequence[int] | None,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Checked nodes and the canonical start and end coordinates of a
-    restricted sum, or None when the sum is zero by definition: for
-    positive length, the boundary letter b is inadmissible one step
-    above xi (equivalently, some lowering capacity of b exceeds xi) at a
-    checked node; with no checked node it never is."""
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None] | None:
+    """Checked nodes and the start and end coordinates of a restricted
+    sum, or None when the sum is zero by definition: for positive
+    length, the boundary letter b is inadmissible one step above xi
+    (equivalently, some lowering capacity of b exceeds xi) at a checked
+    node; with no checked node it never is.
+
+    Every letter weight has level zero, so a tail keeps the level of xi.
+    The end is eta when the levels agree and None (no tail reaches it)
+    otherwise; a classical sum leaves node 0 free, so its end is eta
+    with node 0 moved by the level gap over the comark of node 0, and
+    None when that is not an integer."""
     if j < 0:
         raise ValueError("length must be nonnegative")
-    size = crystal.cartan.size
+    if b not in crystal:
+        raise ValueError(f"{b!r} is not a letter of {crystal.name}")
+    ct = crystal.cartan
     for w in (xi, eta):
-        if len(w.lambda_coords) != size:
+        if len(w.lambda_coords) != ct.size:
             raise ValueError(
-                f"weight {w} needs {size} coordinates, one per node of "
+                f"weight {w} needs {ct.size} coordinates, one per node of "
                 f"{crystal.name}; it has {len(w.lambda_coords)}"
             )
     idx = _indices(crystal, classical, indices)
-    start = _canon(xi.lambda_coords, classical)
+    start, end = xi.lambda_coords, eta.lambda_coords
     if j >= 1 and idx:
-        head = _canon(tuple(map(sub, start, crystal.weight_table[crystal.index(b)])), classical)
+        head = tuple(map(sub, start, crystal.weight_table[crystal.index(b)]))
         if not _fits(crystal, head, b, idx):
             return None
-    return idx, start, _canon(eta.lambda_coords, classical)
+    gap = ct.level(xi) - ct.level(eta)
+    if classical:
+        shift, gap = divmod(gap, ct.comarks[0])
+        end = (end[0] + shift, *end[1:])
+    return idx, start, None if gap else end
 
 
 def x_enumerate(
@@ -401,13 +392,14 @@ def x_enumerate(
     With classical=True only the coordinates at nodes >= 1 of xi and eta
     matter. For j >= 1 the head letter b must itself be admissible one
     step above xi, else the value is zero. An explicit ``indices`` tuple
-    overrides the checked node set (empty = no restriction).
+    overrides the checked node set (empty = no restriction); with
+    classical=True it must leave node 0 out.
     """
     setup = _restricted(crystal, b, xi, eta, j, classical, indices)
-    if setup is None:
+    if setup is None or setup[2] is None:
         return ZERO
     idx, start, end = setup
-    buckets = _walk_tails(crystal, j, start, idx, drop_node0=classical)
+    buckets = _walk_tails(crystal, j, start, idx)
     return LaurentPoly.from_terms(
         (e, c) for state, e, c in _head_terms(crystal, buckets, b, j) if state == end
     )
@@ -424,16 +416,12 @@ def _x_value(
     window: int | None,
 ) -> tuple | None:
     """Kernel value of x, of xbar when classical, and of g with no
-    checked node.  An affine sum between weights of different levels is
-    zero, because every letter weight has level zero."""
+    checked node."""
     setup = _restricted(crystal, b, xi, eta, j, classical, indices)
-    if setup is None:
-        return None
-    ct = crystal.cartan
-    if not classical and ct.level(xi) != ct.level(eta):
+    if setup is None or setup[2] is None:
         return None
     idx, start, end = setup
-    rec = _recursion(crystal, idx, classical, window)
+    rec = _recursion(crystal, idx, window)
     fit = tuple(start[i] for i in idx)
     return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j)
 
@@ -478,7 +466,8 @@ def x_by_weyl_sum(
 
     The boundary-letter zero clause is definitional, so it is applied
     before summing.  Past it, xi and eta must be dominant at the checked
-    nodes, the domain of the identity; otherwise ValueError.
+    nodes, the domain of the identity; otherwise ValueError.  Past that,
+    the sum is zero when no tail reaches the level of eta.
     """
     setup = _restricted(crystal, b, xi, eta, j, classical, None)
     if setup is None:
@@ -491,9 +480,11 @@ def x_by_weyl_sum(
                 f"{name} = {w} is not dominant at nodes {list(idx)}; the Weyl "
                 f"sum holds only for dominant weights"
             )
+    if end is None:
+        return ZERO
     base = tuple(c + 1 for c in start)
     target = tuple(end[i] + 1 for i in idx)
-    rec = _recursion(crystal, (), False, None)
+    rec = _recursion(crystal, (), None)
     t = crystal.index(b)
     total: Counter = Counter()
     for mu in tail_weight_support(crystal, j):
@@ -536,7 +527,7 @@ def check_disjoint_decomposition(
     of full lowering strings, each rooted where the raising capacity
     overshoots xi by exactly one."""
     idx = _indices(crystal, classical, None)
-    state = _canon(xi.lambda_coords, classical)
+    state = xi.lambda_coords
     bad = tuple(
         b
         for b in sorted(crystal.elements, key=crystal.index)
@@ -646,8 +637,7 @@ def stabilized_limit(
     period = gs.period()
     zero = Weight.zero(crystal.cartan.size)
     # The kind picks the start weight at window j, the end weight and the
-    # checked nodes: none for g, all for x, and nodes 1..n for xbar, which
-    # also drops the node-0 coordinate.
+    # checked nodes: none for g, all for x, and nodes 1..n for xbar.
     indices = None
     if kind == "g":
         eta, indices = (mu if mu is not None else zero), ()
@@ -713,7 +703,7 @@ def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
     the tail-weight support, as (tail coords, energy, count).  It reads
     the kernel directly, with no level check: a tail weight is a sum of
     letter weights, and those have level zero."""
-    rec = _recursion(crystal, (), False, None)
+    rec = _recursion(crystal, (), None)
     t = crystal.index(b)
     for coords in tail_weight_support(crystal, m):
         value = rec(t, (), coords, m)

@@ -198,6 +198,8 @@ class Schedule:
 
     def index(self, j: int, a: int) -> int:
         """Lowering index at step a (1-based) of segment j (1-based)."""
+        if j < 1:
+            raise ValueError(f"segment {j} is below 1")
         if not 1 <= a <= self.d:
             raise ValueError(f"step {a} outside 1..{self.d}")
         i, cycle = self.word[a - 1], self._cycle
@@ -219,6 +221,8 @@ class Schedule:
 
     def weyl_word(self, k: int) -> tuple[int, ...]:
         """Word of the Weyl element after k steps, newest reflection first."""
+        if k < 0:
+            raise ValueError("steps must be nonnegative")
         return tuple(self.flat_index(m) for m in range(k, 0, -1))
 
     def leading_sets(self, j: int) -> list[set[Element]]:

@@ -404,6 +404,32 @@ class TestRestricted:
                 with pytest.raises(ValueError, match=rf"^node {bad} is outside 0\.\.1 of "):
                     x(c, "0", lam, lam, 1, indices=(bad,))
 
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_unknown_head_letter_rejected_on_all_routes(self, j):
+        c = perfect_crystal("A1", 2)
+        lam = c.cartan.fundamental_weight(0)
+        zero = Weight.zero(c.cartan.size)
+        calls = [
+            lambda: x_enumerate(c, "z", lam, lam, j),
+            lambda: x_recursive(c, "z", lam, lam, j),
+            lambda: x_by_weyl_sum(c, "z", lam, lam, j),
+            lambda: g_enumerate(c, "z", zero, j),
+            lambda: g_recursive(c, "z", zero, j),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^'z' is not a letter of A1 n=2$"):
+                call()
+
+    def test_classical_indices_naming_node_0_rejected(self):
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(1)
+        for x in (x_enumerate, x_recursive):
+            with pytest.raises(ValueError, match="name node 0"):
+                x(c, "0", lam, lam, 2, classical=True, indices=(0, 1))
+            assert x(c, "0", lam, lam, 2, classical=True, indices=(1,)) == x(
+                c, "0", lam, lam, 2, classical=True
+            )
+
     def test_blocked_boundary_letter_gives_zero_on_all_routes(self):
         """A boundary letter that cannot sit under the top weight kills
         the sum identically, whichever evaluation route is used."""
@@ -497,6 +523,71 @@ class TestRestricted:
                             xi_bar,
                             eta_bar,
                         )
+
+
+class TestNodeZero:
+    """The classical sum checks nodes 1..n only, and a tail keeps the
+    level of xi, so node 0 of xi and eta is fixed by the level."""
+
+    ROUTES = (x_enumerate, x_recursive, x_by_weyl_sum)
+
+    @staticmethod
+    def weights(c):
+        ct = c.cartan
+        return dominant_classical_weights(ct, 1) + dominant_classical_weights(ct, 2)[:2]
+
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_xbar_ignores_node_0_of_xi_and_eta(self, family, n):
+        c = perfect_crystal(family, n)
+        ws = self.weights(c)
+
+        def moved(w, s):
+            return Weight((w.lambda_coords[0] + s,) + w.lambda_coords[1:])
+
+        nonzero = 0
+        for b in c.elements:
+            for xi in ws:
+                for eta in ws:
+                    for j in range(4):
+                        for x in self.ROUTES:
+                            want = x(c, b, xi, eta, j, classical=True)
+                            nonzero += want != ZERO
+                            for s in (-1, 2):
+                                for a, e in ((moved(xi, s), eta), (xi, moved(eta, s))):
+                                    got = x(c, b, a, e, j, classical=True)
+                                    assert got == want, (x.__name__, b, xi, eta, j, s)
+        assert nonzero
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_xbar_is_zero_across_an_odd_level_gap_on_a2even(self, n):
+        c = perfect_crystal("A2even", n)
+        assert c.cartan.comarks[0] == 2
+        ws = self.weights(c)
+        odd = [
+            (xi, eta)
+            for xi in ws
+            for eta in ws
+            if (c.cartan.level(xi) - c.cartan.level(eta)) % 2
+        ]
+        assert odd
+        for b in c.elements:
+            for xi, eta in odd:
+                for j in range(4):
+                    for x in self.ROUTES:
+                        assert x(c, b, xi, eta, j, classical=True) == ZERO
+
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_affine_x_is_zero_between_levels(self, family, n):
+        c = perfect_crystal(family, n)
+        ws = self.weights(c)
+        for b in c.elements:
+            for xi in ws:
+                for eta in ws:
+                    if c.cartan.level(xi) == c.cartan.level(eta):
+                        continue
+                    for j in range(4):
+                        for x in self.ROUTES:
+                            assert x(c, b, xi, eta, j) == ZERO, (x.__name__, b, xi, eta, j)
 
 
 class TestSignedReflectionSums:
@@ -832,7 +923,7 @@ class TestWindowedKernel:
     @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
     def test_g_keeps_the_lowest_coefficients(self, family, n):
         c = perfect_crystal(family, n)
-        recs = [onedsums._recursion(c, (), False, m) for m in range(5)]
+        recs = [onedsums._recursion(c, (), m) for m in range(5)]
         for j in range(6):
             for coords in sorted(tail_weight_support(c, j)):
                 for b in c.elements:
@@ -901,9 +992,9 @@ class TestWindowedKernel:
         zero = Weight.zero(4)
         onedsums._recursion.cache_clear()
         g_recursive(c, "0", zero, 6)
-        whole = onedsums._recursion(c, (), False, None).cache_info().currsize
-        onedsums._recursion(c, (), False, 0)(c.index("0"), (), zero.lambda_coords, 6)
-        windowed = onedsums._recursion(c, (), False, 0).cache_info().currsize
+        whole = onedsums._recursion(c, (), None).cache_info().currsize
+        onedsums._recursion(c, (), 0)(c.index("0"), (), zero.lambda_coords, 6)
+        windowed = onedsums._recursion(c, (), 0).cache_info().currsize
         assert windowed < whole
 
 
@@ -1001,7 +1092,7 @@ class TestCharacterBridge:
         s = demazure_schedule(c, c.cartan.fundamental_weight(0))
         onedsums._recursion.cache_clear()
         character_at_full_segment(s, 4)
-        assert onedsums._recursion(c, (), False, None).cache_info().currsize <= 3000
+        assert onedsums._recursion(c, (), None).cache_info().currsize <= 3000
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,15 @@ class TestScheduleBookkeeping:
         # segment 1 lowers by 0 then 1; the newest reflection is listed first
         assert sched.weyl_word(2) == (1, 0)
 
+    def test_segment_and_step_bounds(self):
+        sched = demazure_schedule(perfect_crystal("A1", 2), Weight((1, 0, 0)))
+        assert sched.weyl_word(0) == ()
+        for j in (0, -1):
+            with pytest.raises(ValueError, match=rf"^segment {j} is below 1$"):
+                sched.index(j, 1)
+        with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+            sched.weyl_word(-1)
+
     def test_scheduled_nodes(self):
         assert tuple(schedule_words("B1", 3)) == (0, 3)
         assert tuple(schedule_words("A2even", 2)) == (2,)
