@@ -4,13 +4,12 @@ Subcommands compute crystal graphs, step-by-step characters, window
 sums, tableau polynomials, string-function limits, verification suites,
 and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
-bytes.  --threads is accepted for compatibility and has no effect;
-every command runs on one thread.  A --format the subcommand cannot
-write (verify writes JSON only), or a negative count bound, exits 2
-before any work is done.
-character computes at the requested weight; a node without a word in
-the schedule table borrows one through a diagram symmetry (demazure_schedule),
-recorded under "lambda" in the output.
+bytes; every command runs on one thread.  A --format the subcommand
+cannot write (verify writes JSON only), or a negative count bound,
+exits 2 before any work is done.
+character computes at the requested weight; a node that is not scheduled
+borrows the words of a scheduled node through a diagram symmetry
+(demazure_schedule), recorded under "lambda" in the output.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
 4 stabilization window guard tripped.
@@ -562,9 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     common.add_argument("--format", choices=["json", "dot", "csv"], help="output format")
-    common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
-    )
 
     parser = argparse.ArgumentParser(
         prog="demchar",

@@ -4,8 +4,10 @@ Provides the level-1 perfect crystal for each of the six affine families
 and the level-l symmetric-power crystal of untwisted type A. Elements are
 short string labels ("3", "3~" for barred letters, "0", "phi") except in
 the symmetric-power crystal, whose elements are weakly increasing letter
-tuples. String lengths epsilon/phi are precomputed by walking arrows, so
-multi-step strings through the middle of the graph are counted correctly.
+tuples. String lengths are walked along the arrows once, into
+``phi_table`` and ``epsilon_table`` (by letter index, then node), so
+multi-step strings through the middle of the graph are counted correctly;
+every other view of them reads those two tables.
 
 A builder gives only the elements, the f-arrows, a name and one int; the
 rest follows from the arrows.  Each letter's weight is phi - epsilon:
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
+from operator import sub
 from typing import Hashable, Iterable, Mapping
 
 from .weights import CartanType, Weight, cartan_type, dominant_classical_weights
@@ -62,23 +65,21 @@ class PerfectCrystal:
             if frm not in self._index or to not in self._index:
                 raise ValueError(f"{arrow} names a letter not in the elements")
         self._e = {(i, to): frm for (i, frm), to in self._f.items()}
-        self._phi: dict[tuple[int, Element], int] = {}
-        self._eps: dict[tuple[int, Element], int] = {}
-        for i in cartan.index_set:
-            for b in self.elements:
-                steps = 0
-                cur = b
-                while (i, cur) in self._f:
-                    cur = self._f[(i, cur)]
-                    steps += 1
-                self._phi[(i, b)] = steps
-                steps = 0
-                cur = b
-                while (i, cur) in self._e:
-                    cur = self._e[(i, cur)]
-                    steps += 1
-                self._eps[(i, b)] = steps
+        self.phi_table = self._string_lengths(self._f)
+        self.epsilon_table = self._string_lengths(self._e)
         self._H = self._walk_energy(normalization)
+
+    def _string_lengths(self, arrows) -> tuple[tuple[int, ...], ...]:
+        """Steps along each node's arrows from each letter, by letter index:
+        phi_i with the f-arrows, epsilon_i with the e-arrows."""
+
+        def length(i: int, b: Element) -> int:
+            steps = 0
+            while (i, b) in arrows:
+                b, steps = arrows[(i, b)], steps + 1
+            return steps
+
+        return tuple(tuple(length(i, b) for i in self.cartan.index_set) for b in self.elements)
 
     def _walk_energy(self, normalization: int) -> dict[tuple[Element, Element], int]:
         """H on every two-letter word, walked from (b0, b0) by the
@@ -94,8 +95,10 @@ class PerfectCrystal:
         while queue:
             b, bp = queue.pop()
             h = energy[(b, bp)]
+            phis = self.phi_table[self._index[b]]
+            epss = self.epsilon_table[self._index[bp]]
             for i in self.cartan.index_set:
-                phi, eps = self._phi[(i, b)], self._eps[(i, bp)]
+                phi, eps = phis[i], epss[i]
                 for arrows, left, up in ((self._e, phi >= eps, 1), (self._f, phi > eps, -1)):
                     pair = (arrows.get((i, b)), bp) if left else (b, arrows.get((i, bp)))
                     if None in pair:
@@ -134,10 +137,10 @@ class PerfectCrystal:
         return self._e.get((i, b))
 
     def phi(self, i: int, b: Element) -> int:
-        return self._phi[(i, b)]
+        return self.phi_table[self._index[b]][i]
 
     def epsilon(self, i: int, b: Element) -> int:
-        return self._eps[(i, b)]
+        return self.epsilon_table[self._index[b]][i]
 
     def weight(self, b: Element) -> Weight:
         """wt(b) = phi-weight minus epsilon-weight."""
@@ -151,14 +154,8 @@ class PerfectCrystal:
     def weight_table(self) -> tuple[tuple[int, ...], ...]:
         """Weight coordinates phi_i - epsilon_i of each letter, by letter index."""
         return tuple(
-            tuple(self._phi[(i, b)] - self._eps[(i, b)] for i in self.cartan.index_set)
-            for b in self.elements
+            tuple(map(sub, phis, epss)) for phis, epss in zip(self.phi_table, self.epsilon_table)
         )
-
-    @cached_property
-    def epsilon_table(self) -> tuple[tuple[int, ...], ...]:
-        """Raising capacities epsilon_i of each letter at every node, by letter index."""
-        return tuple(self.epsilon_weight(b).lambda_coords for b in self.elements)
 
     @cached_property
     def energy_table(self) -> tuple[tuple[int, ...], ...]:
@@ -167,34 +164,15 @@ class PerfectCrystal:
             tuple(self._H[(b, bp)] for bp in self.elements) for b in self.elements
         )
 
-    def phi_weight(self, b: Element) -> Weight:
-        return Weight(tuple(self._phi[(i, b)] for i in self.cartan.index_set))
-
     def epsilon_weight(self, b: Element) -> Weight:
-        return Weight(tuple(self._eps[(i, b)] for i in self.cartan.index_set))
+        return Weight(self.epsilon_table[self._index[b]])
 
     def ground_element(self, lam: Weight) -> Element:
         """The unique element whose phi-weight equals lam classically."""
-        hits = [
-            b
-            for b in self.elements
-            if self.phi_weight(b).lambda_coords == lam.lambda_coords
-        ]
+        hits = [b for b, phis in zip(self.elements, self.phi_table) if phis == lam.lambda_coords]
         if len(hits) != 1:
             raise ValueError(f"no unique element with phi-weight {lam} in {self.name}")
         return hits[0]
-
-    def sigma(self, lam: Weight) -> Weight:
-        """Weight automorphism: epsilon-weight of the element with phi-weight lam."""
-        return self.epsilon_weight(self.ground_element(lam))
-
-    def sigma_period(self, lam: Weight) -> int:
-        cur = self.sigma(lam)
-        period = 1
-        while cur.lambda_coords != lam.lambda_coords:
-            cur = self.sigma(cur)
-            period += 1
-        return period
 
     def to_dot(self) -> str:
         """Graphviz rendering with deterministic node and edge order."""
@@ -231,33 +209,21 @@ def verify_perfect(crystal: PerfectCrystal, level: int) -> PerfectnessReport:
     it classically, and that every element's epsilon-weight has level at
     least l; the constructor has already checked that the graph is
     connected, since its two-letter words are. Returns the failures; the
-    dominant-weight-to-element map and the induced weight automorphism are
-    ``PerfectCrystal.ground_element`` and ``PerfectCrystal.sigma``.
+    dominant-weight-to-element map is ``PerfectCrystal.ground_element``,
+    and the induced weight automorphism is the window-weight cycle of
+    ``paths.GroundState``.
     """
     report = PerfectnessReport(level)
     ct = crystal.cartan
-    dominants = dominant_classical_weights(ct, level)
-    for lam in dominants:
-        phi_hits = [
-            b
-            for b in crystal.elements
-            if crystal.phi_weight(b).lambda_coords == lam.lambda_coords
-        ]
-        eps_hits = [
-            b
-            for b in crystal.elements
-            if crystal.epsilon_weight(b).lambda_coords == lam.lambda_coords
-        ]
-        if len(phi_hits) != 1:
-            report.failures.append(
-                f"phi-weight {lam}: expected one element, found {len(phi_hits)}"
-            )
-        if len(eps_hits) != 1:
-            report.failures.append(
-                f"epsilon-weight {lam}: expected one element, found {len(eps_hits)}"
-            )
-    for b in crystal.elements:
-        if ct.level(crystal.epsilon_weight(b)) < level:
+    for lam in dominant_classical_weights(ct, level):
+        for kind, table in (("phi", crystal.phi_table), ("epsilon", crystal.epsilon_table)):
+            hits = table.count(lam.lambda_coords)
+            if hits != 1:
+                report.failures.append(
+                    f"{kind}-weight {lam}: expected one element, found {hits}"
+                )
+    for b, epss in zip(crystal.elements, crystal.epsilon_table):
+        if ct.level(Weight(epss)) < level:
             report.failures.append(f"element {b}: epsilon level below {level}")
     return report
 

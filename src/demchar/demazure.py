@@ -1,15 +1,14 @@
-"""Demazure path sets grown along per-family lowering schedules.
+"""Demazure path sets grown along the schedule read off the crystal.
 
-Validates the three structural requirements of the growth procedure on
-a ``paths.Schedule`` (full closure per segment, boundary capacity,
-ascending reflection word, tested step by step on w(rho) by
-``weights.ascents``), constructs the path set after k steps two
-independent ways (direct product shape versus step-by-step lowering
-closure), and computes the Demazure character both as a sum over paths
-(the segment sum of ``onedsums`` over one listing of the tails, without
-building the path set) and by iterated Demazure operators.
-``demazure_schedule``, the one schedule builder, lives in ``paths`` and
-is importable from here.
+Constructs the path set after k steps two independent ways (direct
+product shape versus step-by-step lowering closure), and computes the
+Demazure character both as a sum over paths (the segment sum of
+``onedsums`` over one listing of the tails, without building the path
+set) and by iterated Demazure operators. ``demazure_schedule``, the one
+schedule builder, and ``check_conditions``, which tests the three
+structural requirements of the growth procedure (full closure per
+segment, boundary capacity, ascending reflection word), live in
+``paths`` and are importable from here.
 """
 
 from __future__ import annotations
@@ -18,61 +17,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .onedsums import _segment_character, _walker_terms
-from .paths import Schedule, Word, demazure_schedule, paths_at_step
-from .weights import FormalCharacter, ascents, demazure_step
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the structural checks on a schedule. Each violation is
-    one message tagged closure:, capacity:, or ascent:."""
-
-    j_max: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_conditions(s: Schedule, j_max: int) -> ConditionReport:
-    """Verify, for every segment up to j_max: the lowering closure reaches
-    the whole crystal; every boundary demand is covered by raising
-    capacity; and the reflection word ascends step by step through
-    j_max full segments."""
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-    crystal = s.crystal
-    full = set(crystal.elements)
-    violations: list[str] = []
-    for j in range(1, j_max + 1):
-        sets = s.leading_sets(j)
-        if sets[s.d] != full:
-            missing = sorted(full - sets[s.d], key=crystal.index)
-            violations.append(
-                f"closure: segment {j} reaches {len(sets[s.d])} of "
-                f"{len(full)} elements, missing {missing}"
-            )
-        lam_j = s.ground.window_weight(j)
-        for a in range(1, s.d + 1):
-            i = s.index(j, a)
-            demand = lam_j.pairing(i)
-            for b in sorted(sets[a - 1], key=crystal.index):
-                if crystal.epsilon(i, b) < demand:
-                    violations.append(
-                        f"capacity: segment {j} step {a} lowers along {i} "
-                        f"but {b} raises only {crystal.epsilon(i, b)} < {demand}"
-                    )
-                    break
-    word = s.weyl_word(j_max * s.d)[::-1]
-    for k, (i, up) in enumerate(zip(word, ascents(crystal.cartan, word)), 1):
-        if not up:
-            violations.append(
-                f"ascent: step {k} prepends reflection {i} without "
-                f"lengthening the word"
-            )
-            break
-    return ConditionReport(j_max, tuple(violations))
+from .paths import (
+    ConditionReport,
+    Schedule,
+    Word,
+    check_conditions,
+    demazure_schedule,
+    paths_at_step,
+)
+from .weights import FormalCharacter, demazure_step
 
 
 @dataclass(frozen=True)

@@ -614,9 +614,10 @@ def stabilized_limit(
     of lam, as the window grows.
 
     kind="g": string function along the level-zero direction mu
-    (default 0). kind="x": branching of the product with a second
-    highest weight xi toward eta. kind="xbar": classical branching
-    toward the barred weight eta.  Every kind reads the kernel entry
+    (default 0; mu of another level raises ValueError). kind="x":
+    branching of the product with a second highest weight xi toward
+    eta. kind="xbar": classical branching toward the barred weight
+    eta.  Every kind reads the kernel entry
     ``_x_value`` once per window, windowed to the degree; kind "g" reads
     it from zero to mu with no checked node.  The window advances by the
     period of the ground-state letter cycle, starting no earlier than
@@ -633,6 +634,8 @@ def stabilized_limit(
         raise ValueError("kind 'x' needs xi and eta")
     if kind == "xbar" and eta is None:
         raise ValueError("kind 'xbar' needs eta")
+    if kind == "g" and mu is not None and crystal.cartan.level(mu):
+        raise ValueError(f"kind 'g' needs mu of level 0, got level {crystal.cartan.level(mu)}")
     gs = GroundState(crystal, lam)
     period = gs.period()
     zero = Weight.zero(crystal.cartan.size)

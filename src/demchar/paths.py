@@ -8,11 +8,15 @@ the Demazure recursion grow by repeated lowering along a schedule of
 Dynkin indices, widening the window by one ground-state letter at each
 segment boundary.
 
-The schedule is data plus one rule. ``schedule_words`` holds the
-segment-1 word of each scheduled node. Segment j sits at the window
-weight lambda_j = sigma^j(lambda), so its indices are the segment-1
-indices carried j - 1 steps along the ground state's node cycle, the
-nodes of lambda_0 .. lambda_{p-1}; an index off the cycle stays put.
+The schedule is read off the crystal. The scheduled nodes are the least
+level-1 node of each orbit of the crystal's diagram symmetries, and
+``schedule_words`` finds the segment-1 words of each by a breadth-first
+search that ``check_conditions`` (full closure per segment, boundary
+capacity, ascending reflection word) filters. Segment j sits at the
+window weight lambda_j, the j-th step of the ground state's cycle, so
+its indices are the segment-1 indices carried j - 1 steps along that
+cycle's nodes, those of lambda_0 .. lambda_{p-1}; an index off the cycle
+stays put.
 
 ``Schedule`` is the one schedule type and ``demazure_schedule`` its one
 builder. The path sets themselves (``grow_paths``, ``paths_at_step``,
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .crystals import Element, PerfectCrystal, verify_perfect
 from .tensor import signature_scan
-from .weights import Weight
+from .weights import Weight, ascents
 
 Word = tuple[Element, ...]
 
@@ -83,7 +88,12 @@ class GroundState:
         return self._lams[j]
 
     def period(self) -> int:
-        return self.crystal.sigma_period(self.lam)
+        """Least p >= 1 whose window weight is lambda again: the length of
+        the ground state's cycle of weights."""
+        p = 1
+        while self.window_weight(p) != self.lam:
+            p += 1
+        return p
 
     def c(self, j: int) -> int:
         """Energy of the ground-state word of length j >= 0."""
@@ -137,24 +147,6 @@ class GroundState:
             total += position * energy[prev][t]
             prev = t
         return Weight(tuple(coords), self.c(j) - total)
-
-
-def schedule_words(family: str, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Segment-1 lowering indices of each scheduled node: one word, or two
-    where a pair of commuting steps may swap (variant 2: B1's 0 and 1 at
-    node n, D1's n - 1 and n at the fork). Later segments carry these
-    indices along the ground state's node cycle (``Schedule.index``)."""
-    up, down = (0, *range(2, n - 1)), (*range(n - 2, 1, -1), 0)
-    fall, rise = range(n, 1, -1), range(2, n)
-    chain = (*up, n - 1, n, n - 1, *down)
-    return {
-        "A1": {0: (tuple(range(n)),)},
-        "B1": {0: (chain,), n: ((*fall, 0, 1, *rise), (*fall, 1, 0, *rise))},
-        "D1": {0: ((*up, n, n - 1, *down), (*up, n - 1, n, *down))},
-        "A2odd": {0: (chain,)},
-        "A2even": {n: ((*range(n, 0, -1), 0, *range(1, n)),)},
-        "D2": {0: ((*range(n + 1), *range(n - 1, 0, -1)),)},
-    }[family]
 
 
 @dataclass(frozen=True)
@@ -236,6 +228,59 @@ class Schedule:
         return sets
 
 
+@dataclass(frozen=True)
+class ConditionReport:
+    """Outcome of the structural checks on a schedule. Each violation is
+    one message tagged closure:, capacity:, or ascent:."""
+
+    j_max: int
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_conditions(s: Schedule, j_max: int) -> ConditionReport:
+    """Verify, for every segment up to j_max: the lowering closure reaches
+    the whole crystal; every boundary demand is covered by raising
+    capacity; and the reflection word ascends step by step through
+    j_max full segments."""
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
+    crystal = s.crystal
+    full = set(crystal.elements)
+    violations: list[str] = []
+    for j in range(1, j_max + 1):
+        sets = s.leading_sets(j)
+        if sets[s.d] != full:
+            missing = sorted(full - sets[s.d], key=crystal.index)
+            violations.append(
+                f"closure: segment {j} reaches {len(sets[s.d])} of "
+                f"{len(full)} elements, missing {missing}"
+            )
+        lam_j = s.ground.window_weight(j)
+        for a in range(1, s.d + 1):
+            i = s.index(j, a)
+            demand = lam_j.pairing(i)
+            for b in sorted(sets[a - 1], key=crystal.index):
+                if crystal.epsilon(i, b) < demand:
+                    violations.append(
+                        f"capacity: segment {j} step {a} lowers along {i} "
+                        f"but {b} raises only {crystal.epsilon(i, b)} < {demand}"
+                    )
+                    break
+    word = s.weyl_word(j_max * s.d)[::-1]
+    for k, (i, up) in enumerate(zip(word, ascents(crystal.cartan, word)), 1):
+        if not up:
+            violations.append(
+                f"ascent: step {k} prepends reflection {i} without "
+                f"lengthening the word"
+            )
+            break
+    return ConditionReport(j_max, tuple(violations))
+
+
 def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
     """Node permutations preserving the Cartan matrix, in lexicographic
     order. A partial map grows node by node, trying images in increasing
@@ -267,71 +312,101 @@ def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:
 def _crystal_twist(crystal: PerfectCrystal, perm: tuple[int, ...]):
     """A letter bijection intertwining each arrow i with arrow perm[i],
     or None when the relabeled graph is not isomorphic to the original."""
-    elements = crystal.elements
-    index_set = crystal.cartan.index_set
-    start = elements[0]
-    for image in elements:
-        sigma = {start: image}
-        queue = [start]
-        ok = True
-        while queue and ok:
+    nodes, steps = crystal.cartan.index_set, (crystal.f, crystal.e)
+    start = crystal.elements[0]
+    for image in crystal.elements:
+        twist, queue = {start: image}, [start]
+        while queue:
             b = queue.pop()
-            for i in index_set:
-                for step in (crystal.f, crystal.e):
-                    nb = step(i, b)
-                    tb = step(perm[i], sigma[b])
-                    if (nb is None) != (tb is None):
-                        ok = False
-                        break
-                    if nb is None:
-                        continue
-                    if nb in sigma:
-                        if sigma[nb] != tb:
-                            ok = False
-                            break
-                    else:
-                        sigma[nb] = tb
-                        queue.append(nb)
-                if not ok:
-                    break
-        if ok and len(sigma) == len(elements) and len(set(sigma.values())) == len(
-            elements
-        ):
-            return sigma
+            moves = [(step(i, b), step(perm[i], twist[b])) for i in nodes for step in steps]
+            if any((nb is None) != (tb is None) or twist.get(nb, tb) != tb for nb, tb in moves):
+                break
+            for nb, tb in moves:
+                if nb is not None and nb not in twist:
+                    twist[nb] = tb
+                    queue.append(nb)
+        else:
+            if len(twist) == len(set(twist.values())) == len(crystal.elements):
+                return twist
     return None
+
+
+@cache
+def _symmetries(crystal: PerfectCrystal) -> tuple[tuple[int, ...], ...]:
+    """The node permutations that relabel the crystal's arrows onto an
+    isomorphic graph, in lexicographic order, so the identity first."""
+    perms = _cartan_permutations(crystal)
+    return tuple(perm for perm in perms if _crystal_twist(crystal, perm) is not None)
+
+
+@cache
+def schedule_words(crystal: PerfectCrystal) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+    """Segment-1 lowering indices of each scheduled node, the least
+    level-1 node of each orbit of the diagram symmetries: one word, or
+    several where commuting steps may swap.
+
+    A breadth-first search from the ground-state letter {b(1)} steps
+    along i only where that grows the lowering closure, and keeps the
+    shortest words whose closure is all of B and that pass
+    ``check_conditions`` over three segments. The conditions leave the
+    order of two commuting steps open; variant 1 lowers first along the
+    index farther from the node. Later segments carry these indices
+    along the ground state's node cycle (``Schedule.index``). The
+    mapping is cached, so it is read-only."""
+    ct = crystal.cartan
+    level_one = [i for i in ct.index_set if ct.level(ct.fundamental_weight(i)) == 1]
+    nodes = sorted({min(perm[i] for perm in _symmetries(crystal)) for i in level_one})
+    return MappingProxyType({node: _growth_words(crystal, node) for node in nodes})
+
+
+def _growth_words(crystal: PerfectCrystal, node: int) -> tuple[tuple[int, ...], ...]:
+    ground = GroundState(crystal, crystal.cartan.fundamental_weight(node))
+    full = set(crystal.elements)
+    frontier: list[tuple[tuple[int, ...], set[Element]]] = [((), {ground.bar(1)})]
+    while frontier:
+        grown = []
+        for word, reached in frontier:
+            for i in crystal.cartan.index_set:
+                closure = _closure(reached, lambda b: crystal.f(i, b))
+                if len(closure) > len(reached):
+                    grown.append(((*word, i), closure))
+        words = [
+            word
+            for word, reached in grown
+            if reached == full and check_conditions(Schedule(ground, node, word), 3).ok
+        ]
+        if words:
+            return tuple(sorted(words, key=lambda word: [-abs(i - node) for i in word]))
+        frontier = [(word, reached) for word, reached in grown if reached != full]
+    raise ValueError(
+        f"no lowering word at node {node} of {crystal.name} passes the growth conditions"
+    )
 
 
 def demazure_schedule(
     crystal: PerfectCrystal, lam: Weight, variant: int = 1
 ) -> Schedule:
     """Schedule for a fundamental weight, with the ground state at lam
-    itself: the segment-1 word of its node, or of the first scheduled
-    node (in lexicographic order of the node permutations) that a diagram
-    symmetry relabelling the crystal's arrows carries it onto, relabelled
-    back once. The word table is looked up before the ground state is
-    built."""
+    itself: the segment-1 word of its node, or of the scheduled node that
+    the first diagram symmetry (in lexicographic order of the node
+    permutations) carrying it onto one sends it to, relabelled back once.
+    The scheduled nodes are looked up before the ground state is built."""
     ct = crystal.cartan
     family, n = ct.family, ct.n
-    node = next(
-        (
-            i
-            for i in ct.index_set
-            if lam.lambda_coords == ct.fundamental_weight(i).lambda_coords
-        ),
-        None,
-    )
-    if node is None:
+    fundamentals = [ct.fundamental_weight(i).lambda_coords for i in ct.index_set]
+    if lam.lambda_coords not in fundamentals:
         raise ValueError(f"no schedule for weight {lam} in family {family}")
-    words = schedule_words(family, n)
-    for perm in [()] if node in words else _cartan_permutations(crystal):
-        lam_node = perm[node] if perm else node
-        if lam_node in words and (not perm or _crystal_twist(crystal, perm) is not None):
-            break
-    else:
+    node = fundamentals.index(lam.lambda_coords)
+    words = schedule_words(crystal)
+    perm = next((perm for perm in _symmetries(crystal) if perm[node] in words), None)
+    if perm is None:
         raise ValueError(
             f"no growth schedule for node {node} of {family} rank {n}, and no "
             f"diagram symmetry maps it onto one of {list(words)}"
         )
+    lam_node = perm[node]
+    if lam_node == node:
+        perm = ()
     ground = GroundState(crystal, lam)
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")

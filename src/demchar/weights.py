@@ -10,7 +10,7 @@ the Demazure operator ``demazure_step`` on int keys (*coordinates,
 delta), which ``FormalCharacter`` stores too; ``fold``, which reflects
 a point into a dominant chamber; and ``ascents``, which tests a
 reflection word for ascent in Bruhat length step by step on w(rho)
-(``demazure.check_conditions``).
+(``paths.check_conditions``).
 """
 
 from __future__ import annotations

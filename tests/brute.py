@@ -210,6 +210,32 @@ def enumerate_paths(
     return out
 
 
+def sigma(crystal: PerfectCrystal, lam: Weight) -> Weight:
+    """The weight automorphism sigma of a perfect crystal: the
+    epsilon-weight of the one letter whose phi-weight is lam, read node
+    by node from the string lengths."""
+    nodes = crystal.cartan.index_set
+    (b,) = [b for b in crystal.elements if all(crystal.phi(i, b) == lam.pairing(i) for i in nodes)]
+    return Weight(tuple(crystal.epsilon(i, b) for i in nodes))
+
+
+def reference_words(family: str, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The segment-1 word table the schedule used to hold, by scheduled
+    node: one word, or two where a pair of commuting steps may swap
+    (variant 2: B1's 0 and 1 at node n, D1's n - 1 and n at the fork)."""
+    up, down = (0, *range(2, n - 1)), (*range(n - 2, 1, -1), 0)
+    fall, rise = range(n, 1, -1), range(2, n)
+    chain = (*up, n - 1, n, n - 1, *down)
+    return {
+        "A1": {0: (tuple(range(n)),)},
+        "B1": {0: (chain,), n: ((*fall, 0, 1, *rise), (*fall, 1, 0, *rise))},
+        "D1": {0: ((*up, n, n - 1, *down), (*up, n - 1, n, *down))},
+        "A2odd": {0: (chain,)},
+        "A2even": {n: ((*range(n, 0, -1), 0, *range(1, n)),)},
+        "D2": {0: ((*range(n + 1), *range(n - 1, 0, -1)),)},
+    }[family]
+
+
 def reference_index(family: str, n: int, lam_node: int, variant: int, j: int, a: int) -> int:
     """The lowering index at step a of segment j, labelled as at
     lam_node, by the per-family rule the schedule used to hold: each

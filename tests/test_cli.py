@@ -473,6 +473,15 @@ class TestStringFn:
         assert err.startswith("guard: window j = 1500 is deeper than the interpreter stack")
         assert "Traceback" not in err
 
+    def test_mu_of_nonzero_level_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "stringfn", "--type", "A1", "--rank", "1",
+            "--lambda", "L0", "--M", "2", "--mu", "1,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: kind 'g' needs mu of level 0, got level 1\n"
+
 
 class TestVerify:
     def test_formulas_suite_clean(self, capsys):
@@ -725,20 +734,23 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_invisible_in_output(self, tmp_path):
-        serial, threaded = tmp_path / "s", tmp_path / "t"
+    def test_thread_count_invisible_in_output(self, tmp_path, capsys):
+        first, second = tmp_path / "s", tmp_path / "t"
         argv = ["character", "B1", "3", "--lambda", "L0", "--k", "4"]
-        assert main(argv + ["--threads", "1", "--out", str(serial)]) == 0
-        assert main(argv + ["--threads", "4", "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        # there is no thread count to set: the option is unknown
+        assert main(argv + ["--threads", "4"]) == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
     def test_verifier_threads_invisible_in_output(self, tmp_path):
-        serial, threaded = tmp_path / "s", tmp_path / "t"
+        first, second = tmp_path / "s", tmp_path / "t"
         argv = ["verify", "formulas", "--type", "A2even", "--rank", "1",
                 "--jmax", "2"]
-        assert main(argv + ["--threads", "1", "--out", str(serial)]) == 0
-        assert main(argv + ["--threads", "3", "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_console_script():

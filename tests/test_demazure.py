@@ -45,7 +45,7 @@ CASES = [
     (family, n, node)
     for family, ns in RANKS.items()
     for n in ns
-    for node in schedule_words(family, n)
+    for node in schedule_words(perfect_crystal(family, n))
 ] + RELABELLED
 
 VARIANT_CASES = [("B1", 3, 3), ("D1", 4, 0)]

@@ -75,7 +75,7 @@ MINIMAL_RANKS = [
 SCHEDULED = [
     (family, n, node)
     for family, n in MINIMAL_RANKS
-    for node in schedule_words(family, n)
+    for node in schedule_words(perfect_crystal(family, n))
 ]
 
 
@@ -865,6 +865,9 @@ class TestStabilizedLimits:
                 stabilized_limit(kind, c, lam, 100)
         with pytest.raises(ValueError, match="needs xi"):
             stabilized_limit("x", c, lam, 100, eta=lam)
+        # a string function runs along a level-zero direction only
+        with pytest.raises(ValueError, match="^kind 'g' needs mu of level 0, got level 1$"):
+            stabilized_limit("g", c, lam, 2, mu=Weight((1, 0)))
 
 
 # ---------------------------------------------------------------------------

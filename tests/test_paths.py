@@ -7,17 +7,26 @@ from itertools import islice, product
 
 import pytest
 
-from brute import WeylAction, enumerate_paths, reference_index, simple_root
+from brute import (
+    WeylAction,
+    enumerate_paths,
+    reference_index,
+    reference_words,
+    sigma,
+    simple_root,
+)
 
+from demchar import paths
 from demchar.crystals import perfect_crystal
 from demchar.paths import (
+    ConditionReport,
     GroundState,
     demazure_schedule,
     grow_paths,
     paths_at_step,
     schedule_words,
 )
-from demchar.weights import Weight, cartan_type
+from demchar.weights import Weight, cartan_type, dominant_classical_weights
 
 SCHEDULED = [
     ("A1", 1, 0),
@@ -249,9 +258,9 @@ class TestScheduleBookkeeping:
             sched.weyl_word(-1)
 
     def test_scheduled_nodes(self):
-        assert tuple(schedule_words("B1", 3)) == (0, 3)
-        assert tuple(schedule_words("A2even", 2)) == (2,)
-        assert tuple(schedule_words("D2", 2)) == (0,)
+        assert tuple(schedule_words(perfect_crystal("B1", 3))) == (0, 3)
+        assert tuple(schedule_words(perfect_crystal("A2even", 2))) == (2,)
+        assert tuple(schedule_words(perfect_crystal("D2", 2))) == (0,)
 
     def test_unscheduled_weight_rejected(self):
         # comark 2: no diagram symmetry moves node 2 onto a scheduled node
@@ -419,3 +428,59 @@ def test_index_matches_per_family_rule(family, n):
                         mismatches.append((node, variant, j, a))
     assert cells
     assert mismatches == [], f"{len(mismatches)} of {cells} cells differ"
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(family, n) for family, low in MIN_RANK.items() for n in range(low, low + 4)],
+)
+def test_searched_words_match_the_old_table(family, n):
+    """Nodes, words and variant order as the hand-written table had them."""
+    words = schedule_words(perfect_crystal(family, n))
+    assert list(words.items()) == list(reference_words(family, n).items())
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(family, n) for family, low in MIN_RANK.items() for n in range(low, low + 4)],
+)
+def test_period_is_the_sigma_cycle(family, n):
+    crystal = perfect_crystal(family, n)
+    for lam in dominant_classical_weights(crystal.cartan, 1):
+        gs = GroundState(crystal, lam)
+        cycle = [sigma(crystal, lam)]
+        while cycle[-1] != lam:
+            cycle.append(sigma(crystal, cycle[-1]))
+        assert gs.period() == len(cycle), lam
+        assert [gs.window_weight(j) for j in range(1, len(cycle) + 1)] == cycle
+
+
+class TestWordSearchConditions:
+    """The search keeps only words that ``check_conditions`` passes; the
+    reports are injected on an uncached search."""
+
+    def test_failing_report_drops_the_word(self, monkeypatch):
+        crystal = perfect_crystal("B1", 3)
+        first, second = reference_words("B1", 3)[3]
+        check = paths.check_conditions
+
+        def fail_first(s, j_max):
+            report = check(s, j_max)
+            if s.word == first:
+                return replace(report, violations=("ascent: injected",))
+            return report
+
+        monkeypatch.setattr(paths, "check_conditions", fail_first)
+        words = schedule_words.__wrapped__(crystal)
+        assert words == {0: reference_words("B1", 3)[0], 3: (second,)}
+
+    def test_no_word_left_names_the_node(self, monkeypatch):
+        def fail(s, j_max):
+            return ConditionReport(j_max, ("closure: injected",))
+
+        monkeypatch.setattr(paths, "check_conditions", fail)
+        with pytest.raises(
+            ValueError,
+            match="^no lowering word at node 2 of A2even n=2 passes the growth conditions$",
+        ):
+            schedule_words.__wrapped__(perfect_crystal("A2even", 2))
