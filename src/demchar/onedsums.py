@@ -32,9 +32,15 @@ letters after a head are tried in order of a lower bound on their lowest
 exponent and skipped from the first one whose bound lies past the
 window.  With or without a window, a letter is skipped when the weight
 left after it lies outside the box the remaining letters can reach, so
-the memos hold no dead states.  The enumeration route lists every tail
-once, depth first, on the same tables, and shares no other code or memo
-with the recursion route.
+the memos hold no dead states.  The enumeration route lists the tails
+depth first on the same tables and shares no other code or memo with the
+recursion route: ``_walk_tails`` caches one read-only listing per
+crystal, length, start state and checked node set, which every head
+letter and end weight at that start reads, and
+``_walk_tails.cache_clear()`` frees the listings.  Likewise the Weyl sums
+fold the tail-weight support once per crystal, checked node set, start
+and length in the cached ``_weyl_terms``, freed by
+``_weyl_terms.cache_clear()``.
 
 The scheduled characters are one segment sum over the leading letters
 of a step (``_segment_character``), read from either g source: the tail
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import inf
 from operator import add, le, sub
+from types import MappingProxyType
 from typing import Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
@@ -206,20 +213,24 @@ def g_recursive(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
 # Tail enumeration on integer tables
 
 
+@cache
 def _walk_tails(
     crystal: PerfectCrystal,
     j: int,
     start: tuple[int, ...],
-    idx: tuple[int, ...] = (),
-) -> dict[tuple, Counter]:
+    idx: tuple[int, ...],
+) -> MappingProxyType:
     """List every length-j tail once, depth first over letter indices.
 
     The running state starts at ``start`` and adds each letter's weight
     coordinates at every node; a letter is taken only if its epsilon at
-    every node of ``idx`` fits under the state.  Returns tail-energy
-    counts keyed by (first letter, end state), the first letter being
-    None when j = 0.  The head term j * H(head, first letter) is left to
-    the reader of a bucket.
+    every node of ``idx`` fits under the state.  Returns a read-only map
+    from (first letter, end state) to the tail energies as (energy,
+    count) pairs, the first letter being None when j = 0.  The head term
+    j * H(head, first letter) is left to the reader of a bucket.  Cached
+    per crystal, length, start and checked nodes, so every head letter
+    and end weight at one start reads one listing;
+    ``_walk_tails.cache_clear()`` frees the listings.
     """
     wts, energy, eps = crystal.weight_table, crystal.energy_table, crystal.epsilon_table
     rows = [
@@ -243,17 +254,15 @@ def _walk_tails(
                 )
 
     extend(0, start, None, 0, 0)
-    return buckets
+    return MappingProxyType({key: tuple(counts.items()) for key, counts in buckets.items()})
 
 
-def _head_terms(
-    crystal: PerfectCrystal, buckets: dict[tuple, Counter], b: Element, j: int
-):
+def _head_terms(crystal: PerfectCrystal, buckets: MappingProxyType, b: Element, j: int):
     """(end state, energy, count) of every head-b word, read from the
     buckets of one listing of the length-j tails."""
     for (first, state), counts in buckets.items():
         shift = 0 if first is None else j * crystal.energy(b, first)
-        for e, c in counts.items():
+        for e, c in counts:
             yield state, e + shift, c
 
 
@@ -261,7 +270,7 @@ def _walker_terms(crystal: PerfectCrystal, j: int):
     """The enumeration source of head sums of length j: one listing of
     the length-j tails, read under each head letter as (tail coords,
     energy, count)."""
-    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size)
+    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size, ())
     return partial(_head_terms, crystal, buckets)
 
 
@@ -453,7 +462,8 @@ def x_by_weyl_sum(
     The terms are the Weyl elements w (finite group when classical,
     affine group otherwise) with g(b, w(eta + rho) - (xi + rho), j)
     nonzero, so their arguments lie in the tail-weight support.  Each
-    support point mu is folded: xi + rho + mu is reflected into the
+    support point mu is folded, once per start and length
+    (``_weyl_terms``): xi + rho + mu is reflected into the
     dominant chamber of the checked nodes, and it is a term exactly when
     it lands on eta + rho there, with sign (-1)^steps and argument mu
     minus the offset times the null root.  Each term reads the g kernel
@@ -482,19 +492,37 @@ def x_by_weyl_sum(
             )
     if end is None:
         return ZERO
-    base = tuple(c + 1 for c in start)
     target = tuple(end[i] + 1 for i in idx)
     rec = _recursion(crystal, (), None)
     t = crystal.index(b)
     total: Counter = Counter()
-    for mu in tail_weight_support(crystal, j):
-        folded, steps, offset = fold(ct, tuple(map(add, base, mu)), idx)
-        if tuple(folded[i] for i in idx) == target and (value := rec(t, (), mu, j)):
+    for mu, sign, offset in _weyl_terms(crystal, idx, start, j).get(target, ()):
+        if value := rec(t, (), mu, j):
             low, coeffs = value
-            sign = -1 if steps % 2 else 1
             for e, c in enumerate(coeffs, low - offset):
                 total[e] += sign * c
     return LaurentPoly.from_terms(total.items())
+
+
+@cache
+def _weyl_terms(
+    crystal: PerfectCrystal, idx: tuple[int, ...], start: tuple[int, ...], j: int
+) -> MappingProxyType:
+    """The fold of every tail-weight support point mu from start: a
+    read-only map from the coordinates at ``idx`` where start + rho + mu
+    lands in the dominant chamber of ``idx`` to its terms (mu, sign,
+    offset), sign being (-1)^steps.  Cached per crystal, checked nodes,
+    start and length, so every head letter and end weight at one start
+    reads one fold; ``_weyl_terms.cache_clear()`` frees the tables."""
+    ct = crystal.cartan
+    base = tuple(c + 1 for c in start)
+    table: dict[tuple[int, ...], list] = {}
+    for mu in tail_weight_support(crystal, j):
+        folded, steps, offset = fold(ct, tuple(map(add, base, mu)), idx)
+        table.setdefault(tuple(folded[i] for i in idx), []).append(
+            (mu, -1 if steps % 2 else 1, offset)
+        )
+    return MappingProxyType({key: tuple(terms) for key, terms in table.items()})
 
 
 # ---------------------------------------------------------------------------

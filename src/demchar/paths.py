@@ -233,7 +233,6 @@ class ConditionReport:
     """Outcome of the structural checks on a schedule. Each violation is
     one message tagged closure:, capacity:, or ascent:."""
 
-    j_max: int
     violations: tuple[str, ...]
 
     @property
@@ -278,7 +277,7 @@ def check_conditions(s: Schedule, j_max: int) -> ConditionReport:
                 f"lengthening the word"
             )
             break
-    return ConditionReport(j_max, tuple(violations))
+    return ConditionReport(tuple(violations))
 
 
 def _cartan_permutations(crystal: PerfectCrystal) -> list[tuple[int, ...]]:

@@ -262,6 +262,61 @@ class TestTailWalker:
         monkeypatch.setattr(onedsums, "g_recursive", refuse)
         assert values() == expected
 
+    @pytest.mark.parametrize("family,rank,classical", [("B1", 3, False), ("A2odd", 3, True)])
+    def test_one_listing_and_one_fold_per_start(self, monkeypatch, family, rank, classical):
+        """Every head letter and every level-1 dominant eta at one (xi, j)
+        read one tail listing and one Weyl fold table."""
+        c = perfect_crystal(family, rank)
+        etas = dominant_classical_weights(c.cartan, 1)
+        xi, j = etas[-1], 3
+        folds = []
+
+        def counting(*args):
+            folds.append(args)
+            return fold(*args)
+
+        def values():
+            return {
+                (b, eta): (
+                    x_enumerate(c, b, xi, eta, j, classical=classical),
+                    x_recursive(c, b, xi, eta, j, classical=classical),
+                    x_by_weyl_sum(c, b, xi, eta, j, classical=classical),
+                )
+                for b in c.elements
+                for eta in etas
+            }
+
+        monkeypatch.setattr(onedsums, "fold", counting)
+        onedsums._walk_tails.cache_clear()
+        onedsums._weyl_terms.cache_clear()
+        first = values()
+        assert onedsums._walk_tails.cache_info().misses == 1
+        assert len(folds) == len(tail_weight_support(c, j))
+        assert any(any(routes) for routes in first.values())
+        onedsums._walk_tails.cache_clear()
+        onedsums._weyl_terms.cache_clear()
+        assert values() == first
+        for (b, eta), (enumerated, recursive, weyl) in first.items():
+            assert enumerated == recursive == weyl, (b, eta)
+
+    def test_cached_tables_are_read_only(self):
+        c = perfect_crystal("B1", 3)
+        start = c.cartan.fundamental_weight(0).lambda_coords
+        idx = tuple(c.cartan.index_set)
+        buckets = onedsums._walk_tails(c, 2, start, idx)
+        table = onedsums._weyl_terms(c, idx, start, 2)
+        assert buckets and table
+        for cached in (buckets, table):
+            key = next(iter(cached))
+            with pytest.raises(TypeError):
+                cached[key] = ()
+            with pytest.raises(TypeError):
+                del cached[key]
+            with pytest.raises(TypeError):
+                cached[key][0] = ()
+        assert onedsums._walk_tails(c, 2, start, idx) is buckets
+        assert onedsums._weyl_terms(c, idx, start, 2) is table
+
 
 # ---------------------------------------------------------------------------
 # Unrestricted sums

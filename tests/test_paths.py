@@ -476,7 +476,7 @@ class TestWordSearchConditions:
 
     def test_no_word_left_names_the_node(self, monkeypatch):
         def fail(s, j_max):
-            return ConditionReport(j_max, ("closure: injected",))
+            return ConditionReport(("closure: injected",))
 
         monkeypatch.setattr(paths, "check_conditions", fail)
         with pytest.raises(
