@@ -6,13 +6,17 @@ and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
 bytes; every command runs on one thread.  A --format the subcommand
 cannot write (verify writes JSON only), or a negative count bound,
-exits 2 before any work is done.
+exits 2 before any work is done; an --out that cannot be written exits
+2 after it.  A window deeper than the interpreter stack allows exits 4
+on any subcommand, with a "guard:" line naming the subcommand and the
+recursion limit.
 character computes at the requested weight; a node that is not scheduled
 borrows the words of a scheduled node through a diagram symmetry
 (demazure_schedule), recorded under "lambda" in the output.
 
-Exit codes: 0 success, 2 bad configuration, 3 verification mismatch,
-4 stabilization window guard tripped.
+Exit codes: 0 success, 2 bad configuration or unwritable --out,
+3 verification mismatch, 4 stabilization window guard tripped or
+interpreter stack exceeded.
 """
 
 from __future__ import annotations
@@ -228,7 +232,10 @@ def _character_rows(chi: FormalCharacter) -> list[list]:
 def _emit(text: str, out: str | None) -> None:
     data = text.encode("utf-8")
     if out:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -672,6 +679,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except StabilizationGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except RecursionError:
+        print(
+            f"guard: {args.command} needs a window deeper than the interpreter "
+            f"stack (recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return EXIT_GUARD
 
 

@@ -14,12 +14,14 @@ against direct path enumeration and the recursive evaluation.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, barred, perfect_crystal
 from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
 from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
-from .weights import FAMILIES, Weight
+from .weights import FAMILIES, Weight, inverse
 
 Element = str
 MuParam = tuple[int, ...]
@@ -47,12 +49,25 @@ def rank_of(family: str, mu: Sequence[int]) -> int:
     return len(mu)
 
 
+@cache
+def _parameter_system(family: str, rank: int) -> tuple[int, tuple, tuple]:
+    """d, d times the inverse of the system ``mu_from_weight`` solves (rows:
+    nodes 1..n, and for "A1" sum(mu) = j), and the parameter letters' weights."""
+    crystal = perfect_crystal(family, rank)
+    first = 0 if family == "A1" else 1
+    letters = tuple(crystal.weight_table[crystal.index(str(k))] for k in range(first, rank + 1))
+    rows = list(zip(*letters))[1:]
+    if first == 0:
+        rows.append((1,) * len(letters))
+    return (*inverse(rows), letters)
+
+
 def mu_from_weight(
     family: str, rank: int, weight: Weight, j: int | None = None
 ) -> MuParam:
-    """The parameter vector mu of a level-zero classical weight: the
-    weight is the sum of mu_k times the weight of letter k, over letters
-    0..n for "A1" and 1..n otherwise.  Raises ValueError off the image.
+    """The parameter vector mu of a level-zero classical weight, solved
+    from sum_k mu_k wt(k) = weight over the letters k = 0..n for "A1" and
+    1..n otherwise.  Raises ValueError off the image.
 
     For "A1" the letter counts are pinned by the window length ``j``,
     which is therefore required.
@@ -62,50 +77,19 @@ def mu_from_weight(
     c = weight.lambda_coords
     if len(c) != rank + 1:
         raise ValueError("weight size does not match the rank")
+    rhs = c[1:]
     if family == "A1":
         if j is None:
             raise ValueError("the letter-count vector needs the window length")
-        # mu_k = t - d_k with d_k the running difference sum; the window
-        # length fixes the free constant t.
-        d = [0]
-        for k in range(1, rank + 1):
-            d.append(d[-1] + c[k])
-        total, rem = divmod(j + sum(d), rank + 1)
-        if rem:
-            raise ValueError("window length does not match the weight lattice")
-        mu = tuple(total - d[k] for k in range(rank + 1))
-        if mu[-1] - mu[0] != c[0]:
-            raise ValueError("weight is not level zero")
-        return mu
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    m = [0] * (rank + 1)
-    if family == "D1":
-        half_sum, rem_s = divmod(c[rank - 1] + c[rank], 2)
-        half_diff, rem_d = divmod(c[rank] - c[rank - 1], 2)
-        if rem_s or rem_d:
-            raise ValueError("weight is not in the parameter lattice")
-        m[rank - 1], m[rank] = half_sum, half_diff
-        for k in range(rank - 2, 0, -1):
-            m[k] = m[k + 1] + c[k]
-    else:
-        if family == "A2odd":
-            m[rank] = c[rank]
-        else:
-            m[rank], rem = divmod(c[rank], 2)
-            if rem:
-                raise ValueError("weight is not in the parameter lattice")
-        for k in range(rank - 1, 0, -1):
-            m[k] = m[k + 1] + c[k]
-    if family in ("B1", "D1", "A2odd"):
-        expected0 = -m[1] - m[2]
-    elif family == "A2even":
-        expected0 = -m[1]
-    else:  # D2
-        expected0 = -2 * m[1]
-    if c[0] != expected0:
+        rhs += (j,)
+    d, inv, letters = _parameter_system(family, rank)
+    scaled = [sum(map(mul, row, rhs)) for row in inv]
+    if any(x % d for x in scaled):
+        raise ValueError("weight is not in the parameter lattice")
+    mu = tuple(x // d for x in scaled)
+    if tuple(sum(map(mul, mu, column)) for column in zip(*letters)) != c:
         raise ValueError("weight is not level zero")
-    return tuple(m[1:])
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +214,11 @@ def _check_cell(
     family: str,
     crystal: PerfectCrystal,
     b: Element,
-    coords: tuple[int, ...],
+    weight: Weight,
+    mu: MuParam,
     j: int,
     enumerated: LaurentPoly,
 ) -> dict | None:
-    weight = Weight(coords)
-    mu = mu_from_weight(family, crystal.cartan.size - 1, weight, j)
     closed = g_closed_form(family, b, mu, j)
     recursive = g_recursive(crystal, b, weight, j)
     values = {"closed": closed, "enumerate": enumerated, "recursive": recursive}
@@ -264,10 +247,12 @@ def verify_type(family: str, j_max: int, rank: int) -> dict:
     for j in range(j_max + 1):
         table = g_enumerate_table(crystal, j)
         for coords in sorted(tail_weight_support(crystal, j)):
+            weight = Weight(coords)
+            mu = mu_from_weight(family, rank, weight, j)
             for b in crystal.elements:
                 cells += 1
                 enumerated = table.get((b, coords), ZERO)
-                entry = _check_cell(family, crystal, b, coords, j, enumerated)
+                entry = _check_cell(family, crystal, b, weight, mu, j, enumerated)
                 if entry is not None:
                     mismatches.append(entry)
     return {

@@ -16,9 +16,11 @@ reflection word for ascent in Bruhat length step by step on w(rho)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .qring import _integral
 
@@ -95,13 +97,12 @@ class Weight:
 
 @dataclass(frozen=True)
 class CartanType:
-    """Generalized Cartan matrix of affine type with marks and comarks."""
+    """Generalized Cartan matrix of affine type, with the marks and comarks
+    read off it as kernel vectors (Kac, Infinite-dimensional Lie algebras)."""
 
     family: str
     n: int
     matrix: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...]
-    comarks: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -115,6 +116,16 @@ class CartanType:
     @property
     def classical_index_set(self) -> range:
         return range(1, self.size)
+
+    @cached_property
+    def marks(self) -> tuple[int, ...]:
+        """Primitive positive a with A a = 0 (Kac 4.8): delta = sum a_i alpha_i."""
+        return _null_vector(self.matrix)
+
+    @cached_property
+    def comarks(self) -> tuple[int, ...]:
+        """Primitive positive a with a A = 0 (Kac 6.1): the levels of the Lambda_i."""
+        return _null_vector(tuple(zip(*self.matrix)))
 
     @cached_property
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
@@ -188,24 +199,34 @@ def _build_matrix(family: str, n: int) -> list[list[int]]:
     return a
 
 
-def _marks_comarks(family: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if family == "A1":
-        ones = (1,) * (n + 1)
-        return ones, ones
-    if family == "B1":
-        return (1, 1) + (2,) * (n - 1), (1, 1) + (2,) * (n - 2) + (1,)
-    if family == "D1":
-        both = (1, 1) + (2,) * (n - 3) + (1, 1)
-        return both, both
-    if family == "A2odd":
-        return (1, 1) + (2,) * (n - 2) + (1,), (1, 1) + (2,) * (n - 1)
-    if family == "A2even":
-        if n == 1:
-            return (1, 2), (2, 1)
-        return (1,) + (2,) * n, (2,) * n + (1,)
-    if family == "D2":
-        return (1,) * (n + 1), (1,) + (2,) * (n - 1) + (1,)
-    raise ValueError(f"unknown family {family!r}")
+def inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """d and the int matrix d * M^-1 of a square int matrix M, with d the
+    least positive int that makes it integral, by Gauss-Jordan over
+    Fractions.  Raises ValueError when M is not square or is singular."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError(f"matrix {matrix} is not square")
+    rows = [[*row, *(int(r == c) for c in range(size))] for r, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError(f"matrix {matrix} is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [Fraction(x, rows[col][col]) for x in rows[col]]
+        for r in range(size):
+            if r != col and (factor := rows[r][col]):
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    d = lcm(*(x.denominator for row in rows for x in row[size:]))
+    return d, tuple(tuple(int(x * d) for x in row[size:]) for row in rows)
+
+
+def _null_vector(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The primitive positive a with matrix . a = 0 of an affine matrix: fix
+    a_0, invert the classical block (nodes 1..n), scale to primitive."""
+    d, inv = inverse(tuple(row[1:] for row in matrix[1:]))
+    vector = (d, *(-sum(x * row[0] for x, row in zip(line, matrix[1:])) for line in inv))
+    divisor = gcd(*vector)
+    return tuple(x // divisor for x in vector)
 
 
 @cache
@@ -215,15 +236,7 @@ def cartan_type(family: str, n: int) -> CartanType:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if n < _MIN_N[family]:
         raise ValueError(f"family {family} needs n >= {_MIN_N[family]}, got {n}")
-    matrix = tuple(tuple(row) for row in _build_matrix(family, n))
-    marks, comarks = _marks_comarks(family, n)
-    size = n + 1
-    for i in range(size):
-        if sum(matrix[i][j] * marks[j] for j in range(size)) != 0:
-            raise AssertionError(f"marks fail kernel check for {family} n={n} at row {i}")
-        if sum(comarks[j] * matrix[j][i] for j in range(size)) != 0:
-            raise AssertionError(f"comarks fail kernel check for {family} n={n} at column {i}")
-    return CartanType(family, n, matrix, marks, comarks)
+    return CartanType(family, n, tuple(tuple(row) for row in _build_matrix(family, n)))
 
 
 def fold(

@@ -17,8 +17,9 @@ by the per-family rule with its j-dependence spelled out (sharing no
 code with the ground-state cycle that carries the segment-1 word), the
 weight named by a closed-form parameter vector, the Demazure
 operator on a ``FormalCharacter``, the reflection identity of the
-unrestricted sum, products of characters held as int-keyed dicts, and
-the JSON layout of a character.  Each is a slow, direct restatement
+unrestricted sum, products of characters held as int-keyed dicts, the
+JSON layout of a character, and the marks and comarks written out per
+family (sharing no code with the kernel vectors read off the matrix).  Each is a slow, direct restatement
 that the tests hold the fast library routes against.
 """
 
@@ -69,6 +70,28 @@ def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
     for k, count in enumerate(mu, first):
         total = total + count * crystal.weight(str(k))
     return total
+
+
+def reference_marks(family: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The marks and comarks of a family at rank n, written out per family
+    from the tables of Kac, Infinite-dimensional Lie algebras, 4.8."""
+    if family == "A1":
+        ones = (1,) * (n + 1)
+        return ones, ones
+    if family == "B1":
+        return (1, 1) + (2,) * (n - 1), (1, 1) + (2,) * (n - 2) + (1,)
+    if family == "D1":
+        both = (1, 1) + (2,) * (n - 3) + (1, 1)
+        return both, both
+    if family == "A2odd":
+        return (1, 1) + (2,) * (n - 2) + (1,), (1, 1) + (2,) * (n - 1)
+    if family == "A2even":
+        if n == 1:
+            return (1, 2), (2, 1)
+        return (1,) + (2,) * n, (2,) * n + (1,)
+    if family == "D2":
+        return (1,) * (n + 1), (1,) + (2,) * (n - 1) + (1,)
+    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -626,6 +628,38 @@ def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, optio
     assert err == f"error: {option} must be {BOUNDS[option]}, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "A1", "1", "--lambda", "L0", "--k", "3000", "--method", "paths"],
+        ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "3000",
+         "--mu", "0,0", "--method", "recursive"],
+        ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "3000",
+         "--mu", "0,0", "--method", "enumerate"],
+        ["kostka", "--xi", "3000", "--l", "1", "--j", "3000", "--n", "1"],
+    ],
+    ids=["character", "onedsum-recursive", "onedsum-enumerate", "kostka"],
+)
+def test_window_deeper_than_the_stack_exits_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"guard: {argv[0]} needs a window deeper than the interpreter stack "
+        f"(recursion limit {sys.getrecursionlimit()})\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-parent", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "graph", "A1", "1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 class TestDecompSearch:
     def test_level_one_all_found(self, capsys):
         code, out, _ = run(capsys, "decomp-search", "--type", "D2", "--rank", "2")
@@ -751,6 +785,20 @@ class TestDeterminism:
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_console_script_entry_point_is_main(capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(
+        r'^\[project\.scripts\]\s*^demchar\s*=\s*"([\w.]+):(\w+)"',
+        pyproject.read_text(),
+        re.MULTILINE,
+    )
+    assert match, "no demchar entry under [project.scripts]"
+    target = getattr(importlib.import_module(match[1]), match[2])
+    assert target is cli.main
+    assert target(["graph", "A1", "1"]) == 0
+    assert capsys.readouterr().out == perfect_crystal("A1", 1).to_dot() + "\n"
 
 
 def test_console_script():

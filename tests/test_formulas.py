@@ -16,7 +16,7 @@ from demchar.formulas import (
 )
 from demchar.onedsums import g_enumerate, g_recursive, tail_weight_support
 from demchar.qring import ONE, ZERO, LaurentPoly, qmultinomial
-from demchar.weights import Weight
+from demchar.weights import _MIN_N, FAMILIES, Weight
 
 MINIMAL_RANKS = [
     ("A1", 1),
@@ -39,13 +39,33 @@ def support_weights(crystal, j):
 
 
 class TestParameterDictionaries:
-    @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)
+    @pytest.mark.parametrize(
+        "family,rank", [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(3)]
+    )
     def test_roundtrip_through_reachable_weights(self, family, rank):
+        # On a support point mu is the preimage.  A point one unit or one
+        # simple root off it either raises or gets a mu that names it.
         crystal = perfect_crystal(family, rank)
+        units = [tuple(int(i == k) for k in range(rank + 1)) for i in range(rank + 1)]
+        roots = [alpha[:-1] for alpha in crystal.cartan.simple_roots]
         for j in range(4):
-            for weight in support_weights(crystal, j):
-                mu = mu_from_weight(family, rank, weight, j)
-                assert mu_to_weight(family, mu) == weight
+            support = sorted(tail_weight_support(crystal, j))
+            for coords in support:
+                mu = mu_from_weight(family, rank, Weight(coords), j)
+                assert mu_to_weight(family, mu) == Weight(coords)
+            probes = {
+                tuple(c + step * v for c, v in zip(coords, vector))
+                for coords in support
+                for vector in units + roots
+                for step in (-1, 1)
+            }
+            for coords in sorted(probes - set(support)):
+                try:
+                    mu = mu_from_weight(family, rank, Weight(coords), j)
+                except ValueError:
+                    continue
+                assert mu_to_weight(family, mu) == Weight(coords)
+                assert family != "A1" or sum(mu) == j
 
     @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)
     def test_named_weights_have_level_zero(self, family, rank):
@@ -117,17 +137,17 @@ class TestParameterDictionaries:
             mu_from_weight("B1", 3, weight)
 
     def test_rejects_off_lattice_weights(self):
-        # Odd endpoint coordinate where the dictionary doubles it.
-        with pytest.raises(ValueError):
+        # Odd endpoint coordinate where the letter weights double it.
+        with pytest.raises(ValueError, match="parameter lattice"):
             mu_from_weight("A2even", 1, Weight((-1, 1)))
         # Endpoint pair of mixed parity.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parameter lattice"):
             mu_from_weight("D1", 4, Weight((0, 0, 0, 1, 0)))
 
     def test_rejects_nonzero_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level zero"):
             mu_from_weight("A2even", 1, Weight((1, 0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level zero"):
             mu_from_weight("A1", 1, Weight((1, 0)), 2)
 
     @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)

@@ -1,7 +1,8 @@
 """Tests for Cartan data, weights, and Weyl group elements."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -15,17 +16,20 @@ from brute import (
     finite_weyl_group,
     key,
     multiply,
+    reference_marks,
     reflect,
     simple_root,
     weyl_by_length,
 )
 
 from demchar.weights import (
+    _MIN_N,
     FAMILIES,
     FormalCharacter,
     Weight,
     ascents,
     cartan_type,
+    inverse,
 )
 
 ALL_SMALL_TYPES = [
@@ -120,6 +124,13 @@ class TestCartanData:
         assert cartan_type("D2", 3).comarks == (1, 2, 2, 1)
         assert cartan_type("D1", 5).marks == (1, 1, 2, 2, 1, 1)
 
+    @pytest.mark.parametrize(
+        "family,n", [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(8)]
+    )
+    def test_marks_match_the_written_tables(self, family, n):
+        ct = cartan_type(family, n)
+        assert (ct.marks, ct.comarks) == reference_marks(family, n)
+
     @pytest.mark.parametrize("family,n", ALL_SMALL_TYPES)
     def test_null_root_expansion(self, family, n):
         ct = cartan_type(family, n)
@@ -197,6 +208,39 @@ CLASSICAL_ORDERS = [
     ("A2even", 2, 8),
     ("D2", 2, 8),
 ]
+
+
+def _det(m):
+    """Leibniz expansion of the determinant."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        total += sign * prod(m[r][c] for r, c in enumerate(perm))
+    return total
+
+
+class TestInverse:
+    def test_known_inverse(self):
+        assert inverse([[2, -1], [-1, 2]]) == (3, ((2, 1), (1, 2)))
+        assert inverse([[0, 1], [1, 0]]) == (1, ((0, 1), (1, 0)))
+        assert inverse([]) == (1, ())
+
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    def test_d_times_inverse_or_singular(self, entries):
+        m = [entries[0:3], entries[3:6], entries[6:9]]
+        if _det(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+            return
+        d, inv = inverse(m)
+        assert d > 0 and gcd(d, *(x for row in inv for x in row)) == 1
+        product = [[sum(m[r][k] * inv[k][c] for k in range(3)) for c in range(3)] for r in range(3)]
+        assert product == [[d if r == c else 0 for c in range(3)] for r in range(3)]
+
+    @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 0], [0]]])
+    def test_rejects_a_matrix_that_is_not_square(self, matrix):
+        with pytest.raises(ValueError, match="not square"):
+            inverse(matrix)
 
 
 class TestWeylGroup:
