@@ -27,6 +27,7 @@ import io
 import json
 import re
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -564,7 +565,11 @@ def cmd_decomp_search(args) -> int:
 # Argument wiring
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse reads the
+    output streams only when it prints, and every parse makes a fresh
+    namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     common.add_argument("--format", choices=["json", "dot", "csv"], help="output format")

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
-from operator import sub
-from typing import Hashable, Iterable, Mapping
+from operator import mul, neg, sub
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .weights import CartanType, Weight, cartan_type, dominant_classical_weights
+from .weights import CartanType, Weight, cartan_type, dominant_classical_weights, inverse
 
 Element = Hashable
 
@@ -158,6 +158,13 @@ class PerfectCrystal:
         )
 
     @cached_property
+    def letter_coordinates(self) -> "LetterCoordinates":
+        """The coordinates in which the recursion kernel counts a tail
+        weight in letters, read off ``weight_table``; see
+        ``LetterCoordinates``."""
+        return LetterCoordinates.of(self.weight_table)
+
+    @cached_property
     def energy_table(self) -> tuple[tuple[int, ...], ...]:
         """Local energies H(b (x) bp) by the letter indices of b and bp."""
         return tuple(
@@ -187,6 +194,106 @@ class PerfectCrystal:
 
     def __repr__(self) -> str:
         return f"PerfectCrystal({self.name}, {len(self.elements)} elements)"
+
+
+@dataclass(frozen=True)
+class LetterCoordinates:
+    """Coordinates of level-zero weights in which every letter takes a
+    short step, and the L1 rule that says which weights m letters can
+    carry.
+
+    Coordinates c stand for the weight whose entry at node i is
+    ``rows[i] . c``.  They are solved from ``scale * c = inverse . v``,
+    with v the weight's entries at ``nodes`` followed, when ``counts``,
+    by the length m, and the weight must then equal the one that c
+    stands for.  Letter u moves c by ``steps[u]``.  As L1 is a norm, m
+    letters can only carry a c of L1 norm at most m times ``stride``, the
+    largest step norm; and when every step norm has the same ``parity``,
+    the norm of c is congruent to m times it modulo 2, since a norm and
+    the sum of the entries agree modulo 2.
+
+    ``of`` picks the coordinates from the letter weights:
+
+    * an alphabet of +-pairs and zero letters whose pairs span the
+      classical nodes takes one letter of each pair as a basis, so every
+      step is a signed unit vector or zero;
+    * n + 1 letters with no pair, as many as the nodes, take letter
+      counts, read with the row "counts sum to m", so every step is a
+      unit vector;
+    * any other alphabet keeps the fundamental-weight coordinates.
+
+    In the first two the rule is exact: a weight passes exactly when m
+    letters sum to it.
+    """
+
+    nodes: tuple[int, ...]
+    counts: bool
+    scale: int
+    inverse: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, ...], ...]
+    stride: int
+    parity: int | None
+
+    @classmethod
+    def of(cls, weights: Sequence[tuple[int, ...]]) -> "LetterCoordinates":
+        size = len(weights[0])
+        classical = tuple(range(1, size))
+        units = [tuple(int(i == k) for k in range(size)) for i in range(size)]
+        opposite = {w: tuple(map(neg, w)) for w in weights}
+        basis: list[tuple[int, ...]] = []
+        for w in weights:
+            if any(w) and w not in basis and opposite[w] not in basis:
+                basis.append(w)
+        try:
+            if all(opposite[w] in opposite for w in weights) and len(basis) == len(classical):
+                steps = [tuple(int(w == b) - int(opposite[w] == b) for b in basis) for w in weights]
+                return cls._solve(basis, steps, classical, False)
+            if len(basis) == len(weights) == size:
+                return cls._solve(weights, units, classical, True)
+        except ValueError:
+            pass
+        return cls._solve(units, weights, tuple(range(size)), False)
+
+    @classmethod
+    def _solve(cls, basis, steps, nodes: tuple[int, ...], counts: bool) -> "LetterCoordinates":
+        """The table whose unit coordinates stand for the ``basis``
+        weights, solved at ``nodes`` (and the length when ``counts``);
+        ValueError when that system is singular."""
+        rows = tuple(zip(*basis))
+        scale, inv = inverse([rows[i] for i in nodes] + ([(1,) * len(basis)] if counts else []))
+        norms = {sum(map(abs, step)) for step in steps}
+        parities = {x % 2 for x in norms}
+        return cls(
+            nodes,
+            counts,
+            scale,
+            inv,
+            rows,
+            tuple(map(tuple, steps)),
+            max(norms),
+            parities.pop() if len(parities) == 1 else None,
+        )
+
+    def coordinates(self, weight: Sequence[int], m: int) -> tuple[int, ...] | None:
+        """The coordinates of a weight that m letters may carry; None when
+        it has none (it lies off the letters' lattice or has nonzero
+        level) or when the rule rules them out."""
+        v = [weight[i] for i in self.nodes]
+        if self.counts:
+            v.append(m)
+        coords = []
+        for row in self.inverse:
+            c, r = divmod(sum(map(mul, row, v)), self.scale)
+            if r:
+                return None
+            coords.append(c)
+        if any(sum(map(mul, row, coords)) != x for row, x in zip(self.rows, weight)):
+            return None
+        size = sum(map(abs, coords))
+        if size > m * self.stride or (self.parity is not None and (size - m * self.parity) % 2):
+            return None
+        return tuple(coords)
 
 
 @dataclass

@@ -87,4 +87,4 @@ def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
     terms = {(*lam.lambda_coords, lam.delta_coord): 1}
     for m in range(1, k + 1):
         terms = demazure_step(ct, s.flat_index(m), terms)
-    return FormalCharacter(terms)
+    return FormalCharacter(terms, _trusted=True)

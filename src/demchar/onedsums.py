@@ -30,11 +30,14 @@ only the lowest ``degree + 1`` coefficients, so it runs the kernel with
 that window: each memo entry keeps ``degree + 1`` coefficients, and the
 letters after a head are tried in order of a lower bound on their lowest
 exponent and skipped from the first one whose bound lies past the
-window.  With or without a window, a letter is skipped when the weight
-left after it lies outside the box the remaining letters can reach, so
-the memos hold no dead states.  The enumeration route lists the tails
-depth first on the same tables and shares no other code or memo with the
-recursion route: ``_walk_tails`` caches one read-only listing per
+window.  With or without a window, the kernel holds the weight left for
+the tail in the crystal's letter coordinates, where every letter takes
+a short step, and skips a letter when the L1 norm left after it is more
+than the remaining letters can carry.  For the six level-1 families
+that rule is exact, so a memo without checked nodes holds no dead
+state.  The enumeration route lists the tails depth first on the same
+tables and shares no other code or memo with the recursion route:
+``_walk_tails`` caches one read-only listing per
 crystal, length, start state and checked node set, which every head
 letter and end weight at that start reads, and
 ``_walk_tails.cache_clear()`` frees the listings.  Likewise the Weyl sums
@@ -113,22 +116,33 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     the loop.  Without a window every coefficient is kept and the bound
     skips no letter.
 
-    With or without a window, a letter is skipped when the weight left
-    for the tail after it lies outside the box that m = j - 1 letters can
-    reach: between m times the least and m times the greatest entry of
-    each coordinate over the letter weights.  No tail can carry such a
-    weight, so the skipped call could only return None: the skip is
-    exact, and it keeps dead states out of the memo.
+    Inside, the weight left for the tail is held in the crystal's letter
+    coordinates (``PerfectCrystal.letter_coordinates``), in which every
+    letter takes a short step.  ``rec`` converts ``rest`` once per
+    ``(rest, j)``, in a cache of this kernel, and answers None at once
+    when the weight has no coordinates or when j letters cannot carry
+    them by the table's L1 rule.  Past that, a letter is skipped when the
+    coordinates left after it have an L1 norm above (j - 1) times the
+    table's stride: no tail can carry them, so the skipped call could
+    only return None.  The norm after a letter is read off the entries
+    its step moves before the coordinates are built.  The parity half of
+    the rule needs no test past the entry, because every step changes
+    the norm's parity alike.  For the six level-1 families the rule is
+    exact, so with no checked node the memo holds no dead state; with
+    checked nodes a state can still be None when no tail fits.
+    ``cache_info()`` counts the states.
     """
-    wts, energy = crystal.weight_table, crystal.energy_table
-    letters = range(len(wts))
+    table = crystal.letter_coordinates
+    energy = crystal.energy_table
+    letters = range(len(energy))
     eps = [tuple(e[i] for i in idx) for e in crystal.epsilon_table]
-    rows = [(u, wt, eps[u], tuple(wt[i] for i in idx)) for u, wt in enumerate(wts)]
+    rows = []
+    for u, (step, wt) in enumerate(zip(table.steps, crystal.weight_table)):
+        moves = tuple((k, s) for k, s in enumerate(step) if s)
+        rows.append((u, step, moves, eps[u], tuple(wt[i] for i in idx)))
     reach = inf if window is None else window
-    least = [min(col) for col in zip(*wts)]
-    most = [max(col) for col in zip(*wts)]
-    boxes: dict[int, tuple[tuple, tuple]] = {}
-    floor = [[0] * len(wts)]
+    stride = table.stride
+    floor = [[0] * len(energy)]
     orders: dict[tuple[int, int], list] = {}
 
     def order(t: int, j: int) -> list:
@@ -146,28 +160,25 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
             )
         return orders[key]
 
-    def box(m: int) -> tuple[tuple, tuple]:
-        """Coordinatewise bounds of any sum of m letter weights."""
-        if m not in boxes:
-            boxes[m] = tuple(m * c for c in least), tuple(m * c for c in most)
-        return boxes[m]
-
     @cache
-    def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
+    def walk(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         if j == 0:
             return None if any(rest) else (0, (1,))
         parts = []
         best, top = inf, -inf
-        low_m, high_m = box(j - 1)
-        for bound, head, (u, wt, e, step) in order(t, j):
+        slack = (j - 1) * stride - sum(map(abs, rest))
+        for bound, head, (u, step, moves, e, gain) in order(t, j):
             if bound > best + reach:
                 break
-            left = tuple(map(sub, rest, wt))
-            if not (all(map(le, low_m, left)) and all(map(le, left, high_m))):
+            grow = 0
+            for k, s in moves:
+                r = rest[k]
+                grow += abs(r - s) - abs(r)
+            if grow > slack:
                 continue
             if all(map(le, e, fit)):
-                fit_u = tuple(map(add, fit, step))
-                inner = rec(u, fit_u, left, j - 1)
+                fit_u = tuple(map(add, fit, gain))
+                inner = walk(u, fit_u, tuple(map(sub, rest, step)), j - 1)
                 if inner is not None:
                     low, coeffs = inner
                     low += head
@@ -187,6 +198,13 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
                 acc[a:b] = map(add, acc[a:b], coeffs)
         return best, tuple(acc)
 
+    convert = cache(table.coordinates)
+
+    def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
+        coords = convert(rest, j)
+        return None if coords is None else walk(t, fit, coords, j)
+
+    rec.cache_info = walk.cache_info
     return rec
 
 
@@ -764,7 +782,7 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
         for coords, e, c in terms(b, j - 1):
             key = (*map(add, base, coords), delta - e)
             acc[key] = acc.get(key, 0) + c
-    return FormalCharacter(acc)
+    return FormalCharacter(acc, _trusted=True)
 
 
 def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:

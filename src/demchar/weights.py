@@ -309,14 +309,20 @@ class FormalCharacter:
     every character route computes on, mapped to nonzero int
     coefficients; a key entry or coefficient that is not an integer
     value raises ValueError.  Comparing and adding work on the keys.
+    The character routes build their keys as int tuples and pass
+    ``_trusted=True``, which keeps them as given and drops only the zero
+    coefficients.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, keys: Mapping[tuple[int, ...], int]):
-        self._coeffs = {
-            tuple(map(_integral, key)): _integral(c) for key, c in keys.items() if c
-        }
+    def __init__(self, keys: Mapping[tuple[int, ...], int], *, _trusted: bool = False):
+        if _trusted:
+            self._coeffs = {key: c for key, c in keys.items() if c}
+        else:
+            self._coeffs = {
+                tuple(map(_integral, key)): _integral(c) for key, c in keys.items() if c
+            }
 
     def to_keys(self) -> dict[tuple[int, ...], int]:
         """Coefficients keyed by (*coordinates, delta), as the constructor reads."""
@@ -336,7 +342,7 @@ class FormalCharacter:
         data = dict(self._coeffs)
         for key, c in other._coeffs.items():
             data[key] = data.get(key, 0) + c
-        return FormalCharacter(data)
+        return FormalCharacter(data, _trusted=True)
 
     def __repr__(self) -> str:
         return f"FormalCharacter({dict(sorted(self._coeffs.items()))!r})"

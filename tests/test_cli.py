@@ -813,3 +813,34 @@ def test_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == perfect_crystal("A1", 1).to_dot() + "\n"
+
+
+# Commands of different subcommands and outcomes: output, a bad format
+# (exit 2 from the command) and an argparse error (exit 2, usage on stderr).
+ONE_PROCESS = [
+    ["stringfn", "--type", "A1", "--rank", "2", "--lambda", "L0", "--M", "3"],
+    ["kostka", "--xi", "2,1", "--l", "1", "--j", "3", "--n", "2", "--format", "csv"],
+    ["character", "A1", "1", "--lambda", "L0"],
+    ["graph", "A1", "1", "--format", "csv"],
+    ["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "1", "--format", "dot"],
+]
+
+
+def test_commands_in_one_process_give_the_bytes_of_separate_runs(capsys, monkeypatch):
+    """The parser is built once per process and serves every command
+    after it: each command gives, run after the others in this process,
+    the exit code and bytes it gives alone in a fresh interpreter."""
+    src = str(Path(demchar.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), "COLUMNS": "80"}
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = [
+        subprocess.run([sys.executable, "-m", "demchar.cli", *argv], capture_output=True, env=env)
+        for argv in ONE_PROCESS
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for argv, proc in [*zip(ONE_PROCESS, alone), *zip(ONE_PROCESS[::-1], alone[::-1])]:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        got = (code, out.encode(), err.encode())
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -8,6 +8,7 @@ tableau-polynomial bridge, and stabilized window limits.
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -30,7 +31,7 @@ from oracles import (
 )
 
 from demchar import cli, onedsums
-from demchar.crystals import perfect_crystal
+from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
 from demchar.onedsums import (
     StabilizationGuardError,
@@ -52,6 +53,8 @@ from demchar.paths import GroundState, schedule_words
 from demchar.qring import LaurentPoly
 from demchar.tensor import TensorWord
 from demchar.weights import (
+    _MIN_N,
+    FAMILIES,
     Weight,
     cartan_type,
     dominant_classical_weights,
@@ -1095,6 +1098,18 @@ def test_stringfn_stdout_matches_whole_polynomial_reference(capsys, family, n, m
     assert out == json.dumps(obj, indent=2) + "\n"
 
 
+# Simply laced level-1 families at L0, where the string function is the
+# Frenkel-Kac series 1/(q)_inf^n; the ranks reach past the minimal ones.
+FRENKEL_KAC = [("A1", 3, 4), ("A1", 4, 4), ("A1", 5, 4), ("D1", 4, 3), ("D1", 5, 3), ("D1", 6, 3)]
+
+
+@pytest.mark.parametrize("family,n,m", FRENKEL_KAC)
+def test_stringfn_matches_the_colored_partition_oracle(capsys, family, n, m):
+    argv = ["stringfn", "--type", family, "--rank", str(n), "--lambda", "L0", "--M", str(m)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == colored_partition_counts(n, m)
+
+
 # ---------------------------------------------------------------------------
 # Character bridge
 
@@ -1142,15 +1157,116 @@ class TestCharacterBridge:
                     s, j * s.d
                 ), (s.variant, j)
 
-    def test_box_keeps_dead_states_out_of_the_memo(self):
-        # Without the coordinate box the full-segment route leaves 23,601
-        # states in this memo, about 95% of them remaining weights that no
-        # tail of the remaining length can carry.
+    def test_norm_rule_keeps_dead_states_out_of_the_memo(self):
+        # With no pruning the full-segment route leaves 23,601 states in
+        # this memo, about 95% of them remaining weights that no tail of
+        # the remaining length can carry; with the L1 rule it leaves 1,329.
         c = perfect_crystal("D1", 4)
         s = demazure_schedule(c, c.cartan.fundamental_weight(0))
         onedsums._recursion.cache_clear()
         character_at_full_segment(s, 4)
-        assert onedsums._recursion(c, (), None).cache_info().currsize <= 3000
+        assert onedsums._recursion(c, (), None).cache_info().currsize <= 1400
+
+
+# ---------------------------------------------------------------------------
+# Letter coordinates and the L1 rule of the recursion kernel
+
+THREE_RANKS = [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(3)]
+
+
+def coordinate_box(c, m):
+    """The coordinatewise bounds of any sum of m letter weights."""
+    columns = list(zip(*c.weight_table))
+    return [m * min(col) for col in columns], [m * max(col) for col in columns]
+
+
+def l1_ball(dim, radius):
+    """Every int vector of ``dim`` entries with L1 norm at most radius."""
+    if dim == 0:
+        yield ()
+        return
+    for first in range(-radius, radius + 1):
+        for tail in l1_ball(dim - 1, radius - abs(first)):
+            yield (first, *tail)
+
+
+def stands_for(table, coords):
+    """The weight that letter coordinates stand for."""
+    return tuple(sum(a * x for a, x in zip(row, coords)) for row in table.rows)
+
+
+def admitted_in_box(c, m, points):
+    lo, hi = coordinate_box(c, m)
+    table = c.letter_coordinates
+    return {
+        w
+        for w in points
+        if all(a <= x <= b for a, x, b in zip(lo, w, hi)) and table.coordinates(w, m) is not None
+    }
+
+
+class TestLetterCoordinates:
+    @pytest.mark.parametrize("family,n", THREE_RANKS)
+    def test_steps_are_the_letter_weights(self, family, n):
+        c = perfect_crystal(family, n)
+        table = c.letter_coordinates
+        for wt, step in zip(c.weight_table, table.steps):
+            assert stands_for(table, step) == wt
+            assert sum(map(abs, step)) <= table.stride == 1
+        # the +-pair alphabets, and A1 at rank 1, take one letter of each
+        # pair; A1 from rank 2 on counts its letters
+        assert table.counts == (family == "A1" and n >= 2)
+        zero_letter = any(not any(wt) for wt in c.weight_table)
+        assert table.parity == (None if zero_letter else 1)
+
+    @pytest.mark.parametrize("family,n", THREE_RANKS)
+    def test_rule_admits_exactly_the_support_in_the_box(self, family, n):
+        """The points of the coordinate box that the rule admits are the
+        tail-weight support.  An admitted point has coordinates in the L1
+        ball of radius m times the stride, and ``coordinates`` checks
+        that they stand for it, so the ball's images hold every admitted
+        point."""
+        c = perfect_crystal(family, n)
+        table = c.letter_coordinates
+        for m in range(6):
+            images = {stands_for(table, x) for x in l1_ball(len(table.inverse), m * table.stride)}
+            assert admitted_in_box(c, m, images) == tail_weight_support(c, m), m
+
+    @pytest.mark.parametrize("family,n", THREE_RANKS)
+    def test_rule_rejects_every_other_box_point(self, family, n):
+        """The same, point by point over every box of at most 40,000
+        points: off-lattice points and points of nonzero level too."""
+        c = perfect_crystal(family, n)
+        for m in range(6):
+            lo, hi = coordinate_box(c, m)
+            if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 40_000:
+                break
+            box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            assert admitted_in_box(c, m, box) == tail_weight_support(c, m), m
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (1, 2, 3) for l in (1, 2, 3)])
+    def test_rule_admits_the_support_of_symmetric_powers(self, n, l):
+        c = symmetric_crystal(n, l)
+        table = c.letter_coordinates
+        for m in range(5):
+            for w in tail_weight_support(c, m):
+                coords = table.coordinates(w, m)
+                assert coords is not None and stands_for(table, coords) == w, (m, w)
+
+    @pytest.mark.parametrize("family,n", THREE_RANKS)
+    def test_g_memo_holds_no_dead_state(self, family, n):
+        """Reading the unwindowed g kernel at every head letter and support
+        point of length m enters every live state of length at most m,
+        and no other."""
+        c = perfect_crystal(family, n)
+        for m in range(5):
+            onedsums._recursion.cache_clear()
+            rec = onedsums._recursion(c, (), None)
+            for w in tail_weight_support(c, m):
+                for t in range(len(c)):
+                    assert rec(t, (), w, m) is not None
+            live = len(c) * sum(len(tail_weight_support(c, k)) for k in range(m + 1))
+            assert rec.cache_info().currsize == live, m
 
 
 # ---------------------------------------------------------------------------

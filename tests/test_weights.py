@@ -371,6 +371,16 @@ class TestFormalCharacter:
         assert FormalCharacter({(1, 0, 0): 2.0}).to_keys() == {(1, 0, 0): 2}
         assert type(FormalCharacter({(1, 0, 0): Fraction(4, 2)}).to_keys()[(1, 0, 0)]) is int
 
+    def test_public_constructor_checks_what_the_trusted_path_keeps(self):
+        with pytest.raises(ValueError):
+            FormalCharacter({(1, Fraction(1, 2), 0): 1})
+        with pytest.raises(ValueError):
+            FormalCharacter({(1, 0, 0): Fraction(1, 2)})
+        # the routes' own int keys go in as given, zero coefficients dropped
+        chi = FormalCharacter({(1, 0, 0): 2, (0, 1, 0): 0}, _trusted=True)
+        assert chi.to_keys() == {(1, 0, 0): 2}
+        assert chi == FormalCharacter({(1, 0, 0): 2})
+
     def test_json_roundtrip(self):
         chi = FormalCharacter({(2, -1, -1): 1, (1, 0, 0): 3})
         obj = character_json_obj(chi)
