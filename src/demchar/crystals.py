@@ -203,7 +203,7 @@ class LetterCoordinates:
     carry.
 
     Coordinates c stand for the weight whose entry at node i is
-    ``rows[i] . c``.  They are solved from ``scale * c = inverse . v``,
+    ``rows[i] . c``.  ``solve`` finds them from ``scale * c = inverse . v``,
     with v the weight's entries at ``nodes`` followed, when ``counts``,
     by the length m, and the weight must then equal the one that c
     stands for.  Letter u moves c by ``steps[u]``.  As L1 is a norm, m
@@ -214,16 +214,19 @@ class LetterCoordinates:
 
     ``of`` picks the coordinates from the letter weights:
 
+    * n + 1 letters, as many as the nodes, take letter counts, read with
+      the row "counts sum to m", so every step is a unit vector: every
+      A1 crystal and the level-1 symmetric power;
     * an alphabet of +-pairs and zero letters whose pairs span the
-      classical nodes takes one letter of each pair as a basis, so every
-      step is a signed unit vector or zero;
-    * n + 1 letters with no pair, as many as the nodes, take letter
-      counts, read with the row "counts sum to m", so every step is a
-      unit vector;
+      classical nodes takes the first letter of each pair, in element
+      order, as a basis, so every step is a signed unit vector or zero:
+      for B1, D1, A2odd, A2even and D2 the letters 1..n, and coordinate
+      k is count(k) - count(k~);
     * any other alphabet keeps the fundamental-weight coordinates.
 
     In the first two the rule is exact: a weight passes exactly when m
-    letters sum to it.
+    letters sum to it.  There the coordinates are the closed form's
+    parameter vector (``formulas.mu_from_weight``).
     """
 
     nodes: tuple[int, ...]
@@ -246,11 +249,11 @@ class LetterCoordinates:
             if any(w) and w not in basis and opposite[w] not in basis:
                 basis.append(w)
         try:
+            if len(weights) == size:
+                return cls._solve(weights, units, classical, True)
             if all(opposite[w] in opposite for w in weights) and len(basis) == len(classical):
                 steps = [tuple(int(w == b) - int(opposite[w] == b) for b in basis) for w in weights]
                 return cls._solve(basis, steps, classical, False)
-            if len(basis) == len(weights) == size:
-                return cls._solve(weights, units, classical, True)
         except ValueError:
             pass
         return cls._solve(units, weights, tuple(range(size)), False)
@@ -275,10 +278,10 @@ class LetterCoordinates:
             parities.pop() if len(parities) == 1 else None,
         )
 
-    def coordinates(self, weight: Sequence[int], m: int) -> tuple[int, ...] | None:
-        """The coordinates of a weight that m letters may carry; None when
-        it has none (it lies off the letters' lattice or has nonzero
-        level) or when the rule rules them out."""
+    def solve(self, weight: Sequence[int], m: int | None) -> tuple[int, ...]:
+        """The coordinates that stand for a weight, with m the number of
+        letters (read only when ``counts``).  Raises ValueError when the
+        weight lies off the letters' lattice or has nonzero level."""
         v = [weight[i] for i in self.nodes]
         if self.counts:
             v.append(m)
@@ -286,14 +289,23 @@ class LetterCoordinates:
         for row in self.inverse:
             c, r = divmod(sum(map(mul, row, v)), self.scale)
             if r:
-                return None
+                raise ValueError("weight is not in the parameter lattice")
             coords.append(c)
         if any(sum(map(mul, row, coords)) != x for row, x in zip(self.rows, weight)):
+            raise ValueError("weight is not level zero")
+        return tuple(coords)
+
+    def coordinates(self, weight: Sequence[int], m: int) -> tuple[int, ...] | None:
+        """The coordinates of a weight that m letters may carry; None when
+        ``solve`` finds none or when the rule rules them out."""
+        try:
+            coords = self.solve(weight, m)
+        except ValueError:
             return None
         size = sum(map(abs, coords))
         if size > m * self.stride or (self.parity is not None and (size - m * self.parity) % 2):
             return None
-        return tuple(coords)
+        return coords
 
 
 @dataclass

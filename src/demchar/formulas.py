@@ -14,14 +14,12 @@ against direct path enumeration and the recursive evaluation.
 
 from __future__ import annotations
 
-from functools import cache
-from operator import mul
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, barred, perfect_crystal
 from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
 from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
-from .weights import FAMILIES, Weight, inverse
+from .weights import FAMILIES, Weight
 
 Element = str
 MuParam = tuple[int, ...]
@@ -49,47 +47,28 @@ def rank_of(family: str, mu: Sequence[int]) -> int:
     return len(mu)
 
 
-@cache
-def _parameter_system(family: str, rank: int) -> tuple[int, tuple, tuple]:
-    """d, d times the inverse of the system ``mu_from_weight`` solves (rows:
-    nodes 1..n, and for "A1" sum(mu) = j), and the parameter letters' weights."""
-    crystal = perfect_crystal(family, rank)
-    first = 0 if family == "A1" else 1
-    letters = tuple(crystal.weight_table[crystal.index(str(k))] for k in range(first, rank + 1))
-    rows = list(zip(*letters))[1:]
-    if first == 0:
-        rows.append((1,) * len(letters))
-    return (*inverse(rows), letters)
-
-
 def mu_from_weight(
     family: str, rank: int, weight: Weight, j: int | None = None
 ) -> MuParam:
-    """The parameter vector mu of a level-zero classical weight, solved
-    from sum_k mu_k wt(k) = weight over the letters k = 0..n for "A1" and
-    1..n otherwise.  Raises ValueError off the image.
+    """The parameter vector mu of a level-zero classical weight, with
+    sum_k mu_k wt(k) = weight: its letter coordinates
+    (``PerfectCrystal.letter_coordinates``), the counts of the letters
+    0..n for "A1" and count(k) - count(k~) for k = 1..n otherwise.
+    Raises ValueError off the image.
 
     For "A1" the letter counts are pinned by the window length ``j``,
     which is therefore required.
     """
+    if j is not None and j < 0:
+        raise ValueError("window length must be nonnegative")
     if weight.delta_coord:
         raise ValueError("parameter vectors name weights without a null-root part")
     c = weight.lambda_coords
     if len(c) != rank + 1:
         raise ValueError("weight size does not match the rank")
-    rhs = c[1:]
-    if family == "A1":
-        if j is None:
-            raise ValueError("the letter-count vector needs the window length")
-        rhs += (j,)
-    d, inv, letters = _parameter_system(family, rank)
-    scaled = [sum(map(mul, row, rhs)) for row in inv]
-    if any(x % d for x in scaled):
-        raise ValueError("weight is not in the parameter lattice")
-    mu = tuple(x // d for x in scaled)
-    if tuple(sum(map(mul, mu, column)) for column in zip(*letters)) != c:
-        raise ValueError("weight is not level zero")
-    return mu
+    if family == "A1" and j is None:
+        raise ValueError("the letter-count vector needs the window length")
+    return perfect_crystal(family, rank).letter_coordinates.solve(c, j)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +78,9 @@ def mu_from_weight(
 def _count_vectors(crystal: PerfectCrystal, mu: MuParam, j: int) -> Iterator[dict[Element, int]]:
     """All nonnegative letter counts of total ``j`` with pair differences
     count(k) - count(k~) = mu_k; the free letters "0" and "phi" absorb
-    the remainder.  An alphabet without bars (A1) has the counts ``mu``."""
-    if barred(1) not in crystal:
+    the remainder.  An alphabet whose letter coordinates are counts (A1)
+    has the counts ``mu``."""
+    if crystal.letter_coordinates.counts:
         if min(mu) >= 0:
             yield dict(zip(crystal.elements, mu))
         return

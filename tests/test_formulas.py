@@ -160,6 +160,24 @@ class TestParameterDictionaries:
                 key = (j, mu) if family == "A1" else mu
                 assert seen.setdefault(key, weight) == weight
 
+    @pytest.mark.parametrize(
+        "family,rank", [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(3)]
+    )
+    def test_mu_is_the_kernel_letter_coordinates(self, family, rank):
+        # The closed form and the recursion kernel write a support weight
+        # in the same letters.
+        crystal = perfect_crystal(family, rank)
+        table = crystal.letter_coordinates
+        for j in range(4):
+            for weight in support_weights(crystal, j):
+                coords = weight.lambda_coords
+                assert mu_from_weight(family, rank, weight, j) == table.coordinates(coords, j)
+
+    @pytest.mark.parametrize("family,rank", [("A1", 1), ("B1", 3)])
+    def test_rejects_negative_window(self, family, rank):
+        with pytest.raises(ValueError, match="window length must be nonnegative"):
+            mu_from_weight(family, rank, Weight((0,) * (rank + 1)), -2)
+
 
 class TestClosedForm:
     def test_frozen_rank_one_cells(self):

@@ -1213,9 +1213,9 @@ class TestLetterCoordinates:
         for wt, step in zip(c.weight_table, table.steps):
             assert stands_for(table, step) == wt
             assert sum(map(abs, step)) <= table.stride == 1
-        # the +-pair alphabets, and A1 at rank 1, take one letter of each
-        # pair; A1 from rank 2 on counts its letters
-        assert table.counts == (family == "A1" and n >= 2)
+        # every A1 alphabet counts its letters; the +-pair alphabets take
+        # one letter of each pair
+        assert table.counts == (family == "A1")
         zero_letter = any(not any(wt) for wt in c.weight_table)
         assert table.parity == (None if zero_letter else 1)
 
