@@ -8,12 +8,17 @@ a per-family table gives the letters left out of the quadratic exponent,
 its divisor and the q-base, and ``_pivot_of`` names the pair whose
 product is the cross term.  A2odd merges that pair into one part, split
 again by a q^2-binomial, and divides once by 1 + q^(g1+g1~) when the
-head letter is outside the pair.  A verifier diffs the closed form
-against direct path enumeration and the recursive evaluation.
+head letter is outside the pair.  The head-free part of each term (the
+counts, the q-multinomial and the quadratic exponent) is built once per
+(mu, j) and read under every head letter and pivot;
+``_closed_terms.cache_clear()`` frees it.  A verifier diffs the closed
+form against direct path enumeration and the recursive evaluation.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, barred, perfect_crystal
@@ -25,10 +30,21 @@ Element = str
 MuParam = tuple[int, ...]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_window(j) -> None:
+    if not _is_int(j):
+        raise ValueError(f"window length must be an int, got {j!r}")
+    if j < 0:
+        raise ValueError("window length must be nonnegative")
+
+
 def _require_ints(mu: Sequence[int]) -> tuple[int, ...]:
     out = []
     for value in mu:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValueError(f"parameter vector entries must be ints, got {value!r}")
         out.append(value)
     return tuple(out)
@@ -59,8 +75,8 @@ def mu_from_weight(
     For "A1" the letter counts are pinned by the window length ``j``,
     which is therefore required.
     """
-    if j is not None and j < 0:
-        raise ValueError("window length must be nonnegative")
+    if j is not None:
+        _require_window(j)
     if weight.delta_coord:
         raise ValueError("parameter vectors name weights without a null-root part")
     c = weight.lambda_coords
@@ -132,9 +148,47 @@ def _pivot_of(family: str, n: int, b: Element, pivot: int | None) -> int | None:
         return 1 if family == "A2odd" else None
     if pivot is None:
         return n if b == "0" or b.endswith("~") else 1
-    if pivot not in range(1, n + 1):
+    if not _is_int(pivot) or pivot not in range(1, n + 1):
         raise ValueError(f"pivot must be one of 1..{n}, got {pivot!r}")
-    return int(pivot)
+    return pivot
+
+
+@cache
+def _closed_terms(
+    crystal: PerfectCrystal, mu: MuParam, j: int, divided: bool
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...], int], ...]:
+    """The head-free part of the closed form at (mu, j): per letter-count
+    vector, its counts in element order, its q-multinomial as
+    (exponent, coefficient) pairs and its quadratic exponent, already
+    divided by the family's divisor.  ``divided`` makes A2odd's exact
+    division by 1 + q^(g1+g1~), which only heads outside the pair 1, 1~
+    read.  Every head letter reads one table;
+    ``_closed_terms.cache_clear()`` frees the tables."""
+    family = crystal.cartan.family
+    skip, divisor, base = _SHAPES[family]
+    kept = [i for i, label in enumerate(crystal.elements) if label not in skip]
+    if family == "A2odd":
+        s, sbar = crystal.index("1"), crystal.index(barred(1))
+    table = []
+    for counts in _count_vectors(crystal, mu, j):
+        g = tuple(counts[label] for label in crystal.elements)
+        quadratic = sum(g[i] * (g[i] - 1) for i in kept) // divisor
+        if family == "A2odd":
+            g1, g1bar = g[s], g[sbar]
+            rest = [count for i, count in enumerate(g) if i not in (s, sbar)]
+            pair = g1 + g1bar
+            term = qmultinomial(j, (pair, *rest), 1) * qmultinomial(pair, (g1, g1bar), 2)
+            if divided:
+                # The even-odd weight factor, rationalized to integer
+                # exponents: (q^{g1} + q^{g1bar}) / (1 + q^{g1+g1bar}).
+                term = exact_div(
+                    term * LaurentPoly.from_terms([(g1, 1), (g1bar, 1)]),
+                    LaurentPoly.from_terms([(0, 1), (pair, 1)]),
+                )
+        else:
+            term = qmultinomial(j, g, base)
+        table.append((g, tuple(term.terms()), quadratic))
+    return tuple(table)
 
 
 def g_closed_form(
@@ -148,10 +202,12 @@ def g_closed_form(
 
     ``mu`` is the family's parameter vector; ``pivot`` overrides the
     cross-term endpoint of B1 and D1 (only letter "0" admits a genuine
-    choice).
+    choice).  The q-multinomial terms of a (mu, j) are built once and
+    read under every head letter and pivot, which add only the head's
+    energy and the cross term to each term's exponent;
+    ``_closed_terms.cache_clear()`` frees them.
     """
-    if j < 0:
-        raise ValueError("window length must be nonnegative")
+    _require_window(j)
     mu = _require_ints(mu)
     n = rank_of(family, mu)
     crystal = perfect_crystal(family, n)
@@ -160,30 +216,17 @@ def g_closed_form(
     if family == "A1" and sum(mu) != j:
         raise ValueError("letter counts must sum to the window length")
     k = _pivot_of(family, n, b, pivot)
-    s, sbar = (None, None) if k is None else (str(k), barred(k))
-    skip, divisor, base = _SHAPES[family]
-    energy_row = {label: crystal.energy(b, label) for label in crystal.elements}
-    total = ZERO
-    for counts in _count_vectors(crystal, mu, j):
-        quadratic = sum(g * (g - 1) for label, g in counts.items() if label not in skip)
-        cross = 0 if k is None else counts[s] * counts[sbar]
-        energy = sum(energy_row[label] * g for label, g in counts.items())
-        if family == "A2odd":
-            g1, g1bar = counts[s], counts[sbar]
-            rest = [g for label, g in counts.items() if label not in (s, sbar)]
-            pair = g1 + g1bar
-            term = qmultinomial(j, (pair, *rest), 1) * qmultinomial(pair, (g1, g1bar), 2)
-            if b not in (s, sbar):
-                # The even-odd weight factor, rationalized to integer
-                # exponents: (q^{g1} + q^{g1bar}) / (1 + q^{g1+g1bar}).
-                term = exact_div(
-                    term * LaurentPoly.from_terms([(g1, 1), (g1bar, 1)]),
-                    LaurentPoly.from_terms([(0, 1), (pair, 1)]),
-                )
-        else:
-            term = qmultinomial(j, counts.values(), base)
-        total = total + term.shift(quadratic // divisor - cross + energy)
-    return total
+    s, sbar = (None, None) if k is None else (crystal.index(str(k)), crystal.index(barred(k)))
+    divided = family == "A2odd" and b not in ("1", barred(1))
+    energy_row = crystal.energy_table[crystal.index(b)]
+    total: dict[int, int] = {}
+    for g, terms, quadratic in _closed_terms(crystal, mu, j, divided):
+        shift = quadratic + sum(map(mul, energy_row, g))
+        if k is not None:
+            shift -= g[s] * g[sbar]
+        for exp, coeff in terms:
+            total[exp + shift] = total.get(exp + shift, 0) + coeff
+    return LaurentPoly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +262,8 @@ def verify_type(family: str, j_max: int, rank: int) -> dict:
     letter and every reachable window weight up to ``j_max``.  The
     enumeration route lists the tails of each window length once and
     reads every cell of that length from the one table."""
+    if not _is_int(j_max):
+        raise ValueError(f"j_max must be an int, got {j_max!r}")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     crystal = perfect_crystal(family, rank)

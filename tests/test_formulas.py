@@ -178,6 +178,11 @@ class TestParameterDictionaries:
         with pytest.raises(ValueError, match="window length must be nonnegative"):
             mu_from_weight(family, rank, Weight((0,) * (rank + 1)), -2)
 
+    @pytest.mark.parametrize("j", [2.0, True, "2"])
+    def test_rejects_non_int_window(self, j):
+        with pytest.raises(ValueError, match="window length must be an int"):
+            mu_from_weight("A1", 1, Weight((0, 0)), j)
+
 
 class TestClosedForm:
     def test_frozen_rank_one_cells(self):
@@ -209,6 +214,15 @@ class TestClosedForm:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             g_closed_form("B1", "1", (0, 0, 0), -1)
+
+    @pytest.mark.parametrize("family,mu,j", [
+        ("A1", (1, 1), 2.0),
+        ("B1", (0, 0, 0), True),
+        ("D2", (0, 0), 1.5),
+    ])
+    def test_rejects_non_int_window(self, family, mu, j):
+        with pytest.raises(ValueError, match="window length must be an int"):
+            g_closed_form(family, "0", mu, j)
 
     def test_rejects_non_integer_counts(self):
         with pytest.raises(ValueError):
@@ -314,6 +328,13 @@ class TestCrossTermPivot:
         with pytest.raises(ValueError, match="pivot must be one of"):
             g_closed_form(family, "1", (0,) * rank, 2, pivot=pivot)
 
+    @pytest.mark.parametrize("family,rank", [("B1", 3), ("D1", 4)])
+    @pytest.mark.parametrize("pivot", [1.0, True, 2.0])
+    def test_rejects_non_int_pivot(self, family, rank, pivot):
+        # 1.0 and True compare equal to the endpoint 1 but are not ints.
+        with pytest.raises(ValueError, match="pivot must be one of"):
+            g_closed_form(family, "1", (0,) * rank, 2, pivot=pivot)
+
     @pytest.mark.parametrize("family,b,mu", [
         ("A1", "0", (1, 1)),
         ("A2even", "0", (0,)),
@@ -412,3 +433,88 @@ class TestVerifier:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             verify_type("A1", -1, 1)
+
+    @pytest.mark.parametrize("j_max", [True, 1.5, 1.0])
+    def test_rejects_non_int_budget(self, j_max):
+        with pytest.raises(ValueError, match="j_max must be an int"):
+            verify_type("A1", j_max, 1)
+
+
+class TestClosedTerms:
+    @pytest.mark.parametrize("family,rank,j_max", [("B1", 3, 3), ("A2odd", 3, 3)])
+    def test_one_table_per_window_weight(self, family, rank, j_max):
+        """A cold verify_type builds each (mu, j) table, and for A2odd
+        each of its two variants, once; a second call builds none."""
+        crystal = perfect_crystal(family, rank)
+        keys = {
+            (mu_from_weight(family, rank, weight, j), j, family == "A2odd" and b not in ("1", "1~"))
+            for j in range(j_max + 1)
+            for weight in support_weights(crystal, j)
+            for b in crystal.elements
+        }
+        assert family != "A2odd" or {divided for _, _, divided in keys} == {False, True}
+        formulas._closed_terms.cache_clear()
+        first = verify_type(family, j_max, rank)
+        info = formulas._closed_terms.cache_info()
+        assert first["mismatches"] == []
+        assert info.misses == info.currsize == len(keys)
+        assert info.hits > 0
+        assert verify_type(family, j_max, rank) == first
+        again = formulas._closed_terms.cache_info()
+        assert (again.misses, again.currsize) == (info.misses, info.currsize)
+        assert again.hits > info.hits
+
+    @pytest.mark.parametrize("family,mu,j,divided", [
+        ("B1", (1, 0, -1), 3, False),
+        ("A2odd", (0, 0, 0), 2, True),
+    ])
+    def test_tables_are_read_only(self, family, mu, j, divided):
+        crystal = perfect_crystal(family, len(mu))
+        table = formulas._closed_terms(crystal, mu, j, divided)
+        assert table
+        counts, terms, _ = table[0]
+        for cached in (table, table[0], counts, terms, terms[0]):
+            with pytest.raises(TypeError):
+                cached[0] = 0
+        assert formulas._closed_terms(crystal, mu, j, divided) is table
+
+    def test_values_survive_cache_clear(self):
+        cells = [
+            (family, b, mu_from_weight(family, rank, weight, j), j)
+            for family, rank in (("B1", 3), ("A2odd", 3), ("D2", 2))
+            for j in range(3)
+            for weight in support_weights(perfect_crystal(family, rank), j)
+            for b in perfect_crystal(family, rank).elements
+        ]
+        before = [g_closed_form(*cell) for cell in cells]
+        formulas._closed_terms.cache_clear()
+        assert formulas._closed_terms.cache_info().currsize == 0
+        assert [g_closed_form(*cell) for cell in cells] == before
+
+    @pytest.mark.parametrize(
+        "family,rank", [(family, _MIN_N[family] + k) for family in ("B1", "D1", "A2odd") for k in range(2)]
+    )
+    def test_values_do_not_depend_on_which_head_reads_first(self, family, rank):
+        """A pivot or the A2odd division read by one head must not leak
+        into the table another head reads."""
+        crystal = perfect_crystal(family, rank)
+        pivots = [None] + (list(range(1, rank + 1)) if family != "A2odd" else [])
+        cells = [
+            (b, mu_from_weight(family, rank, weight, j), j, pivot)
+            for j in range(4)
+            for weight in support_weights(crystal, j)
+            for b in crystal.elements
+            for pivot in pivots
+        ]
+
+        def value(cell):
+            return g_closed_form(family, cell[0], *cell[1:])
+
+        cold = {}
+        for cell in cells:
+            formulas._closed_terms.cache_clear()
+            cold[cell] = value(cell)
+        assert any(cold.values())
+        formulas._closed_terms.cache_clear()
+        assert {cell: value(cell) for cell in reversed(cells)} == cold
+        assert {cell: value(cell) for cell in cells} == cold
