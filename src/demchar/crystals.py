@@ -27,7 +27,15 @@ from itertools import combinations_with_replacement
 from operator import mul, neg, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .weights import CartanType, Weight, cartan_type, dominant_classical_weights, inverse
+from .weights import (
+    CartanType,
+    Weight,
+    _check_rank,
+    _require_count,
+    cartan_type,
+    dominant_classical_weights,
+    inverse,
+)
 
 Element = Hashable
 
@@ -414,14 +422,18 @@ _BUILDERS = {
 }
 
 
-@cache
 def perfect_crystal(family: str, n: int) -> PerfectCrystal:
-    """The level-1 perfect crystal of the given affine family."""
-    ct = cartan_type(family, n)
-    return _BUILDERS[family](ct)
+    """The level-1 perfect crystal of the given affine family, cached
+    per family and rank once they are checked."""
+    _check_rank(family, n)
+    return _perfect_crystal(family, n)
 
 
 @cache
+def _perfect_crystal(family: str, n: int) -> PerfectCrystal:
+    return _BUILDERS[family](cartan_type(family, n))
+
+
 def symmetric_crystal(n: int, l: int) -> PerfectCrystal:
     """Level-l symmetric-power crystal of untwisted type A rank n.
 
@@ -430,7 +442,15 @@ def symmetric_crystal(n: int, l: int) -> PerfectCrystal:
     operator turns one letter n into 0.  As for every crystal here, a
     word's weight is phi - epsilon (letter k weighs Lambda_{k+1 mod n+1} - Lambda_k)
     and H follows from the e_0 rule; the normalization is H(0^l (x) 0^l) = l.
+    Cached per rank and level once they are checked.
     """
+    _check_rank("A1", n)
+    _require_count(l, "level l")
+    return _symmetric_crystal(n, l)
+
+
+@cache
+def _symmetric_crystal(n: int, l: int) -> PerfectCrystal:
     ct = cartan_type("A1", n)
     elements = list(combinations_with_replacement(range(n + 1), l))
     arrows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}

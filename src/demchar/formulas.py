@@ -24,21 +24,10 @@ from typing import Iterator, Sequence
 from .crystals import PerfectCrystal, barred, perfect_crystal
 from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
 from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
-from .weights import FAMILIES, Weight
+from .weights import FAMILIES, Weight, _is_int, _require_count
 
 Element = str
 MuParam = tuple[int, ...]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_window(j) -> None:
-    if not _is_int(j):
-        raise ValueError(f"window length must be an int, got {j!r}")
-    if j < 0:
-        raise ValueError("window length must be nonnegative")
 
 
 def _require_ints(mu: Sequence[int]) -> tuple[int, ...]:
@@ -76,7 +65,7 @@ def mu_from_weight(
     which is therefore required.
     """
     if j is not None:
-        _require_window(j)
+        _require_count(j, "window length")
     if weight.delta_coord:
         raise ValueError("parameter vectors name weights without a null-root part")
     c = weight.lambda_coords
@@ -207,7 +196,7 @@ def g_closed_form(
     energy and the cross term to each term's exponent;
     ``_closed_terms.cache_clear()`` frees them.
     """
-    _require_window(j)
+    _require_count(j, "window length")
     mu = _require_ints(mu)
     n = rank_of(family, mu)
     crystal = perfect_crystal(family, n)
@@ -262,10 +251,7 @@ def verify_type(family: str, j_max: int, rank: int) -> dict:
     letter and every reachable window weight up to ``j_max``.  The
     enumeration route lists the tails of each window length once and
     reads every cell of that length from the one table."""
-    if not _is_int(j_max):
-        raise ValueError(f"j_max must be an int, got {j_max!r}")
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    _require_count(j_max, "j_max")
     crystal = perfect_crystal(family, rank)
     cells = 0
     mismatches = []

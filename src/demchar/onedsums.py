@@ -30,13 +30,15 @@ only the lowest ``degree + 1`` coefficients, so it runs the kernel with
 that window: each memo entry keeps ``degree + 1`` coefficients, and the
 letters after a head are tried in order of a lower bound on their lowest
 exponent and skipped from the first one whose bound lies past the
-window.  With or without a window, the kernel holds the weight left for
-the tail in the crystal's letter coordinates, where every letter takes
-a short step, and skips a letter when the L1 norm left after it is more
+window; without a window they are tried in letter order, unsorted.
+With or without a window, the kernel holds the weight left for the
+tail in the crystal's letter coordinates, where every letter takes a
+short step, and skips a letter when the L1 norm left after it is more
 than the remaining letters can carry.  For the six level-1 families
 that rule is exact, so a memo without checked nodes holds no dead
-state.  The enumeration route lists the tails depth first on the same
-tables and shares no other code or memo with the recursion route:
+state; such a memo, as for every g, also runs no admissibility test.
+The enumeration route lists the tails depth first on the same tables
+and shares no other code or memo with the recursion route:
 ``_walk_tails`` caches one read-only listing per
 crystal, length, start state and checked node set, which every head
 letter and end weight at that start reads, and
@@ -72,7 +74,7 @@ from typing import Sequence
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
 from .qring import ZERO, LaurentPoly
-from .weights import FormalCharacter, Weight, fold
+from .weights import FormalCharacter, Weight, _is_int, _require_count, fold
 
 
 class StabilizationGuardError(RuntimeError):
@@ -113,8 +115,9 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     their lowest exponent, where floor[m][u] is the least energy of any
     length-m tail after u, weights and admissibility ignored; the first
     letter whose bound lies past the lowest exponent found plus M ends
-    the loop.  Without a window every coefficient is kept and the bound
-    skips no letter.
+    the loop.  The order is built once per ``(t, j)``.  Without a window
+    every coefficient is kept, so no bound could end the loop: the
+    letters are tried in letter order, with no floor table and no sort.
 
     Inside, the weight left for the tail is held in the crystal's letter
     coordinates (``PerfectCrystal.letter_coordinates``), in which every
@@ -124,69 +127,81 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     them by the table's L1 rule.  Past that, a letter is skipped when the
     coordinates left after it have an L1 norm above (j - 1) times the
     table's stride: no tail can carry them, so the skipped call could
-    only return None.  The norm after a letter is read off the entries
-    its step moves before the coordinates are built.  The parity half of
-    the rule needs no test past the entry, because every step changes
-    the norm's parity alike.  For the six level-1 families the rule is
-    exact, so with no checked node the memo holds no dead state; with
-    checked nodes a state can still be None when no tail fits.
+    only return None.  A step grows the norm by at most the stride, so
+    only a state with less slack than that tests its letters, reading
+    the norm after a letter off the entries its step moves before the
+    coordinates are built.  The parity half of the rule needs no test
+    past the entry, because every step changes the norm's parity alike.
+    For the six level-1 families the rule is exact, so with no checked
+    node the memo holds no dead state; with checked nodes a state can
+    still be None when no tail fits.  With no checked node, as for every
+    g, there is no epsilon test and ``fit`` stays the empty tuple.
     ``cache_info()`` counts the states.
     """
     table = crystal.letter_coordinates
     energy = crystal.energy_table
     letters = range(len(energy))
-    eps = [tuple(e[i] for i in idx) for e in crystal.epsilon_table]
-    rows = []
-    for u, (step, wt) in enumerate(zip(table.steps, crystal.weight_table)):
-        moves = tuple((k, s) for k, s in enumerate(step) if s)
-        rows.append((u, step, moves, eps[u], tuple(wt[i] for i in idx)))
-    reach = inf if window is None else window
     stride = table.stride
+    rows = []
+    for u, (step, e, wt) in enumerate(zip(table.steps, crystal.epsilon_table, crystal.weight_table)):
+        moves = tuple((k, s) for k, s in enumerate(step) if s)
+        rows.append((u, step, moves, tuple(e[i] for i in idx), tuple(wt[i] for i in idx)))
+    reach = inf if window is None else window
     floor = [[0] * len(energy)]
     orders: dict[tuple[int, int], list] = {}
 
     def order(t: int, j: int) -> list:
-        """(bound, head energy, row) for the letters after t, by bound."""
-        key = (t, j)
-        if key not in orders:
-            while len(floor) < j:
-                m, prev = len(floor), floor[-1]
-                floor.append(
-                    [min(m * h[v] + prev[v] for v in letters) for h in energy]
-                )
-            below, h = floor[j - 1], energy[t]
-            orders[key] = sorted(
-                (j * h[u] + below[u], j * h[u], rows[u]) for u in letters
-            )
-        return orders[key]
+        """(bound, head energy, *row) for the letters after t: in letter
+        order with no window, else by bound."""
+        h = energy[t]
+        if window is None:
+            orders[t, j] = [(0, j * h[u], *rows[u]) for u in letters]
+            return orders[t, j]
+        while len(floor) < j:
+            m, prev = len(floor), floor[-1]
+            floor.append([min(m * g[v] + prev[v] for v in letters) for g in energy])
+        below = floor[j - 1]
+        orders[t, j] = sorted((j * h[u] + below[u], j * h[u], *rows[u]) for u in letters)
+        return orders[t, j]
 
     @cache
     def walk(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         if j == 0:
             return None if any(rest) else (0, (1,))
+        try:
+            tried = orders[t, j]
+        except KeyError:
+            tried = order(t, j)
         parts = []
-        best, top = inf, -inf
+        best = cut = inf
+        top = -inf
         slack = (j - 1) * stride - sum(map(abs, rest))
-        for bound, head, (u, step, moves, e, gain) in order(t, j):
-            if bound > best + reach:
+        tight = slack < stride
+        for bound, head, u, step, moves, e, gain in tried:
+            if bound > cut:
                 break
-            grow = 0
-            for k, s in moves:
-                r = rest[k]
-                grow += abs(r - s) - abs(r)
-            if grow > slack:
-                continue
-            if all(map(le, e, fit)):
-                fit_u = tuple(map(add, fit, gain))
-                inner = walk(u, fit_u, tuple(map(sub, rest, step)), j - 1)
-                if inner is not None:
-                    low, coeffs = inner
-                    low += head
-                    parts.append((low, coeffs))
-                    if low < best:
-                        best = low
-                    if low + len(coeffs) > top:
-                        top = low + len(coeffs)
+            if tight:
+                grow = 0
+                for k, s in moves:
+                    r = rest[k]
+                    grow += abs(r - s) - abs(r)
+                if grow > slack:
+                    continue
+            if idx:
+                if not all(map(le, e, fit)):
+                    continue
+                inner = walk(u, tuple(map(add, fit, gain)), tuple(map(sub, rest, step)), j - 1)
+            else:
+                inner = walk(u, fit, tuple(map(sub, rest, step)), j - 1)
+            if inner is not None:
+                low, coeffs = inner
+                low += head
+                parts.append((low, coeffs))
+                if low < best:
+                    best = low
+                    cut = best + reach
+                if low + len(coeffs) > top:
+                    top = low + len(coeffs)
         if len(parts) < 2:
             return parts[0] if parts else None
         size = min(top - best, reach + 1)
@@ -194,7 +209,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
         for low, coeffs in parts:
             a = low - best
             if a < size:
-                b = min(size, a + len(coeffs))
+                # A slice past the end stops at it, and so does map.
+                b = a + len(coeffs)
                 acc[a:b] = map(add, acc[a:b], coeffs)
         return best, tuple(acc)
 
@@ -306,8 +322,7 @@ def g_enumerate_table(
     """Unrestricted sums of every head letter and reachable tail weight,
     from one listing of the length-j tails: the value at (b, coords)
     equals ``g_enumerate(crystal, b, Weight(coords), j)``."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
+    _require_count(j, "length")
     terms = _walker_terms(crystal, j)
     pairs: dict[tuple[Element, tuple[int, ...]], list] = {}
     for b in crystal.elements:
@@ -316,18 +331,26 @@ def g_enumerate_table(
     return {key: LaurentPoly.from_terms(found) for key, found in pairs.items()}
 
 
-@cache
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
     """Classical coordinate tuples reachable as sums of j letter weights.
-    Cached per crystal and length; ``tail_weight_support.cache_clear()``
+    Cached per crystal and length once j is checked, so that 2.0 is
+    refused rather than read as 2; ``tail_weight_support.cache_clear()``
     frees the sets."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
+    _require_count(j, "length")
+    return _tail_weight_support(crystal, j)
+
+
+@cache
+def _tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
     sums = {(0,) * crystal.cartan.size}
     letters = crystal.weight_table
     for _ in range(j):
         sums = {tuple(map(add, coords, wt)) for coords in sums for wt in letters}
     return frozenset(sums)
+
+
+tail_weight_support.cache_clear = _tail_weight_support.cache_clear
+tail_weight_support.cache_info = _tail_weight_support.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +404,7 @@ def _restricted(
     otherwise; a classical sum leaves node 0 free, so its end is eta
     with node 0 moved by the level gap over the comark of node 0, and
     None when that is not an integer."""
-    if j < 0:
-        raise ValueError("length must be nonnegative")
+    _require_count(j, "length")
     if b not in crystal:
         raise ValueError(f"{b!r} is not a letter of {crystal.name}")
     ct = crystal.cartan
@@ -672,8 +694,9 @@ def stabilized_limit(
     not trusted: short windows can coincide by accident before the low
     coefficients have saturated.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _require_count(degree, "degree")
+    if not _is_int(max_j):
+        raise ValueError(f"max_j must be an int, got {max_j!r}")
     if kind not in ("g", "x", "xbar"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "x" and (xi is None or eta is None):
@@ -796,6 +819,5 @@ def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:
 def character_at_full_segment(s: Schedule, j: int) -> FormalCharacter:
     """Character after j whole segments: one unrestricted sum per weight
     with the ground-state letter above the window as head."""
-    if j < 0:
-        raise ValueError("segments must be nonnegative")
+    _require_count(j, "segments")
     return _segment_character(s, j + 1, 0, partial(_kernel_terms, s.crystal))

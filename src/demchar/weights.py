@@ -29,6 +29,19 @@ FAMILIES = ("A1", "B1", "D1", "A2odd", "A2even", "D2")
 _MIN_N = {"A1": 1, "B1": 3, "D1": 4, "A2odd": 3, "A2even": 1, "D2": 2}
 
 
+def _is_int(value) -> bool:
+    """An int, and not a bool, though bool is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_count(value, what: str) -> None:
+    """Raise ValueError unless value is a nonnegative int."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Weight:
     """Affine weight: fundamental-weight coordinates plus a delta coordinate.
@@ -229,13 +242,27 @@ def _null_vector(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(x // divisor for x in vector)
 
 
-@cache
-def cartan_type(family: str, n: int) -> CartanType:
-    """Cartan data for one of the six affine families at rank parameter n."""
+def _check_rank(family: str, n: int) -> None:
+    """Raise ValueError unless n is a rank of the family.  Rank-keyed
+    caches call this before they look up: True and 1.0 hash and compare
+    equal to 1, so a cache alone would answer them with the rank-1
+    entry, or store its first answer for them under rank 1."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not _is_int(n):
+        raise ValueError(f"rank n must be an int, got {n!r}")
     if n < _MIN_N[family]:
         raise ValueError(f"family {family} needs n >= {_MIN_N[family]}, got {n}")
+
+
+def cartan_type(family: str, n: int) -> CartanType:
+    """Cartan data for one of the six affine families at rank parameter n."""
+    _check_rank(family, n)
+    return _cartan_type(family, n)
+
+
+@cache
+def _cartan_type(family: str, n: int) -> CartanType:
     return CartanType(family, n, tuple(tuple(row) for row in _build_matrix(family, n)))
 
 

@@ -1,11 +1,16 @@
 """Tests for perfect crystal graphs, weights, and local energies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from brute import reference_energy, reference_weights, simple_root, symmetric_energy
 
+import demchar
 from demchar.crystals import (
     PerfectCrystal,
     barred,
@@ -294,6 +299,53 @@ class TestConstructorChecks:
         arrows = {(1, "a"): "b", (0, "b"): "a", (5, "a"): "b"}
         with pytest.raises(ValueError, match=r"^node 5: arrow \(5, 'a'\) -> 'b'.*outside the nodes \[0, 1\]"):
             PerfectCrystal(ct, ["a", "b"], arrows, "node 5", 1)
+
+
+class TestRankChecks:
+    BUILDERS = {
+        "cartan_type": lambda n: cartan_type("A1", n),
+        "perfect_crystal": lambda n: perfect_crystal("A1", n),
+        "symmetric_crystal": lambda n: symmetric_crystal(n, 1),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+    def test_non_int_rank_rejected(self, builder, bad):
+        # True and 1.0 equal 1, so they would find the rank-1 entry of a
+        # cache that had it; the check comes before the lookup.
+        with pytest.raises(ValueError, match="rank n must be an int"):
+            self.BUILDERS[builder](bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, -1], ids=repr)
+    def test_bad_symmetric_level_rejected(self, bad):
+        with pytest.raises(ValueError, match="level l must be"):
+            symmetric_crystal(1, bad)
+
+    def test_bad_rank_leaves_no_cache_entry(self):
+        # A fresh process, so that no rank-1 entry is cached yet: a bad
+        # rank first, then the good one it compares equal to.
+        src = str(Path(demchar.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = (
+            "from demchar.crystals import symmetric_crystal\n"
+            "from demchar.formulas import verify_type\n"
+            "for call in (lambda: verify_type('A1', 1, True), lambda: symmetric_crystal(1.0, True)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "print(verify_type('A1', 1, 1)['mismatches'], symmetric_crystal(1, 1).name)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "rank n must be an int, got True",
+            "rank n must be an int, got 1.0",
+            "[] A1 n=1 sym l=1",
+        ]
 
 
 class TestSymmetricCrystal:

@@ -339,6 +339,29 @@ class TestUnrestricted:
         with pytest.raises(ValueError):
             g_recursive(c, "0", Weight.zero(2), -1)
 
+    @pytest.mark.parametrize("j", [1.5, 2.0, True], ids=repr)
+    def test_non_int_window_rejected(self, j):
+        # Each route checks the length before it recurses or reads a
+        # cache: 2.0 and True equal ints, so they would find the cached
+        # support of length 2 (built here) or 1.
+        c = perfect_crystal("A1", 1)
+        zero = Weight.zero(2)
+        s = demazure_schedule(c, c.cartan.fundamental_weight(0))
+        tail_weight_support(c, 2)
+        calls = [
+            lambda: g_enumerate(c, "0", zero, j),
+            lambda: g_recursive(c, "0", zero, j),
+            lambda: x_enumerate(c, "0", zero, zero, j),
+            lambda: x_recursive(c, "0", zero, zero, j, classical=True),
+            lambda: x_by_weyl_sum(c, "0", zero, zero, j),
+            lambda: tail_weight_support(c, j),
+            lambda: g_enumerate_table(c, j),
+            lambda: character_at_full_segment(s, j),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an int"):
+                call()
+
     def test_wrong_size_weights_rejected(self):
         c = perfect_crystal("A1", 1)
         lam = c.cartan.fundamental_weight(0)
@@ -923,6 +946,12 @@ class TestStabilizedLimits:
                 stabilized_limit(kind, c, lam, 100)
         with pytest.raises(ValueError, match="needs xi"):
             stabilized_limit("x", c, lam, 100, eta=lam)
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="degree must be an int"):
+                stabilized_limit("g", c, lam, bad)
+        for bad in (64.0, True):
+            with pytest.raises(ValueError, match="max_j must be an int"):
+                stabilized_limit("g", c, lam, 2, max_j=bad)
         # a string function runs along a level-zero direction only
         with pytest.raises(ValueError, match="^kind 'g' needs mu of level 0, got level 1$"):
             stabilized_limit("g", c, lam, 2, mu=Weight((1, 0)))
@@ -1048,6 +1077,19 @@ class TestWindowedKernel:
         with pytest.raises(ArithmeticError, match="below c"):
             stabilized_limit(kind, c, lam, 3, **kw)
 
+    @pytest.mark.parametrize(
+        "family,n,degree,states",
+        [("A1", 2, 12, 4699), ("A1", 1, 30, 1865), ("A1", 3, 4, 1221), ("D1", 4, 3, 466), ("D2", 2, 6, 170)],
+    )
+    def test_string_function_memo_size_is_pinned(self, family, n, degree, states):
+        # The kernel sorts its letters only with a window, and tests
+        # epsilons only with checked nodes; either shortcut must leave
+        # the state set as it is.
+        c = perfect_crystal(family, n)
+        onedsums._recursion.cache_clear()
+        stabilized_limit("g", c, c.cartan.fundamental_weight(0), degree)
+        assert onedsums._recursion(c, (), degree).cache_info().currsize == states
+
     def test_window_prunes_the_memo(self):
         c = perfect_crystal("B1", 3)
         zero = Weight.zero(4)
@@ -1139,6 +1181,15 @@ def every_variant(family, n, node):
     return out
 
 
+def full_segment_memo_size(family, n):
+    """States in the g kernel's memo after a cold ``character_at_full_segment(s, 4)``."""
+    c = perfect_crystal(family, n)
+    s = demazure_schedule(c, c.cartan.fundamental_weight(0))
+    onedsums._recursion.cache_clear()
+    character_at_full_segment(s, 4)
+    return onedsums._recursion(c, (), None).cache_info().currsize
+
+
 class TestCharacterBridge:
     @pytest.mark.parametrize("family,n,node", LEVEL_ONE)
     def test_matches_path_characters(self, family, n, node):
@@ -1161,11 +1212,13 @@ class TestCharacterBridge:
         # With no pruning the full-segment route leaves 23,601 states in
         # this memo, about 95% of them remaining weights that no tail of
         # the remaining length can carry; with the L1 rule it leaves 1,329.
-        c = perfect_crystal("D1", 4)
-        s = demazure_schedule(c, c.cartan.fundamental_weight(0))
-        onedsums._recursion.cache_clear()
-        character_at_full_segment(s, 4)
-        assert onedsums._recursion(c, (), None).cache_info().currsize <= 1400
+        assert full_segment_memo_size("D1", 4) == 1329
+
+    @pytest.mark.parametrize("family,n,states", [("B1", 3, 801), ("A2odd", 3, 505), ("D2", 2, 305)])
+    def test_full_segment_memo_size_is_pinned(self, family, n, states):
+        # Exact counts: the letter loop may change what a state costs,
+        # not which states there are.
+        assert full_segment_memo_size(family, n) == states
 
 
 # ---------------------------------------------------------------------------
