@@ -23,8 +23,11 @@ crystal's int tables of letter weights, local energies and epsilons:
 ``_recursion`` caches one memo per crystal, checked node set and window,
 so ``_recursion.cache_clear()`` frees every memo and ``cache_info()``
 counts them.  A kernel value is None (zero) or the lowest exponent with
-the dense coefficients from there up; values become ``LaurentPoly`` only
-at the API edge.  Without a window, as in ``g_recursive`` and
+the coefficients from there up, packed into one int of fixed-width
+slots in the memo so that merging a child is one shift and add; the
+kernel's entry unpacks the value it answers into the dense coefficient
+tuple, and values become ``LaurentPoly`` only at the API edge.  Without
+a window, as in ``g_recursive`` and
 ``x_recursive``, every coefficient is kept.  ``stabilized_limit`` reads
 only the lowest ``degree + 1`` coefficients, so it runs the kernel with
 that window: each memo entry keeps ``degree + 1`` coefficients, and the
@@ -95,6 +98,35 @@ class StabilizationGuardError(RuntimeError):
 # Unrestricted sum g
 
 
+def _slot_width(j: int, bits: int) -> int:
+    """Bits per coefficient slot of a packed kernel value at length j,
+    for a crystal whose letter indices take ``bits`` bits: the least
+    multiple of 64 above j * bits."""
+    return 64 * (j * bits // 64 + 1)
+
+
+def _respace(packed: int, narrow: int, wide: int) -> int:
+    """A packed value with its slots of ``narrow`` bits moved apart to
+    ``wide`` bits each; both widths are multiples of 8."""
+    size = narrow // 8
+    data = packed.to_bytes(-(-packed.bit_length() // narrow) * size, "little")
+    pad = bytes((wide - narrow) // 8)
+    return int.from_bytes(pad.join([data[k : k + size] for k in range(0, len(data), size)]), "little")
+
+
+def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -> tuple[int, ...]:
+    """The coefficients in the slots of ``width`` bits of a packed value,
+    up to its highest nonzero one.  Slots of 64 bits on a little-endian
+    machine are read as one array of machine words."""
+    if packed.bit_length() <= width:
+        return (packed,)
+    size = width // 8
+    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    if native and width == 64:
+        return tuple(memoryview(data).cast("Q"))
+    return tuple(int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size))
+
+
 @cache
 def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None):
     """Memoized recursion on the head letter, shared by g, x and xbar.
@@ -104,10 +136,22 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     which must admit each letter's epsilons, and ``rest`` is the weight
     the tail must still carry.  A value is None (zero) or ``(low,
     coeffs)``: the lowest exponent and the dense coefficients from there
-    up.  Each ``rec`` keeps its own memo, so ``_recursion.cache_clear()``
-    drops them all.
+    up to the highest nonzero one.  Each ``rec`` keeps its own memo, so
+    ``_recursion.cache_clear()`` drops them all.
 
-    With a ``window`` M only the coefficients at low .. low + M are kept.
+    The memo holds a value as ``(low, packed)``: coefficient k sits in
+    bits [k W(j), (k + 1) W(j)) of the int ``packed``, with a slot width
+    that depends only on the length j, W(j) = 64 (floor(j bits / 64) + 1)
+    for bits = (|B| - 1).bit_length() (``_slot_width``).  A coefficient
+    counts length-j tails, so it is at most |B|^j <= 2^(j bits) < 2^W(j),
+    and since every addend is nonnegative no partial sum ever carries
+    into the next slot.  A state therefore adds each child as ``packed <<
+    W(j) (low - best)`` to one int, and re-spaces its children
+    (``_respace``) only at the few lengths where W(j - 1) != W(j).
+    ``rec`` unpacks the value it answers once (``_unpack``).
+
+    With a ``window`` M only the coefficients at low .. low + M are kept,
+    by masking the packed sum to its lowest M + 1 slots.
     That is exact, because every coefficient counts words: nothing
     cancels, and a term within M of the root's lowest exponent comes from
     inner terms within M of their own lowest ones.  The letters after t
@@ -142,6 +186,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     energy = crystal.energy_table
     letters = range(len(energy))
     stride = table.stride
+    bits = (len(energy) - 1).bit_length()
     rows = []
     for u, (step, e, wt) in enumerate(zip(table.steps, crystal.epsilon_table, crystal.weight_table)):
         moves = tuple((k, s) for k, s in enumerate(step) if s)
@@ -167,14 +212,15 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     @cache
     def walk(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         if j == 0:
-            return None if any(rest) else (0, (1,))
+            return None if any(rest) else (0, 1)
         try:
             tried = orders[t, j]
         except KeyError:
             tried = order(t, j)
-        parts = []
+        acc = 0
         best = cut = inf
-        top = -inf
+        wide = _slot_width(j, bits)
+        narrow = _slot_width(j - 1, bits)
         slack = (j - 1) * stride - sum(map(abs, rest))
         tight = slack < stride
         for bound, head, u, step, moves, e, gain in tried:
@@ -194,31 +240,36 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
             else:
                 inner = walk(u, fit, tuple(map(sub, rest, step)), j - 1)
             if inner is not None:
-                low, coeffs = inner
+                low, packed = inner
                 low += head
-                parts.append((low, coeffs))
+                if narrow != wide:
+                    packed = _respace(packed, narrow, wide)
                 if low < best:
+                    # What is summed so far moves up to the new lowest
+                    # exponent, or drops out when that puts it past the
+                    # window.
+                    acc = (acc << wide * (best - low) if acc and best - low <= reach else 0) + packed
                     best = low
                     cut = best + reach
-                if low + len(coeffs) > top:
-                    top = low + len(coeffs)
-        if len(parts) < 2:
-            return parts[0] if parts else None
-        size = min(top - best, reach + 1)
-        acc = [0] * size
-        for low, coeffs in parts:
-            a = low - best
-            if a < size:
-                # A slice past the end stops at it, and so does map.
-                b = a + len(coeffs)
-                acc[a:b] = map(add, acc[a:b], coeffs)
-        return best, tuple(acc)
+                elif low - best <= reach:
+                    acc += packed << wide * (low - best)
+        if not acc:
+            return None
+        if window is not None:
+            acc &= (1 << wide * (window + 1)) - 1
+        return best, acc
 
     convert = cache(table.coordinates)
 
     def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
         coords = convert(rest, j)
-        return None if coords is None else walk(t, fit, coords, j)
+        if coords is None:
+            return None
+        value = walk(t, fit, coords, j)
+        if value is None:
+            return None
+        low, packed = value
+        return low, _unpack(packed, _slot_width(j, bits))
 
     rec.cache_info = walk.cache_info
     return rec
@@ -374,7 +425,11 @@ def _indices(crystal: PerfectCrystal, classical: bool, indices) -> tuple[int, ..
 def _fits(
     crystal: PerfectCrystal, state: tuple[int, ...], b: Element, idx: tuple[int, ...]
 ) -> bool:
-    return all(crystal.epsilon(i, b) <= state[i] for i in idx)
+    eps = crystal.epsilon_table[crystal.index(b)]
+    for i in idx:
+        if eps[i] > state[i]:
+            return False
+    return True
 
 
 def is_admissible(
@@ -645,7 +700,10 @@ def kostka(xi: Sequence[int], l: int, j: int, n: int) -> LaurentPoly:
     """
     if l < 0 or j < 0:
         raise ValueError(f"l and j must be nonnegative, got l = {l}, j = {j}")
-    parts = tuple(int(p) for p in xi)
+    parts = tuple(xi)
+    for p in parts:
+        if not _is_int(p):
+            raise ValueError(f"partition parts must be ints, got {p!r}")
     if any(p < 0 for p in parts) or any(
         a < c for a, c in zip(parts, parts[1:])
     ):

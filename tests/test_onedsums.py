@@ -10,9 +10,13 @@ import itertools
 import json
 import math
 import random
+import re
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import (
     check_2m_relation,
@@ -33,6 +37,7 @@ from oracles import (
 from demchar import cli, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
+from demchar.formulas import g_closed_form, mu_from_weight
 from demchar.onedsums import (
     StabilizationGuardError,
     character_at_full_segment,
@@ -818,6 +823,15 @@ class TestTableauPolynomials:
             kostka((1, 1, 1, 1), 1, 4, 2)
         with pytest.raises(ValueError):
             kostka((2, 1), 1, 4, 2)
+        # a part that is not an int is named, never truncated to one
+        for shape, l, j, n, bad in (
+            ((2.7, 1.2), 1, 3, 1, "2.7"),
+            ((True, True, True), 1, 3, 2, "True"),
+            ((2.0, 1), 1, 3, 1, "2.0"),
+            (("2", 1), 1, 3, 1, "'2'"),
+        ):
+            with pytest.raises(ValueError, match=f"parts must be ints, got {re.escape(bad)}"):
+                kostka(shape, l, j, n)
         # l * j still matches the partition, so only a sign check stops these
         for l, j in ((-1, -3), (-3, -1)):
             with pytest.raises(ValueError, match="l and j must be nonnegative"):
@@ -1099,6 +1113,64 @@ class TestWindowedKernel:
         onedsums._recursion(c, (), 0)(c.index("0"), (), zero.lambda_coords, 6)
         windowed = onedsums._recursion(c, (), 0).cache_info().currsize
         assert windowed < whole
+
+
+def packed(coeffs, width):
+    """The kernel's packed form of a coefficient list: coefficient k in
+    bits [k * width, (k + 1) * width) of one int."""
+    return sum(c << width * k for k, c in enumerate(coeffs))
+
+
+UNPACK_PATHS = [False, True] if sys.byteorder == "little" else [False]
+
+
+class TestPackedValues:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pack_respace_unpack_round_trip(self, data):
+        narrow = data.draw(st.sampled_from([64, 128, 192, 320]), "narrow")
+        wide = narrow + 64 * data.draw(st.integers(1, 3), "extra")
+        slot = st.integers(0, (1 << narrow) - 1)
+        coeffs = data.draw(st.lists(slot, max_size=12), "coeffs")
+        coeffs.append(data.draw(st.integers(1, (1 << narrow) - 1), "top"))
+        coeffs = tuple(coeffs)
+        spread = onedsums._respace(packed(coeffs, narrow), narrow, wide)
+        assert spread == packed(coeffs, wide)
+        for native in UNPACK_PATHS:
+            assert onedsums._unpack(packed(coeffs, narrow), narrow, native) == coeffs
+            assert onedsums._unpack(spread, wide, native) == coeffs
+
+    @pytest.mark.parametrize("native", UNPACK_PATHS)
+    @pytest.mark.parametrize("width", [64, 128, 192, 320])
+    def test_full_slots_round_trip(self, width, native):
+        coeffs = ((1 << width) - 1, 0, 1, (1 << width) - 1)
+        assert onedsums._unpack(packed(coeffs, width), width, native) == coeffs
+        spread = onedsums._respace(packed(coeffs, width), width, width + 64)
+        assert onedsums._unpack(spread, width + 64, native) == coeffs
+
+    def test_slot_width_is_the_least_multiple_of_64_above_the_count_bound(self):
+        # A coefficient counts length-j tails, at most |B|^j <= 2^(j * bits),
+        # so a slot of more than j * bits bits never carries.
+        for bits in range(1, 9):
+            for j in range(300):
+                width = onedsums._slot_width(j, bits)
+                assert width % 64 == 0 and width - 64 <= j * bits < width, (bits, j)
+
+    @pytest.mark.parametrize("family,n,lengths", [("A1", 1, (63, 64, 65)), ("A1", 2, (31, 32, 33))])
+    def test_values_across_a_slot_widening(self, family, n, lengths):
+        # W(j) grows from 64 to 128 bits where j * bits reaches 64, so
+        # the middle length re-spaces its children.
+        c = perfect_crystal(family, n)
+        rec = onedsums._recursion(c, (), 3)
+        bits = (len(c) - 1).bit_length()
+        assert [onedsums._slot_width(j, bits) for j in lengths] == [64, 128, 128]
+        for j in lengths:
+            coords = min(tail_weight_support(c, j), key=lambda w: (sum(map(abs, w)), w))
+            mu = mu_from_weight(family, n, Weight(coords), j)
+            for b in c.elements:
+                whole = g_recursive(c, b, Weight(coords), j)
+                assert whole == g_closed_form(family, b, mu, j), (j, b)
+                assert rec(c.index(b), (), coords, j) == lowest(whole, 3), (j, b)
 
 
 # The stringfn commands of the benchmark (type, rank, M), plus two

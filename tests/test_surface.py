@@ -114,6 +114,9 @@ def sweep_commands() -> list[list[str]]:
         ]
     # Window 2 is the first whose q-multinomials multiply binomials.
     commands.append(["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "2"])
+    # The benchmark's A1 rank 1 string function: its windows reach j = 64,
+    # where the kernel's coefficient slots widen from 64 to 128 bits.
+    commands.append(["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "30"])
     return commands
 
 
