@@ -32,7 +32,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .crystals import PerfectCrystal, perfect_crystal, verify_perfect
-from .demazure import character_by_operators, character_by_paths, demazure_schedule
+from .demazure import (
+    character_by_operators,
+    character_by_paths,
+    demazure_schedule,
+    operator_characters,
+)
 from .formulas import verify_type
 from .onedsums import (
     StabilizationGuardError,
@@ -141,11 +146,12 @@ def _json_text(obj) -> str:
     is given, so the layout is written here: dicts with str keys, lists,
     tuples, strings, ints, bools and None by the stdlib's rules, and a
     ``FormalCharacter`` as the term list of its sorted int keys, one line
-    template per term.  Any other value goes to ``json.dumps``, with its
-    bytes or its TypeError.
+    template per term.  A character equal to one already written in obj
+    reuses that text, re-indented when it sits at another depth.  Any
+    other value goes to ``json.dumps``, with its bytes or its TypeError.
     """
     out: list[str] = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, [])
     out.append("\n")
     return "".join(out)
 
@@ -153,9 +159,10 @@ def _json_text(obj) -> str:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _write_json(obj, newline: str, out: list[str]) -> None:
+def _write_json(obj, newline: str, out: list[str], written: list) -> None:
     """Append the chunks of obj; ``newline`` is a newline plus the indent
-    of the line obj starts on."""
+    of the line obj starts on, and ``written`` holds (character, newline,
+    text) for each distinct character written so far."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
@@ -170,7 +177,7 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, written)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(obj, dict):
@@ -181,23 +188,33 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, value in obj.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, written)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, FormalCharacter):
-        _write_character(obj, newline, out)
+        out.append(_character_text(obj, newline, written))
     else:
         out.append(json.dumps(obj))
 
 
-def _write_character(chi: FormalCharacter, newline: str, out: list[str]) -> None:
+def _character_text(chi: FormalCharacter, newline: str, written: list) -> str:
+    """The term list of chi, or the text of an equal character written
+    before, with its newline-plus-indent swapped for this one."""
+    for other, at, text in written:
+        if other == chi:
+            return text if at == newline else text.replace(at, newline)
+    text = _format_character(chi, newline)
+    written.append((chi, newline, text))
+    return text
+
+
+def _format_character(chi: FormalCharacter, newline: str) -> str:
     """The term list of chi: per term ``{"weight": {"lambda": [coords],
     "delta": [delta, 1]}, "coeff": c}`` in sorted key order, each written
     by one %-template."""
     items = sorted(chi.to_keys().items())
     if not items:
-        out.append("[]")
-        return
+        return "[]"
     term = newline + "  "
     field = term + "  "
     part = field + "  "
@@ -208,7 +225,7 @@ def _write_character(chi: FormalCharacter, newline: str, out: list[str]) -> None
         + part + '"delta": [' + coord + "%d," + coord + "1" + part + "]"
         + field + "}," + field + '"coeff": %d' + term + "}"
     )
-    out.append("[" + ",".join([template % (*key, c) for key, c in items]) + newline + "]")
+    return "[" + ",".join([template % (*key, c) for key, c in items]) + newline + "]"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -482,11 +499,11 @@ def cmd_verify(args) -> int:
                     continue
                 k_max = args.kmax if args.kmax is not None else 2 * schedule.d
                 mismatches = []
-                for k in range(k_max + 1):
+                for k, by_operators in enumerate(operator_characters(schedule, k_max)):
                     chi = character_by_paths(schedule, k)
                     j, rest = divmod(k, schedule.d)
                     if (
-                        chi != character_by_operators(schedule, k)
+                        chi != by_operators
                         or chi != character_via_onedsums(schedule, k)
                         or (k and not rest and chi != character_at_full_segment(schedule, j))
                     ):

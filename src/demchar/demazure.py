@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .onedsums import _segment_character, _walker_terms
 from .paths import (
@@ -25,7 +26,7 @@ from .paths import (
     demazure_schedule,
     paths_at_step,
 )
-from .weights import FormalCharacter, demazure_step
+from .weights import FormalCharacter, demazure_step, pack_keys, unpack_keys
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ def demazure_paths(s: Schedule, k: int, method: str = "product") -> DemazureCrys
     method="recursion": grow from the bare ground state by lowering
     closures, one index at a time. Both constructions agree elementwise.
     """
-    if k < 0:
-        raise ValueError("steps must be nonnegative")
+    weyl_word = s.weyl_word(k)
     if method == "product":
         if k == 0:
             window, words = 0, {()}
@@ -64,7 +64,7 @@ def demazure_paths(s: Schedule, k: int, method: str = "product") -> DemazureCrys
         window, words = paths_at_step(s, k)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return DemazureCrystal(k, window, frozenset(words), s.weyl_word(k))
+    return DemazureCrystal(k, window, frozenset(words), weyl_word)
 
 
 def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
@@ -75,16 +75,33 @@ def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
     return _segment_character(s, j, a, _walker_terms(s.crystal, j - 1))
 
 
-def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
-    """Iterated Demazure operators on e^{weight of the ground state},
-    applied along the schedule's reflection word.  The k steps run on int
-    keys (``demazure_step``), starting from the ground-state key, and the
-    character keeps them."""
-    if k < 0:
-        raise ValueError("steps must be nonnegative")
+def _operator_terms(s: Schedule, word: tuple[int, ...]) -> Iterator[dict[int, int]]:
+    """The ground-state exponential as packed keys, then the terms after
+    each Demazure step along word in turn."""
     ct = s.crystal.cartan
     lam = s.ground.window_weight(0)
-    terms = {(*lam.lambda_coords, lam.delta_coord): 1}
-    for m in range(1, k + 1):
-        terms = demazure_step(ct, s.flat_index(m), terms)
-    return FormalCharacter(terms, _trusted=True)
+    terms = pack_keys(ct, {(*lam.lambda_coords, lam.delta_coord): 1})
+    yield terms
+    for i in word:
+        terms = demazure_step(ct, i, terms)
+        yield terms
+
+
+def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
+    """Iterated Demazure operators on e^{weight of the ground state},
+    applied along the schedule's reflection word.  The k steps run on
+    packed int keys (``demazure_step``), from the ground-state key packed
+    once; the character unpacks them once, into int keys."""
+    for terms in _operator_terms(s, s.weyl_word(k)[::-1]):
+        pass
+    return FormalCharacter(unpack_keys(s.crystal.cartan, terms), _trusted=True)
+
+
+def operator_characters(s: Schedule, k_max: int) -> Iterator[FormalCharacter]:
+    """``character_by_operators(s, k)`` for k = 0, 1, ..., k_max in turn,
+    read off one running sequence of k_max Demazure steps."""
+    ct = s.crystal.cartan
+    return (
+        FormalCharacter(unpack_keys(ct, terms), _trusted=True)
+        for terms in _operator_terms(s, s.weyl_word(k_max)[::-1])
+    )

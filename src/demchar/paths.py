@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .crystals import Element, PerfectCrystal, verify_perfect
 from .tensor import signature_scan
-from .weights import Weight, ascents
+from .weights import Weight, _require_count, ascents
 
 Word = tuple[Element, ...]
 
@@ -202,8 +202,7 @@ class Schedule:
     def decompose(self, k: int) -> tuple[int, int]:
         """Split a global step k >= 0 into (segment, step-in-segment).
         Step 0 is (1, 0): segment 1 before its first lowering."""
-        if k < 0:
-            raise ValueError("steps must be nonnegative")
+        _require_count(k, "steps")
         j = max(1, -(-k // self.d))
         return j, k - (j - 1) * self.d
 
@@ -213,8 +212,7 @@ class Schedule:
 
     def weyl_word(self, k: int) -> tuple[int, ...]:
         """Word of the Weyl element after k steps, newest reflection first."""
-        if k < 0:
-            raise ValueError("steps must be nonnegative")
+        _require_count(k, "steps")
         return tuple(self.flat_index(m) for m in range(k, 0, -1))
 
     def leading_sets(self, j: int) -> list[set[Element]]:

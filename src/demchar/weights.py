@@ -6,20 +6,35 @@ untwisted A, B, D and twisted A (odd and even) and D. Weights carry
 integer coordinates in the fundamental-weight basis plus a separate
 integer delta coordinate. All Weyl-group work runs on int coordinates
 and reads one int key per simple root, ``CartanType.simple_roots``:
-the Demazure operator ``demazure_step`` on int keys (*coordinates,
-delta), which ``FormalCharacter`` stores too; ``fold``, which reflects
-a point into a dominant chamber; and ``ascents``, which tests a
-reflection word for ascent in Bruhat length step by step on w(rho)
-(``paths.check_conditions``).
+``fold``, which reflects a point into a dominant chamber; ``ascents``,
+which tests a reflection word for ascent in Bruhat length step by step
+on w(rho) (``paths.check_conditions``); and the Demazure operator
+``demazure_step``.  ``FormalCharacter`` stores int keys (*coordinates,
+delta).
+
+``demazure_step`` runs on packed keys: one int per affine weight, each
+field of (*coordinates, delta) biased by 2**31 in its own 32-bit slot,
+coordinate 0 most significant, so int order is tuple order.  A step
+down an alpha_i-string subtracts the packed alpha_i, and the pairing
+with h_i is one shift and mask.  ``pack_keys`` and ``unpack_keys``
+convert at the edges; they raise ValueError on a field outside
+[-2**31, 2**31).  No field can leave its slot while the operator route
+steps: every key is a weight of V(lambda) for a level-1 lambda, so its
+coordinates grow at most linearly in the number of steps k and its
+delta at most quadratically (at A1 rank 1 and k = 60 they reach 61 and
+900).  A step that pushed a field past its slot would carry into the
+next field unseen, so ``demazure_step`` is only for keys whose walks
+stay inside the slots.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .qring import _integral
@@ -146,6 +161,17 @@ class CartanType:
         column i of the Cartan matrix, plus delta at node 0."""
         return tuple(
             (*(row[i] for row in self.matrix), 1 if i == 0 else 0) for i in self.index_set
+        )
+
+    @cached_property
+    def packed_roots(self) -> tuple[tuple[int, int], ...]:
+        """(shift, alpha_i) for each node i on packed keys: the bit offset
+        of coordinate i's slot, and alpha_i packed as a signed difference,
+        so that subtracting it from a packed key subtracts alpha_i."""
+        zero = _pack(self, (0,) * (self.size + 1))
+        return tuple(
+            ((self.size - i) * _SLOT_BITS, _pack(self, alpha) - zero)
+            for i, alpha in enumerate(self.simple_roots)
         )
 
     def fundamental_weight(self, i: int) -> Weight:
@@ -375,27 +401,67 @@ class FormalCharacter:
         return f"FormalCharacter({dict(sorted(self._coeffs.items()))!r})"
 
 
-def demazure_step(
-    ct: CartanType, i: int, terms: Mapping[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    """Demazure operator D_i on coefficients keyed by (*coordinates, delta).
+# ---------------------------------------------------------------------------
+# Packed keys (see the module docstring)
+
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_SLOT_BIAS = 1 << (_SLOT_BITS - 1)
+
+
+@cache
+def _slots(fields: int) -> tuple[struct.Struct, int]:
+    """The struct of ``fields`` big-endian signed 32-bit slots, and the
+    int with the top bit of each slot set.  A field f in range, biased to
+    f + 2**31, and xor-ed with that top bit is f's two's complement, so
+    the struct reads a packed key's fields back from its bytes."""
+    return (
+        struct.Struct(f">{fields}i"),
+        sum(_SLOT_BIAS << (_SLOT_BITS * slot) for slot in range(fields)),
+    )
+
+
+def _pack(ct: CartanType, key: tuple[int, ...]) -> int:
+    layout, flip = _slots(ct.size + 1)
+    try:
+        return int.from_bytes(layout.pack(*key), "big") ^ flip
+    except struct.error:
+        raise ValueError(f"key {key} does not fit 32-bit slots") from None
+
+
+def pack_keys(ct: CartanType, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+    """Terms keyed by int tuples (*coordinates, delta), keyed by packed ints."""
+    return {_pack(ct, key): c for key, c in terms.items()}
+
+
+def unpack_keys(ct: CartanType, terms: Mapping[int, int]) -> dict[tuple[int, ...], int]:
+    """Terms keyed by packed ints, keyed by int tuples (*coordinates, delta)."""
+    layout, flip = _slots(ct.size + 1)
+    unpack, width = layout.unpack, layout.size
+    return {unpack((key ^ flip).to_bytes(width, "big")): c for key, c in terms.items()}
+
+
+def demazure_step(ct: CartanType, i: int, terms: Mapping[int, int]) -> dict[int, int]:
+    """Demazure operator D_i on coefficients keyed by packed ints.
 
     On a single exponential with exponent mu, writing m for the pairing of
     mu + rho against h_i: the result is the sum of exponentials mu - t*alpha_i
     for 0 <= t < m when m > 0, zero when m = 0, and minus the sum of
     mu + t*alpha_i for 1 <= t <= -m when m < 0.  Zero coefficients are
-    dropped.  alpha_i is read from ``CartanType.simple_roots``.
+    dropped.  alpha_i and the slot of coordinate i are read from
+    ``CartanType.packed_roots``.
     """
-    alpha = ct.simple_roots[i]
-    out: dict[tuple[int, ...], int] = {}
+    shift, alpha = ct.packed_roots[i]
+    below = _SLOT_BIAS - 1
+    out: dict[int, int] = {}
     for mu, c in terms.items():
-        m = mu[i] + 1
+        m = (mu >> shift & _SLOT_MASK) - below
         if m > 0:
             for _ in range(m):
                 out[mu] = out.get(mu, 0) + c
-                mu = tuple(map(sub, mu, alpha))
+                mu -= alpha
         elif m < 0:
             for _ in range(-m):
-                mu = tuple(map(add, mu, alpha))
+                mu += alpha
                 out[mu] = out.get(mu, 0) - c
     return {key: c for key, c in out.items() if c}

@@ -16,7 +16,8 @@ weights read off the arrows), the lowering index of each schedule step
 by the per-family rule with its j-dependence spelled out (sharing no
 code with the ground-state cycle that carries the segment-1 word), the
 weight named by a closed-form parameter vector, the Demazure
-operator on a ``FormalCharacter``, the reflection identity of the
+operator on int-tuple keys and on a ``FormalCharacter`` (sharing no
+code with the library's step on packed keys), the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, the
 JSON layout of a character, and the marks and comarks written out per
 family (sharing no code with the kernel vectors read off the matrix).  Each is a slow, direct restatement
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
@@ -35,7 +36,7 @@ from demchar.formulas import _require_ints, rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
-from demchar.weights import CartanType, FormalCharacter, Weight, demazure_step
+from demchar.weights import CartanType, FormalCharacter, Weight
 
 Keys = Mapping[tuple[int, ...], int]
 
@@ -446,9 +447,28 @@ def key(w: Weight) -> tuple[int, ...]:
     return (*w.lambda_coords, w.delta_coord)
 
 
+def demazure_step(ct: CartanType, i: int, terms: Keys) -> dict[tuple[int, ...], int]:
+    """Demazure operator D_i on coefficients keyed by int tuples
+    (*coordinates, delta), one new tuple per term of each alpha_i-string:
+    the reference for ``weights.demazure_step`` on packed keys."""
+    alpha = ct.simple_roots[i]
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in terms.items():
+        m = mu[i] + 1
+        if m > 0:
+            for _ in range(m):
+                out[mu] = out.get(mu, 0) + c
+                mu = tuple(map(sub, mu, alpha))
+        elif m < 0:
+            for _ in range(-m):
+                mu = tuple(map(add, mu, alpha))
+                out[mu] = out.get(mu, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
 def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
     """Demazure operator D_i extended linearly over a formal character:
-    ``demazure_step`` on the int keys of chi."""
+    the tuple-key ``demazure_step`` above on the int keys of chi."""
     return FormalCharacter(demazure_step(ct, i, chi.to_keys()))
 
 

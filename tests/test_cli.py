@@ -557,9 +557,16 @@ class TestVerify:
     def test_character_suite_checks_full_segments(self, capsys, monkeypatch, route):
         # Each route is diffed against the path route: A1 2 has two steps
         # per segment, so the full-segment route runs at k = 2 and 4, the
-        # other two at every k.
+        # other two at every k.  The suite reads the operator route off one
+        # running sequence of steps, ``operator_characters``.
         mismatches = [2, 4] if route == "character_at_full_segment" else list(range(6))
-        monkeypatch.setattr(cli, route, lambda s, k: FormalCharacter({}))
+        if route == "character_by_operators":
+            monkeypatch.setattr(
+                cli, "operator_characters",
+                lambda s, k_max: (FormalCharacter({}) for _ in range(k_max + 1)),
+            )
+        else:
+            monkeypatch.setattr(cli, route, lambda s, k: FormalCharacter({}))
         code, out, _ = run(
             capsys, "verify", "character", "--type", "A1", "--rank", "2",
             "--kmax", "5",
@@ -736,6 +743,51 @@ class TestJsonWriter:
         with pytest.raises(TypeError) as ours:
             cli._json_text(obj)
         assert str(ours.value) == str(stdlib.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CHARACTERS, CHARACTERS)
+    def test_repeated_characters_match_stdlib(self, chi, other):
+        # Equal characters at other depths reuse one text, re-indented;
+        # a different one in between is written on its own.
+        obj = {"a": chi, "b": [other, {"c": chi}], "d": nest(chi, 3), "e": other}
+        want = {
+            "a": character_json_obj(chi),
+            "b": [character_json_obj(other), {"c": character_json_obj(chi)}],
+            "d": nest(character_json_obj(chi), 3),
+            "e": character_json_obj(other),
+        }
+        assert cli._json_text(obj) == json.dumps(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize("patched", ["character_by_operators", "character_by_paths"])
+    def test_unequal_routes_each_write_their_own_block(self, capsys, monkeypatch, patched):
+        # D1 4 at k = 12 is a full segment.  One route gives the k = 11
+        # character instead, so it differs from the other two, and the
+        # full-segment block repeats the unpatched route's text at the top
+        # level instead of under "characters".
+        crystal = perfect_crystal("D1", 4)
+        s = demazure_schedule(crystal, crystal.cartan.fundamental_weight(0))
+        route = getattr(cli, patched)
+        monkeypatch.setattr(cli, patched, lambda s, k: route(s, k - 1))
+        code, out, _ = run(
+            capsys, "character", "D1", "4", "--lambda", "L0", "--k", "12",
+            "--method", "both",
+        )
+        assert code == 3
+        obj = json.loads(out)
+        assert obj["equal"] is False
+        assert obj["full_segment_equal"] is (patched == "character_by_operators")
+        chars = {
+            "operators": character_by_operators(s, 12),
+            "paths": character_by_paths(s, 12),
+        }
+        chars[patched.rpartition("_")[2]] = route(s, 11)
+        assert chars["operators"] != chars["paths"]
+        obj["characters"] = {name: character_json_obj(chi) for name, chi in chars.items()}
+        obj["full_segment"] = character_json_obj(character_at_full_segment(s, 2))
+        assert out == json.dumps(obj, indent=2) + "\n"
+        for name, chi in chars.items():
+            block = json.dumps(character_json_obj(chi), indent=2).replace("\n", "\n    ")
+            assert f'"{name}": {block}' in out
 
     def test_bench_sized_character_matches_stdlib(self, capsys):
         # The largest character command of the benchmark.  The reference

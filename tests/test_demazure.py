@@ -16,7 +16,9 @@ from demchar.demazure import (
     check_conditions,
     demazure_paths,
     demazure_schedule,
+    operator_characters,
 )
+from demchar.onedsums import character_via_onedsums
 from demchar.paths import Schedule, schedule_words
 from demchar.weights import FormalCharacter
 
@@ -302,3 +304,48 @@ class TestCharacterDetails:
 
         monkeypatch.setattr(demazure, "demazure_paths", refuse)
         assert character_by_paths(s, k) == want
+
+    @pytest.mark.parametrize("family,n,node,k", [("B1", 3, 0, 30), ("A2even", 1, 1, 30)])
+    def test_operators_match_tuple_key_steps_at_large_k(self, family, n, node, k):
+        # Packed keys against the tuple-key reference step by step, far
+        # past the sizes the other tests reach.
+        s = make(family, n, node)
+        ct = s.crystal.cartan
+        chi = character_by_paths(s, 0)
+        for m in range(1, k + 1):
+            chi = demazure_op(ct, s.flat_index(m), chi)
+        assert character_by_operators(s, k) == chi
+
+    @pytest.mark.parametrize("family,n,node", [("D1", 4, 0), ("A1", 2, 0), ("D2", 2, 2)])
+    def test_running_operator_characters_match_each_k(self, family, n, node):
+        s = make(family, n, node)
+        k_max = 2 * s.d + 1
+        running = list(operator_characters(s, k_max))
+        assert running == [character_by_operators(s, k) for k in range(k_max + 1)]
+
+
+STEP_ROUTES = {
+    "Schedule.decompose": lambda s, k: s.decompose(k),
+    "Schedule.weyl_word": lambda s, k: s.weyl_word(k),
+    "character_by_paths": character_by_paths,
+    "character_by_operators": character_by_operators,
+    "character_via_onedsums": character_via_onedsums,
+    "demazure_paths": demazure_paths,
+    "operator_characters": operator_characters,
+}
+
+
+class TestStepCounts:
+    """Every route reads k through ``Schedule.decompose`` or
+    ``Schedule.weyl_word``, which check it once for all."""
+
+    @pytest.mark.parametrize("route", STEP_ROUTES)
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+    def test_non_int_rejected(self, route, bad):
+        with pytest.raises(ValueError, match=rf"^steps must be an int, got {bad!r}$"):
+            STEP_ROUTES[route](make("A1", 2, 0), bad)
+
+    @pytest.mark.parametrize("route", STEP_ROUTES)
+    def test_negative_rejected(self, route):
+        with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+            STEP_ROUTES[route](make("A1", 2, 0), -1)

@@ -112,6 +112,13 @@ def sweep_commands() -> list[list[str]]:
             ["decomp-search", *where, "--format", "csv"],
             ["decomp-search", *where, "--classical"],
         ]
+    # A full segment under --method both: the full-segment character is
+    # written at another indent than the equal ones under "characters".
+    commands += [
+        ["character", "D1", "4", "--lambda", "L0", "--k", "12", "--method", "both",
+         "--format", fmt]
+        for fmt in ("json", "csv")
+    ]
     # Window 2 is the first whose q-multinomials multiply binomials.
     commands.append(["verify", "formulas", "--type", "A1", "--rank", "1", "--jmax", "2"])
     # The benchmark's A1 rank 1 string function: its windows reach j = 64,

@@ -5,7 +5,7 @@ from itertools import combinations, islice, permutations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import (
@@ -13,6 +13,7 @@ from brute import (
     character_json_obj,
     combine,
     demazure_op,
+    demazure_step,
     finite_weyl_group,
     key,
     multiply,
@@ -30,7 +31,10 @@ from demchar.weights import (
     ascents,
     cartan_type,
     inverse,
+    pack_keys,
+    unpack_keys,
 )
+from demchar.weights import demazure_step as packed_step
 
 ALL_SMALL_TYPES = [
     ("A1", 1),
@@ -457,3 +461,67 @@ class TestDemazureOperator:
             (2, demazure_op(ct, 1, FormalCharacter({key(mu1): 1})).to_keys()),
             (-1, demazure_op(ct, 1, FormalCharacter({key(mu2): 1})).to_keys()),
         )
+
+
+# Packed-key slots hold fields in [-2**31, 2**31).  A stepped coordinate
+# sets its string length, so it stays small; the other fields reach to
+# within EDGE_ROOM of either slot edge, more than a string of 31 terms
+# can move them (|A[j][i]| <= 4), so a borrow or carry between slots
+# would show.
+EDGE = 2**31
+EDGE_ROOM = 200
+
+
+@st.composite
+def stepped_terms(draw):
+    """(family, n, node, terms): tuple-keyed terms of one of the small
+    types, with mixed signs and coordinates near the slot edges."""
+    family, n = draw(st.sampled_from(ALL_SMALL_TYPES))
+    ct = cartan_type(family, n)
+    i = draw(st.sampled_from(ct.index_set))
+    wide = (
+        st.integers(-30, 30)
+        | st.integers(-EDGE + EDGE_ROOM, EDGE - EDGE_ROOM)
+        | st.sampled_from([-EDGE + EDGE_ROOM, EDGE - EDGE_ROOM])
+    )
+    fields = [st.integers(-30, 30) if f == i else wide for f in range(ct.size + 1)]
+    terms = draw(st.dictionaries(st.tuples(*fields), st.integers(-3, 3), max_size=6))
+    return family, n, i, terms
+
+
+class TestPackedStep:
+    """``weights.demazure_step`` on packed keys against the tuple-key step
+    of ``tests/brute.py``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(stepped_terms())
+    @example(("A2even", 1, 1, {(EDGE - EDGE_ROOM, -30, -EDGE + EDGE_ROOM): 1}))
+    @example(("A1", 1, 0, {(30, -EDGE + EDGE_ROOM, EDGE - EDGE_ROOM): -2}))
+    def test_matches_tuple_key_reference(self, case):
+        family, n, i, terms = case
+        ct = cartan_type(family, n)
+        got = unpack_keys(ct, packed_step(ct, i, pack_keys(ct, terms)))
+        assert got == demazure_step(ct, i, terms)
+
+    @pytest.mark.parametrize("family,n", ALL_SMALL_TYPES)
+    def test_every_simple_root(self, family, n):
+        ct = cartan_type(family, n)
+        mixed = tuple((-1) ** f * (f + 1) for f in range(ct.size + 1))
+        terms = {mixed: 2, (0,) * (ct.size + 1): -1, ct.simple_roots[0]: 3}
+        for i in ct.index_set:
+            got = unpack_keys(ct, packed_step(ct, i, pack_keys(ct, terms)))
+            assert got == demazure_step(ct, i, terms), i
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-EDGE, EDGE - 1)] * 4), max_size=8, unique=True))
+    def test_packing_round_trips_in_tuple_order(self, keys):
+        ct = cartan_type("A1", 2)
+        packed = pack_keys(ct, dict.fromkeys(keys, 1))
+        assert list(unpack_keys(ct, packed)) == keys
+        assert list(unpack_keys(ct, dict.fromkeys(sorted(packed), 1))) == sorted(keys)
+
+    @pytest.mark.parametrize("bad", [EDGE, -EDGE - 1])
+    def test_field_outside_its_slot_rejected(self, bad):
+        ct = cartan_type("A1", 1)
+        with pytest.raises(ValueError, match="does not fit 32-bit slots"):
+            pack_keys(ct, {(0, bad, 0): 1})
