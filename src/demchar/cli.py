@@ -5,11 +5,11 @@ sums, tableau polynomials, string-function limits, verification suites,
 and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
 bytes; every command runs on one thread.  A --format the subcommand
-cannot write (verify writes JSON only), or a negative count bound,
-exits 2 before any work is done; an --out that cannot be written exits
-2 after it.  A window deeper than the interpreter stack allows exits 4
-on any subcommand, with a "guard:" line naming the subcommand and the
-recursion limit.
+cannot write (verify writes JSON only), a negative count bound, or an
+option of another verify suite exits 2 before any work is done; an
+--out that cannot be written exits 2 after it.  A window deeper than
+the interpreter stack allows exits 4 on any subcommand, with a "guard:"
+line naming the subcommand and the recursion limit.
 character computes at the requested weight; a node that is not scheduled
 borrows the words of a scheduled node through a diagram symmetry
 (demazure_schedule), recorded under "lambda" in the output.
@@ -475,6 +475,10 @@ def cmd_stringfn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Each of these options is read by one suite alone.
+    for option, suite in {"jmax": "formulas", "kmax": "character", "level": "perfect"}.items():
+        if suite != args.suite and getattr(args, option) is not None:
+            raise ConfigError(f"--{option} is an option of verify {suite}, not of verify {args.suite}")
     if args.suite == "formulas":
         if args.jmax is None:
             raise ConfigError("verify formulas needs --jmax")
@@ -525,17 +529,12 @@ def cmd_verify(args) -> int:
         }
         _emit(_json_text(obj), args.out)
         return EXIT_MISMATCH if failed else EXIT_OK
-    _require_at_least("--level", args.level, 1)
+    level = 1 if args.level is None else args.level
+    _require_at_least("--level", level, 1)
     crystal = _crystal(args.type, args.rank)
-    report = verify_perfect(crystal, args.level)
-    obj = {
-        "suite": "perfect",
-        "type": args.type,
-        "rank": args.rank,
-        "level": args.level,
-        "ok": report.ok,
-        "failures": list(report.failures),
-    }
+    report = verify_perfect(crystal, level)
+    obj = {"suite": "perfect", "type": args.type, "rank": args.rank, "level": level,
+           "ok": report.ok, "failures": list(report.failures)}
     _emit(_json_text(obj), args.out)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -654,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rank", type=int, required=True)
     v.add_argument("--jmax", type=int, help="window bound (formulas)")
     v.add_argument("--kmax", type=int, help="step bound (character)")
-    v.add_argument("--level", type=int, default=1, help="level (perfect)")
+    v.add_argument("--level", type=int, help="level (perfect; default 1)")
     v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser(

@@ -10,9 +10,11 @@ product is the cross term.  A2odd merges that pair into one part, split
 again by a q^2-binomial, and divides once by 1 + q^(g1+g1~) when the
 head letter is outside the pair.  The head-free part of each term (the
 counts, the q-multinomial and the quadratic exponent) is built once per
-(mu, j) and read under every head letter and pivot;
-``_closed_terms.cache_clear()`` frees it.  A verifier diffs the closed
-form against direct path enumeration and the recursive evaluation.
+(mu, j) and read under every head letter and pivot by one per-head sum
+(``_head_sum``); ``_closed_terms.cache_clear()`` frees it.  The verifier
+builds three tables per window length, keyed by (head letter, tail
+coords): tail enumeration, the recursion kernel and the closed form, and
+diffs them in one loop.
 """
 
 from __future__ import annotations
@@ -22,21 +24,13 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .crystals import PerfectCrystal, barred, perfect_crystal
-from .onedsums import g_enumerate_table, g_recursive, tail_weight_support
+# g_recursive is not called here; bench/test_bench.py reads formulas.g_recursive.
+from .onedsums import g_enumerate_table, g_recursive, g_recursive_table, tail_weight_support
 from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
 from .weights import FAMILIES, Weight, _is_int, _require_count
 
 Element = str
 MuParam = tuple[int, ...]
-
-
-def _require_ints(mu: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for value in mu:
-        if not _is_int(value):
-            raise ValueError(f"parameter vector entries must be ints, got {value!r}")
-        out.append(value)
-    return tuple(out)
 
 
 def rank_of(family: str, mu: Sequence[int]) -> int:
@@ -193,11 +187,14 @@ def g_closed_form(
     cross-term endpoint of B1 and D1 (only letter "0" admits a genuine
     choice).  The q-multinomial terms of a (mu, j) are built once and
     read under every head letter and pivot, which add only the head's
-    energy and the cross term to each term's exponent;
+    energy and the cross term to each term's exponent (``_head_sum``);
     ``_closed_terms.cache_clear()`` frees them.
     """
     _require_count(j, "window length")
-    mu = _require_ints(mu)
+    mu = tuple(mu)
+    for value in mu:
+        if not _is_int(value):
+            raise ValueError(f"parameter vector entries must be ints, got {value!r}")
     n = rank_of(family, mu)
     crystal = perfect_crystal(family, n)
     if b not in crystal:
@@ -205,71 +202,75 @@ def g_closed_form(
     if family == "A1" and sum(mu) != j:
         raise ValueError("letter counts must sum to the window length")
     k = _pivot_of(family, n, b, pivot)
-    s, sbar = (None, None) if k is None else (crystal.index(str(k)), crystal.index(barred(k)))
     divided = family == "A2odd" and b not in ("1", barred(1))
+    return _head_sum(crystal, _closed_terms(crystal, mu, j, divided), b, k)
+
+
+def _head_sum(crystal: PerfectCrystal, terms: tuple, b: Element, k: int | None) -> LaurentPoly:
+    """The closed form under head letter b from the head-free terms of a
+    (mu, j): each term's exponents move up by its quadratic exponent and
+    the head's energy row against its counts, and with a pivot k down by
+    the cross term count(k) count(k~)."""
+    s, sbar = (None, None) if k is None else (crystal.index(str(k)), crystal.index(barred(k)))
     energy_row = crystal.energy_table[crystal.index(b)]
     total: dict[int, int] = {}
-    for g, terms, quadratic in _closed_terms(crystal, mu, j, divided):
+    for g, pairs, quadratic in terms:
         shift = quadratic + sum(map(mul, energy_row, g))
         if k is not None:
             shift -= g[s] * g[sbar]
-        for exp, coeff in terms:
+        for exp, coeff in pairs:
             total[exp + shift] = total.get(exp + shift, 0) + coeff
-    return LaurentPoly(total)
+    return LaurentPoly({e: c for e, c in total.items() if c}, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
 # Verification report
 
 
-def _check_cell(
-    family: str,
-    crystal: PerfectCrystal,
-    b: Element,
-    weight: Weight,
-    mu: MuParam,
-    j: int,
-    enumerated: LaurentPoly,
-) -> dict | None:
-    closed = g_closed_form(family, b, mu, j)
-    recursive = g_recursive(crystal, b, weight, j)
-    values = {"closed": closed, "enumerate": enumerated, "recursive": recursive}
-    if family == "B1" and b == "0":
-        values["closed_other_pivot"] = g_closed_form(family, b, mu, j, pivot=1)
-    if all(v == closed for v in values.values()):
-        return None
-    return {
-        "b": b,
-        "mu": list(mu),
-        "j": j,
-        **{key: value.to_json_obj() for key, value in values.items()},
-    }
+def _closed_table(crystal: PerfectCrystal, j: int) -> tuple[dict, dict]:
+    """The closed form of every head letter and reachable tail weight of
+    length j, keyed by (b, coords) in the verifier's order, and B1's
+    column of letter "0" under the other pivot, 1.  mu is solved once per
+    support point and each (mu, j, variant) table read once."""
+    family, n = crystal.cartan.family, crystal.cartan.n
+    heads = [
+        (b, _pivot_of(family, n, b, None), family == "A2odd" and b not in ("1", barred(1)))
+        for b in crystal.elements
+    ]
+    variants = {divided for _, _, divided in heads}
+    closed, other = {}, {}
+    for coords in sorted(tail_weight_support(crystal, j)):
+        mu = crystal.letter_coordinates.solve(coords, j)
+        tables = {divided: _closed_terms(crystal, mu, j, divided) for divided in variants}
+        for b, k, divided in heads:
+            closed[b, coords] = _head_sum(crystal, tables[divided], b, k)
+        if family == "B1":
+            other["0", coords] = _head_sum(crystal, tables[False], "0", 1)
+    return closed, other
 
 
 def verify_type(family: str, j_max: int, rank: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
-    letter and every reachable window weight up to ``j_max``.  The
-    enumeration route lists the tails of each window length once and
-    reads every cell of that length from the one table."""
+    letter and every reachable window weight up to ``j_max``: per window
+    length, one loop over the tables ``_closed_table``,
+    ``g_enumerate_table`` and ``g_recursive_table``, which reports a cell
+    where any column differs with every column's value."""
     _require_count(j_max, "j_max")
     crystal = perfect_crystal(family, rank)
     cells = 0
     mismatches = []
     for j in range(j_max + 1):
-        table = g_enumerate_table(crystal, j)
-        for coords in sorted(tail_weight_support(crystal, j)):
-            weight = Weight(coords)
-            mu = mu_from_weight(family, rank, weight, j)
-            for b in crystal.elements:
-                cells += 1
-                enumerated = table.get((b, coords), ZERO)
-                entry = _check_cell(family, crystal, b, weight, mu, j, enumerated)
-                if entry is not None:
-                    mismatches.append(entry)
-    return {
-        "type": family,
-        "rank": rank,
-        "j_max": j_max,
-        "cells_checked": cells,
-        "mismatches": mismatches,
-    }
+        closed, other = _closed_table(crystal, j)
+        enumerated, recursive = g_enumerate_table(crystal, j), g_recursive_table(crystal, j)
+        cells += len(closed)
+        for key, value in closed.items():
+            if enumerated.get(key, ZERO) == value == recursive.get(key, ZERO) == other.get(key, value):
+                continue
+            values = {"closed": value, "enumerate": enumerated.get(key, ZERO),
+                      "recursive": recursive.get(key, ZERO)}
+            if key in other:
+                values["closed_other_pivot"] = other[key]
+            entry = {"b": key[0], "mu": list(crystal.letter_coordinates.solve(key[1], j)), "j": j}
+            mismatches.append({**entry, **{name: v.to_json_obj() for name, v in values.items()}})
+    return {"type": family, "rank": rank, "j_max": j_max, "cells_checked": cells,
+            "mismatches": mismatches}

@@ -20,34 +20,18 @@ additionally as Weyl alternating sums over the unrestricted one, which
 read the g kernel at each term.  The recursion route is one memoized
 kernel with one entry, ``_x_value``, for all three sums, on the
 crystal's int tables of letter weights, local energies and epsilons:
-``_recursion`` caches one memo per crystal, checked node set and window,
-so ``_recursion.cache_clear()`` frees every memo and ``cache_info()``
-counts them.  A kernel value is None (zero) or the lowest exponent with
-the coefficients from there up, packed into one int of fixed-width
-slots in the memo so that merging a child is one shift and add; the
-kernel's entry unpacks the value it answers into the dense coefficient
-tuple, and values become ``LaurentPoly`` only at the API edge.  Without
-a window, as in ``g_recursive`` and
-``x_recursive``, every coefficient is kept.  ``stabilized_limit`` reads
-only the lowest ``degree + 1`` coefficients, so it runs the kernel with
-that window: each memo entry keeps ``degree + 1`` coefficients, and the
-letters after a head are tried in order of a lower bound on their lowest
-exponent and skipped from the first one whose bound lies past the
-window; without a window they are tried in letter order, unsorted.
-With or without a window, the kernel holds the weight left for the
-tail in the crystal's letter coordinates, where every letter takes a
-short step, and skips a letter when the L1 norm left after it is more
-than the remaining letters can carry.  For the six level-1 families
-that rule is exact, so a memo without checked nodes holds no dead
-state; such a memo, as for every g, also runs no admissibility test.
-The enumeration route lists the tails depth first on the same tables
-and shares no other code or memo with the recursion route:
-``_walk_tails`` caches one read-only listing per
-crystal, length, start state and checked node set, which every head
-letter and end weight at that start reads, and
-``_walk_tails.cache_clear()`` frees the listings.  Likewise the Weyl sums
-fold the tail-weight support once per crystal, checked node set, start
-and length in the cached ``_weyl_terms``, freed by
+``_recursion`` caches one memo per crystal, checked node set and window
+(its docstring has the packed values, the window and the pruning in
+letter coordinates), so ``_recursion.cache_clear()`` frees every memo.
+Values become ``LaurentPoly`` only at the API edge.  The enumeration
+route lists the tails depth first on the same tables and shares no
+other code or memo with the recursion route: ``_walk_tails`` caches one
+read-only listing per crystal, length, start state and checked node
+set, freed by ``_walk_tails.cache_clear()``.  Each route also gives the
+g of every head and tail weight of one length as a table
+(``g_enumerate_table``, ``g_recursive_table``), for the verifier.  The
+Weyl sums fold the tail-weight support once per crystal, checked node
+set, start and length in the cached ``_weyl_terms``, freed by
 ``_weyl_terms.cache_clear()``.
 
 The scheduled characters are one segment sum over the leading letters
@@ -375,11 +359,27 @@ def g_enumerate_table(
     equals ``g_enumerate(crystal, b, Weight(coords), j)``."""
     _require_count(j, "length")
     terms = _walker_terms(crystal, j)
-    pairs: dict[tuple[Element, tuple[int, ...]], list] = {}
+    sums: dict[tuple[Element, tuple[int, ...]], Counter] = {}
     for b in crystal.elements:
         for coords, e, c in terms(b, j):
-            pairs.setdefault((b, coords), []).append((e, c))
-    return {key: LaurentPoly.from_terms(found) for key, found in pairs.items()}
+            sums.setdefault((b, coords), Counter())[e] += c
+    return {key: LaurentPoly(found, _trusted=True) for key, found in sums.items()}
+
+
+def g_recursive_table(
+    crystal: PerfectCrystal, j: int
+) -> dict[tuple[Element, tuple[int, ...]], LaurentPoly]:
+    """The nonzero g of every head letter and tail weight of length j,
+    read from the kernel with no level check as ``_kernel_terms`` does:
+    (b, coords) holds ``g_recursive(crystal, b, Weight(coords), j)``."""
+    _require_count(j, "length")
+    rec = _recursion(crystal, (), None)
+    table = {}
+    for coords in tail_weight_support(crystal, j):
+        for t, b in enumerate(crystal.elements):
+            if value := rec(t, (), coords, j):
+                table[b, coords] = _poly(value)
+    return table
 
 
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:

@@ -32,11 +32,11 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
-from demchar.formulas import _require_ints, rank_of
+from demchar.formulas import rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
-from demchar.weights import CartanType, FormalCharacter, Weight
+from demchar.weights import CartanType, FormalCharacter, Weight, _is_int
 
 Keys = Mapping[tuple[int, ...], int]
 
@@ -64,7 +64,10 @@ def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
     the other families by the letters 1..n.  A rank below the family's
     minimum raises the crystal's ValueError.
     """
-    mu = _require_ints(mu)
+    mu = tuple(mu)
+    for value in mu:
+        if not _is_int(value):
+            raise ValueError(f"parameter vector entries must be ints, got {value!r}")
     crystal = perfect_crystal(family, rank_of(family, mu))
     first = 0 if family == "A1" else 1
     total = Weight.zero(crystal.cartan.size)

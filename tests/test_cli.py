@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from brute import character_json_obj, demazure_op, key
@@ -580,7 +580,8 @@ class TestVerify:
             capsys, "verify", "perfect", "--type", "A2odd", "--rank", "3"
         )
         assert code == 0
-        assert json.loads(out)["ok"] is True
+        obj = json.loads(out)
+        assert (obj["level"], obj["ok"]) == (1, True)
 
     def test_unknown_suite(self, capsys):
         code, out, err = run(capsys, "verify", "nope", "--type", "A1", "--rank", "1")
@@ -633,6 +634,34 @@ def test_negative_bound_exits_2_before_any_work(capsys, monkeypatch, argv, optio
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {option} must be {BOUNDS[option]}, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "suite,option,owner",
+    [
+        ("formulas", "--kmax", "character"),
+        ("formulas", "--level", "perfect"),
+        ("character", "--jmax", "formulas"),
+        ("character", "--level", "perfect"),
+        ("perfect", "--jmax", "formulas"),
+        ("perfect", "--kmax", "character"),
+    ],
+)
+def test_option_of_another_verify_suite_exits_2_before_any_work(
+    capsys, monkeypatch, suite, option, owner
+):
+    # a bound the suite does not read would be silently ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_crystal", "verify_type", "verify_perfect"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = ["verify", suite, "--type", "A1", "--rank", "1", option, "3"]
+    if suite == "formulas":
+        argv += ["--jmax", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} is an option of verify {owner}, not of verify {suite}\n"
 
 
 @pytest.mark.parametrize(
@@ -716,6 +745,26 @@ CHARACTERS = st.integers(min_value=1, max_value=4).flatmap(
 ).map(FormalCharacter)
 
 
+# Hypothesis's explain phase reruns a failing example hundreds of times
+# under a line tracer, 35 s for one failing JSON writer test; the shrunk
+# example and the offset of its first difference say enough.
+WITHOUT_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+def assert_same_text(got: str, want: str, context: int = 60) -> None:
+    """Fail with the lengths and the first differing offset of two texts,
+    and a little context around it, rather than the whole texts: pytest's
+    diff of two texts of hundreds of KB takes minutes."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(0, at - context)
+    raise AssertionError(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)}):\n"
+        f"  got  {got[lo:at + context]!r}\n  want {want[lo:at + context]!r}"
+    )
+
+
 def nest(value, depth):
     """value placed ``depth`` containers deep, alternating dict and list."""
     for level in range(depth):
@@ -724,17 +773,17 @@ def nest(value, depth):
 
 
 class TestJsonWriter:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(JSON_VALUES)
     def test_matches_stdlib_bytes(self, obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        assert_same_text(cli._json_text(obj), json.dumps(obj, indent=2) + "\n")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(CHARACTERS, st.integers(min_value=0, max_value=3))
     @example(FormalCharacter({}), 1)
     def test_characters_match_reference_layout(self, chi, depth):
         want = json.dumps(nest(character_json_obj(chi), depth), indent=2) + "\n"
-        assert cli._json_text(nest(chi, depth)) == want
+        assert_same_text(cli._json_text(nest(chi, depth)), want)
 
     @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [object()]])
     def test_unserializable_raises_as_stdlib(self, obj):
@@ -744,7 +793,7 @@ class TestJsonWriter:
             cli._json_text(obj)
         assert str(ours.value) == str(stdlib.value)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(CHARACTERS, CHARACTERS)
     def test_repeated_characters_match_stdlib(self, chi, other):
         # Equal characters at other depths reuse one text, re-indented;
@@ -756,7 +805,7 @@ class TestJsonWriter:
             "d": nest(character_json_obj(chi), 3),
             "e": character_json_obj(other),
         }
-        assert cli._json_text(obj) == json.dumps(want, indent=2) + "\n"
+        assert_same_text(cli._json_text(obj), json.dumps(want, indent=2) + "\n")
 
     @pytest.mark.parametrize("patched", ["character_by_operators", "character_by_paths"])
     def test_unequal_routes_each_write_their_own_block(self, capsys, monkeypatch, patched):
@@ -784,7 +833,7 @@ class TestJsonWriter:
         assert chars["operators"] != chars["paths"]
         obj["characters"] = {name: character_json_obj(chi) for name, chi in chars.items()}
         obj["full_segment"] = character_json_obj(character_at_full_segment(s, 2))
-        assert out == json.dumps(obj, indent=2) + "\n"
+        assert_same_text(out, json.dumps(obj, indent=2) + "\n")
         for name, chi in chars.items():
             block = json.dumps(character_json_obj(chi), indent=2).replace("\n", "\n    ")
             assert f'"{name}": {block}' in out
@@ -809,7 +858,7 @@ class TestJsonWriter:
             character_at_full_segment(s, 24 // s.d)
         )
         assert len(obj["full_segment"]) > 1000
-        assert out == json.dumps(obj, indent=2) + "\n"
+        assert_same_text(out, json.dumps(obj, indent=2) + "\n")
 
 
 class TestDeterminism:

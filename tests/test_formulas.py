@@ -413,22 +413,93 @@ class TestVerifier:
         assert report["mismatches"] == []
         assert walked == list(range(j_max + 1))
 
-    def test_disagreeing_route_is_reported(self, monkeypatch):
-        """A route off by one monomial in one cell yields exactly that
-        cell as a mismatch, with every route's value."""
-        real = formulas.g_recursive
+    @pytest.mark.parametrize("column", ["enumerate", "recursive", "closed", "closed_other_pivot"])
+    def test_disagreeing_route_is_reported(self, monkeypatch, column):
+        """A column off by one monomial in one cell yields exactly that
+        cell as a mismatch, with every column's value."""
+        crystal = perfect_crystal("B1", 3)
+        cell = ("0", (0, 0, 0, 0))
+        name, part = {
+            "enumerate": ("g_enumerate_table", None),
+            "recursive": ("g_recursive_table", None),
+            "closed": ("_closed_table", 0),
+            "closed_other_pivot": ("_closed_table", 1),
+        }[column]
+        real = getattr(formulas, name)
 
-        def skewed(crystal, b, weight, j):
-            value = real(crystal, b, weight, j)
-            if (b, weight.lambda_coords, j) == ("0", (0, 0), 2):
-                return value + LaurentPoly.monomial(1, 7)
-            return value
+        def skewed(crystal, j):
+            tables = real(crystal, j)
+            if j == 2:
+                table = tables if part is None else tables[part]
+                table[cell] = table.get(cell, ZERO) + LaurentPoly.monomial(1, 7)
+            return tables
 
-        monkeypatch.setattr(formulas, "g_recursive", skewed)
-        report = verify_type("A1", 2, 1)
-        assert [(m["b"], m["j"]) for m in report["mismatches"]] == [("0", 2)]
+        monkeypatch.setattr(formulas, name, skewed)
+        report = verify_type("B1", 2, 3)
+        mu = crystal.letter_coordinates.solve(cell[1], 2)
+        assert [(m["b"], m["mu"], m["j"]) for m in report["mismatches"]] == [("0", list(mu), 2)]
         [entry] = report["mismatches"]
-        assert entry["closed"] == entry["enumerate"] != entry["recursive"]
+        columns = ["closed", "enumerate", "recursive", "closed_other_pivot"]
+        assert list(entry) == ["b", "mu", "j", *columns]
+        want = g_closed_form("B1", "0", mu, 2)
+        assert want
+        for key in columns:
+            value = want + LaurentPoly.monomial(1, 7) if key == column else want
+            assert entry[key] == value.to_json_obj(), key
+
+    def test_tables_share_no_route_code(self, monkeypatch):
+        # Each table gives its values with the other two routes' cores
+        # patched to raise: the tail walker, the recursion kernel and the
+        # closed form's q-multinomial terms.
+        crystal, j = perfect_crystal("B1", 3), 3
+        support = tail_weight_support(crystal, j)
+        want = {
+            (b, coords): g_enumerate(crystal, b, Weight(coords), j)
+            for coords in support
+            for b in crystal.elements
+        }
+        assert any(want.values())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("another route's code ran")
+
+        def closed():
+            table, other = formulas._closed_table(crystal, j)
+            assert other == {("0", coords): want["0", coords] for coords in support}
+            return table
+
+        cores = {"enumerate": (onedsums, "_walk_tails"), "recursive": (onedsums, "_recursion"),
+                 "closed": (formulas, "_closed_terms")}
+        tables = {
+            "enumerate": lambda: onedsums.g_enumerate_table(crystal, j),
+            "recursive": lambda: onedsums.g_recursive_table(crystal, j),
+            "closed": closed,
+        }
+        for name, table in tables.items():
+            for module, core in cores.values():
+                getattr(module, core).cache_clear()
+            with monkeypatch.context() as m:
+                for other, (module, core) in cores.items():
+                    if other != name:
+                        m.setattr(module, core, refuse)
+                got = table()
+            assert {cell: got.get(cell, ZERO) for cell in want} == want, name
+
+    def test_verifier_runs_no_boundary_rule_and_builds_no_weight(self, monkeypatch):
+        # The recursion column reads the kernel directly: no Weight, and
+        # no _restricted, the boundary rule the x routes share.
+        verify_type("D2", 2, 2)
+        onedsums._recursion.cache_clear()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(onedsums, "_restricted", counting)
+        monkeypatch.setattr(Weight, "__post_init__", counting)
+        report = verify_type("D2", 3, 2)
+        assert report["cells_checked"] > 0 and report["mismatches"] == []
+        assert calls == []
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
@@ -443,8 +514,9 @@ class TestVerifier:
 class TestClosedTerms:
     @pytest.mark.parametrize("family,rank,j_max", [("B1", 3, 3), ("A2odd", 3, 3)])
     def test_one_table_per_window_weight(self, family, rank, j_max):
-        """A cold verify_type builds each (mu, j) table, and for A2odd
-        each of its two variants, once; a second call builds none."""
+        """A cold verify_type builds and reads each (mu, j) table, and for
+        A2odd each of its two variants, once; a second call builds none
+        and reads each once more."""
         crystal = perfect_crystal(family, rank)
         keys = {
             (mu_from_weight(family, rank, weight, j), j, family == "A2odd" and b not in ("1", "1~"))
@@ -458,11 +530,11 @@ class TestClosedTerms:
         info = formulas._closed_terms.cache_info()
         assert first["mismatches"] == []
         assert info.misses == info.currsize == len(keys)
-        assert info.hits > 0
+        assert info.hits == 0
         assert verify_type(family, j_max, rank) == first
         again = formulas._closed_terms.cache_info()
         assert (again.misses, again.currsize) == (info.misses, info.currsize)
-        assert again.hits > info.hits
+        assert again.hits == len(keys)
 
     @pytest.mark.parametrize("family,mu,j,divided", [
         ("B1", (1, 0, -1), 3, False),

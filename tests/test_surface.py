@@ -58,6 +58,9 @@ ALLOWED = {
     "crystals.PerfectCrystal.phi": "paper check: the string lengths GroundState._units reads",
     "onedsums.is_admissible": "bench/workloads.py selects its restricted queries with it",
     "qring.LaurentPoly.to_json_obj": "written only on a verify formulas mismatch",
+    "formulas.g_closed_form": "library API: one closed-form cell; verify formulas reads the same per-head sum from its table",
+    "formulas.rank_of": "library API: the rank a parameter vector implies, read by g_closed_form",
+    "formulas.mu_from_weight": "library API: a weight's parameter vector; verify formulas solves letter coordinates directly",
     "weights.CartanType.marks": "paper check: the null root as sum of marks times simple roots",
 }
 
