@@ -20,9 +20,10 @@ additionally as Weyl alternating sums over the unrestricted one, which
 read the g kernel at each term.  The recursion route is one memoized
 kernel with one entry, ``_x_value``, for all three sums, on the
 crystal's int tables of letter weights, local energies and epsilons:
-``_recursion`` caches one memo per crystal, checked node set and window
-(its docstring has the packed values, the window and the pruning in
-letter coordinates), so ``_recursion.cache_clear()`` frees every memo.
+``_recursion`` caches one memo per crystal and checked node set, for
+capped and uncapped reads (its docstring has the packed values, the cap
+and the pruning in letter coordinates), so ``_recursion.cache_clear()``
+frees every memo.
 Values become ``LaurentPoly`` only at the API edge.  The enumeration
 route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import inf
 from operator import add, le, sub
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
@@ -112,15 +113,16 @@ def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -
 
 
 @cache
-def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None):
+def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     """Memoized recursion on the head letter, shared by g, x and xbar.
 
-    ``rec(t, fit, rest, j)`` sums q^energy over the length-j tails after
-    letter index t: ``fit`` is the running state at the nodes ``idx``,
-    which must admit each letter's epsilons, and ``rest`` is the weight
-    the tail must still carry.  A value is None (zero) or ``(low,
-    coeffs)``: the lowest exponent and the dense coefficients from there
-    up to the highest nonzero one.  Each ``rec`` keeps its own memo, so
+    ``rec(t, fit, rest, j, cap)`` sums q^energy over the length-j tails
+    after letter index t, at exponents up to ``cap`` (all when None):
+    ``fit`` is the running state at the nodes ``idx``, which must admit
+    each letter's epsilons, and ``rest`` is the weight the tail must
+    still carry.  A value is None (zero) or ``(low, coeffs)``: the lowest
+    exponent and the dense coefficients from there up to the highest
+    nonzero one.  Each ``rec`` keeps its own memo, so
     ``_recursion.cache_clear()`` drops them all.
 
     The memo holds a value as ``(low, packed)``: coefficient k sits in
@@ -134,18 +136,17 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     (``_respace``) only at the few lengths where W(j - 1) != W(j).
     ``rec`` unpacks the value it answers once (``_unpack``).
 
-    With a ``window`` M only the coefficients at low .. low + M are kept,
-    by masking the packed sum to its lowest M + 1 slots.
-    That is exact, because every coefficient counts words: nothing
-    cancels, and a term within M of the root's lowest exponent comes from
-    inner terms within M of their own lowest ones.  The letters after t
-    are tried in order of the lower bound j * H(t, u) + floor[j-1][u] on
-    their lowest exponent, where floor[m][u] is the least energy of any
-    length-m tail after u, weights and admissibility ignored; the first
-    letter whose bound lies past the lowest exponent found plus M ends
-    the loop.  The order is built once per ``(t, j)``.  Without a window
-    every coefficient is kept, so no bound could end the loop: the
-    letters are tried in letter order, with no floor table and no sort.
+    A capped state asks the letter u after t for cap - j H(t, u) and
+    masks its sum at the cap: exact, since every coefficient counts words
+    and nothing cancels.  It tries the letters in order of the bound j
+    H(t, u) + floor[j-1][u] on their lowest exponent, floor[m][u] being
+    the least energy of any length-m tail after u, and stops at the first
+    bound past the cap; an uncapped state tries them in letter order.
+    Uncapped values are kept apart from capped ones, which carry their
+    cap: a capped read hits an uncapped value or one stored under a cap no
+    lower, and recomputes the state otherwise.  ``walk`` reads a child's
+    uncapped entry inline, with no Python call; any other read costs one
+    frame.
 
     Inside, the weight left for the tail is held in the crystal's letter
     coordinates (``PerfectCrystal.letter_coordinates``), in which every
@@ -164,7 +165,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     node the memo holds no dead state; with checked nodes a state can
     still be None when no tail fits.  With no checked node, as for every
     g, there is no epsilon test and ``fit`` stays the empty tuple.
-    ``cache_info()`` counts the states.
+    ``cache_info()`` counts the states and the capped states recomputed
+    under a higher cap.
     """
     table = crystal.letter_coordinates
     energy = crystal.energy_table
@@ -175,40 +177,47 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
     for u, (step, e, wt) in enumerate(zip(table.steps, crystal.epsilon_table, crystal.weight_table)):
         moves = tuple((k, s) for k, s in enumerate(step) if s)
         rows.append((u, step, moves, tuple(e[i] for i in idx), tuple(wt[i] for i in idx)))
-    reach = inf if window is None else window
     floor = [[0] * len(energy)]
-    orders: dict[tuple[int, int], list] = {}
+    orders: dict[tuple[int, int, bool], list] = {}
+    full: dict[tuple, tuple | None] = {}
+    capped: dict[tuple, tuple[int, tuple | None]] = {}
+    known = full.get
+    redone = [0]
 
-    def order(t: int, j: int) -> list:
-        """(bound, head energy, *row) for the letters after t: in letter
-        order with no window, else by bound."""
-        h = energy[t]
-        if window is None:
-            orders[t, j] = [(0, j * h[u], *rows[u]) for u in letters]
-            return orders[t, j]
-        while len(floor) < j:
+    def order(t: int, j: int, sort: bool) -> list:
+        """(bound, head energy, *row) for the letters after t: by bound
+        when ``sort``, else in letter order."""
+        while sort and len(floor) < j:
             m, prev = len(floor), floor[-1]
             floor.append([min(m * g[v] + prev[v] for v in letters) for g in energy])
-        below = floor[j - 1]
-        orders[t, j] = sorted((j * h[u] + below[u], j * h[u], *rows[u]) for u in letters)
-        return orders[t, j]
+        h, below = energy[t], floor[j - 1 if sort else 0]
+        tried = [(j * h[u] + below[u], j * h[u], *rows[u]) for u in letters]
+        orders[t, j, sort] = sorted(tried) if sort else tried
+        return orders[t, j, sort]
 
-    @cache
-    def walk(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
+    def walk(key: tuple, cap: float) -> tuple | None:
+        """State ``key`` up to ``cap`` (inf for all), stored in the memo."""
+        t, fit, rest, j = key
         if j == 0:
-            return None if any(rest) else (0, 1)
+            full[key] = value = None if any(rest) else (0, 1)
+            return value
+        sort = cap < inf
+        if sort:
+            kept = capped.get(key)
+            if kept and kept[0] >= cap:
+                return kept[1]
         try:
-            tried = orders[t, j]
+            tried = orders[t, j, sort]
         except KeyError:
-            tried = order(t, j)
+            tried = order(t, j, sort)
         acc = 0
-        best = cut = inf
+        best = inf
         wide = _slot_width(j, bits)
         narrow = _slot_width(j - 1, bits)
         slack = (j - 1) * stride - sum(map(abs, rest))
         tight = slack < stride
         for bound, head, u, step, moves, e, gain in tried:
-            if bound > cut:
+            if bound > cap:
                 break
             if tight:
                 grow = 0
@@ -220,42 +229,58 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...], window: int | None
             if idx:
                 if not all(map(le, e, fit)):
                     continue
-                inner = walk(u, tuple(map(add, fit, gain)), tuple(map(sub, rest, step)), j - 1)
+                child = (u, tuple(map(add, fit, gain)), tuple(map(sub, rest, step)), j - 1)
             else:
-                inner = walk(u, fit, tuple(map(sub, rest, step)), j - 1)
+                child = (u, fit, tuple(map(sub, rest, step)), j - 1)
+            inner = known(child, full)  # the dict itself marks a miss
+            if inner is full:
+                inner = walk(child, cap - head)
             if inner is not None:
                 low, packed = inner
                 low += head
+                if sort and low > cap:
+                    continue
                 if narrow != wide:
                     packed = _respace(packed, narrow, wide)
                 if low < best:
-                    # What is summed so far moves up to the new lowest
-                    # exponent, or drops out when that puts it past the
-                    # window.
-                    acc = (acc << wide * (best - low) if acc and best - low <= reach else 0) + packed
+                    # What is summed so far moves up to the new lowest exponent.
+                    acc = (acc << wide * (best - low) if acc else 0) + packed
                     best = low
-                    cut = best + reach
-                elif low - best <= reach:
+                else:
                     acc += packed << wide * (low - best)
-        if not acc:
-            return None
-        if window is not None:
-            acc &= (1 << wide * (window + 1)) - 1
-        return best, acc
+        if sort and acc:
+            acc &= (1 << wide * (cap - best + 1)) - 1
+        value = (best, acc) if acc else None
+        if sort:
+            redone[0] += kept is not None
+            capped[key] = (cap, value)
+        else:
+            full[key] = value
+            if capped:
+                capped.pop(key, None)
+        return value
 
     convert = cache(table.coordinates)
 
-    def rec(t: int, fit: tuple, rest: tuple, j: int) -> tuple | None:
+    def rec(t: int, fit: tuple, rest: tuple, j: int, cap: int | None = None) -> tuple | None:
         coords = convert(rest, j)
         if coords is None:
             return None
-        value = walk(t, fit, coords, j)
+        key = (t, fit, coords, j)
+        value = known(key, full)
+        if value is full:
+            value = walk(key, inf if cap is None else cap)
         if value is None:
             return None
         low, packed = value
-        return low, _unpack(packed, _slot_width(j, bits))
+        width = _slot_width(j, bits)
+        if cap is not None:
+            if low > cap:
+                return None
+            packed &= (1 << width * (cap - low + 1)) - 1
+        return low, _unpack(packed, width)
 
-    rec.cache_info = walk.cache_info
+    rec.cache_info = lambda: SimpleNamespace(currsize=len(full) + len(capped), recomputed=redone[0])
     return rec
 
 
@@ -373,7 +398,7 @@ def g_recursive_table(
     read from the kernel with no level check as ``_kernel_terms`` does:
     (b, coords) holds ``g_recursive(crystal, b, Weight(coords), j)``."""
     _require_count(j, "length")
-    rec = _recursion(crystal, (), None)
+    rec = _recursion(crystal, ())
     table = {}
     for coords in tail_weight_support(crystal, j):
         for t, b in enumerate(crystal.elements):
@@ -517,17 +542,17 @@ def _x_value(
     j: int,
     classical: bool,
     indices: Sequence[int] | None,
-    window: int | None,
+    cap: int | None,
 ) -> tuple | None:
     """Kernel value of x, of xbar when classical, and of g with no
-    checked node."""
+    checked node, at exponents up to ``cap`` (all of them when None)."""
     setup = _restricted(crystal, b, xi, eta, j, classical, indices)
     if setup is None or setup[2] is None:
         return None
     idx, start, end = setup
-    rec = _recursion(crystal, idx, window)
+    rec = _recursion(crystal, idx)
     fit = tuple(start[i] for i in idx)
-    return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j)
+    return rec(crystal.index(b), fit, tuple(map(sub, end, start)), j, cap)
 
 
 def x_recursive(
@@ -588,7 +613,7 @@ def x_by_weyl_sum(
     if end is None:
         return ZERO
     target = tuple(end[i] + 1 for i in idx)
-    rec = _recursion(crystal, (), None)
+    rec = _recursion(crystal, ())
     t = crystal.index(b)
     total: Counter = Counter()
     for mu, sign, offset in _weyl_terms(crystal, idx, start, j).get(target, ()):
@@ -743,14 +768,14 @@ def stabilized_limit(
     (default 0; mu of another level raises ValueError). kind="x":
     branching of the product with a second highest weight xi toward
     eta. kind="xbar": classical branching toward the barred weight
-    eta.  Every kind reads the kernel entry
-    ``_x_value`` once per window, windowed to the degree; kind "g" reads
-    it from zero to mu with no checked node.  The window advances by the
-    period of the ground-state letter cycle, starting no earlier than
-    the requested degree; the result is returned once three consecutive
-    aligned truncations to that degree agree.  A single agreement is
-    not trusted: short windows can coincide by accident before the low
-    coefficients have saturated.
+    eta.  Every kind reads the kernel entry ``_x_value`` once per
+    window, capped at c(j) + degree less the delta-coordinate of mu; kind
+    "g" reads it from zero to mu with no checked node.  The window
+    advances by the period of the ground-state letter cycle, starting no
+    earlier than the requested degree; the result is returned once three
+    consecutive aligned truncations to that degree agree.  A single
+    agreement is not trusted: short windows can coincide by accident
+    before the low coefficients have saturated.
     """
     _require_count(degree, "degree")
     if not _is_int(max_j):
@@ -777,15 +802,12 @@ def stabilized_limit(
         "xbar": gs.window_weight,
     }[kind]
     shift = eta.delta_coord if kind == "g" else 0
-    # A negative delta-coordinate lowers every exponent, so the window
-    # must reach that much further up.
-    reach = degree + max(0, -shift)
 
     def value(j: int) -> LaurentPoly:
+        # The normalized exponent e + shift - c(j) is at most the degree.
+        cap = gs.c(j) + degree - shift
         try:
-            val = _x_value(
-                crystal, gs.bar(j + 1), start(j), eta, j, kind == "xbar", indices, reach
-            )
+            val = _x_value(crystal, gs.bar(j + 1), start(j), eta, j, kind == "xbar", indices, cap)
         except RecursionError as exc:
             raise StabilizationGuardError(
                 j,
@@ -797,13 +819,11 @@ def stabilized_limit(
         if val is None:
             return ZERO
         if val[0] < gs.c(j):
-            # The window reaches c(j) + degree only from a lowest
-            # exponent at or above c(j).
             raise ArithmeticError(
                 f"window {j}: lowest exponent {val[0]} lies below c(j) = "
-                f"{gs.c(j)}; the windowed kernel lacks terms up to degree {degree}"
+                f"{gs.c(j)}, the ground-state energy that normalizes it"
             )
-        return _poly(val, shift - gs.c(j)).truncate(degree)
+        return _poly(val, shift - gs.c(j))
 
     j = period * -(-degree // period)
     if j + 2 * period > max_j:
@@ -833,7 +853,7 @@ def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
     the tail-weight support, as (tail coords, energy, count).  It reads
     the kernel directly, with no level check: a tail weight is a sum of
     letter weights, and those have level zero."""
-    rec = _recursion(crystal, (), None)
+    rec = _recursion(crystal, ())
     t = crystal.index(b)
     for coords in tail_weight_support(crystal, m):
         value = rec(t, (), coords, m)

@@ -16,9 +16,10 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from brute import character_json_obj, demazure_op, key
+from oracles import colored_partition_counts
 
 import demchar
-from demchar import cli
+from demchar import cli, onedsums
 from demchar.cli import main
 from demchar.crystals import perfect_crystal
 from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
@@ -474,6 +475,18 @@ class TestStringFn:
         assert out == ""
         assert err.startswith("guard: window j = 1500 is deeper than the interpreter stack")
         assert "Traceback" not in err
+
+    def test_window_of_600_fits_the_stack(self, capsys):
+        # Each window level costs one interpreter frame, and a window
+        # recurses only below the states the windows before it stored.
+        try:
+            obj = run_json(
+                capsys, "stringfn", "--type", "A1", "--rank", "1",
+                "--lambda", "L0", "--M", "600", "--max-window", "2000",
+            )
+        finally:
+            onedsums._recursion.cache_clear()
+        assert obj["coefficients"] == colored_partition_counts(1, 600)
 
     def test_mu_of_nonzero_level_exits_2(self, capsys):
         code, out, err = run(

@@ -972,27 +972,26 @@ class TestStabilizedLimits:
 
 
 # ---------------------------------------------------------------------------
-# The windowed recursion kernel, against whole polynomials
+# The capped recursion kernel, against whole polynomials
 
 
-def lowest(p, m):
-    """The kernel form of p's lowest m + 1 coefficients, trimmed: None for
-    zero, else (lowest exponent, dense coefficients up to m above it)."""
+def cut(p, cap):
+    """The kernel form of p's terms at exponents up to cap (all with None):
+    None for none, else (lowest exponent, dense coefficients up to the
+    highest nonzero one kept)."""
+    if cap is not None:
+        p = p.truncate(cap)
     if not p:
         return None
-    low = int(next(p.terms())[0])
-    return trimmed((low, tuple(p.coeff(e) for e in range(low, low + m + 1))))
+    exps = [e for e, _ in p.terms()]
+    return exps[0], tuple(p.coeff(e) for e in range(exps[0], exps[-1] + 1))
 
 
-def trimmed(value):
-    """A kernel value without trailing zero coefficients: a windowed
-    value may end in zeros where the window cut later terms off."""
-    if value is None:
-        return None
-    low, coeffs = value
-    while coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return low, coeffs
+def caps_around(p):
+    """Every cap from below p's lowest exponent to above its highest; a
+    zero p has the caps around 0."""
+    exps = [e for e, _ in p.terms()] or [0]
+    return range(exps[0] - 1, exps[-1] + 2)
 
 
 def whole_polynomial_limit(kind, c, lam, degree, mu=None, xi=None, eta=None, max_j=64):
@@ -1026,15 +1025,22 @@ def whole_polynomial_limit(kind, c, lam, degree, mu=None, xi=None, eta=None, max
 class TestWindowedKernel:
     @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
     def test_g_keeps_the_lowest_coefficients(self, family, n):
+        """A capped g value is the whole value cut at the cap, for every
+        cap from below its lowest exponent to above its highest, each cap
+        read on a memo cleared before it."""
         c = perfect_crystal(family, n)
-        recs = [onedsums._recursion(c, (), m) for m in range(5)]
         for j in range(6):
+            cases = []
             for coords in sorted(tail_weight_support(c, j)):
                 for b in c.elements:
                     whole = g_recursive(c, b, Weight(coords), j)
-                    for m, rec in enumerate(recs):
-                        got = rec(c.index(b), (), coords, j)
-                        assert trimmed(got) == lowest(whole, m), (family, m, j, coords, b)
+                    cases.append((c.index(b), coords, whole, caps_around(whole)))
+            for cap in sorted({cap for *_, caps in cases for cap in caps}):
+                onedsums._recursion.cache_clear()
+                rec = onedsums._recursion(c, ())
+                for t, coords, whole, caps in cases:
+                    if cap in caps:
+                        assert rec(t, (), coords, j, cap) == cut(whole, cap), (family, cap, j, coords, t)
 
     @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
     @pytest.mark.parametrize("classical", [False, True], ids=["affine", "classical"])
@@ -1042,11 +1048,71 @@ class TestWindowedKernel:
         c = perfect_crystal(family, n)
         doms = list(dominant_classical_weights(c.cartan, 1))
         for j in range(6):
-            for b, xi, eta in itertools.product(c.elements, doms, doms):
-                whole = x_recursive(c, b, xi, eta, j, classical=classical)
-                for m in range(5):
-                    got = onedsums._x_value(c, b, xi, eta, j, classical, None, m)
-                    assert trimmed(got) == lowest(whole, m), (family, m, j, b, xi, eta)
+            cases = [
+                (b, xi, eta, x_recursive(c, b, xi, eta, j, classical=classical))
+                for b, xi, eta in itertools.product(c.elements, doms, doms)
+            ]
+            onedsums._recursion.cache_clear()
+            for b, xi, eta, whole in cases:
+                for cap in [*caps_around(whole), None]:
+                    got = onedsums._x_value(c, b, xi, eta, j, classical, None, cap)
+                    assert got == cut(whole, cap), (family, cap, j, b, xi, eta)
+
+    @pytest.mark.parametrize("family,n,j", [("A1", 2, 6), ("B1", 3, 5), ("D2", 2, 6), ("A2odd", 3, 4)])
+    def test_a_larger_cap_recomputes_what_a_smaller_one_stored(self, family, n, j):
+        """States filled under a small cap, then read under a larger cap
+        and uncapped, in either order, answer as a cold read does."""
+        c = perfect_crystal(family, n)
+        points = [(t, coords) for coords in sorted(tail_weight_support(c, j)) for t in range(len(c))]
+        low = min(
+            value[0]
+            for t, coords in points
+            if (value := onedsums._recursion(c, ())(t, (), coords, j)) is not None
+        )
+        small, large = low + 1, low + 2 * j
+
+        def read(cap):
+            rec = onedsums._recursion(c, ())
+            return [rec(t, (), coords, j, cap) for t, coords in points]
+
+        cold = {}
+        for cap in (small, large, None):
+            onedsums._recursion.cache_clear()
+            cold[cap] = read(cap)
+        assert cold[small] != cold[large] != cold[None]
+        for later in ([large, None], [None, large]):
+            onedsums._recursion.cache_clear()
+            assert read(small) == cold[small]
+            for cap in later:
+                assert read(cap) == cold[cap], (later, cap)
+                assert read(small) == cold[small], (later, cap)
+        onedsums._recursion.cache_clear()
+        read(small)
+        read(large)
+        assert onedsums._recursion(c, ()).cache_info().recomputed > 0
+
+    def test_stabilized_limits_along_every_delta_direction(self):
+        """A delta-coordinate d of mu multiplies the string function by
+        q^d, so the cap c(j) + degree - d reads d fewer or more
+        coefficients; every d from -2 to 3 gives the shifted partition
+        counts, and the whole-polynomial limit on every family."""
+        c = perfect_crystal("A1", 1)
+        lam = c.cartan.fundamental_weight(0)
+        for d in range(-2, 4):
+            for degree in range(5):
+                got = stabilized_limit("g", c, lam, degree, mu=Weight((0, 0), d))
+                want = poly([(k + d, partition_count(k)) for k in range(degree - d + 1)])
+                assert got == want, (d, degree)
+        for family, n in MINIMAL_RANKS:
+            c = perfect_crystal(family, n)
+            ct = c.cartan
+            lam = dominant_classical_weights(ct, 1)[0]
+            zero = Weight.zero(ct.size)
+            for d in range(-2, 4):
+                for mu in (Weight(zero.lambda_coords, d), Weight(simple_root(ct, ct.size - 1).lambda_coords, d)):
+                    for degree in (0, 2):
+                        want = whole_polynomial_limit("g", c, lam, degree, mu=mu)
+                        assert stabilized_limit("g", c, lam, degree, mu=mu) == want, (family, mu, degree)
 
     @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
     def test_limits_equal_whole_polynomial_truncations(self, family, n):
@@ -1093,26 +1159,32 @@ class TestWindowedKernel:
 
     @pytest.mark.parametrize(
         "family,n,degree,states",
-        [("A1", 2, 12, 4699), ("A1", 1, 30, 1865), ("A1", 3, 4, 1221), ("D1", 4, 3, 466), ("D2", 2, 6, 170)],
+        [("A1", 2, 12, 364), ("A1", 1, 30, 297), ("A1", 3, 4, 159), ("D1", 4, 3, 125), ("D2", 2, 6, 62)],
     )
     def test_string_function_memo_size_is_pinned(self, family, n, degree, states):
-        # The kernel sorts its letters only with a window, and tests
+        # The kernel sorts its letters only under a cap, and tests
         # epsilons only with checked nodes; either shortcut must leave
-        # the state set as it is.
+        # the state set as it is.  Under the sorted order no window asks
+        # a state for more than an earlier one stored.
         c = perfect_crystal(family, n)
         onedsums._recursion.cache_clear()
         stabilized_limit("g", c, c.cartan.fundamental_weight(0), degree)
-        assert onedsums._recursion(c, (), degree).cache_info().currsize == states
+        info = onedsums._recursion(c, ()).cache_info()
+        assert (info.currsize, info.recomputed) == (states, 0)
 
     def test_window_prunes_the_memo(self):
+        """A read capped at the lowest exponent leaves fewer states than
+        an uncapped one, and answers that lowest coefficient alone."""
         c = perfect_crystal("B1", 3)
         zero = Weight.zero(4)
         onedsums._recursion.cache_clear()
-        g_recursive(c, "0", zero, 6)
-        whole = onedsums._recursion(c, (), None).cache_info().currsize
-        onedsums._recursion(c, (), 0)(c.index("0"), (), zero.lambda_coords, 6)
-        windowed = onedsums._recursion(c, (), 0).cache_info().currsize
-        assert windowed < whole
+        whole = g_recursive(c, "0", zero, 6)
+        states = onedsums._recursion(c, ()).cache_info().currsize
+        onedsums._recursion.cache_clear()
+        low = next(whole.terms())[0]
+        got = onedsums._recursion(c, ())(c.index("0"), (), zero.lambda_coords, 6, low)
+        assert got == cut(whole, low)
+        assert onedsums._recursion(c, ()).cache_info().currsize < states
 
 
 def packed(coeffs, width):
@@ -1161,16 +1233,18 @@ class TestPackedValues:
         # W(j) grows from 64 to 128 bits where j * bits reaches 64, so
         # the middle length re-spaces its children.
         c = perfect_crystal(family, n)
-        rec = onedsums._recursion(c, (), 3)
         bits = (len(c) - 1).bit_length()
         assert [onedsums._slot_width(j, bits) for j in lengths] == [64, 128, 128]
         for j in lengths:
             coords = min(tail_weight_support(c, j), key=lambda w: (sum(map(abs, w)), w))
             mu = mu_from_weight(family, n, Weight(coords), j)
-            for b in c.elements:
-                whole = g_recursive(c, b, Weight(coords), j)
+            wholes = [g_recursive(c, b, Weight(coords), j) for b in c.elements]
+            onedsums._recursion.cache_clear()
+            rec = onedsums._recursion(c, ())
+            for b, whole in zip(c.elements, wholes):
                 assert whole == g_closed_form(family, b, mu, j), (j, b)
-                assert rec(c.index(b), (), coords, j) == lowest(whole, 3), (j, b)
+                cap = next(whole.terms())[0] + 3
+                assert rec(c.index(b), (), coords, j, cap) == cut(whole, cap), (j, b)
 
 
 # The stringfn commands of the benchmark (type, rank, M), plus two
@@ -1259,7 +1333,7 @@ def full_segment_memo_size(family, n):
     s = demazure_schedule(c, c.cartan.fundamental_weight(0))
     onedsums._recursion.cache_clear()
     character_at_full_segment(s, 4)
-    return onedsums._recursion(c, (), None).cache_info().currsize
+    return onedsums._recursion(c, ()).cache_info().currsize
 
 
 class TestCharacterBridge:
@@ -1386,7 +1460,7 @@ class TestLetterCoordinates:
         c = perfect_crystal(family, n)
         for m in range(5):
             onedsums._recursion.cache_clear()
-            rec = onedsums._recursion(c, (), None)
+            rec = onedsums._recursion(c, ())
             for w in tail_weight_support(c, m):
                 for t in range(len(c)):
                     assert rec(t, (), w, m) is not None
