@@ -12,9 +12,9 @@ head letter is outside the pair.  The head-free part of each term (the
 counts, the q-multinomial and the quadratic exponent) is built once per
 (mu, j) and read under every head letter and pivot by one per-head sum
 (``_head_sum``); ``_closed_terms.cache_clear()`` frees it.  The verifier
-builds three tables per window length, keyed by (head letter, tail
-coords): tail enumeration, the recursion kernel and the closed form, and
-diffs them in one loop.
+builds two tables per window length, keyed by (head letter, tail
+coords), from tail enumeration and the recursion kernel, and diffs each
+closed-form cell against them as it is made.
 """
 
 from __future__ import annotations
@@ -227,10 +227,11 @@ def _head_sum(crystal: PerfectCrystal, terms: tuple, b: Element, k: int | None) 
 # Verification report
 
 
-def _closed_table(crystal: PerfectCrystal, j: int) -> tuple[dict, dict]:
+def _closed_table(crystal: PerfectCrystal, j: int) -> Iterator[tuple]:
     """The closed form of every head letter and reachable tail weight of
-    length j, keyed by (b, coords) in the verifier's order, and B1's
-    column of letter "0" under the other pivot, 1.  mu is solved once per
+    length j, one cell (key, value, other) at a time in the verifier's
+    order: key is (b, coords), and other is B1's value of letter "0"
+    under the other pivot, 1, and None elsewhere.  mu is solved once per
     support point and each (mu, j, variant) table read once."""
     family, n = crystal.cartan.family, crystal.cartan.n
     heads = [
@@ -238,38 +239,36 @@ def _closed_table(crystal: PerfectCrystal, j: int) -> tuple[dict, dict]:
         for b in crystal.elements
     ]
     variants = {divided for _, _, divided in heads}
-    closed, other = {}, {}
     for coords in sorted(tail_weight_support(crystal, j)):
         mu = crystal.letter_coordinates.solve(coords, j)
         tables = {divided: _closed_terms(crystal, mu, j, divided) for divided in variants}
         for b, k, divided in heads:
-            closed[b, coords] = _head_sum(crystal, tables[divided], b, k)
-        if family == "B1":
-            other["0", coords] = _head_sum(crystal, tables[False], "0", 1)
-    return closed, other
+            other = _head_sum(crystal, tables[False], b, 1) if (family, b) == ("B1", "0") else None
+            yield (b, coords), _head_sum(crystal, tables[divided], b, k), other
 
 
 def verify_type(family: str, j_max: int, rank: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
     letter and every reachable window weight up to ``j_max``: per window
-    length, one loop over the tables ``_closed_table``,
-    ``g_enumerate_table`` and ``g_recursive_table``, which reports a cell
-    where any column differs with every column's value."""
+    length, one loop over the closed-form cells of ``_closed_table`` as
+    they come, against the tables ``g_enumerate_table`` and
+    ``g_recursive_table``, which reports a cell where any column differs
+    with every column's value."""
     _require_count(j_max, "j_max")
     crystal = perfect_crystal(family, rank)
     cells = 0
     mismatches = []
     for j in range(j_max + 1):
-        closed, other = _closed_table(crystal, j)
         enumerated, recursive = g_enumerate_table(crystal, j), g_recursive_table(crystal, j)
-        cells += len(closed)
-        for key, value in closed.items():
-            if enumerated.get(key, ZERO) == value == recursive.get(key, ZERO) == other.get(key, value):
+        for key, value, other in _closed_table(crystal, j):
+            cells += 1
+            same = enumerated.get(key, ZERO) == value == recursive.get(key, ZERO)
+            if same and other in (None, value):
                 continue
             values = {"closed": value, "enumerate": enumerated.get(key, ZERO),
                       "recursive": recursive.get(key, ZERO)}
-            if key in other:
-                values["closed_other_pivot"] = other[key]
+            if other is not None:
+                values["closed_other_pivot"] = other
             entry = {"b": key[0], "mu": list(crystal.letter_coordinates.solve(key[1], j)), "j": j}
             mismatches.append({**entry, **{name: v.to_json_obj() for name, v in values.items()}})
     return {"type": family, "rank": rank, "j_max": j_max, "cells_checked": cells,

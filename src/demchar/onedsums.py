@@ -21,24 +21,26 @@ read the g kernel at each term.  The recursion route is one memoized
 kernel with one entry, ``_x_value``, for all three sums, on the
 crystal's int tables of letter weights, local energies and epsilons:
 ``_recursion`` caches one memo per crystal and checked node set, for
-capped and uncapped reads (its docstring has the packed values, the cap
-and the pruning in letter coordinates), so ``_recursion.cache_clear()``
-frees every memo.
+capped and uncapped reads (its docstring has the packed values, the cap,
+the node store that head letters share and the pruning in letter
+coordinates), so ``_recursion.cache_clear()`` frees every memo.
 Values become ``LaurentPoly`` only at the API edge.  The enumeration
 route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
 read-only listing per crystal, length, start state and checked node
-set, freed by ``_walk_tails.cache_clear()``.  Each route also gives the
-g of every head and tail weight of one length as a table
-(``g_enumerate_table``, ``g_recursive_table``), for the verifier.  The
-Weyl sums fold the tail-weight support once per crystal, checked node
-set, start and length in the cached ``_weyl_terms``, freed by
+set, freed by ``_walk_tails.cache_clear()``, counting each last letter
+in its parent.  Each route also gives the g of every head and tail
+weight of one length as a table (``g_enumerate_table``,
+``g_recursive_table``), for the verifier.  The Weyl sums fold the
+tail-weight support once per crystal, checked node set, start and
+length in the cached ``_weyl_terms``, freed by
 ``_weyl_terms.cache_clear()``.
 
 The scheduled characters are one segment sum over the leading letters
 of a step (``_segment_character``), read from either g source: the tail
 walker for ``demazure.character_by_paths``, the kernel for
-``character_via_onedsums`` and ``character_at_full_segment``.
+``character_via_onedsums`` and ``character_at_full_segment``.  Both
+yield groups (tail coords, shift, (energy, count) pairs).
 
 Also here: a search for f-string decompositions of the non-admissible
 set, the Kostka-Foulkes specialization over symmetric-power crystals,
@@ -55,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from math import inf
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from types import MappingProxyType, SimpleNamespace
 from typing import Sequence
 
@@ -122,7 +124,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     each letter's epsilons, and ``rest`` is the weight the tail must
     still carry.  A value is None (zero) or ``(low, coeffs)``: the lowest
     exponent and the dense coefficients from there up to the highest
-    nonzero one.  Each ``rec`` keeps its own memo, so
+    nonzero one.  Each ``rec`` keeps its own memo and node store, so
     ``_recursion.cache_clear()`` drops them all.
 
     The memo holds a value as ``(low, packed)``: coefficient k sits in
@@ -141,12 +143,15 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     and nothing cancels.  It tries the letters in order of the bound j
     H(t, u) + floor[j-1][u] on their lowest exponent, floor[m][u] being
     the least energy of any length-m tail after u, and stops at the first
-    bound past the cap; an uncapped state tries them in letter order.
-    Uncapped values are kept apart from capped ones, which carry their
-    cap: a capped read hits an uncapped value or one stored under a cap no
-    lower, and recomputes the state otherwise.  ``walk`` reads a child's
-    uncapped entry inline, with no Python call; any other read costs one
-    frame.
+    bound past the cap.  Uncapped values are kept apart from capped ones,
+    which carry their cap: a capped read hits an uncapped value or one
+    stored under a cap no lower, and recomputes the state otherwise.  An
+    uncapped state's children (u, fit + gain, rest - step, j - 1) do not
+    depend on its head t, only their shift j H(t, u) does: the first head
+    at a node (fit, rest, j) tests its letters and keeps each live child,
+    re-spaced, in the node store, and every head adds each with one
+    shift-add.  ``walk`` reads a child's uncapped entry inline, with no
+    Python call; any other read costs one frame.
 
     Inside, the weight left for the tail is held in the crystal's letter
     coordinates (``PerfectCrystal.letter_coordinates``), in which every
@@ -165,8 +170,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     node the memo holds no dead state; with checked nodes a state can
     still be None when no tail fits.  With no checked node, as for every
     g, there is no epsilon test and ``fit`` stays the empty tuple.
-    ``cache_info()`` counts the states and the capped states recomputed
-    under a higher cap.
+    ``cache_info()`` counts the states, the capped states recomputed
+    under a higher cap and the stored nodes.
     """
     table = crystal.letter_coordinates
     energy = crystal.energy_table
@@ -178,22 +183,22 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         moves = tuple((k, s) for k, s in enumerate(step) if s)
         rows.append((u, step, moves, tuple(e[i] for i in idx), tuple(wt[i] for i in idx)))
     floor = [[0] * len(energy)]
-    orders: dict[tuple[int, int, bool], list] = {}
+    orders: dict[tuple[int, int], list] = {}
     full: dict[tuple, tuple | None] = {}
     capped: dict[tuple, tuple[int, tuple | None]] = {}
+    nodes: dict[tuple, list] = {}
+    plain = [(0, 0, *row) for row in rows]  # an uncapped build: no bound, no head shift
     known = full.get
     redone = [0]
 
-    def order(t: int, j: int, sort: bool) -> list:
-        """(bound, head energy, *row) for the letters after t: by bound
-        when ``sort``, else in letter order."""
-        while sort and len(floor) < j:
+    def order(t: int, j: int) -> list:
+        """(bound, head energy, *row) for the letters after t, by bound."""
+        while len(floor) < j:
             m, prev = len(floor), floor[-1]
             floor.append([min(m * g[v] + prev[v] for v in letters) for g in energy])
-        h, below = energy[t], floor[j - 1 if sort else 0]
-        tried = [(j * h[u] + below[u], j * h[u], *rows[u]) for u in letters]
-        orders[t, j, sort] = sorted(tried) if sort else tried
-        return orders[t, j, sort]
+        h, below = energy[t], floor[j - 1]
+        orders[t, j] = sorted((j * h[u] + below[u], j * h[u], *rows[u]) for u in letters)
+        return orders[t, j]
 
     def walk(key: tuple, cap: float) -> tuple | None:
         """State ``key`` up to ``cap`` (inf for all), stored in the memo."""
@@ -201,21 +206,22 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         if j == 0:
             full[key] = value = None if any(rest) else (0, 1)
             return value
-        sort = cap < inf
-        if sort:
+        if cap < inf:
             kept = capped.get(key)
             if kept and kept[0] >= cap:
                 return kept[1]
-        try:
-            tried = orders[t, j, sort]
-        except KeyError:
-            tried = order(t, j, sort)
+            kids, tried = None, orders.get((t, j)) or order(t, j)
+        elif (kids := nodes.get(key[1:])) is None:
+            kids, tried = [], plain
+        else:
+            tried = ()
+        wide = _slot_width(j, bits)
+        if tried:
+            narrow = _slot_width(j - 1, bits)
+            slack = (j - 1) * stride - sum(map(abs, rest))
+            tight = slack < stride
         acc = 0
         best = inf
-        wide = _slot_width(j, bits)
-        narrow = _slot_width(j - 1, bits)
-        slack = (j - 1) * stride - sum(map(abs, rest))
-        tight = slack < stride
         for bound, head, u, step, moves, e, gain in tried:
             if bound > cap:
                 break
@@ -238,26 +244,38 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             if inner is not None:
                 low, packed = inner
                 low += head
-                if sort and low > cap:
+                if low > cap:
                     continue
                 if narrow != wide:
                     packed = _respace(packed, narrow, wide)
-                if low < best:
+                if kids is not None:
+                    kids.append((u, low, packed))
+                elif low < best:
                     # What is summed so far moves up to the new lowest exponent.
                     acc = (acc << wide * (best - low) if acc else 0) + packed
                     best = low
                 else:
                     acc += packed << wide * (low - best)
-        if sort and acc:
-            acc &= (1 << wide * (cap - best + 1)) - 1
-        value = (best, acc) if acc else None
-        if sort:
+        if kids is None:
+            if acc:
+                acc &= (1 << wide * (cap - best + 1)) - 1
+            value = (best, acc) if acc else None
             redone[0] += kept is not None
             capped[key] = (cap, value)
-        else:
-            full[key] = value
-            if capped:
-                capped.pop(key, None)
+            return value
+        if tried:
+            nodes[key[1:]] = kids
+        h = energy[t]
+        for u, low, packed in kids:
+            low += j * h[u]
+            if low < best:
+                acc = (acc << wide * (best - low) if acc else 0) + packed
+                best = low
+            else:
+                acc += packed << wide * (low - best)
+        full[key] = value = (best, acc) if acc else None
+        if capped:
+            capped.pop(key, None)
         return value
 
     convert = cache(table.coordinates)
@@ -280,7 +298,9 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             packed &= (1 << width * (cap - low + 1)) - 1
         return low, _unpack(packed, width)
 
-    rec.cache_info = lambda: SimpleNamespace(currsize=len(full) + len(capped), recomputed=redone[0])
+    rec.cache_info = lambda: SimpleNamespace(
+        currsize=len(full) + len(capped), recomputed=redone[0], nodes=len(nodes)
+    )
     return rec
 
 
@@ -320,50 +340,55 @@ def _walk_tails(
     coordinates at every node; a letter is taken only if its epsilon at
     every node of ``idx`` fits under the state.  Returns a read-only map
     from (first letter, end state) to the tail energies as (energy,
-    count) pairs, the first letter being None when j = 0.  The head term
-    j * H(head, first letter) is left to the reader of a bucket.  Cached
-    per crystal, length, start and checked nodes, so every head letter
-    and end weight at one start reads one listing;
-    ``_walk_tails.cache_clear()`` frees the listings.
+    count) pairs, the first letter being None when j = 0.  Each last
+    letter is counted in its parent's loop, one count per (first letter,
+    end state, energy).  The head term j * H(head, first letter) is left
+    to the reader of a bucket.  Cached per crystal, length, start and
+    checked nodes, so every head letter and end weight at one start
+    reads one listing; ``_walk_tails.cache_clear()`` frees the listings.
     """
     wts, energy, eps = crystal.weight_table, crystal.energy_table, crystal.epsilon_table
     rows = [
         (t, b, wts[t], tuple((i, eps[t][i]) for i in idx)) for t, b in enumerate(crystal.elements)
     ]
-    buckets: dict[tuple, Counter] = {}
+    # (first letter, end state, energy) -> count, in the order first met.
+    counts: dict[tuple, int] = {(None, start, 0): 1} if j == 0 else {}
 
-    def extend(depth: int, state: tuple[int, ...], first, prev: int, acc: int) -> None:
-        if depth == j:
-            buckets.setdefault((first, state), Counter())[acc] += 1
-            return
+    def extend(depth: int, state: tuple[int, ...], first, row: tuple[int, ...], acc: int) -> None:
+        # row holds H(previous letter, t): zeros before the first letter.
         scale = j - depth
+        if scale > 1:
+            for t, b, wt, checks in rows:
+                if not checks or all(e <= state[i] for i, e in checks):
+                    nxt = tuple(map(add, state, wt))
+                    extend(depth + 1, nxt, first if depth else b, energy[t], acc + scale * row[t])
+            return
+        # The last letter is counted here, with no call per tail.
         for t, b, wt, checks in rows:
-            if all(e <= state[i] for i, e in checks):
-                extend(
-                    depth + 1,
-                    tuple(map(add, state, wt)),
-                    b if depth == 0 else first,
-                    t,
-                    acc + scale * energy[prev][t] if depth else 0,
-                )
+            if not checks or all(e <= state[i] for i, e in checks):
+                key = (first if depth else b, tuple(map(add, state, wt)), acc + row[t])
+                counts[key] = counts.get(key, 0) + 1
 
-    extend(0, start, None, 0, 0)
-    return MappingProxyType({key: tuple(counts.items()) for key, counts in buckets.items()})
+    if j:
+        extend(0, start, None, (0,) * len(rows), 0)
+    buckets: dict[tuple, list] = {}
+    for (first, state, e), c in counts.items():
+        buckets.setdefault((first, state), []).append((e, c))
+    return MappingProxyType({key: tuple(pairs) for key, pairs in buckets.items()})
 
 
 def _head_terms(crystal: PerfectCrystal, buckets: MappingProxyType, b: Element, j: int):
-    """(end state, energy, count) of every head-b word, read from the
-    buckets of one listing of the length-j tails."""
-    for (first, state), counts in buckets.items():
-        shift = 0 if first is None else j * crystal.energy(b, first)
-        for e, c in counts:
-            yield state, e + shift, c
+    """(end state, head shift, (energy, count) pairs) of the head-b words,
+    one group per bucket of one listing of the length-j tails: a word's
+    energy is the head shift plus its tail energy."""
+    for (first, state), pairs in buckets.items():
+        yield state, 0 if first is None else j * crystal.energy(b, first), pairs
 
 
 def _walker_terms(crystal: PerfectCrystal, j: int):
     """The enumeration source of head sums of length j: one listing of
-    the length-j tails, read under each head letter as (tail coords,
-    energy, count)."""
+    the length-j tails, read under each head letter as groups (tail
+    coords, head shift, (energy, count) pairs)."""
     buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size, ())
     return partial(_head_terms, crystal, buckets)
 
@@ -386,8 +411,10 @@ def g_enumerate_table(
     terms = _walker_terms(crystal, j)
     sums: dict[tuple[Element, tuple[int, ...]], Counter] = {}
     for b in crystal.elements:
-        for coords, e, c in terms(b, j):
-            sums.setdefault((b, coords), Counter())[e] += c
+        for coords, shift, pairs in terms(b, j):
+            found = sums.setdefault((b, coords), Counter())
+            for e, c in pairs:
+                found[e + shift] += c
     return {key: LaurentPoly(found, _trusted=True) for key, found in sums.items()}
 
 
@@ -436,7 +463,7 @@ tail_weight_support.cache_info = _tail_weight_support.cache_info
 def _indices(crystal: PerfectCrystal, classical: bool, indices) -> tuple[int, ...]:
     ct = crystal.cartan
     if indices is None:
-        return tuple(ct.classical_index_set if classical else ct.index_set)
+        return ct.index_tuples[1 if classical else 0]
     for i in indices:
         if i not in ct.index_set:
             raise ValueError(f"node {i!r} is outside 0..{ct.n} of {crystal.name}")
@@ -497,10 +524,12 @@ def _restricted(
     idx = _indices(crystal, classical, indices)
     start, end = xi.lambda_coords, eta.lambda_coords
     if j >= 1 and idx:
-        head = tuple(map(sub, start, crystal.weight_table[crystal.index(b)]))
-        if not _fits(crystal, head, b, idx):
-            return None
-    gap = ct.level(xi) - ct.level(eta)
+        t = crystal.index(b)
+        wt, eps = crystal.weight_table[t], crystal.epsilon_table[t]
+        for i in idx:
+            if eps[i] > start[i] - wt[i]:
+                return None
+    gap = sum(map(mul, ct.comarks, map(sub, start, end)))
     if classical:
         shift, gap = divmod(gap, ct.comarks[0])
         end = (end[0] + shift, *end[1:])
@@ -528,9 +557,9 @@ def x_enumerate(
     if setup is None or setup[2] is None:
         return ZERO
     idx, start, end = setup
-    buckets = _walk_tails(crystal, j, start, idx)
+    groups = _head_terms(crystal, _walk_tails(crystal, j, start, idx), b, j)
     return LaurentPoly.from_terms(
-        (e, c) for state, e, c in _head_terms(crystal, buckets, b, j) if state == end
+        (e + shift, c) for state, shift, pairs in groups if state == end for e, c in pairs
     )
 
 
@@ -850,27 +879,27 @@ def stabilized_limit(
 
 def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
     """The recursion source of head sums: the kernel at every point of
-    the tail-weight support, as (tail coords, energy, count).  It reads
-    the kernel directly, with no level check: a tail weight is a sum of
-    letter weights, and those have level zero."""
+    the tail-weight support, one group (tail coords, lowest exponent,
+    (offset, count) pairs) per nonzero point.  It reads the kernel
+    directly, with no level check: a tail weight is a sum of letter
+    weights, and those have level zero."""
     rec = _recursion(crystal, ())
     t = crystal.index(b)
     for coords in tail_weight_support(crystal, m):
         value = rec(t, (), coords, m)
         if value is not None:
-            low, coeffs = value
-            for e, c in enumerate(coeffs, low):
-                yield coords, e, c
+            yield coords, value[0], enumerate(value[1])
 
 
 def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     """Character of the path set at step a of segment j, as a sum over
     its leading letters b of e^(lam_j + wt b) q^(j H(bbar(j+1), b)) times
-    the head-b sums of length j - 1, which ``terms(b, j - 1)`` yields as
-    (tail coords, energy, count); a term's delta-coordinate is c(j) minus
-    its whole energy.  Step a = 0 leads with the ground-state letter
-    bbar(j) alone and needs no closure: step 0 is (1, 0), and j whole
-    segments are (j + 1, 0)."""
+    the head-b sums of length j - 1, which ``terms(b, j - 1)`` yields in
+    groups (tail coords, shift, (energy, count) pairs) whose weight is
+    built once; a term's energy is the shift plus its own, and its
+    delta-coordinate is c(j) minus that.  Step a = 0 leads with the
+    ground-state letter bbar(j) alone and needs no closure: step 0 is
+    (1, 0), and j whole segments are (j + 1, 0)."""
     gs, crystal = s.ground, s.crystal
     cj = gs.c(j)
     above = gs.bar(j + 1)
@@ -880,9 +909,12 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     for b in leading:
         base = tuple(map(add, lam_j, crystal.weight_table[crystal.index(b)]))
         delta = cj - j * crystal.energy(above, b)
-        for coords, e, c in terms(b, j - 1):
-            key = (*map(add, base, coords), delta - e)
-            acc[key] = acc.get(key, 0) + c
+        for coords, shift, pairs in terms(b, j - 1):
+            wt = tuple(map(add, base, coords))
+            top = delta - shift
+            for e, c in pairs:
+                key = (*wt, top - e)
+                acc[key] = acc.get(key, 0) + c
     return FormalCharacter(acc, _trusted=True)
 
 

@@ -146,6 +146,11 @@ class CartanType:
         return range(1, self.size)
 
     @cached_property
+    def index_tuples(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The index set, then the classical index set, stored as tuples."""
+        return tuple(self.index_set), tuple(self.classical_index_set)
+
+    @cached_property
     def marks(self) -> tuple[int, ...]:
         """Primitive positive a with A a = 0 (Kac 4.8): delta = sum a_i alpha_i."""
         return _null_vector(self.matrix)

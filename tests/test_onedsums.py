@@ -167,11 +167,15 @@ def brute_x(c, b, xi, eta, j, tails, classical, idx):
     return poly(energies.items())
 
 
+# The two smallest alphabets, whose brute-force checks also reach j = 4, 5.
+WALKER_LENGTHS = {("A1", 1): 6, ("A2even", 1): 6}
+
+
 class TestTailWalker:
     @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
     def test_table_matches_brute_force(self, family, n):
         c = perfect_crystal(family, n)
-        for j in range(4):
+        for j in range(WALKER_LENGTHS.get((family, n), 4)):
             assert g_enumerate_table(c, j) == brute_g_table(c, j), (family, j)
 
     @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
@@ -189,7 +193,7 @@ class TestTailWalker:
         ]
         for classical, indices, idx, pairs in cases:
             for xi, etas in pairs:
-                for j in range(4):
+                for j in range(WALKER_LENGTHS.get((family, n), 4)):
                     tails = brute_admissible_tails(c, xi, j, classical, idx)
                     for b in c.elements:
                         for eta in etas:
@@ -1466,6 +1470,30 @@ class TestLetterCoordinates:
                     assert rec(t, (), w, m) is not None
             live = len(c) * sum(len(tail_weight_support(c, k)) for k in range(m + 1))
             assert rec.cache_info().currsize == live, m
+
+    @pytest.mark.parametrize("family,n", THREE_RANKS)
+    def test_node_store_cannot_change_an_answer(self, family, n):
+        """The children that every head letter at one node shares are
+        built by whichever head comes first: reading g at every head and
+        support point up to length 4 in letter order and in reverse gives
+        the same values and the same memo, with one stored node per live
+        (tail weight, length) of positive length."""
+        c = perfect_crystal(family, n)
+        reads = [
+            (t, w, m) for m in range(5) for w in sorted(tail_weight_support(c, m)) for t in range(len(c))
+        ]
+        seen = []
+        for order in (reads, reads[::-1]):
+            onedsums._recursion.cache_clear()
+            rec = onedsums._recursion(c, ())
+            assert rec.cache_info().nodes == 0
+            values = {(t, w, m): rec(t, (), w, m) for t, w, m in order}
+            seen.append((values, vars(rec.cache_info())))
+        assert seen[0] == seen[1]
+        live = sum(len(tail_weight_support(c, k)) for k in range(1, 5))
+        assert seen[0][1]["nodes"] == live
+        onedsums._recursion.cache_clear()
+        assert onedsums._recursion(c, ()).cache_info().nodes == 0
 
 
 # ---------------------------------------------------------------------------
