@@ -6,8 +6,8 @@ and the non-admissible-letter decomposition search.  Every command
 writes deterministic output: identical inputs give byte-identical
 bytes; every command runs on one thread.  A --format the subcommand
 cannot write (verify writes JSON only), a negative count bound, or an
-option of another verify suite exits 2 before any work is done; an
---out that cannot be written exits 2 after it.  A window deeper than
+option of another verify suite or onedsum kind exits 2 before any work
+is done; an --out that cannot be written exits 2 after it.  A window deeper than
 the interpreter stack allows exits 4 on any subcommand, with a "guard:"
 line naming the subcommand and the recursion limit.
 character computes at the requested weight; a node that is not scheduled
@@ -380,6 +380,10 @@ def cmd_character(args) -> int:
 
 
 def cmd_onedsum(args) -> int:
+    # Each weight option is read by one kind of sum alone.
+    for option, kinds in {"mu": "g", "xi": "x and xbar", "eta": "x and xbar"}.items():
+        if args.kind not in kinds.split(" and ") and getattr(args, option) is not None:
+            raise ConfigError(f"--{option} is an option of onedsum {kinds}, not of onedsum {args.kind}")
     _require_at_least("--j", args.j, 0)
     crystal = _crystal(args.type, args.rank)
     size = crystal.cartan.size
@@ -483,10 +487,7 @@ def cmd_verify(args) -> int:
         if args.jmax is None:
             raise ConfigError("verify formulas needs --jmax")
         _require_at_least("--jmax", args.jmax, 0)
-        try:
-            report = verify_type(args.type, args.jmax, args.rank)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        report = verify_type(_crystal(args.type, args.rank), args.jmax)
         _emit(_json_text(report), args.out)
         return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
     if args.suite == "character":

@@ -233,8 +233,7 @@ class LetterCoordinates:
     * any other alphabet keeps the fundamental-weight coordinates.
 
     In the first two the rule is exact: a weight passes exactly when m
-    letters sum to it.  There the coordinates are the closed form's
-    parameter vector (``formulas.mu_from_weight``).
+    letters sum to it; ``formulas.g_closed_form`` reads these coordinates.
     """
 
     nodes: tuple[int, ...]

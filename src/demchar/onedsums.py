@@ -491,6 +491,19 @@ def is_admissible(
     return _fits(crystal, xi.lambda_coords, b, _indices(crystal, classical, None))
 
 
+def _check_query(crystal: PerfectCrystal, b: Element, j: int, *weights: Weight) -> None:
+    """The argument checks of every window sum: ValueError unless j is a
+    nonnegative int, b a letter and each weight one coordinate per node."""
+    _require_count(j, "length")
+    if b not in crystal:
+        raise ValueError(f"{b!r} is not a letter of {crystal.name}")
+    size = crystal.cartan.size
+    for w in weights:
+        if len(w.lambda_coords) != size:
+            raise ValueError(f"weight {w} needs {size} coordinates, one per node of "
+                             f"{crystal.name}; it has {len(w.lambda_coords)}")
+
+
 def _restricted(
     crystal: PerfectCrystal,
     b: Element,
@@ -511,16 +524,8 @@ def _restricted(
     otherwise; a classical sum leaves node 0 free, so its end is eta
     with node 0 moved by the level gap over the comark of node 0, and
     None when that is not an integer."""
-    _require_count(j, "length")
-    if b not in crystal:
-        raise ValueError(f"{b!r} is not a letter of {crystal.name}")
+    _check_query(crystal, b, j, xi, eta)
     ct = crystal.cartan
-    for w in (xi, eta):
-        if len(w.lambda_coords) != ct.size:
-            raise ValueError(
-                f"weight {w} needs {ct.size} coordinates, one per node of "
-                f"{crystal.name}; it has {len(w.lambda_coords)}"
-            )
     idx = _indices(crystal, classical, indices)
     start, end = xi.lambda_coords, eta.lambda_coords
     if j >= 1 and idx:

@@ -15,7 +15,7 @@ written out per family in the same way (sharing no code with the
 weights read off the arrows), the lowering index of each schedule step
 by the per-family rule with its j-dependence spelled out (sharing no
 code with the ground-state cycle that carries the segment-1 word), the
-weight named by a closed-form parameter vector, the Demazure
+weight named by a vector of letter coordinates, the Demazure
 operator on int-tuple keys and on a ``FormalCharacter`` (sharing no
 code with the library's step on packed keys), the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, the
@@ -32,7 +32,6 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
-from demchar.formulas import rank_of
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
@@ -56,19 +55,20 @@ def reflect(ct: CartanType, w: Weight, i: int) -> Weight:
 
 
 def mu_to_weight(family: str, mu: Sequence[int]) -> Weight:
-    """The level-zero classical weight named by a parameter vector: the
-    sum of mu_k times the weight of letter k, the inverse of
-    ``formulas.mu_from_weight``.
+    """The level-zero classical weight named by a letter-coordinate
+    vector: the sum of mu_k times the weight of letter k, the inverse of
+    ``LetterCoordinates.solve``.
 
-    For "A1" the vector is indexed by the letters 0..n themselves; for
-    the other families by the letters 1..n.  A rank below the family's
-    minimum raises the crystal's ValueError.
+    For "A1" the vector is indexed by the letters 0..n themselves, so the
+    rank is its length less one; for the other families by the letters
+    1..n.  An unknown family or a rank below the family's minimum raises
+    the crystal's ValueError.
     """
     mu = tuple(mu)
     for value in mu:
         if not _is_int(value):
             raise ValueError(f"parameter vector entries must be ints, got {value!r}")
-    crystal = perfect_crystal(family, rank_of(family, mu))
+    crystal = perfect_crystal(family, len(mu) - 1 if family == "A1" else len(mu))
     first = 0 if family == "A1" else 1
     total = Weight.zero(crystal.cartan.size)
     for k, count in enumerate(mu, first):

@@ -76,7 +76,7 @@ def test_01_closed_forms_match_path_enumeration_every_cell():
     direct path enumeration (and the recursion) for every boundary
     letter and every reachable window weight, windows up to 4."""
     for family, rank in MINIMAL_RANKS:
-        report = verify_type(family, 4, rank)
+        report = verify_type(perfect_crystal(family, rank), 4)
         assert report["mismatches"] == [], (family, rank, report["mismatches"])
         assert report["cells_checked"] > 0
 

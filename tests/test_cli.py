@@ -678,6 +678,32 @@ def test_option_of_another_verify_suite_exits_2_before_any_work(
 
 
 @pytest.mark.parametrize(
+    "kind,option,owner",
+    [
+        ("g", "--xi", "x and xbar"),
+        ("g", "--eta", "x and xbar"),
+        ("x", "--mu", "g"),
+        ("xbar", "--mu", "g"),
+    ],
+)
+def test_weight_of_another_onedsum_kind_exits_2_before_any_work(
+    capsys, monkeypatch, kind, option, owner
+):
+    # a weight the kind does not read would be silently ignored, even
+    # one that does not parse
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_crystal", "_parse_weight"):
+        monkeypatch.setattr(cli, name, refuse)
+    weights = ["--mu", "0,0"] if kind == "g" else ["--xi", "L0", "--eta", "L0"]
+    argv = ["onedsum", kind, "--type", "A1", "--rank", "1", "--b", "0", "--j", "1", *weights]
+    code, out, err = run(capsys, *argv, option, "garbage")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} is an option of onedsum {owner}, not of onedsum {kind}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["character", "A1", "1", "--lambda", "L0", "--k", "3000", "--method", "paths"],

@@ -328,14 +328,15 @@ class TestRankChecks:
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         code = (
-            "from demchar.crystals import symmetric_crystal\n"
+            "from demchar.crystals import perfect_crystal, symmetric_crystal\n"
             "from demchar.formulas import verify_type\n"
-            "for call in (lambda: verify_type('A1', 1, True), lambda: symmetric_crystal(1.0, True)):\n"
+            "for call in (lambda: perfect_crystal('A1', True), lambda: symmetric_crystal(1.0, True)):\n"
             "    try:\n"
             "        call()\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
-            "print(verify_type('A1', 1, 1)['mismatches'], symmetric_crystal(1, 1).name)\n"
+            "report = verify_type(perfect_crystal('A1', 1), 1)\n"
+            "print(report['mismatches'], symmetric_crystal(1, 1).name)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env

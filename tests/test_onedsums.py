@@ -37,7 +37,7 @@ from oracles import (
 from demchar import cli, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.demazure import character_by_paths, demazure_schedule
-from demchar.formulas import g_closed_form, mu_from_weight
+from demchar.formulas import g_closed_form
 from demchar.onedsums import (
     StabilizationGuardError,
     character_at_full_segment,
@@ -1241,12 +1241,11 @@ class TestPackedValues:
         assert [onedsums._slot_width(j, bits) for j in lengths] == [64, 128, 128]
         for j in lengths:
             coords = min(tail_weight_support(c, j), key=lambda w: (sum(map(abs, w)), w))
-            mu = mu_from_weight(family, n, Weight(coords), j)
             wholes = [g_recursive(c, b, Weight(coords), j) for b in c.elements]
             onedsums._recursion.cache_clear()
             rec = onedsums._recursion(c, ())
             for b, whole in zip(c.elements, wholes):
-                assert whole == g_closed_form(family, b, mu, j), (j, b)
+                assert whole == g_closed_form(c, b, Weight(coords), j), (j, b)
                 cap = next(whole.terms())[0] + 3
                 assert rec(c.index(b), (), coords, j, cap) == cut(whole, cap), (j, b)
 

@@ -58,10 +58,8 @@ ALLOWED = {
     "crystals.PerfectCrystal.phi": "paper check: the string lengths GroundState._units reads",
     "onedsums.is_admissible": "bench/workloads.py selects its restricted queries with it",
     "qring.LaurentPoly.to_json_obj": "written only on a verify formulas mismatch",
-    "qring.LaurentPoly.truncate": "library API: a truncation to a degree; stabilized_limit caps the kernel at the degree instead",
-    "formulas.g_closed_form": "library API: one closed-form cell; verify formulas reads the same per-head sum from its table",
-    "formulas.rank_of": "library API: the rank a parameter vector implies, read by g_closed_form",
-    "formulas.mu_from_weight": "library API: a weight's parameter vector; verify formulas solves letter coordinates directly",
+    "qring.LaurentPoly.truncate": "the tests' reference truncation",
+    "formulas.g_closed_form": "the closed form's per-cell route, diffed against g_enumerate and g_recursive by the tests",
     "weights.CartanType.marks": "paper check: the null root as sum of marks times simple roots",
 }
 
@@ -144,6 +142,8 @@ def error_commands() -> list[tuple[int, list[str]]]:
         (2, ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2",
              "--mu", "0,0", "--method", "weyl"]),
         (2, ["verify", "formulas", "--type", "A1", "--rank", "1"]),
+        (2, ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "1",
+             "--mu", "0,0", "--xi", "garbage"]),
     ]
 
 
