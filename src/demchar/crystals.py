@@ -31,6 +31,7 @@ from .weights import (
     CartanType,
     Weight,
     _check_rank,
+    _is_int,
     _require_count,
     cartan_type,
     dominant_classical_weights,
@@ -285,10 +286,18 @@ class LetterCoordinates:
             parities.pop() if len(parities) == 1 else None,
         )
 
+    def _check(self, weight: Sequence[int], m: int | None) -> None:
+        """ValueError unless weight has one entry per node, and m is an int when ``counts``."""
+        if len(weight) != len(self.rows):
+            raise ValueError(f"weight {tuple(weight)} needs {len(self.rows)} entries, one per node")
+        if self.counts and not _is_int(m):
+            raise ValueError(f"the number of letters must be an int, got {m!r}")
+
     def solve(self, weight: Sequence[int], m: int | None) -> tuple[int, ...]:
         """The coordinates that stand for a weight, with m the number of
-        letters (read only when ``counts``).  Raises ValueError when the
-        weight lies off the letters' lattice or has nonzero level."""
+        letters (read only when ``counts``).  ValueError as in ``_check``,
+        and when the weight lies off the letters' lattice or has nonzero level."""
+        self._check(weight, m)
         v = [weight[i] for i in self.nodes]
         if self.counts:
             v.append(m)
@@ -304,7 +313,8 @@ class LetterCoordinates:
 
     def coordinates(self, weight: Sequence[int], m: int) -> tuple[int, ...] | None:
         """The coordinates of a weight that m letters may carry; None when
-        ``solve`` finds none or when the rule rules them out."""
+        ``solve`` finds none or the rule rules them out (``_check`` raises)."""
+        self._check(weight, m)
         try:
             coords = self.solve(weight, m)
         except ValueError:

@@ -72,7 +72,7 @@ def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
     delta-coordinates, read as the segment sum over one listing of the
     tails: the path set itself is never built."""
     j, a = s.decompose(k)
-    return _segment_character(s, j, a, _walker_terms(s.crystal, j - 1))
+    return _segment_character(s, j, a, _walker_terms)
 
 
 def _operator_terms(s: Schedule, word: tuple[int, ...]) -> Iterator[dict[int, int]]:

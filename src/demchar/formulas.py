@@ -7,31 +7,31 @@ the letter-count vectors of the window weight's letter coordinates
 multinomial.  ``g_closed_form`` takes the arguments of the other two g
 routes.  One loop evaluates all six families; a per-family table gives
 the letters left out of the quadratic exponent, its divisor and the
-q-base, and ``_head`` names the pair whose product is the cross term.
-A2odd merges that pair into one part, split again by a q^2-binomial,
-and divides once by 1 + q^(g1+g1~) when the head letter is outside the
-pair.  The head-free part of each term (the counts, the q-multinomial
-and the quadratic exponent) is built once per (mu, j) and read under
-every head letter and pivot by one per-head sum (``_head_sum``);
-``_closed_terms.cache_clear()`` frees it.  The verifier builds two
-tables per window length, keyed by (head letter, tail coords), from
-tail enumeration and the recursion kernel, and diffs each closed-form
-cell against them as it is made.
+q-base, and ``_closed_groups`` names the pair whose product is the cross
+term.  A2odd merges that pair into one part, split again by a
+q^2-binomial, and divides once by 1 + q^(g1+g1~) when the head letter is
+outside the pair.  The head-free part of each term is built once per
+(tail weight, j) and read under every head letter and pivot;
+``_closed_terms.cache_clear()`` frees it.  ``_closed_source`` is a g
+source like the tail walker and the kernel, yielding the same groups,
+so ``onedsums.g_sums`` and the segment sum read all three alike; the
+verifier diffs their per-head sums.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .crystals import Element, PerfectCrystal, barred, perfect_crystal
 # g_recursive is not called here; bench/test_bench.py reads formulas.g_recursive.
 from .onedsums import (
     _check_query,
-    g_enumerate_table,
+    _kernel_terms,
+    _walker_terms,
     g_recursive,
-    g_recursive_table,
+    g_sums,
     tail_weight_support,
 )
 from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
@@ -86,31 +86,21 @@ _SHAPES: dict[str, tuple[tuple[Element, ...], int, int]] = {
 }
 
 
-def _head(crystal: PerfectCrystal, b: Element) -> tuple[int | None, bool]:
-    """How head letter b reads the terms: the k whose pair k, k~ enters
-    the cross term (None when no pair does), and whether it takes A2odd's
-    division.  B1 and D1 take the endpoint n for "0" and the barred
-    letters and 1 for the others; for "0" either endpoint is claimed to
-    give the same value, and the verifier diffs 1."""
-    family, n = crystal.cartan.family, crystal.cartan.n
-    if family in ("B1", "D1"):
-        return (n if b == "0" or b.endswith("~") else 1), False
-    if family == "A2odd":
-        return 1, b not in ("1", barred(1))
-    return None, False
-
-
 @cache
 def _closed_terms(
-    crystal: PerfectCrystal, mu: tuple[int, ...], j: int, divided: bool
+    crystal: PerfectCrystal, coords: tuple[int, ...], j: int, divided: bool
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...], int], ...]:
-    """The head-free part of the closed form at (mu, j): per letter-count
-    vector, its counts in element order, its q-multinomial as
-    (exponent, coefficient) pairs and its quadratic exponent, already
-    divided by the family's divisor.  ``divided`` makes A2odd's exact
-    division by 1 + q^(g1+g1~), which only heads outside the pair 1, 1~
-    read.  Every head letter reads one table;
+    """The head-free part of the closed form at tail weight ``coords`` and
+    length j, () where ``LetterCoordinates.solve`` raises: per letter-count
+    vector, its counts in element order, its q-multinomial as (exponent,
+    coefficient) pairs and its quadratic exponent, already divided by the
+    family's divisor.  ``divided`` makes A2odd's exact division by
+    1 + q^(g1+g1~).  Every head letter reads one table;
     ``_closed_terms.cache_clear()`` frees the tables."""
+    try:
+        mu = crystal.letter_coordinates.solve(coords, j)
+    except ValueError:
+        return ()
     family = crystal.cartan.family
     skip, divisor, base = _SHAPES.get(family, ((), 2, 1))
     kept = [i for i, label in enumerate(crystal.elements) if label not in skip]
@@ -138,83 +128,78 @@ def _closed_terms(
     return tuple(table)
 
 
-def g_closed_form(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
-    """Unrestricted sum by the closed form, with the arguments, errors and
-    value of ``g_enumerate`` and ``g_recursive``: zero unless mu has
-    letter coordinates at length j, times q^(delta-coordinate of mu).
-    Every head letter reads one cached table of terms per (mu, j)."""
-    _check_query(crystal, b, j, mu)
-    if crystal is not perfect_crystal(crystal.cartan.family, crystal.cartan.n):
-        raise ValueError(f"the closed form covers perfect_crystal's crystals, not {crystal.name}")
-    try:
-        coords = crystal.letter_coordinates.solve(mu.lambda_coords, j)
-    except ValueError:
-        return ZERO
-    k, divided = _head(crystal, b)
-    terms = _closed_terms(crystal, coords, j, divided)
-    return _head_sum(crystal, terms, b, k).shift(mu.delta_coord)
-
-
-def _head_sum(crystal: PerfectCrystal, terms: tuple, b: Element, k: int | None) -> LaurentPoly:
-    """The closed form under head letter b from the head-free terms of a
-    (mu, j): each term's exponents move up by its quadratic exponent and
-    the head's energy row against its counts, and with a pivot k down by
-    the cross term count(k) count(k~)."""
+def _closed_groups(
+    crystal: PerfectCrystal, b: Element, coords: tuple[int, ...], m: int, pivot: int | None = None
+):
+    """The closed form of head b at one tail weight, one group (coords,
+    shift, q-multinomial pairs) per letter-count vector: the shift is the
+    quadratic exponent plus b's energy row against the counts, minus
+    count(k) count(k~), k being n for B1 and D1's "0" and barred letters,
+    1 for their others and for A2odd (whose heads outside 1, 1~ read the
+    divided table), or ``pivot``.  B1's "0" is claimed equal at either
+    endpoint, and the verifier diffs 1."""
+    family, n = crystal.cartan.family, crystal.cartan.n
+    if family in ("B1", "D1"):
+        k = n if b == "0" or b.endswith("~") else 1
+    else:
+        k = 1 if family == "A2odd" else None
+    k = k if pivot is None else pivot
     s, sbar = (None, None) if k is None else (crystal.index(str(k)), crystal.index(barred(k)))
     energy_row = crystal.energy_table[crystal.index(b)]
-    total: dict[int, int] = {}
-    for g, pairs, quadratic in terms:
+    divided = family == "A2odd" and b not in ("1", barred(1))
+    for g, pairs, quadratic in _closed_terms(crystal, coords, m, divided):
         shift = quadratic + sum(map(mul, energy_row, g))
         if k is not None:
             shift -= g[s] * g[sbar]
-        for exp, coeff in pairs:
-            total[exp + shift] = total.get(exp + shift, 0) + coeff
-    return LaurentPoly({e: c for e, c in total.items() if c}, _trusted=True)
+        yield coords, shift, pairs
+
+
+def _closed_source(crystal: PerfectCrystal, b: Element, m: int, pivot: int | None = None):
+    """The closed-form g source: ``_closed_groups`` at every tail weight of length m."""
+    for coords in tail_weight_support(crystal, m):
+        yield from _closed_groups(crystal, b, coords, m, pivot)
+
+
+def g_closed_form(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
+    """Unrestricted sum by the closed form, with the arguments, errors and
+    value of ``g_enumerate`` and ``g_recursive``: the sum of the groups at
+    mu (none off the letter lattice), times q^(delta-coordinate of mu)."""
+    _check_query(crystal, b, j, mu)
+    if crystal is not perfect_crystal(crystal.cartan.family, crystal.cartan.n):
+        raise ValueError(f"the closed form covers perfect_crystal's crystals, not {crystal.name}")
+    groups = _closed_groups(crystal, b, mu.lambda_coords, j)
+    poly = LaurentPoly.from_terms((e + shift, c) for _, shift, pairs in groups for e, c in pairs)
+    return poly.shift(mu.delta_coord)
 
 
 # ---------------------------------------------------------------------------
 # Verification report
 
 
-def _closed_table(crystal: PerfectCrystal, j: int) -> Iterator[tuple]:
-    """The closed form of every head letter and reachable tail weight of
-    length j, one cell (key, value, other) at a time in the verifier's
-    order: key is (b, coords), and other is B1's value of letter "0"
-    under the other pivot, 1, and None elsewhere.  mu is solved once per
-    support point and each (mu, j, variant) table read once."""
-    family = crystal.cartan.family
-    heads = [(b, *_head(crystal, b)) for b in crystal.elements]
-    variants = {divided for _, _, divided in heads}
-    for coords in sorted(tail_weight_support(crystal, j)):
-        mu = crystal.letter_coordinates.solve(coords, j)
-        tables = {divided: _closed_terms(crystal, mu, j, divided) for divided in variants}
-        for b, k, divided in heads:
-            other = _head_sum(crystal, tables[False], b, 1) if (family, b) == ("B1", "0") else None
-            yield (b, coords), _head_sum(crystal, tables[divided], b, k), other
-
-
 def verify_type(crystal: PerfectCrystal, j_max: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
-    letter and every reachable window weight up to ``j_max``: per window
-    length, one loop over the closed-form cells of ``_closed_table`` as
-    they come, against the tables ``g_enumerate_table`` and
-    ``g_recursive_table``, which reports a cell where any column differs
-    with every column's value."""
+    letter and reachable window weight up to ``j_max``: per length and
+    head letter, the ``g_sums`` of the three g sources, and for B1's "0"
+    the closed form under the other pivot, 1.  A cell where any column
+    differs is reported with every column's value, by (tail coords, letter)."""
     _require_count(j_max, "j_max")
-    cells = 0
-    mismatches = []
+    sources = {"closed": _closed_source, "enumerate": _walker_terms, "recursive": _kernel_terms}
+    cells, mismatches = 0, []
     for j in range(j_max + 1):
-        enumerated, recursive = g_enumerate_table(crystal, j), g_recursive_table(crystal, j)
-        for key, value, other in _closed_table(crystal, j):
-            cells += 1
-            same = enumerated.get(key, ZERO) == value == recursive.get(key, ZERO)
-            if same and other in (None, value):
-                continue
-            values = {"closed": value, "enumerate": enumerated.get(key, ZERO),
-                      "recursive": recursive.get(key, ZERO)}
-            if other is not None:
-                values["closed_other_pivot"] = other
-            entry = {"b": key[0], "mu": list(crystal.letter_coordinates.solve(key[1], j)), "j": j}
-            mismatches.append({**entry, **{name: v.to_json_obj() for name, v in values.items()}})
+        cells += len(tail_weight_support(crystal, j)) * len(crystal.elements)
+        found = []
+        for t, b in enumerate(crystal.elements):
+            columns = {name: g_sums(crystal, b, j, terms) for name, terms in sources.items()}
+            if (crystal.cartan.family, b) == ("B1", "0"):
+                columns["closed_other_pivot"] = g_sums(
+                    crystal, b, j, lambda *args: _closed_source(*args, 1)
+                )
+            for coords in set().union(*columns.values()):
+                values = {name: column.get(coords, ZERO) for name, column in columns.items()}
+                if any(v != values["closed"] for v in values.values()):
+                    entry = {"b": b, "mu": list(crystal.letter_coordinates.solve(coords, j)), "j": j}
+                    entry.update((name, v.to_json_obj()) for name, v in values.items())
+                    found.append(((coords, t), entry))
+        mismatches += [entry for _, entry in sorted(found, key=itemgetter(0))]
     return {"type": crystal.cartan.family, "rank": crystal.cartan.n, "j_max": j_max,
             "cells_checked": cells, "mismatches": mismatches}

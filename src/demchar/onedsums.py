@@ -29,18 +29,18 @@ route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
 read-only listing per crystal, length, start state and checked node
 set, freed by ``_walk_tails.cache_clear()``, counting each last letter
-in its parent.  Each route also gives the g of every head and tail
-weight of one length as a table (``g_enumerate_table``,
-``g_recursive_table``), for the verifier.  The Weyl sums fold the
-tail-weight support once per crystal, checked node set, start and
-length in the cached ``_weyl_terms``, freed by
-``_weyl_terms.cache_clear()``.
+in its parent.  The Weyl sums fold the tail-weight support once per
+crystal, checked node set, start and length in the cached
+``_weyl_terms``, freed by ``_weyl_terms.cache_clear()``.
 
-The scheduled characters are one segment sum over the leading letters
-of a step (``_segment_character``), read from either g source: the tail
-walker for ``demazure.character_by_paths``, the kernel for
-``character_via_onedsums`` and ``character_at_full_segment``.  Both
-yield groups (tail coords, shift, (energy, count) pairs).
+A g source is a function ``terms(crystal, b, m)`` yielding groups (tail
+coords, shift, (energy, count) pairs) whose terms sum to g(b, coords, m):
+the walker (``_walker_terms``), the kernel (``_kernel_terms``) or the
+closed form (``formulas._closed_source``).  ``g_sums`` reads any of them
+into the nonzero g of every tail weight of one length, and so does the
+segment sum behind the scheduled characters (``_segment_character``):
+the walker for ``demazure.character_by_paths``, the kernel for
+``character_via_onedsums`` and ``character_at_full_segment``.
 
 Also here: a search for f-string decompositions of the non-admissible
 set, the Kostka-Foulkes specialization over symmetric-power crystals,
@@ -55,7 +55,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from math import inf
 from operator import add, le, mul, sub
 from types import MappingProxyType, SimpleNamespace
@@ -385,12 +385,10 @@ def _head_terms(crystal: PerfectCrystal, buckets: MappingProxyType, b: Element, 
         yield state, 0 if first is None else j * crystal.energy(b, first), pairs
 
 
-def _walker_terms(crystal: PerfectCrystal, j: int):
-    """The enumeration source of head sums of length j: one listing of
-    the length-j tails, read under each head letter as groups (tail
-    coords, head shift, (energy, count) pairs)."""
-    buckets = _walk_tails(crystal, j, (0,) * crystal.cartan.size, ())
-    return partial(_head_terms, crystal, buckets)
+def _walker_terms(crystal: PerfectCrystal, b: Element, m: int):
+    """The enumeration source: the cached listing of the length-m tails,
+    read under head b."""
+    return _head_terms(crystal, _walk_tails(crystal, m, (0,) * crystal.cartan.size, ()), b, m)
 
 
 def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
@@ -399,39 +397,6 @@ def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
     q^(delta-coordinate of mu)."""
     zero = Weight.zero(crystal.cartan.size)
     return x_enumerate(crystal, b, zero, mu, j, indices=()).shift(mu.delta_coord)
-
-
-def g_enumerate_table(
-    crystal: PerfectCrystal, j: int
-) -> dict[tuple[Element, tuple[int, ...]], LaurentPoly]:
-    """Unrestricted sums of every head letter and reachable tail weight,
-    from one listing of the length-j tails: the value at (b, coords)
-    equals ``g_enumerate(crystal, b, Weight(coords), j)``."""
-    _require_count(j, "length")
-    terms = _walker_terms(crystal, j)
-    sums: dict[tuple[Element, tuple[int, ...]], Counter] = {}
-    for b in crystal.elements:
-        for coords, shift, pairs in terms(b, j):
-            found = sums.setdefault((b, coords), Counter())
-            for e, c in pairs:
-                found[e + shift] += c
-    return {key: LaurentPoly(found, _trusted=True) for key, found in sums.items()}
-
-
-def g_recursive_table(
-    crystal: PerfectCrystal, j: int
-) -> dict[tuple[Element, tuple[int, ...]], LaurentPoly]:
-    """The nonzero g of every head letter and tail weight of length j,
-    read from the kernel with no level check as ``_kernel_terms`` does:
-    (b, coords) holds ``g_recursive(crystal, b, Weight(coords), j)``."""
-    _require_count(j, "length")
-    rec = _recursion(crystal, ())
-    table = {}
-    for coords in tail_weight_support(crystal, j):
-        for t, b in enumerate(crystal.elements):
-            if value := rec(t, (), coords, j):
-                table[b, coords] = _poly(value)
-    return table
 
 
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
@@ -879,7 +844,7 @@ def stabilized_limit(
 
 
 # ---------------------------------------------------------------------------
-# Scheduled path characters: one segment sum over two g sources
+# g sources: one group shape, read by one per-head sum and the segment sum
 
 
 def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
@@ -896,15 +861,29 @@ def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
             yield coords, value[0], enumerate(value[1])
 
 
+def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int, ...], LaurentPoly]:
+    """The nonzero g(b, coords, m) of every tail weight, summed from the
+    groups of the g source ``terms(crystal, b, m)`` straight from ints;
+    counts are nonnegative, so skipping zero counts drops every zero."""
+    _require_count(m, "length")
+    sums: dict[tuple[int, ...], dict[int, int]] = {}
+    for coords, shift, pairs in terms(crystal, b, m):
+        found = sums.setdefault(coords, {})
+        for e, c in pairs:
+            if c:
+                found[e + shift] = found.get(e + shift, 0) + c
+    return {coords: LaurentPoly(found, _trusted=True) for coords, found in sums.items() if found}
+
+
 def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     """Character of the path set at step a of segment j, as a sum over
     its leading letters b of e^(lam_j + wt b) q^(j H(bbar(j+1), b)) times
-    the head-b sums of length j - 1, which ``terms(b, j - 1)`` yields in
-    groups (tail coords, shift, (energy, count) pairs) whose weight is
-    built once; a term's energy is the shift plus its own, and its
-    delta-coordinate is c(j) minus that.  Step a = 0 leads with the
-    ground-state letter bbar(j) alone and needs no closure: step 0 is
-    (1, 0), and j whole segments are (j + 1, 0)."""
+    the head-b sums of length j - 1 that any g source ``terms(crystal, b,
+    j - 1)`` yields in groups (tail coords, shift, (energy, count) pairs),
+    each group's weight built once; a term's energy is the shift plus its
+    own, and its delta-coordinate is c(j) minus that.  Step a = 0 leads
+    with the ground-state letter bbar(j) alone and needs no closure: step
+    0 is (1, 0), and j whole segments are (j + 1, 0)."""
     gs, crystal = s.ground, s.crystal
     cj = gs.c(j)
     above = gs.bar(j + 1)
@@ -914,7 +893,7 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     for b in leading:
         base = tuple(map(add, lam_j, crystal.weight_table[crystal.index(b)]))
         delta = cj - j * crystal.energy(above, b)
-        for coords, shift, pairs in terms(b, j - 1):
+        for coords, shift, pairs in terms(crystal, b, j - 1):
             wt = tuple(map(add, base, coords))
             top = delta - shift
             for e, c in pairs:
@@ -928,11 +907,11 @@ def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:
     superposition of unrestricted sums one window shorter, with the
     leading letter summed over the current leading set."""
     j, a = s.decompose(k)
-    return _segment_character(s, j, a, partial(_kernel_terms, s.crystal))
+    return _segment_character(s, j, a, _kernel_terms)
 
 
 def character_at_full_segment(s: Schedule, j: int) -> FormalCharacter:
     """Character after j whole segments: one unrestricted sum per weight
     with the ground-state letter above the window as head."""
     _require_count(j, "segments")
-    return _segment_character(s, j + 1, 0, partial(_kernel_terms, s.crystal))
+    return _segment_character(s, j + 1, 0, _kernel_terms)

@@ -7,7 +7,7 @@ import pytest
 
 from brute import demazure_op, key
 
-from demchar import demazure, onedsums, weights
+from demchar import demazure, formulas, onedsums, weights
 from demchar.crystals import perfect_crystal
 from demchar.demazure import (
     ConditionReport,
@@ -322,6 +322,55 @@ class TestCharacterDetails:
         k_max = 2 * s.d + 1
         running = list(operator_characters(s, k_max))
         assert running == [character_by_operators(s, k) for k in range(k_max + 1)]
+
+
+# Families and ranks at which the closed form serves as a character source.
+CLOSED_RANKS = {
+    "A1": (1, 2, 3),
+    "B1": (3,),
+    "D1": (4,),
+    "A2odd": (3,),
+    "A2even": (1, 2),
+    "D2": (2, 3),
+}
+
+
+def level_one_schedules(family, n):
+    """The variant-1 schedule of every level-1 node that
+    ``demazure_schedule`` accepts."""
+    crystal = perfect_crystal(family, n)
+    ct = crystal.cartan
+    for node in ct.index_set:
+        lam = ct.fundamental_weight(node)
+        if ct.level(lam) == 1:
+            try:
+                yield demazure_schedule(crystal, lam)
+            except ValueError:
+                continue
+
+
+@pytest.mark.parametrize(
+    "family,n", [(family, n) for family, ns in CLOSED_RANKS.items() for n in ns]
+)
+def test_closed_form_is_a_character_source(monkeypatch, family, n):
+    # The segment sum read from the closed form's groups gives the path
+    # character at every step up to three segments, with the other
+    # routes' cores (tail walker, recursion kernel, Demazure step)
+    # patched to raise.
+    cases = [(s, k) for s in level_one_schedules(family, n) for k in range(3 * s.d + 1)]
+    assert cases
+    want = [character_by_paths(s, k) for s, k in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("another route's code ran")
+
+    formulas._closed_terms.cache_clear()
+    monkeypatch.setattr(onedsums, "_walk_tails", refuse)
+    monkeypatch.setattr(onedsums, "_recursion", refuse)
+    monkeypatch.setattr(weights, "demazure_step", refuse)
+    monkeypatch.setattr(demazure, "demazure_step", refuse)
+    got = [onedsums._segment_character(s, *s.decompose(k), formulas._closed_source) for s, k in cases]
+    assert got == want
 
 
 STEP_ROUTES = {

@@ -1,6 +1,7 @@
 """Tests for the closed-form window sums and their verifier."""
 
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from brute import all_words, mu_to_weight
 from demchar import formulas, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.formulas import g_closed_form, verify_type
-from demchar.onedsums import g_enumerate, g_recursive, tail_weight_support
+from demchar.onedsums import g_enumerate, g_recursive, g_sums, tail_weight_support
 from demchar.qring import ONE, ZERO, LaurentPoly, qmultinomial
 from demchar.weights import _MIN_N, FAMILIES, Weight
 
@@ -163,6 +164,22 @@ class TestParameterDictionaries:
             perfect_crystal("A2even", 1).letter_coordinates.solve((1, 0), None)
         with pytest.raises(ValueError, match="level zero"):
             perfect_crystal("A1", 1).letter_coordinates.solve((1, 0), 2)
+
+    def test_rejects_wrong_length_and_non_int_count(self):
+        # Trailing entries are not ignored, and a letter-count alphabet
+        # needs the number of letters as an int.
+        a1, b1 = perfect_crystal("A1", 1).letter_coordinates, perfect_crystal("B1", 3).letter_coordinates
+        for table, weight, m in [(a1, (0, 0, 0), 2), (a1, (0,), 2), (b1, (0, 0, 0, 0, 9), 2)]:
+            with pytest.raises(ValueError, match="one per node"):
+                table.solve(weight, m)
+            with pytest.raises(ValueError, match="one per node"):
+                table.coordinates(weight, m)
+        with pytest.raises(ValueError, match="one per node"):
+            a1.coordinates((0, 0, 5), 2)
+        for m in (None, 2.0, True):
+            with pytest.raises(ValueError, match="must be an int"):
+                a1.solve((0, 0), m)
+        assert (a1.solve((0, 0), 2), b1.solve((0, 0, 0, 0), None)) == ((1, 1), (0, 0, 0))
 
     @pytest.mark.parametrize("family,rank", MINIMAL_RANKS)
     def test_distinct_vectors_name_distinct_weights(self, family, rank):
@@ -348,12 +365,15 @@ class TestClosedForm:
         )
 
 
+def closed_source(pivot):
+    """The closed-form g source with its cross-term pivot overridden."""
+    return lambda crystal, b, m: formulas._closed_source(crystal, b, m, pivot)
+
+
 def pivot_sums(crystal, b, weight, j, pivots):
-    """The closed form of head b, read from its term table under each
-    cross-term pivot in turn."""
-    mu = crystal.letter_coordinates.solve(weight.lambda_coords, j)
-    terms = formulas._closed_terms(crystal, mu, j, False)
-    return [formulas._head_sum(crystal, terms, b, k) for k in pivots]
+    """The closed form of head b at one weight, summed from the closed
+    source's groups under each cross-term pivot in turn."""
+    return [g_sums(crystal, b, j, closed_source(k)).get(weight.lambda_coords, ZERO) for k in pivots]
 
 
 class TestCrossTermPivot:
@@ -418,18 +438,14 @@ class TestVerifier:
         assert report["cells_checked"] == expected
 
     @pytest.mark.parametrize("family,rank,j_max", [("D2", 2, 3), ("A1", 1, 0)])
-    def test_one_tail_walk_per_window_length(self, monkeypatch, family, rank, j_max):
-        walked = []
-        walk = onedsums._walk_tails
-
-        def counting(crystal, j, *args, **kwargs):
-            walked.append(j)
-            return walk(crystal, j, *args, **kwargs)
-
-        monkeypatch.setattr(onedsums, "_walk_tails", counting)
+    def test_one_tail_walk_per_window_length(self, family, rank, j_max):
+        # Every head letter reads the cached listing of its length, so
+        # each length is listed once.
+        onedsums._walk_tails.cache_clear()
         report = verify_type(perfect_crystal(family, rank), j_max)
         assert report["mismatches"] == []
-        assert walked == list(range(j_max + 1))
+        info = onedsums._walk_tails.cache_info()
+        assert info.misses == info.currsize == j_max + 1
 
     @pytest.mark.parametrize("column", ["enumerate", "recursive", "closed", "closed_other_pivot"])
     def test_disagreeing_route_is_reported(self, monkeypatch, column):
@@ -437,27 +453,20 @@ class TestVerifier:
         cell as a mismatch, with every column's value."""
         crystal = perfect_crystal("B1", 3)
         cell = ("0", (0, 0, 0, 0))
-        name, part = {
-            "enumerate": ("g_enumerate_table", None),
-            "recursive": ("g_recursive_table", None),
-            "closed": ("_closed_table", 0),
-            "closed_other_pivot": ("_closed_table", 1),
+        # The g source behind the column, and the pivot override it reads
+        # with (none but for closed_other_pivot).
+        name, pivot = {
+            "enumerate": ("_walker_terms", ()),
+            "recursive": ("_kernel_terms", ()),
+            "closed": ("_closed_source", ()),
+            "closed_other_pivot": ("_closed_source", (1,)),
         }[column]
         real = getattr(formulas, name)
 
-        def skewed(crystal, j):
-            tables = real(crystal, j)
-            if j != 2:
-                return tables
-            if part is None:
-                tables[cell] = tables.get(cell, ZERO) + LaurentPoly.monomial(1, 7)
-                return tables
-            # The closed column comes as cells (key, value, other).
-            return (
-                (key, *(v + LaurentPoly.monomial(1, 7) if key == cell and k == part else v
-                        for k, v in enumerate(values)))
-                for key, *values in tables
-            )
+        def skewed(crystal, b, m, *override):
+            yield from real(crystal, b, m, *override)
+            if (b, m) == ("0", 2) and override == pivot:
+                yield cell[1], 7, ((0, 1),)
 
         monkeypatch.setattr(formulas, name, skewed)
         report = verify_type(perfect_crystal("B1", 3), 2)
@@ -471,6 +480,32 @@ class TestVerifier:
         for key in columns:
             value = want + LaurentPoly.monomial(1, 7) if key == column else want
             assert entry[key] == value.to_json_obj(), key
+
+    @pytest.mark.parametrize("family,rank,j_max,count", [("B1", 3, 2, 49), ("A2odd", 3, 3, 192)])
+    def test_many_mismatches_come_in_order(self, monkeypatch, family, rank, j_max, count):
+        """With every third bucket of each walker listing of length 2 or
+        more skewed by one term, the mismatches come in the order
+        (length, tail coords, letter index), each cell once."""
+        real = onedsums._walk_tails
+
+        def skewed(crystal, j, start, idx):
+            buckets = real(crystal, j, start, idx)
+            if j < 2:
+                return buckets
+            return MappingProxyType({
+                key: pairs + ((99, 1),) if i % 3 == 0 else pairs
+                for i, (key, pairs) in enumerate(buckets.items())
+            })
+
+        monkeypatch.setattr(onedsums, "_walk_tails", skewed)
+        crystal = perfect_crystal(family, rank)
+        mismatches = verify_type(crystal, j_max)["mismatches"]
+        order = [
+            (m["j"], mu_to_weight(family, m["mu"]).lambda_coords, crystal.index(m["b"]))
+            for m in mismatches
+        ]
+        assert len(order) == count
+        assert order == sorted(set(order))
 
     def test_tables_share_no_route_code(self, monkeypatch):
         # Each table, and each per-cell route, gives its values with the
@@ -488,11 +523,17 @@ class TestVerifier:
         def refuse(*args, **kwargs):
             raise AssertionError("another route's code ran")
 
+        def summed(terms):
+            return lambda: {
+                (b, coords): value
+                for b in crystal.elements
+                for coords, value in g_sums(crystal, b, j, terms).items()
+            }
+
         def closed():
-            cells = list(formulas._closed_table(crystal, j))
-            other = {key: value for key, _, value in cells if value is not None}
-            assert other == {("0", coords): want["0", coords] for coords in support}
-            return {key: value for key, value, _ in cells}
+            other = g_sums(crystal, "0", j, closed_source(1))
+            assert other == {coords: want["0", coords] for coords in support if want["0", coords]}
+            return summed(formulas._closed_source)()
 
         def per_cell(route):
             return lambda: {cell: route(crystal, cell[0], Weight(cell[1]), j) for cell in want}
@@ -500,8 +541,8 @@ class TestVerifier:
         cores = {"enumerate": (onedsums, "_walk_tails"), "recursive": (onedsums, "_recursion"),
                  "closed": (formulas, "_closed_terms")}
         tables = [
-            ("enumerate", lambda: onedsums.g_enumerate_table(crystal, j)),
-            ("recursive", lambda: onedsums.g_recursive_table(crystal, j)),
+            ("enumerate", summed(onedsums._walker_terms)),
+            ("recursive", summed(onedsums._kernel_terms)),
             ("closed", closed),
             ("enumerate", per_cell(onedsums.g_enumerate)),
             ("recursive", per_cell(onedsums.g_recursive)),
@@ -546,28 +587,28 @@ class TestVerifier:
 class TestClosedTerms:
     @pytest.mark.parametrize("family,rank,j_max", [("B1", 3, 3), ("A2odd", 3, 3)])
     def test_one_table_per_window_weight(self, family, rank, j_max):
-        """A cold verify_type builds and reads each (mu, j) table, and for
-        A2odd each of its two variants, once; a second call builds none
-        and reads each once more."""
+        """A cold verify_type builds each (tail coords, j) table, and for
+        A2odd each of its two variants, once, and reads it under every
+        head letter (B1's letter "0" twice, once per pivot); a second
+        call builds none and reads each as often again."""
         crystal = perfect_crystal(family, rank)
-        keys = {
-            (crystal.letter_coordinates.solve(weight.lambda_coords, j), j,
-             family == "A2odd" and b not in ("1", "1~"))
+        reads = Counter(
+            (weight.lambda_coords, j, family == "A2odd" and b not in ("1", "1~"))
             for j in range(j_max + 1)
             for weight in support_weights(crystal, j)
-            for b in crystal.elements
-        }
-        assert family != "A2odd" or {divided for _, _, divided in keys} == {False, True}
+            for b in crystal.elements + ("0",) * (family == "B1")
+        )
+        assert family != "A2odd" or {divided for _, _, divided in reads} == {False, True}
         formulas._closed_terms.cache_clear()
         first = verify_type(perfect_crystal(family, rank), j_max)
         info = formulas._closed_terms.cache_info()
         assert first["mismatches"] == []
-        assert info.misses == info.currsize == len(keys)
-        assert info.hits == 0
+        assert info.misses == info.currsize == len(reads)
+        assert info.hits == reads.total() - len(reads)
         assert verify_type(perfect_crystal(family, rank), j_max) == first
         again = formulas._closed_terms.cache_info()
         assert (again.misses, again.currsize) == (info.misses, info.currsize)
-        assert again.hits == len(keys)
+        assert again.hits == info.hits + reads.total()
 
     @pytest.mark.parametrize("family,mu,j,divided", [
         ("B1", (1, 0, -1), 3, False),
@@ -575,13 +616,14 @@ class TestClosedTerms:
     ])
     def test_tables_are_read_only(self, family, mu, j, divided):
         crystal = perfect_crystal(family, len(mu))
-        table = formulas._closed_terms(crystal, mu, j, divided)
+        coords = mu_to_weight(family, mu).lambda_coords
+        table = formulas._closed_terms(crystal, coords, j, divided)
         assert table
         counts, terms, _ = table[0]
         for cached in (table, table[0], counts, terms, terms[0]):
             with pytest.raises(TypeError):
                 cached[0] = 0
-        assert formulas._closed_terms(crystal, mu, j, divided) is table
+        assert formulas._closed_terms(crystal, coords, j, divided) is table
 
     def test_values_survive_cache_clear(self):
         cells = [
