@@ -29,9 +29,10 @@ route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
 read-only listing per crystal, length, start state and checked node
 set, freed by ``_walk_tails.cache_clear()``, counting each last letter
-in its parent.  The Weyl sums fold the tail-weight support once per
-crystal, checked node set, start and length in the cached
-``_weyl_terms``, freed by ``_weyl_terms.cache_clear()``.
+in its parent.  The Weyl sums group the folds of the tail-weight
+support once per crystal, checked node set, start and length in the
+cached ``_weyl_terms``, folding each lattice point once per crystal and
+checked node set; ``_weyl_terms.cache_clear()`` frees both.
 
 A g source is a function ``terms(crystal, b, m)`` yielding groups (tail
 coords, shift, (energy, count) pairs) whose terms sum to g(b, coords, m):
@@ -53,9 +54,9 @@ an f-string to its reflected weights is a test reference
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from math import inf
 from operator import add, le, mul, sub
 from types import MappingProxyType, SimpleNamespace
@@ -338,18 +339,21 @@ def _walk_tails(
 
     The running state starts at ``start`` and adds each letter's weight
     coordinates at every node; a letter is taken only if its epsilon at
-    every node of ``idx`` fits under the state.  Returns a read-only map
-    from (first letter, end state) to the tail energies as (energy,
-    count) pairs, the first letter being None when j = 0.  Each last
-    letter is counted in its parent's loop, one count per (first letter,
-    end state, energy).  The head term j * H(head, first letter) is left
-    to the reader of a bucket.  Cached per crystal, length, start and
-    checked nodes, so every head letter and end weight at one start
-    reads one listing; ``_walk_tails.cache_clear()`` frees the listings.
+    every node of ``idx`` fits under the state: one ``map`` of ``le``
+    over its epsilons, held with -inf at the unchecked nodes (None when
+    no node is checked).  Returns a read-only map from (first letter,
+    end state) to the tail energies as (energy, count) pairs, the first
+    letter being None when j = 0.  Each last letter is counted in its
+    parent's loop, one count per (first letter, end state, energy).  The
+    head term j * H(head, first letter) is left to the reader of a
+    bucket.  Cached per crystal, length, start and checked nodes, so
+    every head letter and end weight at one start reads one listing;
+    ``_walk_tails.cache_clear()`` frees the listings.
     """
     wts, energy, eps = crystal.weight_table, crystal.energy_table, crystal.epsilon_table
     rows = [
-        (t, b, wts[t], tuple((i, eps[t][i]) for i in idx)) for t, b in enumerate(crystal.elements)
+        (t, b, wts[t], tuple(e if i in idx else -inf for i, e in enumerate(eps[t])) if idx else None)
+        for t, b in enumerate(crystal.elements)
     ]
     # (first letter, end state, energy) -> count, in the order first met.
     counts: dict[tuple, int] = {(None, start, 0): 1} if j == 0 else {}
@@ -359,13 +363,13 @@ def _walk_tails(
         scale = j - depth
         if scale > 1:
             for t, b, wt, checks in rows:
-                if not checks or all(e <= state[i] for i, e in checks):
+                if checks is None or all(map(le, checks, state)):
                     nxt = tuple(map(add, state, wt))
                     extend(depth + 1, nxt, first if depth else b, energy[t], acc + scale * row[t])
             return
         # The last letter is counted here, with no call per tail.
         for t, b, wt, checks in rows:
-            if not checks or all(e <= state[i] for i, e in checks):
+            if checks is None or all(map(le, checks, state)):
                 key = (first if depth else b, tuple(map(add, state, wt)), acc + row[t])
                 counts[key] = counts.get(key, 0) + 1
 
@@ -401,24 +405,24 @@ def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
 
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
     """Classical coordinate tuples reachable as sums of j letter weights.
-    Cached per crystal and length once j is checked, so that 2.0 is
-    refused rather than read as 2; ``tail_weight_support.cache_clear()``
-    frees the sets."""
+
+    The set of length j is the set of length j - 1 plus each letter
+    weight, filled upward from the longest length built, with no call
+    per length.  Cached per crystal and length once j is checked, so
+    that 2.0 is refused rather than read as 2;
+    ``tail_weight_support.cache_clear()`` frees the sets."""
     _require_count(j, "length")
-    return _tail_weight_support(crystal, j)
-
-
-@cache
-def _tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
-    sums = {(0,) * crystal.cartan.size}
+    sums = _supports.setdefault(crystal, [frozenset({(0,) * crystal.cartan.size})])
     letters = crystal.weight_table
-    for _ in range(j):
-        sums = {tuple(map(add, coords, wt)) for coords in sums for wt in letters}
-    return frozenset(sums)
+    while len(sums) <= j:
+        sums.append(frozenset({tuple(map(add, coords, wt)) for coords in sums[-1] for wt in letters}))
+    return sums[j]
 
 
-tail_weight_support.cache_clear = _tail_weight_support.cache_clear
-tail_weight_support.cache_info = _tail_weight_support.cache_info
+# The tail-weight supports of each crystal, by length from 0.
+_supports: dict[PerfectCrystal, list[frozenset[tuple[int, ...]]]] = {}
+tail_weight_support.cache_clear = _supports.clear
+tail_weight_support.cache_info = lambda: SimpleNamespace(currsize=sum(map(len, _supports.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +585,13 @@ def x_by_weyl_sum(
     The terms are the Weyl elements w (finite group when classical,
     affine group otherwise) with g(b, w(eta + rho) - (xi + rho), j)
     nonzero, so their arguments lie in the tail-weight support.  Each
-    support point mu is folded, once per start and length
-    (``_weyl_terms``): xi + rho + mu is reflected into the
-    dominant chamber of the checked nodes, and it is a term exactly when
-    it lands on eta + rho there, with sign (-1)^steps and argument mu
-    minus the offset times the null root.  Each term reads the g kernel
-    at mu directly, as int coefficients shifted down by the offset, and
-    one LaurentPoly is built from all of them.  The chamber is a
+    point xi + rho + mu is folded once per crystal and checked nodes
+    (``_weyl_terms``): reflected into the dominant chamber of the
+    checked nodes, it is a term exactly when it lands on eta + rho
+    there, with sign (-1)^steps and argument mu minus the offset times
+    the null root.  Each term reads the g kernel at mu directly, as int
+    coefficients shifted down by the offset into one int dict, whose
+    nonzero terms make the LaurentPoly.  The chamber is a
     fundamental domain for the group on weights of positive level, which
     xi + rho has, so every fold stops; eta + rho is regular, so no term
     is counted twice.  The sum is therefore finite and exact, with
@@ -614,16 +618,23 @@ def x_by_weyl_sum(
     target = tuple(end[i] + 1 for i in idx)
     rec = _recursion(crystal, ())
     t = crystal.index(b)
-    total: Counter = Counter()
+    total: dict[int, int] = {}
     for mu, sign, offset in _weyl_terms(crystal, idx, start, j).get(target, ()):
         if value := rec(t, (), mu, j):
             low, coeffs = value
             for e, c in enumerate(coeffs, low - offset):
-                total[e] += sign * c
-    return LaurentPoly.from_terms(total.items())
+                total[e] = total.get(e, 0) + sign * c
+    return LaurentPoly({e: c for e, c in total.items() if c}, _trusted=True)
 
 
 @cache
+def _weyl_store(crystal: PerfectCrystal, idx: tuple[int, ...]) -> tuple[dict, dict]:
+    """The Weyl tables of one crystal and checked node set, by (start,
+    length), and the fold of every lattice point they have met: point ->
+    (folded coordinates at idx, sign, offset)."""
+    return {}, {}
+
+
 def _weyl_terms(
     crystal: PerfectCrystal, idx: tuple[int, ...], start: tuple[int, ...], j: int
 ) -> MappingProxyType:
@@ -632,16 +643,29 @@ def _weyl_terms(
     lands in the dominant chamber of ``idx`` to its terms (mu, sign,
     offset), sign being (-1)^steps.  Cached per crystal, checked nodes,
     start and length, so every head letter and end weight at one start
-    reads one fold; ``_weyl_terms.cache_clear()`` frees the tables."""
+    reads one table.  Starts and lengths meet the same points start +
+    rho + mu, so each is folded once per crystal and checked nodes, in a
+    memo that ``_weyl_terms.cache_clear()`` frees with the tables."""
+    tables, points = _weyl_store(crystal, idx)
+    table = tables.get((start, j))
+    if table is not None:
+        return table
     ct = crystal.cartan
     base = tuple(c + 1 for c in start)
-    table: dict[tuple[int, ...], list] = {}
+    grouped: dict[tuple[int, ...], list] = {}
     for mu in tail_weight_support(crystal, j):
-        folded, steps, offset = fold(ct, tuple(map(add, base, mu)), idx)
-        table.setdefault(tuple(folded[i] for i in idx), []).append(
-            (mu, -1 if steps % 2 else 1, offset)
-        )
-    return MappingProxyType({key: tuple(terms) for key, terms in table.items()})
+        point = tuple(map(add, base, mu))
+        found = points.get(point)
+        if found is None:
+            folded, steps, offset = fold(ct, point, idx)
+            points[point] = found = (tuple([folded[i] for i in idx]), -1 if steps % 2 else 1, offset)
+        key, sign, offset = found
+        grouped.setdefault(key, []).append((mu, sign, offset))
+    tables[start, j] = table = MappingProxyType({key: tuple(terms) for key, terms in grouped.items()})
+    return table
+
+
+_weyl_terms.cache_clear = _weyl_store.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -850,28 +874,29 @@ def stabilized_limit(
 def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
     """The recursion source of head sums: the kernel at every point of
     the tail-weight support, one group (tail coords, lowest exponent,
-    (offset, count) pairs) per nonzero point.  It reads the kernel
-    directly, with no level check: a tail weight is a sum of letter
-    weights, and those have level zero."""
+    (offset, count) pairs) per nonzero point, with the zeros of the
+    kernel's dense coefficients left out.  It reads the kernel directly,
+    with no level check: a tail weight is a sum of letter weights, and
+    those have level zero."""
     rec = _recursion(crystal, ())
     t = crystal.index(b)
     for coords in tail_weight_support(crystal, m):
         value = rec(t, (), coords, m)
         if value is not None:
-            yield coords, value[0], enumerate(value[1])
+            low, coeffs = value
+            yield coords, low, compress(enumerate(coeffs), coeffs)
 
 
 def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int, ...], LaurentPoly]:
     """The nonzero g(b, coords, m) of every tail weight, summed from the
     groups of the g source ``terms(crystal, b, m)`` straight from ints;
-    counts are nonnegative, so skipping zero counts drops every zero."""
+    every source yields positive counts only, so no sum has a zero term."""
     _require_count(m, "length")
     sums: dict[tuple[int, ...], dict[int, int]] = {}
     for coords, shift, pairs in terms(crystal, b, m):
         found = sums.setdefault(coords, {})
         for e, c in pairs:
-            if c:
-                found[e + shift] = found.get(e + shift, 0) + c
+            found[e + shift] = found.get(e + shift, 0) + c
     return {coords: LaurentPoly(found, _trusted=True) for coords, found in sums.items() if found}
 
 

@@ -310,15 +310,20 @@ def fold(
     root.
     """
     v = list(coords)
+    roots = ct.simple_roots
     steps = offset = 0
-    while (i := next((i for i in idx if v[i] < 0), None)) is not None:
+    while True:
+        for i in idx:
+            if v[i] < 0:
+                break
+        else:
+            return tuple(v), steps, offset
         c = v[i]
-        alpha = ct.simple_roots[i]
-        for k in range(len(v)):
-            v[k] -= c * alpha[k]
+        alpha = roots[i]
+        # zip stops at the coordinates; the delta part alpha[-1] goes to the offset.
+        v = [x - c * a for x, a in zip(v, alpha)]
         offset -= c * alpha[-1]
         steps += 1
-    return tuple(v), steps, offset
 
 
 def ascents(ct: CartanType, word: Iterable[int]) -> Iterator[bool]:

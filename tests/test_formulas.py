@@ -558,6 +558,20 @@ class TestVerifier:
                 got = table()
             assert {cell: got.get(cell, ZERO) for cell in want} == want, name
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_source_yields_a_zero_count(self, family):
+        # The kernel's dense coefficients hold zeros between its nonzero
+        # ones (240 of D2 2's pairs at m = 4); its source leaves them out,
+        # as the walker and the closed form do.
+        crystal = perfect_crystal(family, _MIN_N[family])
+        sources = {"enumerate": onedsums._walker_terms, "recursive": onedsums._kernel_terms,
+                   "closed": formulas._closed_source}
+        for m in range(5):
+            for b in crystal.elements:
+                for name, terms in sources.items():
+                    counts = [c for _, _, pairs in terms(crystal, b, m) for _, c in pairs]
+                    assert counts and min(counts) > 0, (name, b, m)
+
     def test_verifier_runs_no_boundary_rule_and_builds_no_weight(self, monkeypatch):
         # The recursion column reads the kernel directly: no Weight, and
         # no _restricted, the boundary rule the x routes share.

@@ -321,6 +321,47 @@ class TestTailWalker:
         for (b, eta), (enumerated, recursive, weyl) in first.items():
             assert enumerated == recursive == weyl, (b, eta)
 
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_fold_memo_changes_no_table(self, monkeypatch, family, n):
+        """Each Weyl table equals one built by folding every support point
+        directly, while each lattice point is folded once per crystal and
+        checked node set; the clear empties the point memo."""
+        c = perfect_crystal(family, n)
+        ct = c.cartan
+        starts = [w.lambda_coords for w in dominant_classical_weights(ct, 1)]
+        folds = []
+
+        def counting(*args):
+            folds.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(onedsums, "fold", counting)
+        for idx in ct.index_tuples:
+            onedsums._weyl_terms.cache_clear()
+            assert onedsums._weyl_store(c, idx) == ({}, {})
+            folds.clear()
+            points = set()
+            for start in starts:
+                base = tuple(x + 1 for x in start)
+                for j in range(5):
+                    want: dict = {}
+                    for mu in tail_weight_support(c, j):
+                        point = tuple(map(sum, zip(base, mu)))
+                        points.add(point)
+                        folded, steps, offset = fold(ct, point, idx)
+                        want.setdefault(tuple(folded[i] for i in idx), []).append(
+                            (mu, (-1) ** steps, offset)
+                        )
+                    table = onedsums._weyl_terms(c, idx, start, j)
+                    assert dict(table) == {key: tuple(terms) for key, terms in want.items()}
+            assert len(folds) == len(points) < sum(
+                len(tail_weight_support(c, j)) for j in range(5)
+            ) * len(starts)
+            assert len(onedsums._weyl_store(c, idx)[1]) == len(points)
+        onedsums._weyl_terms.cache_clear()
+        assert onedsums._weyl_store.cache_info().currsize == 0
+        assert onedsums._weyl_store(c, idx) == ({}, {})
+
     def test_cached_tables_are_read_only(self):
         c = perfect_crystal("B1", 3)
         start = c.cartan.fundamental_weight(0).lambda_coords
@@ -457,10 +498,38 @@ class TestUnrestricted:
         tail_weight_support.cache_clear()
         first = tail_weight_support(c, 3)
         assert tail_weight_support(c, 3) is first
-        assert tail_weight_support.cache_info().currsize == 1
+        # Length 3 is grown from lengths 0, 1 and 2, and keeps them.
+        assert tail_weight_support.cache_info().currsize == 4
         tail_weight_support.cache_clear()
         assert tail_weight_support.cache_info().currsize == 0
         assert tail_weight_support(c, 3) == first
+
+    @pytest.mark.parametrize("family,n", FAMILY_MINIMA)
+    def test_tail_weight_support_grows_by_one_letter(self, family, n):
+        """Every length equals the plain j-fold sumset of the letter
+        weights, whichever length is asked for first."""
+        c = perfect_crystal(family, n)
+        zero = (0,) * c.cartan.size
+        want = [
+            {tuple(map(sum, zip(zero, *word))) for word in
+             itertools.combinations_with_replacement(c.weight_table, j)}
+            for j in range(6)
+        ]
+        for order in (range(6), range(5, -1, -1), (3, 5, 0, 4, 1, 2)):
+            tail_weight_support.cache_clear()
+            for j in order:
+                assert tail_weight_support(c, j) == want[j], (order, j)
+        tail_weight_support.cache_clear()
+
+    def test_long_tail_weight_support_recurses_no_deeper(self):
+        # Length 3000, three times the default recursion limit, is grown
+        # from the lengths below it in one loop.
+        c = perfect_crystal("A1", 1)
+        tail_weight_support.cache_clear()
+        try:
+            assert len(tail_weight_support(c, 3000)) == 3001
+        finally:
+            tail_weight_support.cache_clear()
 
     @pytest.mark.parametrize("family,n", MINIMAL_RANKS)
     def test_string_reflection_relation(self, family, n):
