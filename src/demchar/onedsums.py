@@ -21,9 +21,12 @@ read the g kernel at each term.  The recursion route is one memoized
 kernel with one entry, ``_x_value``, for all three sums, on the
 crystal's int tables of letter weights, local energies and epsilons:
 ``_recursion`` caches one memo per crystal and checked node set, for
-capped and uncapped reads (its docstring has the packed values, the cap,
-the node store that head letters share and the pruning in letter
-coordinates), so ``_recursion.cache_clear()`` frees every memo.
+capped and uncapped point reads (its docstring has the packed values,
+the cap, the node store that head letters share and the pruning in
+letter coordinates), and beside the memo with no checked node a bulk
+table, filled bottom-up by tail length, for the uncapped reads of every
+tail weight of one length at once; ``_recursion.cache_clear()`` frees
+every memo and table.
 Values become ``LaurentPoly`` only at the API edge.  The enumeration
 route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
@@ -40,8 +43,8 @@ the walker (``_walker_terms``), the kernel (``_kernel_terms``) or the
 closed form (``formulas._closed_source``).  ``g_sums`` reads any of them
 into the nonzero g of every tail weight of one length, and so does the
 segment sum behind the scheduled characters (``_segment_character``):
-the walker for ``demazure.character_by_paths``, the kernel for
-``character_via_onedsums`` and ``character_at_full_segment``.
+the walker for ``demazure.character_by_paths``, the kernel's bulk table
+for ``character_via_onedsums`` and ``character_at_full_segment``.
 
 Also here: a search for f-string decompositions of the non-admissible
 set, the Kostka-Foulkes specialization over symmetric-power crystals,
@@ -125,8 +128,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     each letter's epsilons, and ``rest`` is the weight the tail must
     still carry.  A value is None (zero) or ``(low, coeffs)``: the lowest
     exponent and the dense coefficients from there up to the highest
-    nonzero one.  Each ``rec`` keeps its own memo and node store, so
-    ``_recursion.cache_clear()`` drops them all.
+    nonzero one.  Each ``rec`` keeps its own memo, node store and bulk
+    table, so ``_recursion.cache_clear()`` drops them all.
 
     The memo holds a value as ``(low, packed)``: coefficient k sits in
     bits [k W(j), (k + 1) W(j)) of the int ``packed``, with a slot width
@@ -171,8 +174,25 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     node the memo holds no dead state; with checked nodes a state can
     still be None when no tail fits.  With no checked node, as for every
     g, there is no epsilon test and ``fit`` stays the empty tuple.
-    ``cache_info()`` counts the states, the capped states recomputed
-    under a higher cap and the stored nodes.
+
+    The node store serves point reads: ``g_recursive``, ``x_recursive``,
+    ``kostka``, ``stabilized_limit`` and ``x_by_weyl_sum``.  With no
+    checked node, ``rec.row(t, m)`` is the bulk read beside them: the
+    value of head t at every tail weight of length m, as (tail coords,
+    lowest exponent, dense coefficients), from a table of its own filled
+    bottom-up by length.  The nodes of length m are the tail weights
+    that a letter weight added to a node of length m - 1 reaches; each
+    keeps its live children (u, low, packed) once, their values read off
+    the head-u rows of length m - 1 and re-spaced there when W(m - 1) !=
+    W(m).  Head t's row of length m is built the first time it is read,
+    with one shift-add of m H(t, u) per child, on the memo's packed
+    values, so the no-carry argument above holds unchanged; a length
+    drops its children once all its head rows exist, so only the longest
+    length built keeps them.  The table makes no ``rec`` call and no
+    coordinate solve, and since the L1 rule is exact each row holds the
+    tail-weight support and nothing else.  ``cache_info()`` counts the
+    states, the capped states recomputed under a higher cap, the stored
+    nodes, and the table's nodes and head rows by length.
     """
     table = crystal.letter_coordinates
     energy = crystal.energy_table
@@ -200,6 +220,22 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         h, below = energy[t], floor[j - 1]
         orders[t, j] = sorted((j * h[u] + below[u], j * h[u], *rows[u]) for u in letters)
         return orders[t, j]
+
+    def shift_sum(kids: list, h: Sequence[int], j: int, wide: int) -> tuple:
+        """(lowest exponent, packed sum) of the children (u, low, packed)
+        of a head whose energies are ``h``, each shifted up by j h[u]:
+        one shift-add per child, with inf and 0 for no child."""
+        acc = 0
+        best = inf
+        for u, low, packed in kids:
+            low += j * h[u]
+            if low < best:
+                # What is summed so far moves up to the new lowest exponent.
+                acc = (acc << wide * (best - low) if acc else 0) + packed
+                best = low
+            else:
+                acc += packed << wide * (low - best)
+        return best, acc
 
     def walk(key: tuple, cap: float) -> tuple | None:
         """State ``key`` up to ``cap`` (inf for all), stored in the memo."""
@@ -266,18 +302,63 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             return value
         if tried:
             nodes[key[1:]] = kids
-        h = energy[t]
-        for u, low, packed in kids:
-            low += j * h[u]
-            if low < best:
-                acc = (acc << wide * (best - low) if acc else 0) + packed
-                best = low
-            else:
-                acc += packed << wide * (low - best)
+        best, acc = shift_sum(kids, energy[t], j, wide)
         full[key] = value = (best, acc) if acc else None
         if capped:
             capped.pop(key, None)
         return value
+
+    # The bulk table, by length m: the tail weights (nodes) in one order,
+    # each node's live children (u, low, packed) until every head row of
+    # length m exists, and the head rows built so far, head -> the values
+    # at the nodes in their order.
+    points: list[list[tuple]] = []
+    below: list[list | None] = []
+    heads: list[dict[int, list]] = []
+
+    def head_row(t: int, m: int) -> list:
+        """Head t's values at the nodes of length m."""
+        h, wide = energy[t], _slot_width(m, bits)
+        return [shift_sum(kids, h, m, wide) for kids in below[m]]
+
+    def grow() -> None:
+        """The nodes of the next length and their children, read off every
+        head row of the longest length, which then drops its children."""
+        m = len(points)
+        if not m:
+            points.append([(0,) * crystal.cartan.size])
+            below.append(None)
+            heads.append({u: [(0, 1)] for u in letters})
+            return
+        made = heads[-1]
+        for u in letters:
+            if u not in made:
+                made[u] = head_row(u, m - 1)
+        below[-1] = None
+        narrow, wide = _slot_width(m - 1, bits), _slot_width(m, bits)
+        kids: dict[tuple, list] = {}
+        for u, wt in enumerate(crystal.weight_table):
+            for point, (low, packed) in zip(points[-1], made[u]):
+                if narrow != wide:
+                    packed = _respace(packed, narrow, wide)
+                kids.setdefault(tuple(map(add, point, wt)), []).append((u, low, packed))
+        points.append(list(kids))
+        below.append(list(kids.values()))
+        heads.append({})
+
+    def row(t: int, m: int):
+        """(tail coords, lowest exponent, dense coefficients) of head t at
+        every tail weight of length m, from the bulk table."""
+        while len(points) <= m:
+            grow()
+        made = heads[m]
+        values = made.get(t)
+        if values is None:
+            made[t] = values = head_row(t, m)
+            if len(made) == len(energy):
+                below[m] = None
+        width = _slot_width(m, bits)
+        return ((point, low, _unpack(packed, width)) for point, (low, packed) in zip(points[m], values))
 
     convert = cache(table.coordinates)
 
@@ -300,8 +381,14 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         return low, _unpack(packed, width)
 
     rec.cache_info = lambda: SimpleNamespace(
-        currsize=len(full) + len(capped), recomputed=redone[0], nodes=len(nodes)
+        currsize=len(full) + len(capped),
+        recomputed=redone[0],
+        nodes=len(nodes),
+        table_nodes=tuple(map(len, points)),
+        table_rows=tuple(map(len, heads)),
     )
+    if not idx:
+        rec.row = row
     return rec
 
 
@@ -872,19 +959,14 @@ def stabilized_limit(
 
 
 def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
-    """The recursion source of head sums: the kernel at every point of
-    the tail-weight support, one group (tail coords, lowest exponent,
-    (offset, count) pairs) per nonzero point, with the zeros of the
-    kernel's dense coefficients left out.  It reads the kernel directly,
-    with no level check: a tail weight is a sum of letter weights, and
-    those have level zero."""
-    rec = _recursion(crystal, ())
-    t = crystal.index(b)
-    for coords in tail_weight_support(crystal, m):
-        value = rec(t, (), coords, m)
-        if value is not None:
-            low, coeffs = value
-            yield coords, low, compress(enumerate(coeffs), coeffs)
+    """The recursion source of head sums: head b's row of length m in
+    the kernel's bulk table (``rec.row``), one group (tail coords, lowest
+    exponent, (offset, count) pairs) per point of the tail-weight
+    support, with the zeros of the kernel's dense coefficients left out.
+    It makes no point read and no level check: a tail weight is a sum of
+    letter weights, and those have level zero."""
+    for coords, low, coeffs in _recursion(crystal, ()).row(crystal.index(b), m):
+        yield coords, low, compress(enumerate(coeffs), coeffs)
 
 
 def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int, ...], LaurentPoly]:

@@ -262,6 +262,13 @@ class TestCharacterDetails:
                 if own != "_recursion":
                     m.setattr(onedsums, "_recursion", refuse)
                 assert route() == want, name
+        # The full segment's bulk table is reached only through the
+        # recursion core.
+        onedsums._recursion.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(onedsums, "_recursion", refuse)
+            with pytest.raises(AssertionError, match="another route's code ran"):
+                onedsums.character_at_full_segment(s, 2)
 
     def test_characters_stay_int_keyed(self, monkeypatch):
         # A route builds Weights for its windows only, so their count grows

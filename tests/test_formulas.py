@@ -557,6 +557,13 @@ class TestVerifier:
                         m.setattr(module, core, refuse)
                 got = table()
             assert {cell: got.get(cell, ZERO) for cell in want} == want, name
+        # The recursion column's bulk table is reached only through the
+        # recursion core.
+        onedsums._recursion.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(onedsums, "_recursion", refuse)
+            with pytest.raises(AssertionError, match="another route's code ran"):
+                summed(onedsums._kernel_terms)()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_no_source_yields_a_zero_count(self, family):

@@ -36,7 +36,7 @@ from oracles import (
 
 from demchar import cli, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
-from demchar.demazure import character_by_paths, demazure_schedule
+from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
 from demchar.formulas import g_closed_form
 from demchar.onedsums import (
     StabilizationGuardError,
@@ -1410,12 +1410,17 @@ def every_variant(family, n, node):
 
 
 def full_segment_memo_size(family, n):
-    """States in the g kernel's memo after a cold ``character_at_full_segment(s, 4)``."""
+    """States in the g kernel's memo after the point reads that a cold
+    ``character_at_full_segment(s, 4)`` stands for: head bbar(5) at every
+    tail weight of length 4."""
     c = perfect_crystal(family, n)
     s = demazure_schedule(c, c.cartan.fundamental_weight(0))
     onedsums._recursion.cache_clear()
-    character_at_full_segment(s, 4)
-    return onedsums._recursion(c, ()).cache_info().currsize
+    rec = onedsums._recursion(c, ())
+    t = c.index(s.ground.bar(5))
+    for coords in tail_weight_support(c, 4):
+        rec(t, (), coords, 4)
+    return rec.cache_info().currsize
 
 
 class TestCharacterBridge:
@@ -1447,6 +1452,58 @@ class TestCharacterBridge:
         # Exact counts: the letter loop may change what a state costs,
         # not which states there are.
         assert full_segment_memo_size(family, n) == states
+
+    @pytest.mark.parametrize("family,n", [("D1", 4), ("B1", 3), ("A2odd", 3), ("D2", 2)])
+    def test_full_segment_reads_one_top_row(self, family, n):
+        # The full segment reads the bulk table, not the memo: every node
+        # of each length up to 4, every head row below the top length and
+        # the one head row bbar(5) at it.
+        c = perfect_crystal(family, n)
+        s = demazure_schedule(c, c.cartan.fundamental_weight(0))
+        onedsums._recursion.cache_clear()
+        character_at_full_segment(s, 4)
+        info = onedsums._recursion(c, ()).cache_info()
+        assert info.currsize == info.nodes == 0
+        assert info.table_nodes == tuple(len(tail_weight_support(c, m)) for m in range(5))
+        assert info.table_rows == (len(c),) * 4 + (1,)
+        if (family, n) == ("D1", 4):
+            assert info.table_nodes == (1, 8, 33, 96, 225)
+
+    @pytest.mark.parametrize("family,n", [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(2)])
+    def test_bulk_table_matches_the_point_reads(self, family, n):
+        """Each head row of the bulk table holds the kernel's point value
+        at exactly the tail-weight support (the L1 rule is exact, so no
+        point is missing and none is dead), whichever order the heads
+        are read in; ``_recursion.cache_clear()`` frees the table."""
+        c = perfect_crystal(family, n)
+        seen = []
+        for order in (range(len(c)), range(len(c) - 1, -1, -1)):
+            onedsums._recursion.cache_clear()
+            rec = onedsums._recursion(c, ())
+            rows = {(t, m): {w: (low, tuple(coeffs)) for w, low, coeffs in rec.row(t, m)}
+                    for m in range(6) for t in order}
+            info = rec.cache_info()
+            assert info.table_nodes == tuple(len(tail_weight_support(c, m)) for m in range(6))
+            assert info.table_rows == (len(c),) * 6
+            for (t, m), row in rows.items():
+                assert row.keys() == tail_weight_support(c, m), (t, m)
+                for w, value in row.items():
+                    assert value == rec(t, (), w, m), (t, m, w)
+            seen.append(rows)
+        assert seen[0] == seen[1]
+        onedsums._recursion.cache_clear()
+        info = onedsums._recursion(c, ()).cache_info()
+        assert info.table_nodes == info.table_rows == ()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_deep_segments_match_the_operators(self, family):
+        # Table length 6; the tests above reach at most length 2.
+        c = perfect_crystal(family, _MIN_N[family])
+        s = demazure_schedule(c, c.cartan.fundamental_weight(min(schedule_words(c))))
+        onedsums._recursion.cache_clear()
+        k = 6 * s.d + s.d // 2
+        assert character_via_onedsums(s, k) == character_by_operators(s, k)
+        assert character_at_full_segment(s, 6) == character_by_operators(s, 6 * s.d)
 
 
 # ---------------------------------------------------------------------------
