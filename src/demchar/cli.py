@@ -212,14 +212,14 @@ def _format_character(chi: FormalCharacter, newline: str) -> str:
     """The term list of chi: per term ``{"weight": {"lambda": [coords],
     "delta": [delta, 1]}, "coeff": c}`` in sorted key order, each written
     by one %-template."""
-    items = sorted(chi.to_keys().items())
+    items = chi.to_keys().items()
     if not items:
         return "[]"
     term = newline + "  "
     field = term + "  "
     part = field + "  "
     coord = part + "  "
-    lam = ("," + coord).join(["%d"] * (len(items[0][0]) - 1))
+    lam = ("," + coord).join(["%d"] * (len(next(iter(items))[0]) - 1))
     template = (
         term + "{" + field + '"weight": {' + part + '"lambda": [' + coord + lam + part + "],"
         + part + '"delta": [' + coord + "%d," + coord + "1" + part + "]"
@@ -243,7 +243,7 @@ def _poly_rows(poly: LaurentPoly) -> list[list]:
 def _character_rows(chi: FormalCharacter) -> list[list]:
     return [
         [" ".join(map(str, key[:-1])), str(key[-1]), coeff]
-        for key, coeff in sorted(chi.to_keys().items())
+        for key, coeff in chi.to_keys().items()
     ]
 
 

@@ -26,7 +26,7 @@ from .paths import (
     demazure_schedule,
     paths_at_step,
 )
-from .weights import FormalCharacter, demazure_step, pack_keys, unpack_keys
+from .weights import FormalCharacter, _pack, demazure_step
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _operator_terms(s: Schedule, word: tuple[int, ...]) -> Iterator[dict[int, in
     each Demazure step along word in turn."""
     ct = s.crystal.cartan
     lam = s.ground.window_weight(0)
-    terms = pack_keys(ct, {(*lam.lambda_coords, lam.delta_coord): 1})
+    terms = {_pack(ct.size + 1, (*lam.lambda_coords, lam.delta_coord)): 1}
     yield terms
     for i in word:
         terms = demazure_step(ct, i, terms)
@@ -91,17 +91,18 @@ def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
     """Iterated Demazure operators on e^{weight of the ground state},
     applied along the schedule's reflection word.  The k steps run on
     packed int keys (``demazure_step``), from the ground-state key packed
-    once; the character unpacks them once, into int keys."""
+    once, and the character keeps the last step's dict as it is: it is
+    packed the same way, and ``demazure_step`` drops its zeros."""
     for terms in _operator_terms(s, s.weyl_word(k)[::-1]):
         pass
-    return FormalCharacter(unpack_keys(s.crystal.cartan, terms), _trusted=True)
+    return FormalCharacter._packed(s.crystal.cartan.size + 1, terms)
 
 
 def operator_characters(s: Schedule, k_max: int) -> Iterator[FormalCharacter]:
     """``character_by_operators(s, k)`` for k = 0, 1, ..., k_max in turn,
     read off one running sequence of k_max Demazure steps."""
-    ct = s.crystal.cartan
+    fields = s.crystal.cartan.size + 1
     return (
-        FormalCharacter(unpack_keys(ct, terms), _trusted=True)
+        FormalCharacter._packed(fields, terms)
         for terms in _operator_terms(s, s.weyl_word(k_max)[::-1])
     )

@@ -44,7 +44,9 @@ closed form (``formulas._closed_source``).  ``g_sums`` reads any of them
 into the nonzero g of every tail weight of one length, and so does the
 segment sum behind the scheduled characters (``_segment_character``):
 the walker for ``demazure.character_by_paths``, the kernel's bulk table
-for ``character_via_onedsums`` and ``character_at_full_segment``.
+for ``character_via_onedsums`` and ``character_at_full_segment``.  The
+segment sum adds its terms on the packed keys of ``weights``, one int
+subtraction per term, and its ``FormalCharacter`` keeps its dict.
 
 Also here: a search for f-string decompositions of the non-admissible
 set, the Kostka-Foulkes specialization over symmetric-power crystals,
@@ -68,7 +70,7 @@ from typing import Sequence
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
 from .qring import ZERO, LaurentPoly
-from .weights import FormalCharacter, Weight, _is_int, _require_count, fold
+from .weights import _SLOT_BIAS, FormalCharacter, Weight, _is_int, _pack, _require_count, fold
 
 
 class StabilizationGuardError(RuntimeError):
@@ -986,27 +988,47 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     """Character of the path set at step a of segment j, as a sum over
     its leading letters b of e^(lam_j + wt b) q^(j H(bbar(j+1), b)) times
     the head-b sums of length j - 1 that any g source ``terms(crystal, b,
-    j - 1)`` yields in groups (tail coords, shift, (energy, count) pairs),
-    each group's weight built once; a term's energy is the shift plus its
-    own, and its delta-coordinate is c(j) minus that.  Step a = 0 leads
-    with the ground-state letter bbar(j) alone and needs no closure: step
-    0 is (1, 0), and j whole segments are (j + 1, 0)."""
+    j - 1)`` yields in groups (tail coords, shift, (energy, count) pairs);
+    a term's energy is the shift plus its own, and its delta-coordinate
+    is c(j) minus that.  Step a = 0 leads with the ground-state letter
+    bbar(j) alone and needs no closure: step 0 is (1, 0), and j whole
+    segments are (j + 1, 0).
+
+    The sum runs on the packed keys of ``weights``, which are linear in
+    the fields: each head's key (lam_j + wt b, c(j) - j H(bbar(j+1), b))
+    and each tail weight are packed once, and a term's key is one
+    subtraction from its group's.  That is exact while every field stays
+    in its slot, so the fields are bounded first, raising ValueError: j
+    letters move a coordinate of lam_j by at most j times the largest
+    letter-weight entry, and the delta from c(j) by at most j (j + 1) / 2
+    times the largest local energy.  The counts are positive, so the
+    character keeps the sum's dict."""
     gs, crystal = s.ground, s.crystal
+    fields = crystal.cartan.size + 1
     cj = gs.c(j)
     above = gs.bar(j + 1)
     lam_j = gs.window_weight(j).lambda_coords
+    reach = max(map(abs, lam_j)) + j * max(abs(x) for wt in crystal.weight_table for x in wt)
+    depth = abs(cj) + j * (j + 1) // 2 * max(abs(h) for row in crystal.energy_table for h in row)
+    bound = max(reach, depth)
+    if bound >= _SLOT_BIAS:
+        raise ValueError(f"segment {j}: a key field may reach {bound}, outside the 32-bit slots")
+    zero = _pack(fields, (0,) * fields)
     leading = s.leading_sets(j)[a] if a else {gs.bar(j)}
-    acc: dict[tuple[int, ...], int] = {}
+    offsets: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     for b in leading:
-        base = tuple(map(add, lam_j, crystal.weight_table[crystal.index(b)]))
-        delta = cj - j * crystal.energy(above, b)
+        wt = map(add, lam_j, crystal.weight_table[crystal.index(b)])
+        head = _pack(fields, (*wt, cj - j * crystal.energy(above, b)))
         for coords, shift, pairs in terms(crystal, b, j - 1):
-            wt = tuple(map(add, base, coords))
-            top = delta - shift
+            offset = offsets.get(coords)
+            if offset is None:
+                offset = offsets[coords] = _pack(fields, (*coords, 0)) - zero
+            top = head + offset - shift
             for e, c in pairs:
-                key = (*wt, top - e)
+                key = top - e
                 acc[key] = acc.get(key, 0) + c
-    return FormalCharacter(acc, _trusted=True)
+    return FormalCharacter._packed(fields, acc)
 
 
 def character_via_onedsums(s: Schedule, k: int) -> FormalCharacter:

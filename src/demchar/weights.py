@@ -9,22 +9,21 @@ and reads one int key per simple root, ``CartanType.simple_roots``:
 ``fold``, which reflects a point into a dominant chamber; ``ascents``,
 which tests a reflection word for ascent in Bruhat length step by step
 on w(rho) (``paths.check_conditions``); and the Demazure operator
-``demazure_step``.  ``FormalCharacter`` stores int keys (*coordinates,
-delta).
+``demazure_step``.
 
-``demazure_step`` runs on packed keys: one int per affine weight, each
-field of (*coordinates, delta) biased by 2**31 in its own 32-bit slot,
-coordinate 0 most significant, so int order is tuple order.  A step
-down an alpha_i-string subtracts the packed alpha_i, and the pairing
-with h_i is one shift and mask.  ``pack_keys`` and ``unpack_keys``
-convert at the edges; they raise ValueError on a field outside
-[-2**31, 2**31).  No field can leave its slot while the operator route
-steps: every key is a weight of V(lambda) for a level-1 lambda, so its
-coordinates grow at most linearly in the number of steps k and its
-delta at most quadratically (at A1 rank 1 and k = 60 they reach 61 and
-900).  A step that pushed a field past its slot would carry into the
-next field unseen, so ``demazure_step`` is only for keys whose walks
-stay inside the slots.
+``FormalCharacter`` and ``demazure_step`` run on packed keys: one int
+per affine weight, each field of (*coordinates, delta) biased by 2**31
+in its own 32-bit slot, coordinate 0 most significant, so int order is
+tuple order.  A step down an alpha_i-string subtracts the packed
+alpha_i, and the pairing with h_i is one shift and mask.  ``_pack``
+raises ValueError, naming the key, on a field outside [-2**31, 2**31);
+``_unpack`` reads many keys back in one struct call.  A field pushed
+past its slot would carry into the next one unseen, so each route
+bounds its fields: the segment sum of ``onedsums`` once per call, before
+it sums, and the operator route by construction, as every key it steps
+is a weight of V(lambda) for a level-1 lambda, whose coordinates grow
+at most linearly in the number of steps k and its delta at most
+quadratically (at A1 rank 1 and k = 60 they reach 61 and 900).
 """
 
 from __future__ import annotations
@@ -173,9 +172,9 @@ class CartanType:
         """(shift, alpha_i) for each node i on packed keys: the bit offset
         of coordinate i's slot, and alpha_i packed as a signed difference,
         so that subtracting it from a packed key subtracts alpha_i."""
-        zero = _pack(self, (0,) * (self.size + 1))
+        zero = _pack(self.size + 1, (0,) * (self.size + 1))
         return tuple(
-            ((self.size - i) * _SLOT_BITS, _pack(self, alpha) - zero)
+            ((self.size - i) * _SLOT_BITS, _pack(self.size + 1, alpha) - zero)
             for i, alpha in enumerate(self.simple_roots)
         )
 
@@ -368,28 +367,43 @@ def dominant_classical_weights(ct: CartanType, level: int) -> list[Weight]:
 class FormalCharacter:
     """Finite integer combination of formal exponentials of affine weights.
 
-    Built from and stored as int keys (*coordinates, delta), the keys
-    every character route computes on, mapped to nonzero int
-    coefficients; a key entry or coefficient that is not an integer
-    value raises ValueError.  Comparing and adding work on the keys.
-    The character routes build their keys as int tuples and pass
-    ``_trusted=True``, which keeps them as given and drops only the zero
-    coefficients.
+    Built from int keys (*coordinates, delta) mapped to int coefficients;
+    a key entry or coefficient that is not an integer value, keys of
+    different lengths and a field outside [-2**31, 2**31) raise
+    ValueError.  Stored as {packed key: nonzero coefficient} plus the
+    field count, so it compares and adds as an int dict; ``to_keys``
+    unpacks every key in one struct call.  The character routes hand
+    over their packed dicts through ``_packed``, which keeps the dict.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_fields", "_coeffs")
 
-    def __init__(self, keys: Mapping[tuple[int, ...], int], *, _trusted: bool = False):
-        if _trusted:
-            self._coeffs = {key: c for key, c in keys.items() if c}
-        else:
-            self._coeffs = {
-                tuple(map(_integral, key)): _integral(c) for key, c in keys.items() if c
-            }
+    def __init__(self, keys: Mapping[tuple[int, ...], int]):
+        keys = {tuple(map(_integral, key)): _integral(c) for key, c in keys.items() if c}
+        fields = len(next(iter(keys), ()))
+        for key in keys:
+            if not key:
+                raise ValueError("a key needs at least its delta field")
+            if len(key) != fields:
+                raise ValueError(f"key {key} has {len(key)} fields, the first key has {fields}")
+        self._fields = fields
+        self._coeffs = {_pack(fields, key): c for key, c in keys.items()}
+
+    @classmethod
+    def _packed(cls, fields: int, coeffs: dict[int, int]) -> "FormalCharacter":
+        """The character of nonzero coefficients keyed by packed keys of
+        ``fields`` fields each, holding ``coeffs`` itself, not a copy."""
+        chi = cls.__new__(cls)
+        chi._fields, chi._coeffs = fields, coeffs
+        return chi
 
     def to_keys(self) -> dict[tuple[int, ...], int]:
-        """Coefficients keyed by (*coordinates, delta), as the constructor reads."""
-        return dict(self._coeffs)
+        """Coefficients keyed by (*coordinates, delta), as the constructor
+        reads, in key order: the packed keys sorted, then unpacked."""
+        if not self._coeffs:
+            return {}
+        keys = sorted(self._coeffs)
+        return dict(zip(_unpack(self._fields, keys), map(self._coeffs.__getitem__, keys)))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -397,18 +411,28 @@ class FormalCharacter:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalCharacter):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        # Keys of different lengths can pack to equal ints, but only
+        # empty characters of different field counts are equal.
+        return self._coeffs == other._coeffs and (
+            self._fields == other._fields or not self._coeffs
+        )
 
     def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
         if not isinstance(other, FormalCharacter):
             return NotImplemented
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        if self._fields != other._fields:
+            raise ValueError(f"cannot add characters of {self._fields} and {other._fields} fields per key")
         data = dict(self._coeffs)
         for key, c in other._coeffs.items():
             data[key] = data.get(key, 0) + c
-        return FormalCharacter(data, _trusted=True)
+        return FormalCharacter._packed(self._fields, {key: c for key, c in data.items() if c})
 
     def __repr__(self) -> str:
-        return f"FormalCharacter({dict(sorted(self._coeffs.items()))!r})"
+        return f"FormalCharacter({self.to_keys()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +455,22 @@ def _slots(fields: int) -> tuple[struct.Struct, int]:
     )
 
 
-def _pack(ct: CartanType, key: tuple[int, ...]) -> int:
-    layout, flip = _slots(ct.size + 1)
+def _pack(fields: int, key: tuple[int, ...]) -> int:
+    """The packed int of a key of ``fields`` int fields; ValueError, naming
+    the key, when a field falls outside [-2**31, 2**31)."""
+    layout, flip = _slots(fields)
     try:
         return int.from_bytes(layout.pack(*key), "big") ^ flip
     except struct.error:
         raise ValueError(f"key {key} does not fit 32-bit slots") from None
 
 
-def pack_keys(ct: CartanType, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
-    """Terms keyed by int tuples (*coordinates, delta), keyed by packed ints."""
-    return {_pack(ct, key): c for key, c in terms.items()}
-
-
-def unpack_keys(ct: CartanType, terms: Mapping[int, int]) -> dict[tuple[int, ...], int]:
-    """Terms keyed by packed ints, keyed by int tuples (*coordinates, delta)."""
-    layout, flip = _slots(ct.size + 1)
-    unpack, width = layout.unpack, layout.size
-    return {unpack((key ^ flip).to_bytes(width, "big")): c for key, c in terms.items()}
+def _unpack(fields: int, keys: list[int]) -> Iterator[tuple[int, ...]]:
+    """The fields of each packed key in turn, as an int tuple: the keys'
+    bytes joined and read by one struct call."""
+    layout, flip = _slots(fields)
+    width = layout.size
+    return layout.iter_unpack(b"".join([(key ^ flip).to_bytes(width, "big") for key in keys]))
 
 
 def demazure_step(ct: CartanType, i: int, terms: Mapping[int, int]) -> dict[int, int]:

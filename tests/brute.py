@@ -17,7 +17,8 @@ by the per-family rule with its j-dependence spelled out (sharing no
 code with the ground-state cycle that carries the segment-1 word), the
 weight named by a vector of letter coordinates, the Demazure
 operator on int-tuple keys and on a ``FormalCharacter`` (sharing no
-code with the library's step on packed keys), the reflection identity of the
+code with the library's step on packed keys, which it reaches through
+``pack_keys`` and ``unpack_keys``), the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, the
 JSON layout of a character, and the marks and comarks written out per
 family (sharing no code with the kernel vectors read off the matrix).  Each is a slow, direct restatement
@@ -35,7 +36,7 @@ from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
 from demchar.onedsums import g_recursive
 from demchar.qring import ZERO
 from demchar.tensor import TensorWord
-from demchar.weights import CartanType, FormalCharacter, Weight, _is_int
+from demchar.weights import CartanType, FormalCharacter, Weight, _is_int, _pack, _unpack
 
 Keys = Mapping[tuple[int, ...], int]
 
@@ -467,6 +468,17 @@ def demazure_step(ct: CartanType, i: int, terms: Keys) -> dict[tuple[int, ...], 
                 mu = tuple(map(add, mu, alpha))
                 out[mu] = out.get(mu, 0) - c
     return {key: c for key, c in out.items() if c}
+
+
+def pack_keys(ct: CartanType, terms: Keys) -> dict[int, int]:
+    """Terms keyed by int tuples (*coordinates, delta), keyed by the
+    library's packed ints, to feed its ``demazure_step``."""
+    return {_pack(ct.size + 1, key): c for key, c in terms.items()}
+
+
+def unpack_keys(ct: CartanType, terms: Mapping[int, int]) -> dict[tuple[int, ...], int]:
+    """Terms keyed by the library's packed ints, keyed by int tuples."""
+    return dict(zip(_unpack(ct.size + 1, list(terms)), terms.values()))
 
 
 def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:

@@ -1505,6 +1505,26 @@ class TestCharacterBridge:
         assert character_via_onedsums(s, k) == character_by_operators(s, k)
         assert character_at_full_segment(s, 6) == character_by_operators(s, 6 * s.d)
 
+    def test_segment_sum_bounds_its_fields_before_it_sums(self, monkeypatch):
+        # At A1 rank 1 the delta bound |c(j)| + j (j + 1) / 2 max |H|
+        # reaches 2**31 at j = 53,510.  The routes raise before they read
+        # a g source: with the kernel and the walker refusing, the bound
+        # is still what they raise.
+        c = perfect_crystal("A1", 1)
+        s = demazure_schedule(c, c.cartan.fundamental_weight(0))
+
+        def refuse(*args):
+            raise AssertionError("read a g source")
+
+        monkeypatch.setattr(onedsums, "_recursion", refuse)
+        monkeypatch.setattr(onedsums, "_walk_tails", refuse)
+        with pytest.raises(ValueError, match="segment 65537: .* outside the 32-bit slots"):
+            character_at_full_segment(s, 2**16)
+        with pytest.raises(ValueError, match="outside the 32-bit slots"):
+            character_by_paths(s, 2**16 * s.d + 1)
+        with pytest.raises(ValueError, match="outside the 32-bit slots"):
+            character_via_onedsums(s, 2**16 * s.d + 1)
+
 
 # ---------------------------------------------------------------------------
 # Letter coordinates and the L1 rule of the recursion kernel

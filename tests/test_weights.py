@@ -17,9 +17,11 @@ from brute import (
     finite_weyl_group,
     key,
     multiply,
+    pack_keys,
     reference_marks,
     reflect,
     simple_root,
+    unpack_keys,
     weyl_by_length,
 )
 
@@ -31,8 +33,6 @@ from demchar.weights import (
     ascents,
     cartan_type,
     inverse,
-    pack_keys,
-    unpack_keys,
 )
 from demchar.weights import demazure_step as packed_step
 
@@ -380,10 +380,12 @@ class TestFormalCharacter:
             FormalCharacter({(1, Fraction(1, 2), 0): 1})
         with pytest.raises(ValueError):
             FormalCharacter({(1, 0, 0): Fraction(1, 2)})
-        # the routes' own int keys go in as given, zero coefficients dropped
-        chi = FormalCharacter({(1, 0, 0): 2, (0, 1, 0): 0}, _trusted=True)
+        # the routes' own packed dicts go in as given, not copied
+        terms = pack_keys(cartan_type("A1", 1), {(1, 0, 0): 2})
+        chi = FormalCharacter._packed(3, terms)
+        assert chi._coeffs is terms
         assert chi.to_keys() == {(1, 0, 0): 2}
-        assert chi == FormalCharacter({(1, 0, 0): 2})
+        assert chi == FormalCharacter({(1, 0, 0): 2, (0, 1, 0): 0})
 
     def test_json_roundtrip(self):
         chi = FormalCharacter({(2, -1, -1): 1, (1, 0, 0): 3})
@@ -461,6 +463,80 @@ class TestDemazureOperator:
             (2, demazure_op(ct, 1, FormalCharacter({key(mu1): 1})).to_keys()),
             (-1, demazure_op(ct, 1, FormalCharacter({key(mu2): 1})).to_keys()),
         )
+
+
+# Fields of 1 to 4 per key, small or anywhere in the 32-bit slot, the
+# two slot edges among them.
+SLOT_FIELD = (
+    st.integers(-30, 30)
+    | st.integers(-(2**31), 2**31 - 1)
+    | st.sampled_from([-(2**31), 2**31 - 1])
+)
+
+
+def keyed_terms(fields: int):
+    """Tuple-keyed terms of ``fields`` fields per key, with mixed-sign
+    coefficients and zeros among them."""
+    return st.dictionaries(st.tuples(*[SLOT_FIELD] * fields), st.integers(-3, 3), max_size=6)
+
+
+class TestPackedCharacter:
+    """``FormalCharacter`` on packed keys against the tuple-key
+    reference ``combine`` of ``tests/brute.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda f: st.tuples(keyed_terms(f), keyed_terms(f))))
+    def test_matches_tuple_key_reference(self, pair):
+        a, b = pair
+        want_a, want_b = combine((1, a)), combine((1, b))
+        chi, psi = FormalCharacter(a), FormalCharacter(b)
+        # the writers read to_keys in its order: the tuple order,
+        # negative fields included
+        assert list(chi.to_keys().items()) == sorted(want_a.items())
+        assert FormalCharacter(chi.to_keys()) == chi
+        assert repr(chi) == f"FormalCharacter({dict(sorted(want_a.items()))!r})"
+        assert (chi + psi).to_keys() == combine((1, a), (1, b))
+        assert (chi == psi) == (want_a == want_b)
+        assert not chi + FormalCharacter(combine((-1, a)))
+        assert chi + FormalCharacter(combine((-1, a))) == FormalCharacter({})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(keyed_terms),
+        st.integers(1, 4).flatmap(keyed_terms),
+    )
+    @example({(-(2**31), 5): 1}, {(5,): 1})
+    @example({(-(2**31), 0, 7): 2}, {(0, 7): 2})
+    def test_field_counts_keep_characters_apart(self, a, b):
+        # (-2**31, 5) and (5,) pack to the same int, 5 + 2**31.
+        want_a, want_b = combine((1, a)), combine((1, b))
+        chi, psi = FormalCharacter(a), FormalCharacter(b)
+        lengths = {len(key) for key in want_a} | {len(key) for key in want_b}
+        if len(lengths) < 2:
+            assert (chi + psi).to_keys() == combine((1, a), (1, b))
+            assert (chi == psi) == (want_a == want_b)
+        else:
+            assert chi != psi
+            with pytest.raises(ValueError, match="fields per key"):
+                chi + psi
+            with pytest.raises(ValueError, match="fields, the first key has"):
+                FormalCharacter({**want_a, **want_b})
+
+    def test_empty_characters_are_equal_whatever_their_fields(self):
+        cancelled = FormalCharacter({(1, 0, 0): 1}) + FormalCharacter({(1, 0, 0): -1})
+        assert cancelled == FormalCharacter({}) == FormalCharacter({(0, 0): 0})
+        assert cancelled + FormalCharacter({(7,): 1}) == FormalCharacter({(7,): 1})
+        assert cancelled.to_keys() == {}
+        assert repr(cancelled) == "FormalCharacter({})"
+
+    @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
+    def test_field_outside_its_slot_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"key \(0, {bad}, 0\) does not fit 32-bit slots"):
+            FormalCharacter({(0, bad, 0): 1})
+
+    def test_key_without_fields_rejected(self):
+        with pytest.raises(ValueError, match="delta field"):
+            FormalCharacter({(): 1})
 
 
 # Packed-key slots hold fields in [-2**31, 2**31).  A stepped coordinate
