@@ -336,22 +336,22 @@ def cmd_character(args) -> int:
     size = crystal.cartan.size
     requested = _parse_lambda_node(args.lam, size)
     lam = crystal.cartan.fundamental_weight(requested)
+    characters = {}
+    full_segment = None
     try:
         schedule = demazure_schedule(crystal, lam, variant=args.variant)
+        if args.method in ("paths", "both"):
+            characters["paths"] = character_by_paths(schedule, args.k)
+        if args.method in ("operators", "both"):
+            characters["operators"] = character_by_operators(schedule, args.k)
+        segments, remainder = divmod(args.k, schedule.d)
+        if remainder == 0 and args.k > 0:
+            full_segment = character_at_full_segment(schedule, segments)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    characters = {}
-    if args.method in ("paths", "both"):
-        characters["paths"] = character_by_paths(schedule, args.k)
-    if args.method in ("operators", "both"):
-        characters["operators"] = character_by_operators(schedule, args.k)
     equal = None
     if args.method == "both":
         equal = characters["paths"] == characters["operators"]
-    segments, remainder = divmod(args.k, schedule.d)
-    full_segment = None
-    if remainder == 0 and args.k > 0:
-        full_segment = character_at_full_segment(schedule, segments)
     primary = characters.get("paths", characters.get("operators"))
     obj = {
         "type": args.type,

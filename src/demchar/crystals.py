@@ -169,9 +169,9 @@ class PerfectCrystal:
     @cached_property
     def letter_coordinates(self) -> "LetterCoordinates":
         """The coordinates in which the recursion kernel counts a tail
-        weight in letters, read off ``weight_table``; see
+        weight in letters, read off the letters and ``weight_table``; see
         ``LetterCoordinates``."""
-        return LetterCoordinates.of(self.weight_table)
+        return LetterCoordinates.of(self)
 
     @cached_property
     def energy_table(self) -> tuple[tuple[int, ...], ...]:
@@ -213,31 +213,30 @@ class LetterCoordinates:
 
     Coordinates c stand for the weight whose entry at node i is
     ``rows[i] . c``.  ``solve`` finds them from ``scale * c = inverse . v``,
-    with v the weight's entries at ``nodes`` followed, when ``counts``,
-    by the length m, and the weight must then equal the one that c
+    with v the weight's entries at nodes 1..n followed, when ``counts``,
+    by m times ``stride``, and the weight must then equal the one that c
     stands for.  Letter u moves c by ``steps[u]``.  As L1 is a norm, m
     letters can only carry a c of L1 norm at most m times ``stride``, the
     largest step norm; and when every step norm has the same ``parity``,
     the norm of c is congruent to m times it modulo 2, since a norm and
     the sum of the entries agree modulo 2.
 
-    ``of`` picks the coordinates from the letter weights:
+    ``of`` picks the coordinates from the letters:
 
-    * n + 1 letters, as many as the nodes, take letter counts, read with
-      the row "counts sum to m", so every step is a unit vector: every
-      A1 crystal and the level-1 symmetric power;
+    * the type-A alphabets count boxes, box k weighing Lambda_{k+1} -
+      Lambda_k, with the row "counts sum to m times stride": an A1
+      letter is one box, and a symmetric power's tuple lists its l boxes;
     * an alphabet of +-pairs and zero letters whose pairs span the
       classical nodes takes the first letter of each pair, in element
       order, as a basis, so every step is a signed unit vector or zero:
       for B1, D1, A2odd, A2even and D2 the letters 1..n, and coordinate
-      k is count(k) - count(k~);
-    * any other alphabet keeps the fundamental-weight coordinates.
+      k is count(k) - count(k~).
 
-    In the first two the rule is exact: a weight passes exactly when m
-    letters sum to it; ``formulas.g_closed_form`` reads these coordinates.
+    Both rules are exact, and ``support`` lists what they admit: m l
+    boxes sort into m tuples, and zero letters or pairs k k~ fill a +-pair
+    vector up to m letters; ``formulas.g_closed_form`` reads these.
     """
 
-    nodes: tuple[int, ...]
     counts: bool
     scale: int
     inverse: tuple[tuple[int, ...], ...]
@@ -247,44 +246,39 @@ class LetterCoordinates:
     parity: int | None
 
     @classmethod
-    def of(cls, weights: Sequence[tuple[int, ...]]) -> "LetterCoordinates":
-        size = len(weights[0])
-        classical = tuple(range(1, size))
-        units = [tuple(int(i == k) for k in range(size)) for i in range(size)]
+    def of(cls, crystal: PerfectCrystal) -> "LetterCoordinates":
+        """The coordinates of a crystal's letters; ValueError when they
+        are neither boxes nor +-pairs."""
+        weights, size = crystal.weight_table, crystal.cartan.size
+        if isinstance(crystal.elements[0], tuple):
+            boxes = [tuple(int(i == (k + 1) % size) - int(i == k) for i in range(size))
+                     for k in range(size)]
+            contents = [tuple(map(b.count, range(size))) for b in crystal.elements]
+            return cls._solve(boxes, contents, True)
+        if len(weights) == size:
+            units = [tuple(int(i == k) for k in range(size)) for i in range(size)]
+            return cls._solve(weights, units, True)
         opposite = {w: tuple(map(neg, w)) for w in weights}
         basis: list[tuple[int, ...]] = []
         for w in weights:
             if any(w) and w not in basis and opposite[w] not in basis:
                 basis.append(w)
-        try:
-            if len(weights) == size:
-                return cls._solve(weights, units, classical, True)
-            if all(opposite[w] in opposite for w in weights) and len(basis) == len(classical):
-                steps = [tuple(int(w == b) - int(opposite[w] == b) for b in basis) for w in weights]
-                return cls._solve(basis, steps, classical, False)
-        except ValueError:
-            pass
-        return cls._solve(units, weights, tuple(range(size)), False)
+        if all(opposite[w] in opposite for w in weights) and len(basis) == size - 1:
+            steps = [tuple(int(w == b) - int(opposite[w] == b) for b in basis) for w in weights]
+            return cls._solve(basis, steps, False)
+        raise ValueError(f"{crystal.name}: the letters are neither boxes nor +-pairs")
 
     @classmethod
-    def _solve(cls, basis, steps, nodes: tuple[int, ...], counts: bool) -> "LetterCoordinates":
+    def _solve(cls, basis, steps, counts: bool) -> "LetterCoordinates":
         """The table whose unit coordinates stand for the ``basis``
-        weights, solved at ``nodes`` (and the length when ``counts``);
-        ValueError when that system is singular."""
+        weights, solved at nodes 1..n (and the counts' sum when
+        ``counts``); ValueError when that system is singular."""
         rows = tuple(zip(*basis))
-        scale, inv = inverse([rows[i] for i in nodes] + ([(1,) * len(basis)] if counts else []))
+        scale, inv = inverse(rows[1:] + (((1,) * len(basis),) if counts else ()))
         norms = {sum(map(abs, step)) for step in steps}
         parities = {x % 2 for x in norms}
-        return cls(
-            nodes,
-            counts,
-            scale,
-            inv,
-            rows,
-            tuple(map(tuple, steps)),
-            max(norms),
-            parities.pop() if len(parities) == 1 else None,
-        )
+        parity = parities.pop() if len(parities) == 1 else None
+        return cls(counts, scale, inv, rows, tuple(map(tuple, steps)), max(norms), parity)
 
     def _check(self, weight: Sequence[int], m: int | None) -> None:
         """ValueError unless weight has one entry per node, and m is an int when ``counts``."""
@@ -298,9 +292,9 @@ class LetterCoordinates:
         letters (read only when ``counts``).  ValueError as in ``_check``,
         and when the weight lies off the letters' lattice or has nonzero level."""
         self._check(weight, m)
-        v = [weight[i] for i in self.nodes]
+        v = list(weight[1:])
         if self.counts:
-            v.append(m)
+            v.append(m * self.stride)
         coords = []
         for row in self.inverse:
             c, r = divmod(sum(map(mul, row, v)), self.scale)
@@ -323,6 +317,23 @@ class LetterCoordinates:
         if size > m * self.stride or (self.parity is not None and (size - m * self.parity) % 2):
             return None
         return coords
+
+    def support(self, m: int) -> frozenset[tuple[int, ...]]:
+        """The weights that ``coordinates`` admits for m letters, c running
+        over the compositions of m ``stride`` when ``counts``, else over the
+        vectors of norm at most that with the ``parity``; built up one
+        coordinate at a time as (weight so far, norm left) pairs."""
+        radius, (*inner, last) = m * self.stride, zip(*self.rows)
+        partial = [((0,) * len(self.rows), radius)]
+        for column in inner:
+            partial = [(tuple(x + c * y for x, y in zip(weight, column)), left - abs(c))
+                       for weight, left in partial for c in range(0 if self.counts else -left, left + 1)]
+        return frozenset(
+            tuple(x + c * y for x, y in zip(weight, last))
+            for weight, left in partial
+            for c in ((left,) if self.counts else range(-left, left + 1))
+            if self.counts or self.parity is None or (radius - left + c - m * self.parity) % 2 == 0
+        )
 
 
 @dataclass

@@ -160,13 +160,18 @@ def _closed_source(crystal: PerfectCrystal, b: Element, m: int, pivot: int | Non
         yield from _closed_groups(crystal, b, coords, m, pivot)
 
 
+def _require_perfect(crystal: PerfectCrystal) -> None:
+    """ValueError unless ``perfect_crystal`` built the crystal: the closed form reads letter counts."""
+    if crystal is not perfect_crystal(crystal.cartan.family, crystal.cartan.n):
+        raise ValueError(f"the closed form covers perfect_crystal's crystals, not {crystal.name}")
+
+
 def g_closed_form(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> LaurentPoly:
     """Unrestricted sum by the closed form, with the arguments, errors and
     value of ``g_enumerate`` and ``g_recursive``: the sum of the groups at
     mu (none off the letter lattice), times q^(delta-coordinate of mu)."""
     _check_query(crystal, b, j, mu)
-    if crystal is not perfect_crystal(crystal.cartan.family, crystal.cartan.n):
-        raise ValueError(f"the closed form covers perfect_crystal's crystals, not {crystal.name}")
+    _require_perfect(crystal)
     groups = _closed_groups(crystal, b, mu.lambda_coords, j)
     poly = LaurentPoly.from_terms((e + shift, c) for _, shift, pairs in groups for e, c in pairs)
     return poly.shift(mu.delta_coord)
@@ -182,6 +187,7 @@ def verify_type(crystal: PerfectCrystal, j_max: int) -> dict:
     head letter, the ``g_sums`` of the three g sources, and for B1's "0"
     the closed form under the other pivot, 1.  A cell where any column
     differs is reported with every column's value, by (tail coords, letter)."""
+    _require_perfect(crystal)
     _require_count(j_max, "j_max")
     sources = {"closed": _closed_source, "enumerate": _walker_terms, "recursive": _kernel_terms}
     cells, mismatches = 0, []

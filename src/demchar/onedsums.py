@@ -172,7 +172,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     the norm after a letter off the entries its step moves before the
     coordinates are built.  The parity half of the rule needs no test
     past the entry, because every step changes the norm's parity alike.
-    For the six level-1 families the rule is exact, so with no checked
+    For every crystal built here the rule is exact, so with no checked
     node the memo holds no dead state; with checked nodes a state can
     still be None when no tail fits.  With no checked node, as for every
     g, there is no epsilon test and ``fit`` stays the empty tuple.
@@ -493,25 +493,23 @@ def g_enumerate(crystal: PerfectCrystal, b: Element, mu: Weight, j: int) -> Laur
 
 
 def tail_weight_support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
-    """Classical coordinate tuples reachable as sums of j letter weights.
-
-    The set of length j is the set of length j - 1 plus each letter
-    weight, filled upward from the longest length built, with no call
-    per length.  Cached per crystal and length once j is checked, so
-    that 2.0 is refused rather than read as 2;
-    ``tail_weight_support.cache_clear()`` frees the sets."""
+    """Classical coordinate tuples reachable as sums of j letter weights,
+    listed by the crystal's letter coordinates
+    (``LetterCoordinates.support``) with no shorter length built.  Cached
+    per crystal and length once j is checked, so that 2.0 is refused
+    rather than read as 2; ``tail_weight_support.cache_clear()`` frees
+    the sets."""
     _require_count(j, "length")
-    sums = _supports.setdefault(crystal, [frozenset({(0,) * crystal.cartan.size})])
-    letters = crystal.weight_table
-    while len(sums) <= j:
-        sums.append(frozenset({tuple(map(add, coords, wt)) for coords in sums[-1] for wt in letters}))
-    return sums[j]
+    return _support(crystal, j)
 
 
-# The tail-weight supports of each crystal, by length from 0.
-_supports: dict[PerfectCrystal, list[frozenset[tuple[int, ...]]]] = {}
-tail_weight_support.cache_clear = _supports.clear
-tail_weight_support.cache_info = lambda: SimpleNamespace(currsize=sum(map(len, _supports.values())))
+@cache
+def _support(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
+    return crystal.letter_coordinates.support(j)
+
+
+tail_weight_support.cache_clear = _support.cache_clear
+tail_weight_support.cache_info = _support.cache_info
 
 
 # ---------------------------------------------------------------------------

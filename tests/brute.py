@@ -12,7 +12,9 @@ hold (rank orders with exceptions, D2's 0/1/2 rule, the symmetric
 power's least matching count over all permutations; they share no code
 with the walk that derives H from the arrows), the letter weights
 written out per family in the same way (sharing no code with the
-weights read off the arrows), the lowering index of each schedule step
+weights read off the arrows), the tail-weight support as the j-fold
+sumset of the letter weights (sharing no code with the letter
+coordinates' L1 rule), the lowering index of each schedule step
 by the per-family rule with its j-dependence spelled out (sharing no
 code with the ground-state cycle that carries the segment-1 word), the
 weight named by a vector of letter coordinates, the Demazure
@@ -208,6 +210,17 @@ def all_words(crystal: PerfectCrystal, length: int) -> Iterable[TensorWord]:
     for shorter in all_words(crystal, length - 1):
         for b in crystal.elements:
             yield TensorWord(crystal, shorter.factors + (b,))
+
+
+@cache
+def support_sumset(crystal: PerfectCrystal, j: int) -> frozenset[tuple[int, ...]]:
+    """The weights that j letters carry, as the j-fold sumset of the
+    letter weights: length j - 1 plus each letter weight."""
+    if j == 0:
+        return frozenset({(0,) * crystal.cartan.size})
+    return frozenset(
+        tuple(map(add, w, wt)) for w in support_sumset(crystal, j - 1) for wt in crystal.weight_table
+    )
 
 
 def enumerate_paths(

@@ -98,6 +98,19 @@ class TestCharacter:
         assert obj["full_segment_equal"] is True
         assert obj["full_segment"] == obj["characters"]["paths"]
 
+    def test_character_past_the_key_bound_exits_2(self, capsys):
+        # The segment sum refuses a key field outside its 32-bit slot
+        # before any work, and the command reports that as a bad request.
+        code, out, err = run(
+            capsys, "character", "A1", "1", "--lambda", "L0", "--k", "60000",
+            "--method", "paths",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: segment 60000: a key field may reach 2700060000, outside the 32-bit slots\n"
+        )
+
     def test_full_segment_absent_mid_segment(self, capsys):
         obj = run_json(
             capsys, "character", "B1", "3", "--lambda", "L0", "--k", "2",

@@ -428,6 +428,18 @@ class TestVerifier:
         assert report["cells_checked"] > 0
         assert report["mismatches"] == []
 
+    @pytest.mark.parametrize("n,l", [(1, 2), (2, 2), (3, 3)])
+    def test_symmetric_powers_are_refused_as_the_closed_form_refuses_them(self, n, l):
+        # Their letter coordinates count boxes, which the closed form
+        # would read as letter counts.
+        crystal = symmetric_crystal(n, l)
+        with pytest.raises(ValueError) as refused:
+            verify_type(crystal, 2)
+        with pytest.raises(ValueError) as closed:
+            g_closed_form(crystal, crystal.elements[0], Weight.zero(n + 1), 1)
+        assert str(refused.value) == str(closed.value)
+        assert "covers perfect_crystal's crystals" in str(refused.value)
+
     def test_cell_count_matches_support(self):
         crystal = perfect_crystal("A1", 1)
         expected = sum(

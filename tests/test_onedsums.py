@@ -24,6 +24,7 @@ from brute import (
     finite_weyl_group,
     reflect,
     simple_root,
+    support_sumset,
     weyl_by_length,
 )
 from oracles import (
@@ -498,8 +499,8 @@ class TestUnrestricted:
         tail_weight_support.cache_clear()
         first = tail_weight_support(c, 3)
         assert tail_weight_support(c, 3) is first
-        # Length 3 is grown from lengths 0, 1 and 2, and keeps them.
-        assert tail_weight_support.cache_info().currsize == 4
+        # Length 3 is listed with no shorter length built, so only it is kept.
+        assert tail_weight_support.cache_info().currsize == 1
         tail_weight_support.cache_clear()
         assert tail_weight_support.cache_info().currsize == 0
         assert tail_weight_support(c, 3) == first
@@ -509,21 +510,15 @@ class TestUnrestricted:
         """Every length equals the plain j-fold sumset of the letter
         weights, whichever length is asked for first."""
         c = perfect_crystal(family, n)
-        zero = (0,) * c.cartan.size
-        want = [
-            {tuple(map(sum, zip(zero, *word))) for word in
-             itertools.combinations_with_replacement(c.weight_table, j)}
-            for j in range(6)
-        ]
         for order in (range(6), range(5, -1, -1), (3, 5, 0, 4, 1, 2)):
             tail_weight_support.cache_clear()
             for j in order:
-                assert tail_weight_support(c, j) == want[j], (order, j)
+                assert tail_weight_support(c, j) == support_sumset(c, j), (order, j)
         tail_weight_support.cache_clear()
 
     def test_long_tail_weight_support_recurses_no_deeper(self):
-        # Length 3000, three times the default recursion limit, is grown
-        # from the lengths below it in one loop.
+        # Length 3000, three times the default recursion limit, is listed
+        # from the letter coordinates with no call per length.
         c = perfect_crystal("A1", 1)
         tail_weight_support.cache_clear()
         try:
@@ -863,6 +858,27 @@ class TestDecomposition:
 
 
 class TestTableauPolynomials:
+    def test_weyl_sum_equals_the_kernel_on_symmetric_powers(self):
+        """The 375 Kostka cells with n, l <= 3 and j <= 5: ``x_by_weyl_sum``
+        reads the tail-weight support of the symmetric powers, and must
+        equal the kernel's classically restricted sum."""
+        cells = 0
+        for n in (1, 2, 3):
+            for l in (1, 2, 3):
+                c = symmetric_crystal(n, l)
+                zero = Weight.zero(n + 1)
+                for j in range(6):
+                    for xi in partitions_of(l * j):
+                        if len(xi) > n + 1:
+                            continue
+                        parts = xi + (0,) * (n + 1 - len(xi))
+                        eta = Weight((0, *(parts[i] - parts[i + 1] for i in range(n))))
+                        args = (c, (n,) * l, zero, eta, j)
+                        want = x_recursive(*args, classical=True)
+                        assert x_by_weyl_sum(*args, classical=True) == want, (n, l, j, xi)
+                        cells += 1
+        assert cells == 375
+
     def test_frozen_values(self):
         assert kostka((2, 1), 1, 3, 2) == poly([(1, 1), (2, 1)])
         assert kostka((3,), 1, 3, 2) == poly([(3, 1)])
@@ -1530,6 +1546,7 @@ class TestCharacterBridge:
 # Letter coordinates and the L1 rule of the recursion kernel
 
 THREE_RANKS = [(family, _MIN_N[family] + k) for family in FAMILIES for k in range(3)]
+SYMMETRIC_POWERS = [(n, l) for n in (1, 2, 3) for l in range(4)]
 
 
 def coordinate_box(c, m):
@@ -1563,6 +1580,18 @@ def admitted_in_box(c, m, points):
     }
 
 
+def assert_no_dead_state(c):
+    for m in range(5):
+        onedsums._recursion.cache_clear()
+        rec = onedsums._recursion(c, ())
+        for w in support_sumset(c, m):
+            for t in range(len(c)):
+                assert rec(t, (), w, m) is not None
+        live = len(c) * sum(len(support_sumset(c, k)) for k in range(m + 1))
+        assert rec.cache_info().currsize == live, m
+    onedsums._recursion.cache_clear()
+
+
 class TestLetterCoordinates:
     @pytest.mark.parametrize("family,n", THREE_RANKS)
     def test_steps_are_the_letter_weights(self, family, n):
@@ -1577,18 +1606,27 @@ class TestLetterCoordinates:
         zero_letter = any(not any(wt) for wt in c.weight_table)
         assert table.parity == (None if zero_letter else 1)
 
+    @pytest.mark.parametrize("n,l", SYMMETRIC_POWERS)
+    def test_symmetric_power_steps_are_box_contents(self, n, l):
+        c = symmetric_crystal(n, l)
+        table = c.letter_coordinates
+        for b, wt, step in zip(c.elements, c.weight_table, table.steps):
+            assert step == tuple(b.count(k) for k in range(n + 1))
+            assert stands_for(table, step) == wt
+        assert table.counts and table.stride == l
+
     @pytest.mark.parametrize("family,n", THREE_RANKS)
     def test_rule_admits_exactly_the_support_in_the_box(self, family, n):
         """The points of the coordinate box that the rule admits are the
-        tail-weight support.  An admitted point has coordinates in the L1
-        ball of radius m times the stride, and ``coordinates`` checks
-        that they stand for it, so the ball's images hold every admitted
-        point."""
+        j-fold sumset of the letter weights.  An admitted point has
+        coordinates in the L1 ball of radius m times the stride, and
+        ``coordinates`` checks that they stand for it, so the ball's
+        images hold every admitted point."""
         c = perfect_crystal(family, n)
         table = c.letter_coordinates
         for m in range(6):
             images = {stands_for(table, x) for x in l1_ball(len(table.inverse), m * table.stride)}
-            assert admitted_in_box(c, m, images) == tail_weight_support(c, m), m
+            assert admitted_in_box(c, m, images) == support_sumset(c, m), m
 
     @pytest.mark.parametrize("family,n", THREE_RANKS)
     def test_rule_rejects_every_other_box_point(self, family, n):
@@ -1600,31 +1638,44 @@ class TestLetterCoordinates:
             if math.prod(b - a + 1 for a, b in zip(lo, hi)) > 40_000:
                 break
             box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            assert admitted_in_box(c, m, box) == tail_weight_support(c, m), m
+            assert admitted_in_box(c, m, box) == support_sumset(c, m), m
 
-    @pytest.mark.parametrize("n,l", [(n, l) for n in (1, 2, 3) for l in (1, 2, 3)])
+    @pytest.mark.parametrize("n,l", SYMMETRIC_POWERS)
     def test_rule_admits_the_support_of_symmetric_powers(self, n, l):
+        """``coordinates`` answers exactly on the sumset, over the images
+        of the L1 ball, which hold every admitted point, and the sumset
+        points' coordinates stand for them."""
         c = symmetric_crystal(n, l)
         table = c.letter_coordinates
         for m in range(5):
-            for w in tail_weight_support(c, m):
+            want = support_sumset(c, m)
+            for w in want:
                 coords = table.coordinates(w, m)
                 assert coords is not None and stands_for(table, coords) == w, (m, w)
+            images = {stands_for(table, x) for x in l1_ball(len(table.inverse), m * table.stride)}
+            assert {w for w in images if table.coordinates(w, m) is not None} == want, m
+
+    @pytest.mark.parametrize(
+        "c",
+        [perfect_crystal(family, n) for family, n in THREE_RANKS]
+        + [symmetric_crystal(n, l) for n, l in SYMMETRIC_POWERS],
+        ids=lambda c: c.name,
+    )
+    def test_support_lists_the_sumset(self, c):
+        top = 4 if isinstance(c.elements[0], tuple) else 5
+        for m in range(top + 1):
+            assert c.letter_coordinates.support(m) == support_sumset(c, m), m
 
     @pytest.mark.parametrize("family,n", THREE_RANKS)
     def test_g_memo_holds_no_dead_state(self, family, n):
         """Reading the unwindowed g kernel at every head letter and support
         point of length m enters every live state of length at most m,
         and no other."""
-        c = perfect_crystal(family, n)
-        for m in range(5):
-            onedsums._recursion.cache_clear()
-            rec = onedsums._recursion(c, ())
-            for w in tail_weight_support(c, m):
-                for t in range(len(c)):
-                    assert rec(t, (), w, m) is not None
-            live = len(c) * sum(len(tail_weight_support(c, k)) for k in range(m + 1))
-            assert rec.cache_info().currsize == live, m
+        assert_no_dead_state(perfect_crystal(family, n))
+
+    @pytest.mark.parametrize("n,l", SYMMETRIC_POWERS)
+    def test_g_memo_of_symmetric_powers_holds_no_dead_state(self, n, l):
+        assert_no_dead_state(symmetric_crystal(n, l))
 
     @pytest.mark.parametrize("family,n", THREE_RANKS)
     def test_node_store_cannot_change_an_answer(self, family, n):
