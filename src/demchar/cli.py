@@ -7,12 +7,18 @@ writes deterministic output: identical inputs give byte-identical
 bytes; every command runs on one thread.  A --format the subcommand
 cannot write (verify writes JSON only), a negative count bound, or an
 option of another verify suite or onedsum kind exits 2 before any work
-is done; an --out that cannot be written exits 2 after it.  A window deeper than
+is done; so does a step count whose character keys would leave their
+32-bit slots, on character and verify character alike; an --out that
+cannot be written exits 2 after it.  A window deeper than
 the interpreter stack allows exits 4 on any subcommand, with a "guard:"
 line naming the subcommand and the recursion limit.
 character computes at the requested weight; a node that is not scheduled
 borrows the words of a scheduled node through a diagram symmetry
 (demazure_schedule), recorded under "lambda" in the output.
+
+A command builds the argument parser of its own subcommand alone; help,
+usage and parse errors come from the full tree of all seven, so their
+bytes do not depend on which tree parsed first.
 
 Exit codes: 0 success, 2 bad configuration or unwritable --out,
 3 verification mismatch, 4 stabilization window guard tripped or
@@ -27,6 +33,7 @@ import io
 import json
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -504,15 +511,18 @@ def cmd_verify(args) -> int:
                     continue
                 k_max = args.kmax if args.kmax is not None else 2 * schedule.d
                 mismatches = []
-                for k, by_operators in enumerate(operator_characters(schedule, k_max)):
-                    chi = character_by_paths(schedule, k)
-                    j, rest = divmod(k, schedule.d)
-                    if (
-                        chi != by_operators
-                        or chi != character_via_onedsums(schedule, k)
-                        or (k and not rest and chi != character_at_full_segment(schedule, j))
-                    ):
-                        mismatches.append(k)
+                try:
+                    for k, by_operators in enumerate(operator_characters(schedule, k_max)):
+                        chi = character_by_paths(schedule, k)
+                        j, rest = divmod(k, schedule.d)
+                        if (
+                            chi != by_operators
+                            or chi != character_via_onedsums(schedule, k)
+                            or (k and not rest and chi != character_at_full_segment(schedule, j))
+                        ):
+                            mismatches.append(k)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
                 failed = failed or bool(mismatches)
                 cases.append(
                     {
@@ -582,11 +592,99 @@ def cmd_decomp_search(args) -> int:
 # Argument wiring
 
 
+def _graph_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("type")
+    p.add_argument("rank", type=int)
+    p.set_defaults(func=cmd_graph)
+
+
+def _character_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("type")
+    p.add_argument("rank", type=int)
+    p.add_argument("--lambda", dest="lam", required=True, help="highest weight token L0..Ln")
+    p.add_argument("--k", type=int, required=True, help="number of lowering steps")
+    p.add_argument("--method", choices=["paths", "operators", "both"], default="both")
+    p.add_argument("--variant", type=int, choices=[1, 2], default=1)
+    p.set_defaults(func=cmd_character)
+
+
+def _onedsum_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=["g", "x", "xbar"])
+    p.add_argument("--type", required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--b", required=True, help="boundary letter")
+    p.add_argument("--j", type=int, required=True, help="window length")
+    p.add_argument("--mu", help="weight token (kind g)")
+    p.add_argument("--xi", help="weight token (kinds x, xbar)")
+    p.add_argument("--eta", help="weight token (kinds x, xbar)")
+    p.add_argument(
+        "--method", choices=["enumerate", "recursive", "weyl"], default="recursive"
+    )
+    p.set_defaults(func=cmd_onedsum)
+
+
+def _kostka_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--xi", required=True, help="partition, comma-separated")
+    p.add_argument("--l", type=int, required=True, help="row length of the content box")
+    p.add_argument("--j", type=int, required=True, help="row count of the content box")
+    p.add_argument("--n", type=int, required=True, help="rank bound")
+    p.set_defaults(func=cmd_kostka)
+
+
+def _stringfn_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--type", required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", required=True, help="highest weight token")
+    p.add_argument("--M", type=int, required=True, help="truncation degree")
+    p.add_argument("--mu", help="optional level-zero direction")
+    p.add_argument(
+        "--max-window",
+        type=int,
+        default=64,
+        dest="max_window",
+        help="window-length guard for stabilization",
+    )
+    p.set_defaults(func=cmd_stringfn)
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=["formulas", "character", "perfect"])
+    p.add_argument("--type", required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--jmax", type=int, help="window bound (formulas)")
+    p.add_argument("--kmax", type=int, help="step bound (character)")
+    p.add_argument("--level", type=int, help="level (perfect; default 1)")
+    p.set_defaults(func=cmd_verify)
+
+
+def _decomp_search_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--type", required=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--classical", action="store_true", help="check classical nodes only")
+    p.set_defaults(func=cmd_decomp_search)
+
+
+# Each subcommand's help line and options, in the order the usage lists them.
+_SUBCOMMANDS = {
+    "graph": ("crystal arrow graph", _graph_options),
+    "character": ("step-k character", _character_options),
+    "onedsum": ("window generating polynomial", _onedsum_options),
+    "kostka": ("tableau q-polynomial", _kostka_options),
+    "stringfn": ("stabilized string function", _stringfn_options),
+    "verify": ("verification suites", _verify_options),
+    "decomp-search": ("non-admissible letter decomposition", _decomp_search_options),
+}
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: argparse reads the
-    output streams only when it prints, and every parse makes a fresh
-    namespace."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and command: argparse
+    reads the output streams only when it prints, and every parse makes a
+    fresh namespace.  With no command it is the full tree.  With one it
+    holds that subcommand's parser alone under the same main parser, so
+    it parses every argv that names the command as the full tree does,
+    and only its help, usage and error lines differ (see ``_parse``)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     common.add_argument("--format", choices=["json", "dot", "csv"], help="output format")
@@ -597,75 +695,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "level-one letter crystals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("graph", parents=[common], help="crystal arrow graph")
-    g.add_argument("type")
-    g.add_argument("rank", type=int)
-    g.set_defaults(func=cmd_graph)
-
-    c = sub.add_parser("character", parents=[common], help="step-k character")
-    c.add_argument("type")
-    c.add_argument("rank", type=int)
-    c.add_argument("--lambda", dest="lam", required=True, help="highest weight token L0..Ln")
-    c.add_argument("--k", type=int, required=True, help="number of lowering steps")
-    c.add_argument("--method", choices=["paths", "operators", "both"], default="both")
-    c.add_argument("--variant", type=int, choices=[1, 2], default=1)
-    c.set_defaults(func=cmd_character)
-
-    o = sub.add_parser("onedsum", parents=[common], help="window generating polynomial")
-    o.add_argument("kind", choices=["g", "x", "xbar"])
-    o.add_argument("--type", required=True)
-    o.add_argument("--rank", type=int, required=True)
-    o.add_argument("--b", required=True, help="boundary letter")
-    o.add_argument("--j", type=int, required=True, help="window length")
-    o.add_argument("--mu", help="weight token (kind g)")
-    o.add_argument("--xi", help="weight token (kinds x, xbar)")
-    o.add_argument("--eta", help="weight token (kinds x, xbar)")
-    o.add_argument(
-        "--method", choices=["enumerate", "recursive", "weyl"], default="recursive"
-    )
-    o.set_defaults(func=cmd_onedsum)
-
-    k = sub.add_parser("kostka", parents=[common], help="tableau q-polynomial")
-    k.add_argument("--xi", required=True, help="partition, comma-separated")
-    k.add_argument("--l", type=int, required=True, help="row length of the content box")
-    k.add_argument("--j", type=int, required=True, help="row count of the content box")
-    k.add_argument("--n", type=int, required=True, help="rank bound")
-    k.set_defaults(func=cmd_kostka)
-
-    s = sub.add_parser("stringfn", parents=[common], help="stabilized string function")
-    s.add_argument("--type", required=True)
-    s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--lambda", dest="lam", required=True, help="highest weight token")
-    s.add_argument("--M", type=int, required=True, help="truncation degree")
-    s.add_argument("--mu", help="optional level-zero direction")
-    s.add_argument(
-        "--max-window",
-        type=int,
-        default=64,
-        dest="max_window",
-        help="window-length guard for stabilization",
-    )
-    s.set_defaults(func=cmd_stringfn)
-
-    v = sub.add_parser("verify", parents=[common], help="verification suites")
-    v.add_argument("suite", choices=["formulas", "character", "perfect"])
-    v.add_argument("--type", required=True)
-    v.add_argument("--rank", type=int, required=True)
-    v.add_argument("--jmax", type=int, help="window bound (formulas)")
-    v.add_argument("--kmax", type=int, help="step bound (character)")
-    v.add_argument("--level", type=int, help="level (perfect; default 1)")
-    v.set_defaults(func=cmd_verify)
-
-    d = sub.add_parser(
-        "decomp-search", parents=[common], help="non-admissible letter decomposition"
-    )
-    d.add_argument("--type", required=True)
-    d.add_argument("--rank", type=int, required=True)
-    d.add_argument("--level", type=int, default=1)
-    d.add_argument("--classical", action="store_true", help="check classical nodes only")
-    d.set_defaults(func=cmd_decomp_search)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            options(sub.add_parser(name, parents=[common], help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the trimmed tree of the subcommand it names.  Where
+    that tree would print help, usage or an error, or exit, its output is
+    dropped and the full tree parses argv again, so those bytes list
+    every subcommand; so does an argv that names no subcommand."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                return _build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 # Options that take a coordinate vector.  argparse reads a value with a
@@ -686,11 +733,8 @@ def _join_negative_vectors(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(
-            _join_negative_vectors(sys.argv[1:] if argv is None else list(argv))
-        )
+        args = _parse(_join_negative_vectors(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

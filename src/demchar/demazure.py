@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .onedsums import _segment_character, _walker_terms
+from .onedsums import _check_key_fields, _segment_character, _walker_terms
 from .paths import (
     ConditionReport,
     Schedule,
@@ -92,7 +92,13 @@ def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
     applied along the schedule's reflection word.  The k steps run on
     packed int keys (``demazure_step``), from the ground-state key packed
     once, and the character keeps the last step's dict as it is: it is
-    packed the same way, and ``demazure_step`` drops its zeros."""
+    packed the same way, and ``demazure_step`` drops its zeros.
+
+    Each step's keys are weights of that step's character, which equals
+    the path character of its segment, so the segment sum's field bound
+    (``onedsums._check_key_fields``) at step k's segment holds them all;
+    ValueError, before any step, when it exceeds the 32-bit slots."""
+    _check_key_fields(s, s.decompose(k)[0])
     for terms in _operator_terms(s, s.weyl_word(k)[::-1]):
         pass
     return FormalCharacter._packed(s.crystal.cartan.size + 1, terms)
@@ -100,7 +106,9 @@ def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
 
 def operator_characters(s: Schedule, k_max: int) -> Iterator[FormalCharacter]:
     """``character_by_operators(s, k)`` for k = 0, 1, ..., k_max in turn,
-    read off one running sequence of k_max Demazure steps."""
+    read off one running sequence of k_max Demazure steps; ValueError at
+    the call, as in ``character_by_operators`` for k_max."""
+    _check_key_fields(s, s.decompose(k_max)[0])
     fields = s.crystal.cartan.size + 1
     return (
         FormalCharacter._packed(fields, terms)

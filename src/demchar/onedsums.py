@@ -982,6 +982,22 @@ def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int
     return {coords: LaurentPoly(found, _trusted=True) for coords, found in sums.items() if found}
 
 
+def _check_key_fields(s: Schedule, j: int) -> None:
+    """Raise ValueError unless every field of a weight in segment j's
+    characters fits its 32-bit slot of the packed keys.  j letters move a
+    coordinate of lam_j by at most j times the largest letter-weight
+    entry, and the delta from c(j) by at most j (j + 1) / 2 times the
+    largest local energy.  The bound grows with j, so the bound of a step
+    k's segment holds for every step up to k."""
+    gs, crystal = s.ground, s.crystal
+    lam_j = gs.window_weight(j).lambda_coords
+    reach = max(map(abs, lam_j)) + j * max(abs(x) for wt in crystal.weight_table for x in wt)
+    depth = abs(gs.c(j)) + j * (j + 1) // 2 * max(abs(h) for row in crystal.energy_table for h in row)
+    bound = max(reach, depth)
+    if bound >= _SLOT_BIAS:
+        raise ValueError(f"segment {j}: a key field may reach {bound}, outside the 32-bit slots")
+
+
 def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     """Character of the path set at step a of segment j, as a sum over
     its leading letters b of e^(lam_j + wt b) q^(j H(bbar(j+1), b)) times
@@ -996,21 +1012,14 @@ def _segment_character(s: Schedule, j: int, a: int, terms) -> FormalCharacter:
     the fields: each head's key (lam_j + wt b, c(j) - j H(bbar(j+1), b))
     and each tail weight are packed once, and a term's key is one
     subtraction from its group's.  That is exact while every field stays
-    in its slot, so the fields are bounded first, raising ValueError: j
-    letters move a coordinate of lam_j by at most j times the largest
-    letter-weight entry, and the delta from c(j) by at most j (j + 1) / 2
-    times the largest local energy.  The counts are positive, so the
-    character keeps the sum's dict."""
+    in its slot, so ``_check_key_fields`` bounds them first.  The counts
+    are positive, so the character keeps the sum's dict."""
+    _check_key_fields(s, j)
     gs, crystal = s.ground, s.crystal
     fields = crystal.cartan.size + 1
     cj = gs.c(j)
     above = gs.bar(j + 1)
     lam_j = gs.window_weight(j).lambda_coords
-    reach = max(map(abs, lam_j)) + j * max(abs(x) for wt in crystal.weight_table for x in wt)
-    depth = abs(cj) + j * (j + 1) // 2 * max(abs(h) for row in crystal.energy_table for h in row)
-    bound = max(reach, depth)
-    if bound >= _SLOT_BIAS:
-        raise ValueError(f"segment {j}: a key field may reach {bound}, outside the 32-bit slots")
     zero = _pack(fields, (0,) * fields)
     leading = s.leading_sets(j)[a] if a else {gs.bar(j)}
     offsets: dict[tuple[int, ...], int] = {}

@@ -63,37 +63,42 @@ class GroundState:
             )
         self.crystal = crystal
         self.lam = lam.classical()
-        self._lams = [self.lam]
-        self._bars: list[Element] = []
         self._cs = [0]
 
-    def _extend(self, upto: int) -> None:
-        while len(self._bars) < upto:
-            b = self.crystal.ground_element(self._lams[-1])
-            self._bars.append(b)
-            self._lams.append(self.crystal.epsilon_weight(b))
+    @cached_property
+    def _cycle(self) -> tuple[tuple[Element, ...], tuple[Weight, ...]]:
+        """The letters b(1..p) and window weights lam_0..lam_{p-1} of one
+        period.  The step from a window weight to the next, through its
+        ground-state letter, permutes the level-1 dominant weights of a
+        perfect crystal, so the weights return to lambda."""
+        bars: list[Element] = []
+        lams = [self.lam]
+        while True:
+            b = self.crystal.ground_element(lams[-1])
+            bars.append(b)
+            lam = self.crystal.epsilon_weight(b)
+            if lam == self.lam:
+                return tuple(bars), tuple(lams)
+            lams.append(lam)
 
     def bar(self, k: int) -> Element:
         """Ground-state letter at position k >= 1."""
         if k < 1:
             raise ValueError("positions start at 1")
-        self._extend(k)
-        return self._bars[k - 1]
+        bars = self._cycle[0]
+        return bars[(k - 1) % len(bars)]
 
     def window_weight(self, j: int) -> Weight:
         """Weight of the boundary after truncation at window j >= 0."""
         if j < 0:
             raise ValueError("window must be nonnegative")
-        self._extend(j)
-        return self._lams[j]
+        lams = self._cycle[1]
+        return lams[j % len(lams)]
 
     def period(self) -> int:
         """Least p >= 1 whose window weight is lambda again: the length of
         the ground state's cycle of weights."""
-        p = 1
-        while self.window_weight(p) != self.lam:
-            p += 1
-        return p
+        return len(self._cycle[0])
 
     def c(self, j: int) -> int:
         """Energy of the ground-state word of length j >= 0."""

@@ -19,20 +19,21 @@ alpha_i, and the pairing with h_i is one shift and mask.  ``_pack``
 raises ValueError, naming the key, on a field outside [-2**31, 2**31);
 ``_unpack`` reads many keys back in one struct call.  A field pushed
 past its slot would carry into the next one unseen, so each route
-bounds its fields: the segment sum of ``onedsums`` once per call, before
-it sums, and the operator route by construction, as every key it steps
-is a weight of V(lambda) for a level-1 lambda, whose coordinates grow
-at most linearly in the number of steps k and its delta at most
-quadratically (at A1 rank 1 and k = 60 they reach 61 and 900).
+bounds its fields before any work, by one bound per segment
+(``onedsums._check_key_fields``): the segment sum once per call, and
+the operator route at its last step's segment, as every key it steps is
+a weight of a Demazure character that the segment sum also writes.
+Coordinates grow at most linearly in the number of steps k and the
+delta at most quadratically (at A1 rank 1 and k = 60 they reach 61 and
+900).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -244,23 +245,36 @@ def _build_matrix(family: str, n: int) -> list[list[int]]:
 
 def inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """d and the int matrix d * M^-1 of a square int matrix M, with d the
-    least positive int that makes it integral, by Gauss-Jordan over
-    Fractions.  Raises ValueError when M is not square or is singular."""
+    least positive int that makes it integral.  Raises ValueError when M
+    is not square or is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan on ints: each step scales every
+    other row of [M | I] by the pivot, clears the pivot column and
+    divides by the previous pivot, a division that is always exact.  The
+    last pivot p is +-det M, the left block ends as p times the identity
+    and the right block as p * M^-1, which the gcd of p and its entries
+    reduces to d * M^-1."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError(f"matrix {matrix} is not square")
     rows = [[*row, *(int(r == c) for c in range(size))] for r, row in enumerate(matrix)]
+    previous = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             raise ValueError(f"matrix {matrix} is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [Fraction(x, rows[col][col]) for x in rows[col]]
+        top = rows[col]
+        p = top[col]
         for r in range(size):
-            if r != col and (factor := rows[r][col]):
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    d = lcm(*(x.denominator for row in rows for x in row[size:]))
-    return d, tuple(tuple(int(x * d) for x in row[size:]) for row in rows)
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(p * x - factor * y) // previous for x, y in zip(rows[r], top)]
+        previous = p
+    divisor = gcd(previous, *(x for row in rows for x in row[size:]))
+    if previous < 0:
+        divisor = -divisor
+    return previous // divisor, tuple(tuple(x // divisor for x in row[size:]) for row in rows)
 
 
 def _null_vector(matrix: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

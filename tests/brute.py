@@ -22,15 +22,19 @@ operator on int-tuple keys and on a ``FormalCharacter`` (sharing no
 code with the library's step on packed keys, which it reaches through
 ``pack_keys`` and ``unpack_keys``), the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, the
-JSON layout of a character, and the marks and comarks written out per
-family (sharing no code with the kernel vectors read off the matrix).  Each is a slow, direct restatement
+JSON layout of a character, the marks and comarks written out per
+family (sharing no code with the kernel vectors read off the matrix),
+and the inverse of an int matrix by Gauss-Jordan over Fractions
+(sharing no code with the library's fraction-free elimination on ints).  Each is a slow, direct restatement
 that the tests hold the fast library routes against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -99,6 +103,27 @@ def reference_marks(family: str, n: int) -> tuple[tuple[int, ...], tuple[int, ..
     if family == "D2":
         return (1,) * (n + 1), (1,) + (2,) * (n - 1) + (1,)
     raise ValueError(f"unknown family {family!r}")
+
+
+def inverse_by_fractions(matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """d and d * M^-1 of a square int matrix M, with d the least positive
+    int that makes it integral, by Gauss-Jordan over Fractions; the
+    ValueErrors of ``weights.inverse`` when M is not square or singular."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError(f"matrix {matrix} is not square")
+    rows = [[*row, *(int(r == c) for c in range(size))] for r, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError(f"matrix {matrix} is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [Fraction(x, rows[col][col]) for x in rows[col]]
+        for r in range(size):
+            if r != col and (factor := rows[r][col]):
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    d = lcm(*(x.denominator for row in rows for x in row[size:]))
+    return d, tuple(tuple(int(x * d) for x in row[size:]) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -110,6 +111,25 @@ class TestCharacter:
         assert err == (
             "error: segment 60000: a key field may reach 2700060000, outside the 32-bit slots\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["character", "A1", "1", "--lambda", "L0", "--k", "60000", "--method", "operators"],
+            ["verify", "character", "--type", "A1", "--rank", "1", "--kmax", "60000"],
+        ],
+    )
+    def test_operator_routes_past_the_key_bound_exit_2(self, capsys, argv):
+        # The operator route checks the segment sum's bound before its
+        # first Demazure step, so these answer at once instead of running
+        # 60000 steps.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: segment 60000: a key field may reach 2700060000, outside the 32-bit slots\n"
+        )
+        assert time.perf_counter() - start < 5
 
     def test_full_segment_absent_mid_segment(self, capsys):
         obj = run_json(
@@ -997,3 +1017,110 @@ def test_commands_in_one_process_give_the_bytes_of_separate_runs(capsys, monkeyp
         out, err = capsys.readouterr()
         got = (code, out.encode(), err.encode())
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+# Per subcommand: a valid argv, one missing a required argument, one with
+# a bad int, and options with an invalid choice.
+PARSER_CASES = {
+    "graph": (["graph", "A1", "1"], ["graph", "A1"], ["graph", "A1", "one"], ["--format", "xml"]),
+    "character": (
+        ["character", "A1", "1", "--lambda", "L0", "--k", "2"],
+        ["character", "A1", "1", "--k", "2"],
+        ["character", "A1", "1", "--lambda", "L0", "--k", "two"],
+        ["--method", "nope"],
+    ),
+    "onedsum": (
+        ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2", "--mu", "0,0"],
+        ["onedsum", "g", "--type", "A1", "--rank", "1", "--j", "2", "--mu", "0,0"],
+        ["onedsum", "g", "--type", "A1", "--rank", "1", "--b", "0", "--j", "2.5", "--mu", "0,0"],
+        ["--method", "nope"],
+    ),
+    "kostka": (
+        ["kostka", "--xi", "2,1", "--l", "1", "--j", "3", "--n", "2"],
+        ["kostka", "--xi", "2,1", "--l", "1", "--j", "3"],
+        ["kostka", "--xi", "2,1", "--l", "x", "--j", "3", "--n", "2"],
+        ["--format", "xml"],
+    ),
+    "stringfn": (
+        ["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "2"],
+        ["stringfn", "--type", "A1", "--rank", "1", "--M", "2"],
+        ["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "2", "--max-window", "w"],
+        ["--format", "xml"],
+    ),
+    "verify": (
+        ["verify", "perfect", "--type", "A1", "--rank", "1"],
+        ["verify", "perfect", "--type", "A1"],
+        ["verify", "perfect", "--type", "A1", "--rank", "one"],
+        ["--format", "xml"],
+    ),
+    "decomp-search": (
+        ["decomp-search", "--type", "A1", "--rank", "1"],
+        ["decomp-search", "--rank", "1"],
+        ["decomp-search", "--type", "A1", "--rank", "1", "--level", "1.0"],
+        ["--format", "xml"],
+    ),
+}
+
+
+def _parser_argvs(command):
+    base, missing, bad_int, choice = PARSER_CASES[command]
+    return [
+        [command, "-h"], [*base, "--help"], [*base, "--bogus"], [*base, "extra"],
+        missing, bad_int, [*base, *choice],
+    ]
+
+
+def test_parser_cases_cover_every_subcommand():
+    assert list(PARSER_CASES) == list(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("command", list(PARSER_CASES))
+def test_trimmed_tree_gives_the_bytes_of_the_full_tree(capsys, monkeypatch, command, columns):
+    # main parses with the command's trimmed tree; where that would print,
+    # it prints nothing and the full tree parses again, so help, usage and
+    # error bytes and the exit code are the full tree's.
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in _parser_argvs(command):
+        code = main(argv)
+        got = code, *capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        assert got == (exc.value.code, *capsys.readouterr()), argv
+        assert code in (0, 2) and (got[1] if code == 0 else got[2]), argv
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_a_trimmed_tree_holds_one_subparser(command):
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+
+    assert subcommands(cli._build_parser(command)) == [command]
+    assert cli._build_parser(command) is cli._build_parser(command)
+    assert subcommands(cli._build_parser()) == list(cli._SUBCOMMANDS)
+
+
+START_UP = """
+import argparse, json, sys
+progs = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    progs.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from demchar import cli
+code = cli.main(["stringfn", "--type", "A1", "--rank", "1", "--lambda", "L0", "--M", "3"])
+print(json.dumps([code, "fractions" in sys.modules, [p for p in progs if p]]), file=sys.stderr)
+"""
+
+
+def test_a_command_builds_only_its_own_parser_and_imports_no_fractions():
+    # What a fresh process does before any query: it parses with the
+    # command's parser alone, and the integer inverse needs no Fractions.
+    src = str(Path(demchar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(proc.stderr) == [0, False, ["demchar", "demchar stringfn"]]

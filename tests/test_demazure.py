@@ -270,6 +270,19 @@ class TestCharacterDetails:
             with pytest.raises(AssertionError, match="another route's code ran"):
                 onedsums.character_at_full_segment(s, 2)
 
+    def test_operator_routes_refuse_a_step_past_the_key_bound_before_any_step(self, monkeypatch):
+        # One bound for every route: the segment sum's, at the segment of
+        # the last step, checked before the first Demazure step runs.
+        def refuse(*args):
+            raise AssertionError("a Demazure step ran")
+
+        monkeypatch.setattr(demazure, "demazure_step", refuse)
+        s = make("A1", 1, 0)
+        message = "segment 60000: a key field may reach 2700060000, outside the 32-bit slots"
+        for route in (character_by_operators, operator_characters, character_by_paths):
+            with pytest.raises(ValueError, match=message):
+                route(s, 60000)
+
     def test_characters_stay_int_keyed(self, monkeypatch):
         # A route builds Weights for its windows only, so their count grows
         # with the number of segments, not with the number of terms; the

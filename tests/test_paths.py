@@ -63,6 +63,13 @@ class TestGroundState:
             assert gs.window_weight(j).lambda_coords == expected.lambda_coords
         assert gs.period() == 3
 
+    def test_holds_one_period(self):
+        # Letters and window weights repeat with the period, so a far
+        # window reads the first period and extends nothing.
+        gs = make_ground_state("A1", 2, 0)
+        assert gs.window_weight(3 * 10**9 + 1) is gs.window_weight(1)
+        assert gs.bar(3 * 10**9 + 2) == gs.bar(2)
+
     def test_alternating_letters(self):
         for family, n in [("B1", 3), ("D1", 4), ("A2odd", 3)]:
             gs = make_ground_state(family, n, 0)

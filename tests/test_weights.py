@@ -15,6 +15,7 @@ from brute import (
     demazure_op,
     demazure_step,
     finite_weyl_group,
+    inverse_by_fractions,
     key,
     multiply,
     pack_keys,
@@ -25,6 +26,7 @@ from brute import (
     weyl_by_length,
 )
 
+from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.weights import (
     _MIN_N,
     FAMILIES,
@@ -245,6 +247,55 @@ class TestInverse:
     def test_rejects_a_matrix_that_is_not_square(self, matrix):
         with pytest.raises(ValueError, match="not square"):
             inverse(matrix)
+        assert _outcome(inverse, matrix) == _outcome(inverse_by_fractions, matrix)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_fractions_on_the_library_systems(self, family):
+        # The systems the library inverts: each letter-coordinate table's
+        # (``LetterCoordinates._solve``) and the classical Cartan block
+        # and its transpose (the marks and comarks).
+        for n in range(_MIN_N[family], _MIN_N[family] + 6):
+            table = perfect_crystal(family, n).letter_coordinates
+            assert (table.scale, table.inverse) == inverse_by_fractions(_solved_system(table))
+            block = tuple(row[1:] for row in cartan_type(family, n).matrix[1:])
+            for matrix in (block, tuple(zip(*block))):
+                assert inverse(matrix) == inverse_by_fractions(matrix)
+
+    def test_matches_fractions_on_symmetric_powers(self):
+        for n in range(1, 5):
+            for l in range(5):
+                table = symmetric_crystal(n, l).letter_coordinates
+                assert (table.scale, table.inverse) == inverse_by_fractions(_solved_system(table))
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda size: st.lists(
+                st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6), min_size=size, max_size=size),
+                min_size=size,
+                max_size=size,
+            )
+        )
+    )
+    @example([[0]])
+    @example([[1, 2], [2, 4]])
+    @example([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
+    @example([[0, 1, 0], [1, 0, 0], [1, 1, 0]])
+    def test_matches_fractions(self, matrix):
+        assert _outcome(inverse, matrix) == _outcome(inverse_by_fractions, matrix)
+
+
+def _solved_system(table):
+    """The matrix a letter-coordinate table was solved from: its rows at
+    nodes 1..n, and the counts' row of ones when it counts boxes."""
+    return table.rows[1:] + (((1,) * len(table.rows[0]),) if table.counts else ())
+
+
+def _outcome(invert, matrix):
+    """The inverse of matrix, or the message of its ValueError."""
+    try:
+        return invert(matrix)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestWeylGroup:
