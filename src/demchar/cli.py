@@ -16,6 +16,15 @@ character computes at the requested weight; a node that is not scheduled
 borrows the words of a scheduled node through a diagram symmetry
 (demazure_schedule), recorded under "lambda" in the output.
 
+Output goes to stdout or the --out file as it is built.  The small JSON
+chunks collect in a list and go out at once; a character's term list,
+JSON or CSV, goes out in batches of _BATCH_TERMS terms, each one slice
+of its sorted packed keys formatted by one %-format.  So the writer
+holds at once the small chunks, the sorted keys and one batch, plus the
+text of a character of at most _KEEP_BATCHES batches while an equal one
+later in the output is still to be written.  A reader that closes
+stdout early ends the output quietly, with the command's exit code.
+
 A command builds the argument parser of its own subcommand alone; help,
 usage and parse errors come from the full tree of all seven, so their
 bytes do not depend on which tree parsed first.
@@ -28,15 +37,15 @@ interpreter stack exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import os
 import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .crystals import PerfectCrystal, perfect_crystal, verify_perfect
 from .demazure import (
@@ -146,30 +155,111 @@ def _poly_obj(poly: LaurentPoly) -> dict:
     return {"terms": _poly_rows(poly), "display": str(poly)}
 
 
-def _json_text(obj) -> str:
-    """obj as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
+def _poly_rows(poly: LaurentPoly) -> list[list]:
+    return [[str(exp), coeff] for exp, coeff in poly.terms()]
+
+
+# A character's text is formatted and written this many terms at a time.
+_BATCH_TERMS = 1000
+# A character with an equal one later in the output keeps its text for
+# it only up to this many batches; a larger one is rendered again.
+_KEEP_BATCHES = 10
+
+
+@contextmanager
+def _output(out: str | None) -> Iterator[BinaryIO]:
+    """The binary stream a command writes to: the --out file, where an
+    OSError exits 2, or stdout, flushed at the end.  Once the reader of
+    stdout has gone, the rest of the output is dropped and the command
+    exits as it would have: stdout points at the null device, so that
+    the flush at exit does not raise again."""
+    if out:
+        try:
+            with open(out, "wb") as stream:
+                yield stream
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+        return
+    try:
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(args, obj, table=None) -> None:
+    """Write a command's output in its --format to --out or stdout: obj
+    as JSON, the CSV table of the (header, rows) pair that ``table()``
+    returns, so that a JSON run never builds it, or the text obj (dot)."""
+    fmt = _want(args)
+    with _output(args.out) as stream:
+        if fmt == "json":
+            _write_json(obj, stream)
+        elif fmt == "csv":
+            _write_csv(*table(), stream)
+        else:
+            stream.write(obj.encode("utf-8"))
+
+
+def _write_json(obj, stream: BinaryIO) -> None:
+    """Write obj as ``json.dumps(obj, indent=2)`` writes it, plus a
+    newline, to the binary stream.
 
     The stdlib falls back to its slow pure-Python encoder once ``indent``
     is given, so the layout is written here: dicts with str keys, lists,
-    tuples, strings, ints, bools and None by the stdlib's rules, and a
-    ``FormalCharacter`` as the term list of its sorted int keys, one line
-    template per term.  A character equal to one already written in obj
-    reuses that text, re-indented when it sits at another depth.  Any
-    other value goes to ``json.dumps``, with its bytes or its TypeError.
+    tuples, strings, ints, bools and None by the stdlib's rules, and any
+    other value by ``json.dumps``, with its bytes or its TypeError.  The
+    chunks collect in one list and go out in one write each side of a
+    ``FormalCharacter``, whose term list goes out ``_BATCH_TERMS`` terms
+    per write (``_character_batches``).  So at once the writer holds the
+    small chunks, one batch, and the text of each character of at most
+    ``_KEEP_BATCHES`` batches that an equal one later in obj will reuse:
+    that text is kept until the last equal character is written,
+    re-indented per batch where it sits at another depth.  A character
+    with no equal one after it keeps none, and neither does a larger
+    one: each equal character renders it again.
     """
     out: list[str] = []
-    _write_json(obj, "\n", out, [])
+    characters: list[tuple[int, FormalCharacter, str]] = []
+    _json_chunks(obj, "\n", out, characters)
     out.append("\n")
-    return "".join(out)
+    # Per character, the index of the first one equal to it, and per such
+    # first one, the index of the last one equal to it.
+    first: list[int] = []
+    for i, (_, chi, _) in enumerate(characters):
+        first.append(next((f for f in range(i) if first[f] == f and characters[f][1] == chi), i))
+    last = {f: i for i, f in enumerate(first)}
+    kept: dict[int, tuple[str, list[bytes]]] = {}
+    start = 0
+    for i, (at, chi, newline) in enumerate(characters):
+        stream.write("".join(out[start:at]).encode())
+        start = at
+        f = first[i]
+        if f in kept:
+            indent, batches = kept[f] if last[f] > i else kept.pop(f)
+            if indent != newline:
+                old, new = indent.encode(), newline.encode()
+                batches = (batch.replace(old, new) for batch in batches)
+        else:
+            batches = _character_batches(chi, newline)
+            if last[f] > i and len(chi) <= _KEEP_BATCHES * _BATCH_TERMS:
+                batches = list(batches)
+                kept[i] = newline, batches
+        for batch in batches:
+            stream.write(batch)
+    stream.write("".join(out[start:]).encode())
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _write_json(obj, newline: str, out: list[str], written: list) -> None:
-    """Append the chunks of obj; ``newline`` is a newline plus the indent
-    of the line obj starts on, and ``written`` holds (character, newline,
-    text) for each distinct character written so far."""
+def _json_chunks(obj, newline: str, out: list[str], characters: list) -> None:
+    """Append the chunks of obj to ``out``; ``newline`` is a newline plus
+    the indent of the line obj starts on.  A nonempty character appends
+    only the line that closes its term list, and goes on ``characters``
+    as (its place in ``out``, the character, ``newline``)."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
@@ -184,7 +274,7 @@ def _write_json(obj, newline: str, out: list[str], written: list) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write_json(item, inner, out, written)
+            _json_chunks(item, inner, out, characters)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(obj, dict):
@@ -195,75 +285,63 @@ def _write_json(obj, newline: str, out: list[str], written: list) -> None:
         sep = "{" + inner
         for key, value in obj.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out, written)
+            _json_chunks(value, inner, out, characters)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, FormalCharacter):
-        out.append(_character_text(obj, newline, written))
+        if obj:
+            characters.append((len(out), obj, newline))
+            out.append(newline + "]")
+        else:
+            out.append("[]")
     else:
         out.append(json.dumps(obj))
 
 
-def _character_text(chi: FormalCharacter, newline: str, written: list) -> str:
-    """The term list of chi, or the text of an equal character written
-    before, with its newline-plus-indent swapped for this one."""
-    for other, at, text in written:
-        if other == chi:
-            return text if at == newline else text.replace(at, newline)
-    text = _format_character(chi, newline)
-    written.append((chi, newline, text))
-    return text
-
-
-def _format_character(chi: FormalCharacter, newline: str) -> str:
-    """The term list of chi: per term ``{"weight": {"lambda": [coords],
-    "delta": [delta, 1]}, "coeff": c}`` in sorted key order, each written
-    by one %-template."""
-    items = chi.to_keys().items()
-    if not items:
-        return "[]"
-    term = newline + "  "
-    field = term + "  "
-    part = field + "  "
-    coord = part + "  "
-    lam = ("," + coord).join(["%d"] * (len(next(iter(items))[0]) - 1))
+def _character_batches(chi: FormalCharacter, newline: str) -> Iterator[bytes]:
+    """The term list of a nonempty chi up to its closing line,
+    ``_BATCH_TERMS`` terms per bytes: per term ``{"weight": {"lambda":
+    [coords], "delta": [delta, 1]}, "coeff": c}`` in sorted key order,
+    after "[" for the first term and "," for the others.  A batch is one
+    %-format of the term template, repeated, by the batch's flat tuple."""
+    term = (newline + "  ").encode()
+    field = term + b"  "
+    part = field + b"  "
+    coord = part + b"  "
+    batches = chi.term_batches(_BATCH_TERMS)
+    count, values = next(batches)
+    lam = (b"," + coord).join([b"%d"] * (len(values) // count - 2))
     template = (
-        term + "{" + field + '"weight": {' + part + '"lambda": [' + coord + lam + part + "],"
-        + part + '"delta": [' + coord + "%d," + coord + "1" + part + "]"
-        + field + "}," + field + '"coeff": %d' + term + "}"
+        term + b"{" + field + b'"weight": {' + part + b'"lambda": [' + coord + lam + part
+        + b"]," + part + b'"delta": [' + coord + b"%d," + coord + b"1" + part + b"]"
+        + field + b"}," + field + b'"coeff": %d' + term + b"}"
     )
-    return "[" + ",".join([template % (*key, c) for key, c in items]) + newline + "]"
+    each = b"," + template
+    yield (b"[" + template + each * (count - 1)) % values
+    for count, values in batches:
+        yield each * count % values
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(header: list[str], rows, stream: BinaryIO) -> None:
+    """Write the table as ``csv.writer`` writes it with "\n" line ends.
+    Rows given as a ``FormalCharacter`` are its terms in key
+    order, one row (weight coordinates joined by spaces, delta, coeff)
+    per term, ``_BATCH_TERMS`` rows per %-format and write; csv quotes
+    none of those fields."""
+    import csv  # only CSV output needs it, so no other run imports it
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _poly_rows(poly: LaurentPoly) -> list[list]:
-    return [[str(exp), coeff] for exp, coeff in poly.terms()]
-
-
-def _character_rows(chi: FormalCharacter) -> list[list]:
-    return [
-        [" ".join(map(str, key[:-1])), str(key[-1]), coeff]
-        for key, coeff in chi.to_keys().items()
-    ]
-
-
-def _emit(text: str, out: str | None) -> None:
-    data = text.encode("utf-8")
-    if out:
-        try:
-            Path(out).write_bytes(data)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    if not isinstance(rows, FormalCharacter):
+        writer.writerows(rows)
+        stream.write(text.getvalue().encode("utf-8"))
+        return
+    stream.write(text.getvalue().encode("utf-8"))
+    row = b""
+    for count, values in rows.term_batches(_BATCH_TERMS):
+        row = row or b" ".join([b"%d"] * (len(values) // count - 2)) + b",%d,%d\n"
+        stream.write(row * count % values)
 
 
 # Output formats of each subcommand, its default first.
@@ -295,15 +373,6 @@ def _want(args) -> str:
     return args.format or _FORMATS[args.command][0]
 
 
-def _emit_json_or_csv(args, obj, header: list[str], rows) -> None:
-    """Write obj as JSON (the default) or a CSV table; ``rows`` is a
-    zero-argument function, so a JSON run never builds the table."""
-    if _want(args) == "csv":
-        _emit(_csv_text(header, rows()), args.out)
-    else:
-        _emit(_json_text(obj), args.out)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -312,7 +381,7 @@ def cmd_graph(args) -> int:
     crystal = _crystal(args.type, args.rank)
     fmt = _want(args)
     if fmt == "dot":
-        _emit(crystal.to_dot() + "\n", args.out)
+        _emit(args, crystal.to_dot() + "\n")
         return EXIT_OK
     edges = []
     for i in crystal.cartan.index_set:
@@ -320,12 +389,6 @@ def cmd_graph(args) -> int:
             target = crystal.f(i, b)
             if target is not None:
                 edges.append((b, target, i))
-    if fmt == "csv":
-        _emit(
-            _csv_text(["from", "to", "label"], [[b, t, i] for b, t, i in edges]),
-            args.out,
-        )
-        return EXIT_OK
     obj = {
         "type": args.type,
         "rank": args.rank,
@@ -333,7 +396,7 @@ def cmd_graph(args) -> int:
         "weights": {b: crystal.weight(b).to_json_obj() for b in crystal.elements},
         "edges": [{"from": b, "to": t, "label": i} for b, t, i in edges],
     }
-    _emit(_json_text(obj), args.out)
+    _emit(args, obj, lambda: (["from", "to", "label"], edges))
     return EXIT_OK
 
 
@@ -378,9 +441,7 @@ def cmd_character(args) -> int:
     if full_segment is not None:
         obj["full_segment"] = full_segment
         obj["full_segment_equal"] = full_segment == primary
-    _emit_json_or_csv(
-        args, obj, ["weight", "delta", "coeff"], lambda: _character_rows(primary)
-    )
+    _emit(args, obj, lambda: (["weight", "delta", "coeff"], primary))
     if equal is False or (full_segment is not None and not obj["full_segment_equal"]):
         return EXIT_MISMATCH
     return EXIT_OK
@@ -432,7 +493,7 @@ def cmd_onedsum(args) -> int:
         "method": method_name,
         "polynomial": _poly_obj(poly),
     }
-    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
+    _emit(args, obj, lambda: (["exponent", "coefficient"], _poly_rows(poly)))
     return EXIT_OK
 
 
@@ -452,7 +513,7 @@ def cmd_kostka(args) -> int:
         "n": args.n,
         "polynomial": _poly_obj(poly),
     }
-    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
+    _emit(args, obj, lambda: (["exponent", "coefficient"], _poly_rows(poly)))
     return EXIT_OK
 
 
@@ -481,7 +542,7 @@ def cmd_stringfn(args) -> int:
     }
     if mu is not None:
         obj["mu"] = mu.to_json_obj()
-    _emit_json_or_csv(args, obj, ["exponent", "coefficient"], lambda: _poly_rows(poly))
+    _emit(args, obj, lambda: (["exponent", "coefficient"], _poly_rows(poly)))
     return EXIT_OK
 
 
@@ -495,7 +556,7 @@ def cmd_verify(args) -> int:
             raise ConfigError("verify formulas needs --jmax")
         _require_at_least("--jmax", args.jmax, 0)
         report = verify_type(_crystal(args.type, args.rank), args.jmax)
-        _emit(_json_text(report), args.out)
+        _emit(args, report)
         return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
     if args.suite == "character":
         _require_at_least("--kmax", args.kmax, 0)
@@ -538,7 +599,7 @@ def cmd_verify(args) -> int:
             "rank": args.rank,
             "cases": cases,
         }
-        _emit(_json_text(obj), args.out)
+        _emit(args, obj)
         return EXIT_MISMATCH if failed else EXIT_OK
     level = 1 if args.level is None else args.level
     _require_at_least("--level", level, 1)
@@ -546,7 +607,7 @@ def cmd_verify(args) -> int:
     report = verify_perfect(crystal, level)
     obj = {"suite": "perfect", "type": args.type, "rank": args.rank, "level": level,
            "ok": report.ok, "failures": list(report.failures)}
-    _emit(_json_text(obj), args.out)
+    _emit(args, obj)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -576,14 +637,16 @@ def cmd_decomp_search(args) -> int:
         "classical": args.classical,
         "results": entries,
     }
-    _emit_json_or_csv(
+    _emit(
         args,
         obj,
-        ["xi", "found", "strings"],
-        lambda: [
-            [" ".join(str(c) for c in entry["xi"]), entry["found"], len(entry["witness"])]
-            for entry in entries
-        ],
+        lambda: (
+            ["xi", "found", "strings"],
+            [
+                [" ".join(str(c) for c in entry["xi"]), entry["found"], len(entry["witness"])]
+                for entry in entries
+            ],
+        ),
     )
     return EXIT_OK if all_found else EXIT_MISMATCH
 

@@ -385,9 +385,11 @@ class FormalCharacter:
     a key entry or coefficient that is not an integer value, keys of
     different lengths and a field outside [-2**31, 2**31) raise
     ValueError.  Stored as {packed key: nonzero coefficient} plus the
-    field count, so it compares and adds as an int dict; ``to_keys``
-    unpacks every key in one struct call.  The character routes hand
-    over their packed dicts through ``_packed``, which keeps the dict.
+    field count, so it compares and adds as an int dict;
+    ``term_batches`` reads the terms back in key order, a batch of keys
+    at a time, each batch unpacked by one struct call.  The character
+    routes hand over their packed dicts through ``_packed``, which keeps
+    the dict.
     """
 
     __slots__ = ("_fields", "_coeffs")
@@ -411,16 +413,30 @@ class FormalCharacter:
         chi._fields, chi._coeffs = fields, coeffs
         return chi
 
-    def to_keys(self) -> dict[tuple[int, ...], int]:
-        """Coefficients keyed by (*coordinates, delta), as the constructor
-        reads, in key order: the packed keys sorted, then unpacked."""
-        if not self._coeffs:
-            return {}
+    def term_batches(self, size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """The terms in key order, ``size`` at a time: per batch its term
+        count and one flat tuple of each term's fields (*coordinates,
+        delta) followed by its coefficient, the fields of the batch read
+        by one struct call (``_unpack``).  Only the sorted packed keys and
+        one batch are held at once."""
+        fields = self._fields
+        stride = fields + 1
         keys = sorted(self._coeffs)
-        return dict(zip(_unpack(self._fields, keys), map(self._coeffs.__getitem__, keys)))
+        for start in range(0, len(keys), size):
+            batch = keys[start:start + size]
+            values = _unpack(fields, batch)
+            flat = [0] * (stride * len(batch))
+            for slot in range(fields):
+                flat[slot::stride] = values[slot::fields]
+            flat[fields::stride] = map(self._coeffs.__getitem__, batch)
+            yield len(batch), tuple(flat)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
+
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalCharacter):
@@ -446,7 +462,9 @@ class FormalCharacter:
         return FormalCharacter._packed(self._fields, {key: c for key, c in data.items() if c})
 
     def __repr__(self) -> str:
-        return f"FormalCharacter({self.to_keys()!r})"
+        keys = sorted(self._coeffs)
+        tuples = zip(*[iter(_unpack(self._fields, keys))] * self._fields)
+        return f"FormalCharacter({dict(zip(tuples, map(self._coeffs.__getitem__, keys)))!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +497,13 @@ def _pack(fields: int, key: tuple[int, ...]) -> int:
         raise ValueError(f"key {key} does not fit 32-bit slots") from None
 
 
-def _unpack(fields: int, keys: list[int]) -> Iterator[tuple[int, ...]]:
-    """The fields of each packed key in turn, as an int tuple: the keys'
-    bytes joined and read by one struct call."""
+def _unpack(fields: int, keys: list[int]) -> tuple[int, ...]:
+    """The fields of the packed keys, key after key, in one flat int
+    tuple: the keys' bytes joined and read by one struct call."""
     layout, flip = _slots(fields)
     width = layout.size
-    return layout.iter_unpack(b"".join([(key ^ flip).to_bytes(width, "big") for key in keys]))
+    data = b"".join([(key ^ flip).to_bytes(width, "big") for key in keys])
+    return struct.unpack(f">{fields * len(keys)}i", data)
 
 
 def demazure_step(ct: CartanType, i: int, terms: Mapping[int, int]) -> dict[int, int]:

@@ -22,7 +22,7 @@ operator on int-tuple keys and on a ``FormalCharacter`` (sharing no
 code with the library's step on packed keys, which it reaches through
 ``pack_keys`` and ``unpack_keys``), the reflection identity of the
 unrestricted sum, products of characters held as int-keyed dicts, the
-JSON layout of a character, the marks and comarks written out per
+JSON layout and the CSV rows of a character, the marks and comarks written out per
 family (sharing no code with the kernel vectors read off the matrix),
 and the inverse of an int matrix by Gauss-Jordan over Fractions
 (sharing no code with the library's fraction-free elimination on ints).  Each is a slow, direct restatement
@@ -31,6 +31,8 @@ that the tests hold the fast library routes against.
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -516,13 +518,25 @@ def pack_keys(ct: CartanType, terms: Keys) -> dict[int, int]:
 
 def unpack_keys(ct: CartanType, terms: Mapping[int, int]) -> dict[tuple[int, ...], int]:
     """Terms keyed by the library's packed ints, keyed by int tuples."""
-    return dict(zip(_unpack(ct.size + 1, list(terms)), terms.values()))
+    fields = ct.size + 1
+    return dict(zip(zip(*[iter(_unpack(fields, list(terms)))] * fields), terms.values()))
+
+
+def to_keys(chi: FormalCharacter) -> dict[tuple[int, ...], int]:
+    """The coefficients of chi keyed by (*coordinates, delta), as its
+    constructor reads them, in the order its term batches give them."""
+    out: dict[tuple[int, ...], int] = {}
+    for count, values in chi.term_batches(1000):
+        stride = len(values) // count
+        for at in range(0, len(values), stride):
+            out[values[at:at + stride - 1]] = values[at + stride - 1]
+    return out
 
 
 def demazure_op(ct: CartanType, i: int, chi: FormalCharacter) -> FormalCharacter:
     """Demazure operator D_i extended linearly over a formal character:
     the tuple-key ``demazure_step`` above on the int keys of chi."""
-    return FormalCharacter(demazure_step(ct, i, chi.to_keys()))
+    return FormalCharacter(demazure_step(ct, i, to_keys(chi)))
 
 
 def character_json_obj(chi: FormalCharacter) -> list[dict]:
@@ -531,7 +545,27 @@ def character_json_obj(chi: FormalCharacter) -> list[dict]:
     writes it.  The CLI writes the same bytes straight from the keys."""
     return [
         {"weight": {"lambda": list(key[:-1]), "delta": [key[-1], 1]}, "coeff": c}
-        for key, c in sorted(chi.to_keys().items())
+        for key, c in sorted(to_keys(chi).items())
+    ]
+
+
+def csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
+    """A table as ``csv.writer`` writes it with "\n" line ends: the CLI's
+    CSV writer before it wrote a character's rows in batches."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def character_rows(chi: FormalCharacter) -> list[list]:
+    """The CSV rows of a character, one per term in sorted key order:
+    its weight coordinates joined by spaces, its delta and its
+    coefficient."""
+    return [
+        [" ".join(map(str, key[:-1])), str(key[-1]), c]
+        for key, c in sorted(to_keys(chi).items())
     ]
 
 

@@ -3,12 +3,14 @@
 import argparse
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from brute import character_json_obj, demazure_op, key
+from brute import character_json_obj, character_rows, csv_text, demazure_op, key, to_keys
 from oracles import colored_partition_counts
 
 import demchar
@@ -837,6 +839,13 @@ def assert_same_text(got: str, want: str, context: int = 60) -> None:
     )
 
 
+def streamed(obj) -> str:
+    """obj as the CLI's JSON writer streams it to a binary stream."""
+    sink = io.BytesIO()
+    cli._write_json(obj, sink)
+    return sink.getvalue().decode()
+
+
 def nest(value, depth):
     """value placed ``depth`` containers deep, alternating dict and list."""
     for level in range(depth):
@@ -848,21 +857,21 @@ class TestJsonWriter:
     @settings(max_examples=200, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(JSON_VALUES)
     def test_matches_stdlib_bytes(self, obj):
-        assert_same_text(cli._json_text(obj), json.dumps(obj, indent=2) + "\n")
+        assert_same_text(streamed(obj), json.dumps(obj, indent=2) + "\n")
 
     @settings(max_examples=200, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(CHARACTERS, st.integers(min_value=0, max_value=3))
     @example(FormalCharacter({}), 1)
     def test_characters_match_reference_layout(self, chi, depth):
         want = json.dumps(nest(character_json_obj(chi), depth), indent=2) + "\n"
-        assert_same_text(cli._json_text(nest(chi, depth)), want)
+        assert_same_text(streamed(nest(chi, depth)), want)
 
     @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [object()]])
     def test_unserializable_raises_as_stdlib(self, obj):
         with pytest.raises(TypeError) as stdlib:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError) as ours:
-            cli._json_text(obj)
+            streamed(obj)
         assert str(ours.value) == str(stdlib.value)
 
     @settings(max_examples=100, deadline=None, phases=WITHOUT_EXPLAIN)
@@ -877,7 +886,7 @@ class TestJsonWriter:
             "d": nest(character_json_obj(chi), 3),
             "e": character_json_obj(other),
         }
-        assert_same_text(cli._json_text(obj), json.dumps(want, indent=2) + "\n")
+        assert_same_text(streamed(obj), json.dumps(want, indent=2) + "\n")
 
     @pytest.mark.parametrize("patched", ["character_by_operators", "character_by_paths"])
     def test_unequal_routes_each_write_their_own_block(self, capsys, monkeypatch, patched):
@@ -931,6 +940,169 @@ class TestJsonWriter:
         )
         assert len(obj["full_segment"]) > 1000
         assert_same_text(out, json.dumps(obj, indent=2) + "\n")
+
+
+B = cli._BATCH_TERMS
+
+
+def terms(count: int, fields: int = 5) -> FormalCharacter:
+    """A character of ``count`` terms whose fields take both signs."""
+    return FormalCharacter(
+        {tuple((n * (slot + 3)) % 41 - 20 for slot in range(fields - 1)) + (n - 7,): n % 9 - 4 or 5
+         for n in range(count)}
+    )
+
+
+class DiscardingSink:
+    """A binary stream that keeps nothing of what is written to it."""
+
+    def write(self, data) -> int:
+        return len(data)
+
+
+def write_peak(obj) -> int:
+    """The tracemalloc peak of writing obj as JSON to a discarding sink."""
+    tracemalloc.start()
+    try:
+        cli._write_json(obj, DiscardingSink())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWriter:
+    """The writer streams a character in batches of ``_BATCH_TERMS``
+    terms; the bytes are the stdlib's at every batch boundary, and an
+    equal character reuses the kept text only while one is still to come."""
+
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_batch_boundaries_match_stdlib(self, count):
+        chi = terms(count)
+        assert len(to_keys(chi)) == count
+        for depth in (0, 1, 2):
+            want = json.dumps(nest(character_json_obj(chi), depth), indent=2) + "\n"
+            assert_same_text(streamed(nest(chi, depth)), want)
+
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_csv_batch_boundaries_match_csv_module(self, count):
+        chi = terms(count)
+        header = ["weight", "delta", "coeff"]
+        sink = io.BytesIO()
+        cli._write_csv(header, chi, sink)
+        assert_same_text(sink.getvalue().decode(), csv_text(header, character_rows(chi)))
+
+    @pytest.mark.parametrize("keep", [10, 2])
+    @pytest.mark.parametrize("depths", [(1, 3), (1, 2, 4)])
+    def test_equal_characters_reuse_a_kept_text_up_to_the_limit(self, monkeypatch, depths, keep):
+        # Equal characters of three batches at two or three depths, an
+        # unequal one between them: the first one's text is rendered once
+        # and reused while it fits _KEEP_BATCHES, else rendered again.
+        monkeypatch.setattr(cli, "_KEEP_BATCHES", keep)
+        chi, other = terms(2 * B + 1), terms(B + 3, fields=3)
+        rendered = []
+        batches = cli._character_batches
+        monkeypatch.setattr(
+            cli, "_character_batches", lambda c, newline: rendered.append(c) or batches(c, newline)
+        )
+        obj = {"first": nest(chi, depths[0]), "between": other}
+        want = {"first": nest(character_json_obj(chi), depths[0]), "between": character_json_obj(other)}
+        for n, depth in enumerate(depths[1:]):
+            obj[f"again{n}"] = nest(chi, depth)
+            want[f"again{n}"] = nest(character_json_obj(chi), depth)
+        assert_same_text(streamed(obj), json.dumps(want, indent=2) + "\n")
+        again = [] if keep >= 3 else [chi] * (len(depths) - 1)
+        assert rendered == [chi, other, *again]
+
+    def test_character_written_once_goes_out_batch_by_batch(self, monkeypatch):
+        # Each batch is written before the next is rendered, between the
+        # chunks before the character and those after it.
+        chi = terms(2 * B + 1)
+        log = []
+        batches = cli._character_batches
+
+        def render(c, newline):
+            for batch in batches(c, newline):
+                log.append("render")
+                yield batch
+
+        class LoggingSink(io.BytesIO):
+            def write(self, data):
+                log.append("write")
+                return super().write(data)
+
+        monkeypatch.setattr(cli, "_character_batches", render)
+        obj = {"characters": {"operators": chi, "paths": FormalCharacter({})}, "k": 3}
+        want = {"characters": {"operators": character_json_obj(chi), "paths": []}, "k": 3}
+        sink = LoggingSink()
+        cli._write_json(obj, sink)
+        assert_same_text(sink.getvalue().decode(), json.dumps(want, indent=2) + "\n")
+        assert log == ["write"] + ["render", "write"] * 3 + ["write"]
+
+    def test_large_character_peak_is_a_few_batches(self):
+        # 60,000 terms with no later equal character go out one batch at
+        # a time.  The peak holds the sorted packed keys (8 bytes a term,
+        # two batches' text here) and one batch's values, template and
+        # text: 6.5 batches.  A writer that builds the whole 14 MB text
+        # and its encoding first peaks at some 180 batches.
+        chi = terms(60_000)
+        batch = len(next(cli._character_batches(chi, "\n    ")))
+        peak = write_peak({"characters": {"operators": chi}})
+        assert peak < 8 * batch, (peak, batch)
+
+    def test_kept_text_is_freed_after_its_last_reuse(self):
+        # An equal pair of three batches, then 60,000 terms written once:
+        # the pair's kept text is gone before the large character goes
+        # out, so the peak is the large one's alone.
+        small, large = terms(2 * B + 1, fields=4), terms(60_000)
+        batch = len(next(cli._character_batches(small, "\n  ")))
+        alone = write_peak({"large": large})
+        assert write_peak({"a": small, "b": [small], "large": large}) < alone + batch
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["character", "D1", "4", "--lambda", "L0", "--k", "12", "--method", "both",
+                "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out").read_bytes() == stdout
+
+    def test_csv_character_table_matches_csv_module(self, capsys):
+        code, out, _ = run(
+            capsys, "character", "D1", "4", "--lambda", "L0", "--k", "24", "--method",
+            "operators", "--format", "csv",
+        )
+        assert code == 0
+        crystal = perfect_crystal("D1", 4)
+        chi = character_by_operators(demazure_schedule(crystal, crystal.cartan.fundamental_weight(0)), 24)
+        assert len(to_keys(chi)) > B
+        assert_same_text(out, csv_text(["weight", "delta", "coeff"], character_rows(chi)))
+
+
+def test_closed_pipe_exits_quietly():
+    # The reader takes 100 bytes and closes the pipe while the writer has
+    # most of its 870 KB still to write: the rest is dropped, with exit 0
+    # and nothing on stderr.
+    src = str(Path(demchar.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "demchar.cli", "character", "D1", "4", "--lambda", "L0",
+         "--k", "24", "--method", "both"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    )
+    head = b""
+    while len(head) < 100:
+        chunk = proc.stdout.read(100 - len(head))
+        assert chunk, "stdout closed before 100 bytes"
+        head += chunk
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert head.startswith(b'{\n  "type": "D1",')
 
 
 class TestDeterminism:

@@ -9,6 +9,8 @@ plain ints too.
 
 import pytest
 
+from brute import to_keys
+
 from demchar import cli
 from demchar.crystals import perfect_crystal
 from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
@@ -33,7 +35,7 @@ FAMILY_MINIMA = [
 
 
 def assert_int_deltas(chi):
-    for key in chi.to_keys():
+    for key in to_keys(chi):
         assert all(type(c) is int for c in key), key
 
 

@@ -22,6 +22,7 @@ from brute import (
     reference_marks,
     reflect,
     simple_root,
+    to_keys,
     unpack_keys,
     weyl_by_length,
 )
@@ -412,10 +413,10 @@ class TestFormalCharacter:
         w2 = Weight((0, 1), Fraction(1))
         a = FormalCharacter({key(w1): 1}) + FormalCharacter({key(w2): 2})
         b = FormalCharacter({key(w1): -1})
-        assert (a + b).to_keys() == {(0, 1, 1): 2}
+        assert to_keys(a + b) == {(0, 1, 1): 2}
         assert not (b + FormalCharacter({key(w1): 1}))
         assert a + FormalCharacter({}) == a
-        assert multiply(a.to_keys(), a.to_keys()) == {(2, 0, 0): 1, (1, 1, 1): 4, (0, 2, 2): 4}
+        assert multiply(to_keys(a), to_keys(a)) == {(2, 0, 0): 1, (1, 1, 1): 4, (0, 2, 2): 4}
 
     def test_non_integral_coefficients_rejected(self):
         for bad in (2.7, 0.5, Fraction(3, 2)):
@@ -423,8 +424,8 @@ class TestFormalCharacter:
                 FormalCharacter({(1, 0, 0): bad})
         with pytest.raises(ValueError):
             FormalCharacter({(1, 0.5, 0): 1})
-        assert FormalCharacter({(1, 0, 0): 2.0}).to_keys() == {(1, 0, 0): 2}
-        assert type(FormalCharacter({(1, 0, 0): Fraction(4, 2)}).to_keys()[(1, 0, 0)]) is int
+        assert to_keys(FormalCharacter({(1, 0, 0): 2.0})) == {(1, 0, 0): 2}
+        assert type(to_keys(FormalCharacter({(1, 0, 0): Fraction(4, 2)}))[(1, 0, 0)]) is int
 
     def test_public_constructor_checks_what_the_trusted_path_keeps(self):
         with pytest.raises(ValueError):
@@ -435,7 +436,7 @@ class TestFormalCharacter:
         terms = pack_keys(cartan_type("A1", 1), {(1, 0, 0): 2})
         chi = FormalCharacter._packed(3, terms)
         assert chi._coeffs is terms
-        assert chi.to_keys() == {(1, 0, 0): 2}
+        assert to_keys(chi) == {(1, 0, 0): 2}
         assert chi == FormalCharacter({(1, 0, 0): 2, (0, 1, 0): 0})
 
     def test_json_roundtrip(self):
@@ -445,7 +446,7 @@ class TestFormalCharacter:
             {"weight": {"lambda": [1, 0], "delta": [0, 1]}, "coeff": 3},
             {"weight": {"lambda": [2, -1], "delta": [-1, 1]}, "coeff": 1},
         ]
-        assert FormalCharacter(chi.to_keys()) == chi
+        assert FormalCharacter(to_keys(chi)) == chi
 
 
 class TestDemazureOperator:
@@ -455,7 +456,7 @@ class TestDemazureOperator:
         chi = demazure_op(ct, 0, FormalCharacter({key(lam): 1}))
         expected = FormalCharacter({key(lam): 1, key(lam - simple_root(ct, 0)): 1})
         assert chi == expected
-        assert chi.to_keys()[(-1, 2, -1)] == 1
+        assert to_keys(chi)[(-1, 2, -1)] == 1
 
     def test_zero_branch(self):
         ct = cartan_type("A1", 1)
@@ -487,7 +488,7 @@ class TestDemazureOperator:
             alpha = simple_root(ct, i)
             one_minus = combine((1, keys(Weight.zero(ct.size))), (-1, keys(-alpha)))
             for mu in samples:
-                op = demazure_op(ct, i, FormalCharacter(keys(mu))).to_keys()
+                op = to_keys(demazure_op(ct, i, FormalCharacter(keys(mu))))
                 lhs = multiply(multiply(one_minus, op), keys(rho))
                 rhs = combine((1, keys(mu + rho)), (-1, keys(reflect(ct, mu + rho, i))))
                 assert lhs == rhs, (family, n, i, str(mu))
@@ -510,9 +511,9 @@ class TestDemazureOperator:
         mu1 = ct.fundamental_weight(1)
         mu2 = Weight((1, -1, 1))
         combined = FormalCharacter({key(mu1): 2}) + FormalCharacter({key(mu2): -1})
-        assert demazure_op(ct, 1, combined).to_keys() == combine(
-            (2, demazure_op(ct, 1, FormalCharacter({key(mu1): 1})).to_keys()),
-            (-1, demazure_op(ct, 1, FormalCharacter({key(mu2): 1})).to_keys()),
+        assert to_keys(demazure_op(ct, 1, combined)) == combine(
+            (2, to_keys(demazure_op(ct, 1, FormalCharacter({key(mu1): 1})))),
+            (-1, to_keys(demazure_op(ct, 1, FormalCharacter({key(mu2): 1})))),
         )
 
 
@@ -541,12 +542,12 @@ class TestPackedCharacter:
         a, b = pair
         want_a, want_b = combine((1, a)), combine((1, b))
         chi, psi = FormalCharacter(a), FormalCharacter(b)
-        # the writers read to_keys in its order: the tuple order,
-        # negative fields included
-        assert list(chi.to_keys().items()) == sorted(want_a.items())
-        assert FormalCharacter(chi.to_keys()) == chi
+        # term_batches reads the terms in the tuple order, negative
+        # fields included
+        assert list(to_keys(chi).items()) == sorted(want_a.items())
+        assert FormalCharacter(to_keys(chi)) == chi
         assert repr(chi) == f"FormalCharacter({dict(sorted(want_a.items()))!r})"
-        assert (chi + psi).to_keys() == combine((1, a), (1, b))
+        assert to_keys(chi + psi) == combine((1, a), (1, b))
         assert (chi == psi) == (want_a == want_b)
         assert not chi + FormalCharacter(combine((-1, a)))
         assert chi + FormalCharacter(combine((-1, a))) == FormalCharacter({})
@@ -564,7 +565,7 @@ class TestPackedCharacter:
         chi, psi = FormalCharacter(a), FormalCharacter(b)
         lengths = {len(key) for key in want_a} | {len(key) for key in want_b}
         if len(lengths) < 2:
-            assert (chi + psi).to_keys() == combine((1, a), (1, b))
+            assert to_keys(chi + psi) == combine((1, a), (1, b))
             assert (chi == psi) == (want_a == want_b)
         else:
             assert chi != psi
@@ -577,7 +578,7 @@ class TestPackedCharacter:
         cancelled = FormalCharacter({(1, 0, 0): 1}) + FormalCharacter({(1, 0, 0): -1})
         assert cancelled == FormalCharacter({}) == FormalCharacter({(0, 0): 0})
         assert cancelled + FormalCharacter({(7,): 1}) == FormalCharacter({(7,): 1})
-        assert cancelled.to_keys() == {}
+        assert to_keys(cancelled) == {}
         assert repr(cancelled) == "FormalCharacter({})"
 
     @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
