@@ -419,9 +419,12 @@ def cmd_character(args) -> int:
             full_segment = character_at_full_segment(schedule, segments)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Equal characters go to the writer as one object, compared no more.
     equal = None
     if args.method == "both":
         equal = characters["paths"] == characters["operators"]
+        if equal:
+            characters["operators"] = characters["paths"]
     primary = characters.get("paths", characters.get("operators"))
     obj = {
         "type": args.type,
@@ -439,8 +442,9 @@ def cmd_character(args) -> int:
     if equal is not None:
         obj["equal"] = equal
     if full_segment is not None:
-        obj["full_segment"] = full_segment
-        obj["full_segment_equal"] = full_segment == primary
+        full_segment_equal = full_segment == primary
+        obj["full_segment"] = primary if full_segment_equal else full_segment
+        obj["full_segment_equal"] = full_segment_equal
     _emit(args, obj, lambda: (["weight", "delta", "coeff"], primary))
     if equal is False or (full_segment is not None and not obj["full_segment_equal"]):
         return EXIT_MISMATCH

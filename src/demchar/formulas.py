@@ -9,18 +9,20 @@ routes.  One loop evaluates all six families; a per-family table gives
 the letters left out of the quadratic exponent, its divisor and the
 q-base, and ``_closed_groups`` names the pair whose product is the cross
 term.  A2odd merges that pair into one part, split again by a
-q^2-binomial, and divides once by 1 + q^(g1+g1~) when the head letter is
-outside the pair.  The head-free part of each term is built once per
-(tail weight, j) and read under every head letter and pivot;
+q^2-binomial, and divides that binomial once by 1 + q^(g1+g1~) when the
+head letter is outside the pair.  Each q-multinomial is a product of
+packed ints, unpacked once.  The head-free part of each term is built
+once per (tail weight, j) and read under every head letter and pivot;
 ``_closed_terms.cache_clear()`` frees it.  ``_closed_source`` is a g
 source like the tail walker and the kernel, yielding the same groups,
 so ``onedsums.g_sums`` and the segment sum read all three alike; the
-verifier diffs their per-head sums.
+verifier diffs their per-head sums as int dicts.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import count
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -34,7 +36,7 @@ from .onedsums import (
     g_sums,
     tail_weight_support,
 )
-from .qring import ZERO, LaurentPoly, exact_div, qmultinomial
+from .qring import LaurentPoly, _multinomial_width, _packed_qmultinomial, _unpack, exact_div, qmultinomial
 from .weights import Weight, _require_count
 
 
@@ -87,6 +89,19 @@ _SHAPES: dict[str, tuple[tuple[Element, ...], int, int]] = {
 
 
 @cache
+def _pair_factor(g1: int, g1bar: int, divided: bool, width: int) -> int:
+    """A2odd's q^2-binomial [g1 + g1~, g1] packed in slots of ``width``
+    bits, times (q^g1 + q^g1~) / (1 + q^(g1+g1~)) when ``divided``: an
+    exact division (checked), whose quotient q^g1~ [g1+g1~-1, g1-1]_{q^2}
+    + q^g1 [g1+g1~-1, g1]_{q^2} has positive coefficients."""
+    factor = qmultinomial(g1 + g1bar, (g1, g1bar), 2)
+    if divided:
+        weight = LaurentPoly.from_terms([(g1, 1), (g1bar, 1)])
+        factor = exact_div(factor * weight, LaurentPoly.from_terms([(0, 1), (g1 + g1bar, 1)]))
+    return sum(c << e * width for e, c in factor.terms())
+
+
+@cache
 def _closed_terms(
     crystal: PerfectCrystal, coords: tuple[int, ...], j: int, divided: bool
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...], int], ...]:
@@ -94,9 +109,10 @@ def _closed_terms(
     length j, () where ``LetterCoordinates.solve`` raises: per letter-count
     vector, its counts in element order, its q-multinomial as (exponent,
     coefficient) pairs and its quadratic exponent, already divided by the
-    family's divisor.  ``divided`` makes A2odd's exact division by
-    1 + q^(g1+g1~).  Every head letter reads one table;
-    ``_closed_terms.cache_clear()`` frees the tables."""
+    family's divisor.  Each q-multinomial is one packed int product in the
+    slot width of j into |B| parts, unpacked once (D2's in q^2); ``divided``
+    makes A2odd's pair factor divide by 1 + q^(g1+g1~).  Every head letter
+    reads one table; ``_closed_terms.cache_clear()`` frees the tables."""
     try:
         mu = crystal.letter_coordinates.solve(coords, j)
     except ValueError:
@@ -104,6 +120,7 @@ def _closed_terms(
     family = crystal.cartan.family
     skip, divisor, base = _SHAPES.get(family, ((), 2, 1))
     kept = [i for i, label in enumerate(crystal.elements) if label not in skip]
+    width = _multinomial_width(j, len(crystal.elements))
     if family == "A2odd":
         s, sbar = crystal.index("1"), crystal.index(barred(1))
     table = []
@@ -112,19 +129,12 @@ def _closed_terms(
         quadratic = sum(g[i] * (g[i] - 1) for i in kept) // divisor
         if family == "A2odd":
             g1, g1bar = g[s], g[sbar]
-            rest = [count for i, count in enumerate(g) if i not in (s, sbar)]
-            pair = g1 + g1bar
-            term = qmultinomial(j, (pair, *rest), 1) * qmultinomial(pair, (g1, g1bar), 2)
-            if divided:
-                # The even-odd weight factor, rationalized to integer
-                # exponents: (q^{g1} + q^{g1bar}) / (1 + q^{g1+g1bar}).
-                term = exact_div(
-                    term * LaurentPoly.from_terms([(g1, 1), (g1bar, 1)]),
-                    LaurentPoly.from_terms([(0, 1), (pair, 1)]),
-                )
+            rest = [c for i, c in enumerate(g) if i not in (s, sbar)]
+            packed = _packed_qmultinomial((g1 + g1bar, *rest), width) * _pair_factor(g1, g1bar, divided, width)
         else:
-            term = qmultinomial(j, g, base)
-        table.append((g, tuple(term.terms()), quadratic))
+            packed = _packed_qmultinomial(g, width)
+        pairs = zip(count(0, base), _unpack(packed, width))
+        table.append((g, tuple(filter(itemgetter(1), pairs)), quadratic))
     return tuple(table)
 
 
@@ -185,8 +195,10 @@ def verify_type(crystal: PerfectCrystal, j_max: int) -> dict:
     """Diff the closed form against enumeration and recursion for every
     letter and reachable window weight up to ``j_max``: per length and
     head letter, the ``g_sums`` of the three g sources, and for B1's "0"
-    the closed form under the other pivot, 1.  A cell where any column
-    differs is reported with every column's value, by (tail coords, letter)."""
+    the closed form under the other pivot, 1, as int dicts.  A head whose
+    columns differ is diffed per cell as polynomials (no zero terms); a
+    cell that differs is reported with every column's value, by (tail
+    coords, letter)."""
     _require_perfect(crystal)
     _require_count(j_max, "j_max")
     sources = {"closed": _closed_source, "enumerate": _walker_terms, "recursive": _kernel_terms}
@@ -200,8 +212,10 @@ def verify_type(crystal: PerfectCrystal, j_max: int) -> dict:
                 columns["closed_other_pivot"] = g_sums(
                     crystal, b, j, lambda *args: _closed_source(*args, 1)
                 )
+            if all(column == columns["closed"] for column in columns.values()):
+                continue
             for coords in set().union(*columns.values()):
-                values = {name: column.get(coords, ZERO) for name, column in columns.items()}
+                values = {name: LaurentPoly(column.get(coords, {})) for name, column in columns.items()}
                 if any(v != values["closed"] for v in values.values()):
                     entry = {"b": b, "mu": list(crystal.letter_coordinates.solve(coords, j)), "j": j}
                     entry.update((name, v.to_json_obj()) for name, v in values.items())

@@ -41,7 +41,7 @@ A g source is a function ``terms(crystal, b, m)`` yielding groups (tail
 coords, shift, (energy, count) pairs) whose terms sum to g(b, coords, m):
 the walker (``_walker_terms``), the kernel (``_kernel_terms``) or the
 closed form (``formulas._closed_source``).  ``g_sums`` reads any of them
-into the nonzero g of every tail weight of one length, and so does the
+into one int dict per tail weight of one length, and so does the
 segment sum behind the scheduled characters (``_segment_character``):
 the walker for ``demazure.character_by_paths``, the kernel's bulk table
 for ``character_via_onedsums`` and ``character_at_full_segment``.  The
@@ -69,7 +69,7 @@ from typing import Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
-from .qring import ZERO, LaurentPoly
+from .qring import ZERO, LaurentPoly, _unpack
 from .weights import _SLOT_BIAS, FormalCharacter, Weight, _is_int, _pack, _require_count, fold
 
 
@@ -105,19 +105,6 @@ def _respace(packed: int, narrow: int, wide: int) -> int:
     data = packed.to_bytes(-(-packed.bit_length() // narrow) * size, "little")
     pad = bytes((wide - narrow) // 8)
     return int.from_bytes(pad.join([data[k : k + size] for k in range(0, len(data), size)]), "little")
-
-
-def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -> tuple[int, ...]:
-    """The coefficients in the slots of ``width`` bits of a packed value,
-    up to its highest nonzero one.  Slots of 64 bits on a little-endian
-    machine are read as one array of machine words."""
-    if packed.bit_length() <= width:
-        return (packed,)
-    size = width // 8
-    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    if native and width == 64:
-        return tuple(memoryview(data).cast("Q"))
-    return tuple(int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size))
 
 
 @cache
@@ -969,17 +956,17 @@ def _kernel_terms(crystal: PerfectCrystal, b: Element, m: int):
         yield coords, low, compress(enumerate(coeffs), coeffs)
 
 
-def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int, ...], LaurentPoly]:
-    """The nonzero g(b, coords, m) of every tail weight, summed from the
-    groups of the g source ``terms(crystal, b, m)`` straight from ints;
-    every source yields positive counts only, so no sum has a zero term."""
+def g_sums(crystal: PerfectCrystal, b: Element, m: int, terms) -> dict[tuple[int, ...], dict[int, int]]:
+    """The g(b, coords, m) of every tail weight as an int dict {exponent:
+    count}, summed from the groups of the g source ``terms(crystal, b,
+    m)``; every source yields positive counts only, so no sum has a zero term."""
     _require_count(m, "length")
     sums: dict[tuple[int, ...], dict[int, int]] = {}
     for coords, shift, pairs in terms(crystal, b, m):
         found = sums.setdefault(coords, {})
         for e, c in pairs:
             found[e + shift] = found.get(e + shift, 0) + c
-    return {coords: LaurentPoly(found, _trusted=True) for coords, found in sums.items() if found}
+    return {coords: found for coords, found in sums.items() if found}
 
 
 def _check_key_fields(s: Schedule, j: int) -> None:

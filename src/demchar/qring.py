@@ -4,10 +4,15 @@ Exponents and coefficients are arbitrary-precision ints, so all
 arithmetic is integer-only; an exponent or coefficient that is not an
 integer value is rejected with ``ValueError``.  The zero polynomial is
 the empty term map.
+
+A q-multinomial is a product of packed ints, the coefficient of q^e in
+bits [eW, (e + 1)W): one big-int multiply per part.  W depends on the
+length and the part count alone, so all their multinomials share rows.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -212,37 +217,60 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(quotient, _trusted=True)
 
 
+def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -> tuple[int, ...]:
+    """The coefficients in the slots of ``width`` bits of a packed value,
+    up to its highest nonzero one.  Slots of 64 bits on a little-endian
+    machine are read as one array of machine words."""
+    if packed.bit_length() <= width:
+        return (packed,)
+    size = width // 8
+    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    if native and width == 64:
+        return tuple(memoryview(data).cast("Q"))
+    return tuple(int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size))
+
+
+def _multinomial_width(j: int, parts: int) -> int:
+    """Slot bits of a packed q-multinomial of j into ``parts`` parts: the
+    least multiple of 64 above the bit length of parts^j, which bounds
+    every coefficient, so the top bit of a slot stays clear."""
+    return 64 * ((parts**j).bit_length() // 64 + 1)
+
+
 @cache
-def _qbinomial_row(n: int, base_exp: int) -> tuple[LaurentPoly, ...]:
-    """Gaussian binomials [n, k] in q^base_exp for k = 0..n, by the
-    q-Pascal rule [n, k] = [n-1, k-1] + q^(base_exp*k) [n-1, k]; no
-    division.  ``_qbinomial_row.cache_clear()`` frees the table."""
+def _qbinomial_rows(n: int, width: int) -> tuple[int, ...]:
+    """Gaussian binomials [n, k] for k = 0..n packed in slots of ``width``
+    bits, by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]; no
+    division.  ``_qbinomial_rows.cache_clear()`` frees the table."""
     if n == 0:
-        return (ONE,)
-    prev = _qbinomial_row(n - 1, base_exp)
-    return (
-        (ONE,)
-        + tuple(prev[k - 1] + prev[k].shift(base_exp * k) for k in range(1, n))
-        + (ONE,)
-    )
+        return (1,)
+    prev = _qbinomial_rows(n - 1, width)
+    return (1, *(prev[k - 1] + (prev[k] << k * width) for k in range(1, n)), 1)
+
+
+def _packed_qmultinomial(gamma: Iterable[int], width: int) -> int:
+    """``qmultinomial`` at base 1 packed in slots of ``width`` bits: the
+    product of the binomials [gamma_1 + ... + gamma_i, gamma_i]."""
+    result, total = 1, 0
+    for g in gamma:
+        total += g
+        if g and g != total:  # [total, 0] = [total, total] = 1
+            result *= _qbinomial_rows(total, width)[g]
+    return result
 
 
 def qmultinomial(j: int, gamma: Iterable[int], base_exp: int = 1) -> LaurentPoly:
     """(q)_j / prod_b (q)_{gamma_b} when j = sum(gamma) with all parts >= 0.
 
     Returns the zero polynomial otherwise. base_exp = 2 substitutes q -> q^2
-    throughout. Computed as the product over parts of the Gaussian
-    binomials [gamma_1 + ... + gamma_i, gamma_i], so no division is needed.
+    throughout. Computed packed (``_packed_qmultinomial``) and unpacked
+    once, so no division is needed.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    parts = list(gamma)
+    parts = tuple(gamma)
     if any(g < 0 for g in parts) or sum(parts) != j:
         return ZERO
-    result = ONE
-    total = 0
-    for g in parts:
-        total += g
-        if g and g != total:  # [total, 0] = [total, total] = 1
-            result = result * _qbinomial_row(total, base_exp)[g]
-    return result
+    width = _multinomial_width(j, len(parts))
+    coeffs = _unpack(_packed_qmultinomial(parts, width), width)
+    return LaurentPoly.from_terms((base_exp * e, c) for e, c in enumerate(coeffs) if c)

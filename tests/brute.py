@@ -24,8 +24,11 @@ code with the library's step on packed keys, which it reaches through
 unrestricted sum, products of characters held as int-keyed dicts, the
 JSON layout and the CSV rows of a character, the marks and comarks written out per
 family (sharing no code with the kernel vectors read off the matrix),
-and the inverse of an int matrix by Gauss-Jordan over Fractions
-(sharing no code with the library's fraction-free elimination on ints).  Each is a slow, direct restatement
+the inverse of an int matrix by Gauss-Jordan over Fractions
+(sharing no code with the library's fraction-free elimination on ints),
+and the q-multinomial as a product of ``LaurentPoly`` Gaussian binomials,
+each a dict convolution (sharing no code with the library's packed
+int product).  Each is a slow, direct restatement
 that the tests hold the fast library routes against.
 """
 
@@ -42,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from demchar.crystals import Element, PerfectCrystal, barred, perfect_crystal
 from demchar.onedsums import g_recursive
-from demchar.qring import ZERO
+from demchar.qring import ONE, ZERO, LaurentPoly
 from demchar.tensor import TensorWord
 from demchar.weights import CartanType, FormalCharacter, Weight, _is_int, _pack, _unpack
 
@@ -612,3 +615,40 @@ def check_2m_relation(
         if t < m:
             cur = crystal.f(i, cur)
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# q-multinomials by dict convolution
+
+
+@cache
+def qbinomial_row(n: int, base_exp: int) -> tuple[LaurentPoly, ...]:
+    """Gaussian binomials [n, k] in q^base_exp for k = 0..n, as
+    ``LaurentPoly`` values, by the q-Pascal rule [n, k] = [n-1, k-1] +
+    q^(base_exp*k) [n-1, k]."""
+    if n == 0:
+        return (ONE,)
+    prev = qbinomial_row(n - 1, base_exp)
+    return (
+        (ONE,)
+        + tuple(prev[k - 1] + prev[k].shift(base_exp * k) for k in range(1, n))
+        + (ONE,)
+    )
+
+
+def convolved_qmultinomial(j: int, gamma: Iterable[int], base_exp: int = 1) -> LaurentPoly:
+    """(q)_j / prod_b (q)_{gamma_b} as ``qring.qmultinomial`` defines it,
+    the product over parts of the binomials [gamma_1 + ... + gamma_i,
+    gamma_i], each multiplied as ``LaurentPoly`` dicts."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    parts = list(gamma)
+    if any(g < 0 for g in parts) or sum(parts) != j:
+        return ZERO
+    result = ONE
+    total = 0
+    for g in parts:
+        total += g
+        if g and g != total:
+            result = result * qbinomial_row(total, base_exp)[g]
+    return result

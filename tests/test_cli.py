@@ -941,6 +941,31 @@ class TestJsonWriter:
         assert len(obj["full_segment"]) > 1000
         assert_same_text(out, json.dumps(obj, indent=2) + "\n")
 
+    def test_equal_characters_are_compared_once(self, capsys, monkeypatch):
+        # D1 4 at k = 24 is a full segment with three equal characters.
+        # The command compares paths with operators and the full segment
+        # with them, once each, and hands the writer one object for all
+        # three, so the writer compares none of them again.
+        written = []
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda obj, stream: (written.append(obj), write(obj, stream)))
+        compare = FormalCharacter.__eq__
+        compared = []
+
+        def counting(self, other):
+            if self is not other:
+                compared.append(len(self))
+            return compare(self, other)
+
+        monkeypatch.setattr(FormalCharacter, "__eq__", counting)
+        code, out, _ = run(capsys, "character", "D1", "4", "--lambda", "L0", "--k", "24", "--method", "both")
+        assert code == 0
+        [obj] = written
+        chi = obj["characters"]["paths"]
+        assert obj["characters"]["operators"] is chi and obj["full_segment"] is chi
+        assert len(compared) == 2
+        assert json.loads(out)["characters"]["operators"] == character_json_obj(chi)
+
 
 B = cli._BATCH_TERMS
 

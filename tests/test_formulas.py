@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import all_words, mu_to_weight
+from brute import all_words, convolved_qmultinomial, mu_to_weight
 
 from demchar import formulas, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.formulas import g_closed_form, verify_type
 from demchar.onedsums import g_enumerate, g_recursive, g_sums, tail_weight_support
-from demchar.qring import ONE, ZERO, LaurentPoly, qmultinomial
+from demchar.qring import ONE, ZERO, LaurentPoly, _unpack, exact_div, qmultinomial
 from demchar.weights import _MIN_N, FAMILIES, Weight
 
 MINIMAL_RANKS = [
@@ -373,7 +373,7 @@ def closed_source(pivot):
 def pivot_sums(crystal, b, weight, j, pivots):
     """The closed form of head b at one weight, summed from the closed
     source's groups under each cross-term pivot in turn."""
-    return [g_sums(crystal, b, j, closed_source(k)).get(weight.lambda_coords, ZERO) for k in pivots]
+    return [LaurentPoly(g_sums(crystal, b, j, closed_source(k)).get(weight.lambda_coords)) for k in pivots]
 
 
 class TestCrossTermPivot:
@@ -493,6 +493,27 @@ class TestVerifier:
             value = want + LaurentPoly.monomial(1, 7) if key == column else want
             assert entry[key] == value.to_json_obj(), key
 
+    @pytest.mark.parametrize("name", ["_walker_terms", "_kernel_terms", "_closed_source"])
+    def test_cancelling_terms_are_no_mismatch(self, monkeypatch, name):
+        """A column whose sums gain +c q^e and -c q^e at one cell, and at
+        a tail weight off the support, differs from the others as int
+        dicts but not as polynomials, so no cell is reported."""
+        crystal = perfect_crystal("B1", 3)
+        real = getattr(formulas, name)
+        inside = (0, 0, 0, 0)
+        outside = min(tail_weight_support(crystal, 6) - tail_weight_support(crystal, 2))
+
+        def skewed(crystal, b, m, *override):
+            yield from real(crystal, b, m, *override)
+            if (b, m) == ("0", 2):
+                for coords in (inside, outside):
+                    yield coords, 3, ((96, 5),)
+                    yield coords, 0, ((99, -5),)
+
+        assert g_sums(crystal, "0", 2, skewed) != g_sums(crystal, "0", 2, real)
+        monkeypatch.setattr(formulas, name, skewed)
+        assert verify_type(crystal, 2)["mismatches"] == []
+
     @pytest.mark.parametrize("family,rank,j_max,count", [("B1", 3, 2, 49), ("A2odd", 3, 3, 192)])
     def test_many_mismatches_come_in_order(self, monkeypatch, family, rank, j_max, count):
         """With every third bucket of each walker listing of length 2 or
@@ -537,14 +558,16 @@ class TestVerifier:
 
         def summed(terms):
             return lambda: {
-                (b, coords): value
+                (b, coords): LaurentPoly(value)
                 for b in crystal.elements
                 for coords, value in g_sums(crystal, b, j, terms).items()
             }
 
         def closed():
             other = g_sums(crystal, "0", j, closed_source(1))
-            assert other == {coords: want["0", coords] for coords in support if want["0", coords]}
+            assert {coords: LaurentPoly(value) for coords, value in other.items()} == {
+                coords: want["0", coords] for coords in support if want["0", coords]
+            }
             return summed(formulas._closed_source)()
 
         def per_cell(route):
@@ -657,6 +680,50 @@ class TestClosedTerms:
             with pytest.raises(TypeError):
                 cached[0] = 0
         assert formulas._closed_terms(crystal, coords, j, divided) is table
+
+    @pytest.mark.parametrize("rank,count", [(3, (1365, 3003)), (4, (5301, 12870))])
+    def test_divided_tables_equal_exact_division(self, rank, count):
+        # Every divided A2odd table up to j = 8 equals its terms built as
+        # dict products and divided whole by exact_div.
+        crystal = perfect_crystal("A2odd", rank)
+        s, sbar = crystal.index("1"), crystal.index("1~")
+        tables = vectors = 0
+        for j in range(9):
+            for coords in tail_weight_support(crystal, j):
+                tables += 1
+                for g, pairs, _ in formulas._closed_terms(crystal, coords, j, True):
+                    vectors += 1
+                    g1, g1bar = g[s], g[sbar]
+                    pair = g1 + g1bar
+                    rest = [c for i, c in enumerate(g) if i not in (s, sbar)]
+                    term = convolved_qmultinomial(j, (pair, *rest)) * convolved_qmultinomial(pair, (g1, g1bar), 2)
+                    want = exact_div(term * poly([(g1, 1), (g1bar, 1)]), poly([(0, 1), (pair, 1)]))
+                    assert poly(pairs) == want, (coords, g)
+        assert (tables, vectors) == count
+
+    def test_table_slots_hold_coefficients_past_a_machine_word(self):
+        # A1 1 at j = 80: the slot width comes from 2^80, so the middle
+        # coefficients of [80, 40], past 2^64, keep their slots.
+        crystal = perfect_crystal("A1", 1)
+        coords = mu_to_weight("A1", (40, 40)).lambda_coords
+        [(g, pairs, _)] = formulas._closed_terms(crystal, coords, 80, False)
+        assert g == (40, 40) and max(c for _, c in pairs) > 2**64
+        assert poly(pairs) == qmultinomial(80, (40, 40))
+
+    def test_pair_factor_is_a_sum_of_two_binomials(self):
+        # (q^a + q^b) [a+b, a]_{q^2} / (1 + q^(a+b)) = q^b [a+b-1, a-1]_{q^2}
+        # + q^a [a+b-1, a]_{q^2}: the division is exact and positive.
+        assert formulas._pair_factor(0, 0, True, 64) == 1
+        for pair in range(1, 13):
+            for g1 in range(pair + 1):
+                g1bar = pair - g1
+                got = LaurentPoly.from_dense(0, _unpack(formulas._pair_factor(g1, g1bar, True, 64), 64))
+                want = (convolved_qmultinomial(pair - 1, (g1 - 1, g1bar), 2).shift(g1bar)
+                        + convolved_qmultinomial(pair - 1, (g1, g1bar - 1), 2).shift(g1))
+                assert got == want, (g1, g1bar)
+                assert formulas._pair_factor(g1, g1bar, False, 64) == sum(
+                    c << 64 * e for e, c in convolved_qmultinomial(pair, (g1, g1bar), 2).terms()
+                )
 
     def test_values_survive_cache_clear(self):
         cells = [

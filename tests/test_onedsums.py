@@ -172,7 +172,7 @@ def walker_table(c, j):
     """g of every head letter and tail weight of length j, summed from
     the tail walker's groups."""
     return {
-        (b, coords): value
+        (b, coords): LaurentPoly(value)
         for b in c.elements
         for coords, value in g_sums(c, b, j, onedsums._walker_terms).items()
     }

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import convolved_qmultinomial
+
+from demchar import qring
 from demchar.qring import (
     ONE,
     ZERO,
@@ -147,6 +150,62 @@ class TestFactorials:
         j = sum(gamma)
         poly = qmultinomial(j, gamma)
         assert all(c >= 0 for _, c in poly.terms())
+
+
+
+def compositions(j, parts):
+    """Every tuple of ``parts`` nonnegative ints summing to j."""
+    if parts == 1:
+        yield (j,)
+        return
+    for first in range(j + 1):
+        for rest in compositions(j - first, parts - 1):
+            yield (first, *rest)
+
+
+class TestPackedMultinomial:
+    @pytest.mark.parametrize("base_exp", [1, 2])
+    def test_equals_dict_convolution(self, base_exp):
+        # Every composition of j <= 12 into at most five parts, zero parts
+        # anywhere among them.
+        for parts in range(1, 6):
+            for j in range(13):
+                for gamma in compositions(j, parts):
+                    want = convolved_qmultinomial(j, gamma, base_exp)
+                    assert qmultinomial(j, gamma, base_exp) == want, gamma
+
+    @pytest.mark.parametrize("j,gamma,width", [
+        (40, (10, 10, 10, 10), 128),
+        (30, (5, 5, 5, 5, 5, 5), 128),
+        (70, (14, 14, 14, 14, 14), 192),
+    ])
+    def test_wide_slots(self, j, gamma, width):
+        # The coefficient sum passes 2^64, so the slots are wider than a
+        # machine word; the sum is the multinomial coefficient and the
+        # coefficients are palindromic about half the top degree.
+        assert qring._multinomial_width(j, len(gamma)) == width
+        coeffs = dict(qmultinomial(j, gamma).terms())
+        total = math.factorial(j)
+        for g in gamma:
+            total //= math.factorial(g)
+        assert sum(coeffs.values()) == total > 2**64
+        top = (j * j - sum(g * g for g in gamma)) // 2
+        assert min(coeffs) == 0 and max(coeffs) == top
+        assert all(coeffs[top - e] == c for e, c in coeffs.items())
+        assert max(coeffs.values()) < 2 ** (width - 1)
+
+    def test_wide_slot_equals_dict_convolution(self):
+        gamma = (10, 10, 10, 10)
+        assert max(c for _, c in qmultinomial(40, gamma).terms()) > 2**64
+        assert qmultinomial(40, gamma) == convolved_qmultinomial(40, gamma)
+
+    def test_rows_are_shared_by_one_width(self):
+        # Every count vector of one length and part count reads the same
+        # cached rows.
+        qring._qbinomial_rows.cache_clear()
+        for gamma in compositions(6, 3):
+            qmultinomial(6, gamma)
+        assert qring._qbinomial_rows.cache_info().currsize == 7  # rows 0..6, one width
 
 
 class TestDivision:
