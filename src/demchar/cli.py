@@ -21,8 +21,8 @@ chunks collect in a list and go out at once; a character's term list,
 JSON or CSV, goes out in batches of _BATCH_TERMS terms, each one slice
 of its sorted packed keys formatted by one %-format.  So the writer
 holds at once the small chunks, the sorted keys and one batch, plus the
-text of a character of at most _KEEP_BATCHES batches while an equal one
-later in the output is still to be written.  A reader that closes
+text of a character of at most _KEEP_BATCHES batches while the same
+object is still to be written later in the output.  A reader that closes
 stdout early ends the output quietly, with the command's exit code.
 
 A command builds the argument parser of its own subcommand alone; help,
@@ -161,7 +161,7 @@ def _poly_rows(poly: LaurentPoly) -> list[list]:
 
 # A character's text is formatted and written this many terms at a time.
 _BATCH_TERMS = 1000
-# A character with an equal one later in the output keeps its text for
+# A character that sits again later in the output keeps its text for
 # it only up to this many batches; a larger one is rendered again.
 _KEEP_BATCHES = 10
 
@@ -215,38 +215,35 @@ def _write_json(obj, stream: BinaryIO) -> None:
     ``FormalCharacter``, whose term list goes out ``_BATCH_TERMS`` terms
     per write (``_character_batches``).  So at once the writer holds the
     small chunks, one batch, and the text of each character of at most
-    ``_KEEP_BATCHES`` batches that an equal one later in obj will reuse:
-    that text is kept until the last equal character is written,
-    re-indented per batch where it sits at another depth.  A character
-    with no equal one after it keeps none, and neither does a larger
-    one: each equal character renders it again.
+    ``_KEEP_BATCHES`` batches whose object sits again later in obj: that
+    text is kept until the object's last place is written, re-indented
+    per batch where it sits at another depth.  A character whose object
+    does not sit again keeps none, and neither does a larger one: each
+    place renders it again.  Characters are matched by identity and never
+    compared, so equal ones that are distinct objects render apart.
     """
     out: list[str] = []
     characters: list[tuple[int, FormalCharacter, str]] = []
     _json_chunks(obj, "\n", out, characters)
     out.append("\n")
-    # Per character, the index of the first one equal to it, and per such
-    # first one, the index of the last one equal to it.
-    first: list[int] = []
-    for i, (_, chi, _) in enumerate(characters):
-        first.append(next((f for f in range(i) if first[f] == f and characters[f][1] == chi), i))
-    last = {f: i for i, f in enumerate(first)}
+    # Per character object, the index of its last place in obj.
+    last = {id(chi): i for i, (_, chi, _) in enumerate(characters)}
     kept: dict[int, tuple[str, list[bytes]]] = {}
     start = 0
     for i, (at, chi, newline) in enumerate(characters):
         stream.write("".join(out[start:at]).encode())
         start = at
-        f = first[i]
-        if f in kept:
-            indent, batches = kept[f] if last[f] > i else kept.pop(f)
+        key = id(chi)
+        if key in kept:
+            indent, batches = kept[key] if last[key] > i else kept.pop(key)
             if indent != newline:
                 old, new = indent.encode(), newline.encode()
                 batches = (batch.replace(old, new) for batch in batches)
         else:
             batches = _character_batches(chi, newline)
-            if last[f] > i and len(chi) <= _KEEP_BATCHES * _BATCH_TERMS:
+            if last[key] > i and len(chi) <= _KEEP_BATCHES * _BATCH_TERMS:
                 batches = list(batches)
-                kept[i] = newline, batches
+                kept[key] = newline, batches
         for batch in batches:
             stream.write(batch)
     stream.write("".join(out[start:]).encode())
@@ -419,7 +416,7 @@ def cmd_character(args) -> int:
             full_segment = character_at_full_segment(schedule, segments)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # Equal characters go to the writer as one object, compared no more.
+    # Equal characters go to the writer as one object, whose text it reuses.
     equal = None
     if args.method == "both":
         equal = characters["paths"] == characters["operators"]

@@ -14,7 +14,7 @@ segment, boundary capacity, ascending reflection word), live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator
 
 from .onedsums import _check_key_fields, _segment_character, _walker_terms
@@ -75,42 +75,30 @@ def character_by_paths(s: Schedule, k: int) -> FormalCharacter:
     return _segment_character(s, j, a, _walker_terms)
 
 
-def _operator_terms(s: Schedule, word: tuple[int, ...]) -> Iterator[dict[int, int]]:
-    """The ground-state exponential as packed keys, then the terms after
-    each Demazure step along word in turn."""
-    ct = s.crystal.cartan
-    lam = s.ground.window_weight(0)
-    terms = {_pack(ct.size + 1, (*lam.lambda_coords, lam.delta_coord)): 1}
-    yield terms
-    for i in word:
-        terms = demazure_step(ct, i, terms)
-        yield terms
-
-
 def character_by_operators(s: Schedule, k: int) -> FormalCharacter:
     """Iterated Demazure operators on e^{weight of the ground state},
-    applied along the schedule's reflection word.  The k steps run on
-    packed int keys (``demazure_step``), from the ground-state key packed
-    once, and the character keeps the last step's dict as it is: it is
-    packed the same way, and ``demazure_step`` drops its zeros.
-
-    Each step's keys are weights of that step's character, which equals
-    the path character of its segment, so the segment sum's field bound
-    (``onedsums._check_key_fields``) at step k's segment holds them all;
-    ValueError, before any step, when it exceeds the 32-bit slots."""
-    _check_key_fields(s, s.decompose(k)[0])
-    for terms in _operator_terms(s, s.weyl_word(k)[::-1]):
+    applied along the schedule's reflection word: the last character of
+    ``operator_characters(s, k)``, with its errors."""
+    for chi in operator_characters(s, k):
         pass
-    return FormalCharacter._packed(s.crystal.cartan.size + 1, terms)
+    return chi
 
 
 def operator_characters(s: Schedule, k_max: int) -> Iterator[FormalCharacter]:
     """``character_by_operators(s, k)`` for k = 0, 1, ..., k_max in turn,
-    read off one running sequence of k_max Demazure steps; ValueError at
-    the call, as in ``character_by_operators`` for k_max."""
+    read off one running sequence of k_max Demazure steps.  The steps run
+    on packed int keys (``demazure_step``), from the ground-state key
+    packed once, and each character keeps its step's dict as it is: it is
+    packed the same way, and ``demazure_step`` drops its zeros.
+
+    Each step's keys are weights of that step's character, which equals
+    the path character of its segment, so the segment sum's field bound
+    (``onedsums._check_key_fields``) at step k_max's segment holds them
+    all; ValueError at the call, before any step, when it exceeds the
+    32-bit slots."""
     _check_key_fields(s, s.decompose(k_max)[0])
-    fields = s.crystal.cartan.size + 1
-    return (
-        FormalCharacter._packed(fields, terms)
-        for terms in _operator_terms(s, s.weyl_word(k_max)[::-1])
-    )
+    ct = s.crystal.cartan
+    lam = s.ground.window_weight(0)
+    ground = {_pack(ct.size + 1, (*lam.lambda_coords, lam.delta_coord)): 1}
+    steps = accumulate(s.weyl_word(k_max)[::-1], lambda terms, i: demazure_step(ct, i, terms), initial=ground)
+    return (FormalCharacter._packed(ct.size + 1, terms) for terms in steps)

@@ -3,7 +3,8 @@
 Each crystal family admits an exact q-multinomial expression for the
 energy generating polynomial of a fixed-length letter window: a sum over
 the letter-count vectors of the window weight's letter coordinates
-(``LetterCoordinates.solve``), each term a power of q times a Gaussian
+(``LetterCoordinates.solve``), which ``_count_vectors`` yields as
+tuples in element order, each term a power of q times a Gaussian
 multinomial.  ``g_closed_form`` takes the arguments of the other two g
 routes.  One loop evaluates all six families; a per-family table gives
 the letters left out of the quadratic exponent, its divisor and the
@@ -11,9 +12,9 @@ q-base, and ``_closed_groups`` names the pair whose product is the cross
 term.  A2odd merges that pair into one part, split again by a
 q^2-binomial, and divides that binomial once by 1 + q^(g1+g1~) when the
 head letter is outside the pair.  Each q-multinomial is a product of
-packed ints, unpacked once.  The head-free part of each term is built
-once per (tail weight, j) and read under every head letter and pivot;
-``_closed_terms.cache_clear()`` frees it.  ``_closed_source`` is a g
+ints in ``qring``'s packed format, unpacked once.  The head-free part of
+each term is built once per (tail weight, j) and read under every head
+letter and pivot; ``_closed_terms.cache_clear()`` frees it.  ``_closed_source`` is a g
 source like the tail walker and the kernel, yielding the same groups,
 so ``onedsums.g_sums`` and the segment sum read all three alike; the
 verifier diffs their per-head sums as int dicts.
@@ -24,7 +25,6 @@ from __future__ import annotations
 from functools import cache
 from itertools import count
 from operator import itemgetter, mul
-from typing import Iterator
 
 from .crystals import Element, PerfectCrystal, barred, perfect_crystal
 # g_recursive is not called here; bench/test_bench.py reads formulas.g_recursive.
@@ -36,7 +36,7 @@ from .onedsums import (
     g_sums,
     tail_weight_support,
 )
-from .qring import LaurentPoly, _multinomial_width, _packed_qmultinomial, _unpack, exact_div, qmultinomial
+from .qring import LaurentPoly, _packed_qmultinomial, _slot_width, _unpack, exact_div, qmultinomial
 from .weights import Weight, _require_count
 
 
@@ -44,36 +44,38 @@ from .weights import Weight, _require_count
 # Letter-count enumeration
 
 
-def _count_vectors(
-    crystal: PerfectCrystal, mu: tuple[int, ...], j: int
-) -> Iterator[dict[Element, int]]:
-    """All nonnegative letter counts of total ``j`` with pair differences
-    count(k) - count(k~) = mu_k; the free letters "0" and "phi" absorb
-    the remainder.  An alphabet whose letter coordinates are counts (A1)
-    has the counts ``mu``."""
+def _count_vectors(crystal: PerfectCrystal, mu: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+    """All nonnegative letter counts of total ``j``, as tuples in element
+    order, with pair differences count(k) - count(k~) = mu_k; the free
+    letters "0" and "phi" absorb the remainder.  An alphabet whose letter
+    coordinates are counts (A1) has the counts ``mu``."""
     if crystal.letter_coordinates.counts:
-        if min(mu) >= 0:
-            yield dict(zip(crystal.elements, mu))
-        return
-    free = [label for label in ("0", "phi") if label in crystal]
+        return [tuple(mu)] if min(mu) >= 0 else []
+    free = [crystal.index(label) for label in ("0", "phi") if label in crystal]
+    pairs = [(crystal.index(str(k)), crystal.index(barred(k))) for k in range(1, len(mu) + 1)]
+    g = [0] * len(crystal.elements)
+    found: list[tuple[int, ...]] = []
 
-    def recurse(k: int, budget: int, counts: dict[Element, int]):
-        if k > len(mu):
+    def fill(k: int, budget: int) -> None:
+        if k == len(pairs):
             if len(free) == 2:
                 for split in range(budget + 1):
-                    yield {**counts, free[0]: split, free[1]: budget - split}
-            elif free or budget == 0:
-                yield {**counts, **dict.fromkeys(free, budget)}
+                    g[free[0]], g[free[1]] = split, budget - split
+                    found.append(tuple(g))
+            elif free:
+                g[free[0]] = budget
+                found.append(tuple(g))
+            elif budget == 0:
+                found.append(tuple(g))
             return
-        diff = mu[k - 1]
-        bar_count = max(0, -diff)
-        while diff + 2 * bar_count <= budget:
-            counts[str(k)] = diff + bar_count
-            counts[barred(k)] = bar_count
-            yield from recurse(k + 1, budget - diff - 2 * bar_count, counts)
-            bar_count += 1
+        s, sbar = pairs[k]
+        diff = mu[k]
+        for bar_count in range(max(0, -diff), (budget - diff) // 2 + 1):
+            g[s], g[sbar] = diff + bar_count, bar_count
+            fill(k + 1, budget - diff - 2 * bar_count)
 
-    yield from recurse(1, j, {})
+    fill(0, j)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +122,11 @@ def _closed_terms(
     family = crystal.cartan.family
     skip, divisor, base = _SHAPES.get(family, ((), 2, 1))
     kept = [i for i, label in enumerate(crystal.elements) if label not in skip]
-    width = _multinomial_width(j, len(crystal.elements))
+    width = _slot_width(j, len(crystal.elements))
     if family == "A2odd":
         s, sbar = crystal.index("1"), crystal.index(barred(1))
     table = []
-    for counts in _count_vectors(crystal, mu, j):
-        g = tuple(counts[label] for label in crystal.elements)
+    for g in _count_vectors(crystal, mu, j):
         quadratic = sum(g[i] * (g[i] - 1) for i in kept) // divisor
         if family == "A2odd":
             g1, g1bar = g[s], g[sbar]

@@ -22,11 +22,11 @@ kernel with one entry, ``_x_value``, for all three sums, on the
 crystal's int tables of letter weights, local energies and epsilons:
 ``_recursion`` caches one memo per crystal and checked node set, for
 capped and uncapped point reads (its docstring has the packed values,
-the cap, the node store that head letters share and the pruning in
-letter coordinates), and beside the memo with no checked node a bulk
-table, filled bottom-up by tail length, for the uncapped reads of every
-tail weight of one length at once; ``_recursion.cache_clear()`` frees
-every memo and table.
+in ``qring``'s format, the cap, the node store that head letters share
+and the pruning in letter coordinates), and beside the memo with no
+checked node a bulk table, filled bottom-up by tail length, for the
+uncapped reads of every tail weight of one length at once;
+``_recursion.cache_clear()`` frees every memo and table.
 Values become ``LaurentPoly`` only at the API edge.  The enumeration
 route lists the tails depth first on the same tables and shares no
 other code or memo with the recursion route: ``_walk_tails`` caches one
@@ -69,7 +69,7 @@ from typing import Sequence
 
 from .crystals import Element, PerfectCrystal, symmetric_crystal
 from .paths import GroundState, Schedule
-from .qring import ZERO, LaurentPoly, _unpack
+from .qring import ZERO, LaurentPoly, _respace, _slot_width, _unpack
 from .weights import _SLOT_BIAS, FormalCharacter, Weight, _is_int, _pack, _require_count, fold
 
 
@@ -91,22 +91,6 @@ class StabilizationGuardError(RuntimeError):
 # Unrestricted sum g
 
 
-def _slot_width(j: int, bits: int) -> int:
-    """Bits per coefficient slot of a packed kernel value at length j,
-    for a crystal whose letter indices take ``bits`` bits: the least
-    multiple of 64 above j * bits."""
-    return 64 * (j * bits // 64 + 1)
-
-
-def _respace(packed: int, narrow: int, wide: int) -> int:
-    """A packed value with its slots of ``narrow`` bits moved apart to
-    ``wide`` bits each; both widths are multiples of 8."""
-    size = narrow // 8
-    data = packed.to_bytes(-(-packed.bit_length() // narrow) * size, "little")
-    pad = bytes((wide - narrow) // 8)
-    return int.from_bytes(pad.join([data[k : k + size] for k in range(0, len(data), size)]), "little")
-
-
 @cache
 def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     """Memoized recursion on the head letter, shared by g, x and xbar.
@@ -120,11 +104,10 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     nonzero one.  Each ``rec`` keeps its own memo, node store and bulk
     table, so ``_recursion.cache_clear()`` drops them all.
 
-    The memo holds a value as ``(low, packed)``: coefficient k sits in
-    bits [k W(j), (k + 1) W(j)) of the int ``packed``, with a slot width
-    that depends only on the length j, W(j) = 64 (floor(j bits / 64) + 1)
-    for bits = (|B| - 1).bit_length() (``_slot_width``).  A coefficient
-    counts length-j tails, so it is at most |B|^j <= 2^(j bits) < 2^W(j),
+    The memo holds a value as ``(low, packed)`` in the packed format of
+    ``qring``, at the slot width W(j) = ``_slot_width(j, |B|)`` of its
+    length j, listed once per length reached, so that a state reads it by
+    index: a coefficient counts length-j tails, at most |B|^j < 2^W(j),
     and since every addend is nonnegative no partial sum ever carries
     into the next slot.  A state therefore adds each child as ``packed <<
     W(j) (low - best)`` to one int, and re-spaces its children
@@ -187,7 +170,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     energy = crystal.energy_table
     letters = range(len(energy))
     stride = table.stride
-    bits = (len(energy) - 1).bit_length()
+    parts = len(energy)
+    widths: list[int] = []  # W(m) at each length m reached, read per state
     rows = []
     for u, (step, e, wt) in enumerate(zip(table.steps, crystal.epsilon_table, crystal.weight_table)):
         moves = tuple((k, s) for k, s in enumerate(step) if s)
@@ -200,6 +184,11 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     plain = [(0, 0, *row) for row in rows]  # an uncapped build: no bound, no head shift
     known = full.get
     redone = [0]
+
+    def reach(j: int) -> None:
+        """Extend ``widths`` to length j."""
+        while len(widths) <= j:
+            widths.append(_slot_width(len(widths), parts))
 
     def order(t: int, j: int) -> list:
         """(bound, head energy, *row) for the letters after t, by bound."""
@@ -241,9 +230,9 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             kids, tried = [], plain
         else:
             tried = ()
-        wide = _slot_width(j, bits)
+        wide = widths[j]
         if tried:
-            narrow = _slot_width(j - 1, bits)
+            narrow = widths[j - 1]
             slack = (j - 1) * stride - sum(map(abs, rest))
             tight = slack < stride
         acc = 0
@@ -307,7 +296,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
 
     def head_row(t: int, m: int) -> list:
         """Head t's values at the nodes of length m."""
-        h, wide = energy[t], _slot_width(m, bits)
+        h, wide = energy[t], widths[m]
         return [shift_sum(kids, h, m, wide) for kids in below[m]]
 
     def grow() -> None:
@@ -324,7 +313,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             if u not in made:
                 made[u] = head_row(u, m - 1)
         below[-1] = None
-        narrow, wide = _slot_width(m - 1, bits), _slot_width(m, bits)
+        narrow, wide = widths[m - 1], widths[m]
         kids: dict[tuple, list] = {}
         for u, wt in enumerate(crystal.weight_table):
             for point, (low, packed) in zip(points[-1], made[u]):
@@ -338,6 +327,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     def row(t: int, m: int):
         """(tail coords, lowest exponent, dense coefficients) of head t at
         every tail weight of length m, from the bulk table."""
+        reach(m)
         while len(points) <= m:
             grow()
         made = heads[m]
@@ -346,12 +336,13 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
             made[t] = values = head_row(t, m)
             if len(made) == len(energy):
                 below[m] = None
-        width = _slot_width(m, bits)
+        width = widths[m]
         return ((point, low, _unpack(packed, width)) for point, (low, packed) in zip(points[m], values))
 
     convert = cache(table.coordinates)
 
     def rec(t: int, fit: tuple, rest: tuple, j: int, cap: int | None = None) -> tuple | None:
+        reach(j)
         coords = convert(rest, j)
         if coords is None:
             return None
@@ -362,7 +353,7 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         if value is None:
             return None
         low, packed = value
-        width = _slot_width(j, bits)
+        width = widths[j]
         if cap is not None:
             if low > cap:
                 return None

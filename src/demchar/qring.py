@@ -5,9 +5,17 @@ arithmetic is integer-only; an exponent or coefficient that is not an
 integer value is rejected with ``ValueError``.  The zero polynomial is
 the empty term map.
 
-A q-multinomial is a product of packed ints, the coefficient of q^e in
-bits [eW, (e + 1)W): one big-int multiply per part.  W depends on the
-length and the part count alone, so all their multinomials share rows.
+The library's count polynomials, the recursion kernel's memo values in
+``onedsums`` and the q-multinomials here, share one packed format: the
+coefficient of q^k sits in bits [kW, (k + 1)W) of one int.  A count
+polynomial of length j over ``parts`` letters counts at most parts^j
+words in each coefficient and in every partial sum of its nonnegative
+addends, so at W = ``_slot_width(j, parts)``, the least multiple of 64
+that holds parts^j, no sum carries into the next slot.  ``_respace``
+moves the slots apart to a wider W and ``_unpack`` reads the
+coefficients back.  A q-multinomial is one big-int multiply per part,
+on Gaussian binomial rows packed at the width of its length and part
+count, which all its multinomials share.
 """
 
 from __future__ import annotations
@@ -217,6 +225,21 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(quotient, _trusted=True)
 
 
+def _slot_width(j: int, parts: int) -> int:
+    """Bits per slot of a packed count polynomial of length j over
+    ``parts`` letters: the least multiple of 64 that holds parts^j."""
+    return 64 * -(-(parts**j).bit_length() // 64)
+
+
+def _respace(packed: int, narrow: int, wide: int) -> int:
+    """A packed value with its slots of ``narrow`` bits moved apart to
+    ``wide`` bits each; both widths are multiples of 8."""
+    size = narrow // 8
+    data = packed.to_bytes(-(-packed.bit_length() // narrow) * size, "little")
+    pad = bytes((wide - narrow) // 8)
+    return int.from_bytes(pad.join([data[k : k + size] for k in range(0, len(data), size)]), "little")
+
+
 def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -> tuple[int, ...]:
     """The coefficients in the slots of ``width`` bits of a packed value,
     up to its highest nonzero one.  Slots of 64 bits on a little-endian
@@ -228,13 +251,6 @@ def _unpack(packed: int, width: int, native: bool = sys.byteorder == "little") -
     if native and width == 64:
         return tuple(memoryview(data).cast("Q"))
     return tuple(int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size))
-
-
-def _multinomial_width(j: int, parts: int) -> int:
-    """Slot bits of a packed q-multinomial of j into ``parts`` parts: the
-    least multiple of 64 above the bit length of parts^j, which bounds
-    every coefficient, so the top bit of a slot stays clear."""
-    return 64 * ((parts**j).bit_length() // 64 + 1)
 
 
 @cache
@@ -271,6 +287,6 @@ def qmultinomial(j: int, gamma: Iterable[int], base_exp: int = 1) -> LaurentPoly
     parts = tuple(gamma)
     if any(g < 0 for g in parts) or sum(parts) != j:
         return ZERO
-    width = _multinomial_width(j, len(parts))
+    width = _slot_width(j, len(parts))
     coeffs = _unpack(_packed_qmultinomial(parts, width), width)
     return LaurentPoly.from_terms((base_exp * e, c) for e, c in enumerate(coeffs) if c)

@@ -439,8 +439,6 @@ class FormalCharacter:
         return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, FormalCharacter):
             return NotImplemented
         # Keys of different lengths can pack to equal ints, but only

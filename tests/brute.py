@@ -26,10 +26,13 @@ JSON layout and the CSV rows of a character, the marks and comarks written out p
 family (sharing no code with the kernel vectors read off the matrix),
 the inverse of an int matrix by Gauss-Jordan over Fractions
 (sharing no code with the library's fraction-free elimination on ints),
-and the q-multinomial as a product of ``LaurentPoly`` Gaussian binomials,
+the q-multinomial as a product of ``LaurentPoly`` Gaussian binomials,
 each a dict convolution (sharing no code with the library's packed
-int product).  Each is a slow, direct restatement
-that the tests hold the fast library routes against.
+int product), and the letter-count vectors of a tail weight as the
+compositions of its length filtered by their letter coordinates
+(sharing no code with the closed form's walk over the pairs).  Each is
+a slow, direct restatement that the tests hold the fast library routes
+against.
 """
 
 from __future__ import annotations
@@ -652,3 +655,41 @@ def convolved_qmultinomial(j: int, gamma: Iterable[int], base_exp: int = 1) -> L
         if g and g != total:
             result = result * qbinomial_row(total, base_exp)[g]
     return result
+
+
+# ---------------------------------------------------------------------------
+# Letter-count vectors by filtering compositions
+
+
+def compositions(j: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` nonnegative ints summing to j."""
+    if parts == 1:
+        yield (j,)
+        return
+    for first in range(j + 1):
+        for rest in compositions(j - first, parts - 1):
+            yield (first, *rest)
+
+
+def reference_count_vectors(crystal: PerfectCrystal, mu: Sequence[int], j: int) -> tuple[tuple[int, ...], ...]:
+    """The letter counts, in element order, of the length-j words whose
+    letter coordinates are ``mu``: every composition of j into |B| parts
+    that matches them, by its counts themselves for A1 and by its pair
+    differences count(k) - count(k~) for the other families."""
+    return _compositions_by_coordinates(crystal, j).get(tuple(mu), ())
+
+
+@cache
+def _compositions_by_coordinates(crystal: PerfectCrystal, j: int) -> dict[tuple[int, ...], tuple]:
+    """The compositions of j into |B| parts, grouped by the letter
+    coordinates that ``reference_count_vectors`` reads off them."""
+    labels = crystal.elements
+    counts = crystal.letter_coordinates.counts
+    pairs = [] if counts else [
+        (labels.index(str(k)), labels.index(barred(k))) for k in range(1, crystal.cartan.n + 1)
+    ]
+    groups: dict[tuple[int, ...], list] = {}
+    for g in compositions(j, len(labels)):
+        coords = g if counts else tuple(g[a] - g[b] for a, b in pairs)
+        groups.setdefault(coords, []).append(g)
+    return {coords: tuple(found) for coords, found in groups.items()}

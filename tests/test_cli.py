@@ -877,8 +877,8 @@ class TestJsonWriter:
     @settings(max_examples=100, deadline=None, phases=WITHOUT_EXPLAIN)
     @given(CHARACTERS, CHARACTERS)
     def test_repeated_characters_match_stdlib(self, chi, other):
-        # Equal characters at other depths reuse one text, re-indented;
-        # a different one in between is written on its own.
+        # One character at other depths reuses one text, re-indented; a
+        # different one in between is written on its own.
         obj = {"a": chi, "b": [other, {"c": chi}], "d": nest(chi, 3), "e": other}
         want = {
             "a": character_json_obj(chi),
@@ -965,6 +965,25 @@ class TestJsonWriter:
         assert obj["characters"]["operators"] is chi and obj["full_segment"] is chi
         assert len(compared) == 2
         assert json.loads(out)["characters"]["operators"] == character_json_obj(chi)
+
+    def test_equal_characters_of_two_objects_are_written_uncompared(self, monkeypatch):
+        # The writer reuses a character's text by identity alone: equal
+        # characters that are distinct objects each render their text,
+        # and no character is compared with another.
+        crystal = perfect_crystal("A1", 2)
+        s = demazure_schedule(crystal, crystal.cartan.fundamental_weight(0))
+        chi, twin = character_by_operators(s, 5), character_by_paths(s, 5)
+        assert chi == twin and chi is not twin and len(chi) > 1
+        want = json.dumps(
+            {"a": character_json_obj(chi), "b": [character_json_obj(twin), nest(character_json_obj(chi), 2)]},
+            indent=2,
+        ) + "\n"
+
+        def refuse(self, other):
+            raise AssertionError("characters compared")
+
+        monkeypatch.setattr(FormalCharacter, "__eq__", refuse)
+        assert_same_text(streamed({"a": chi, "b": [twin, nest(chi, 2)]}), want)
 
 
 B = cli._BATCH_TERMS

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import all_words, convolved_qmultinomial, mu_to_weight
+from brute import all_words, convolved_qmultinomial, mu_to_weight, reference_count_vectors
 
 from demchar import formulas, onedsums
 from demchar.crystals import perfect_crystal, symmetric_crystal
@@ -327,6 +327,23 @@ class TestClosedForm:
                     assert g_closed_form(crystal, b, weight, j) == g_enumerate(
                         crystal, b, weight, j
                     )
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(family, rank) for family, low in _MIN_N.items() for rank in (low, low + 1)],
+    )
+    def test_count_vectors_are_the_matching_compositions(self, family, rank):
+        # Per tail weight of length j <= 5, the counts the closed form
+        # sums over are the compositions of j with its letter
+        # coordinates, each once, as tuples in element order.
+        crystal = perfect_crystal(family, rank)
+        for j in range(6):
+            for coords in tail_weight_support(crystal, j):
+                mu = crystal.letter_coordinates.solve(coords, j)
+                got = formulas._count_vectors(crystal, mu, j)
+                assert all(type(g) is tuple for g in got), (coords, j)
+                assert len(set(got)) == len(got), (coords, j)
+                assert set(got) == set(reference_count_vectors(crystal, mu, j)), (coords, j)
 
     def test_paired_factorial_division_is_exact(self):
         # Every summand of the odd-twisted form divides exactly; any

@@ -35,7 +35,7 @@ from oracles import (
     partitions_of,
 )
 
-from demchar import cli, onedsums
+from demchar import cli, onedsums, qring
 from demchar.crystals import perfect_crystal, symmetric_crystal
 from demchar.demazure import character_by_operators, character_by_paths, demazure_schedule
 from demchar.formulas import g_closed_form
@@ -1305,35 +1305,40 @@ class TestPackedValues:
         coeffs = data.draw(st.lists(slot, max_size=12), "coeffs")
         coeffs.append(data.draw(st.integers(1, (1 << narrow) - 1), "top"))
         coeffs = tuple(coeffs)
-        spread = onedsums._respace(packed(coeffs, narrow), narrow, wide)
+        spread = qring._respace(packed(coeffs, narrow), narrow, wide)
         assert spread == packed(coeffs, wide)
         for native in UNPACK_PATHS:
-            assert onedsums._unpack(packed(coeffs, narrow), narrow, native) == coeffs
-            assert onedsums._unpack(spread, wide, native) == coeffs
+            assert qring._unpack(packed(coeffs, narrow), narrow, native) == coeffs
+            assert qring._unpack(spread, wide, native) == coeffs
 
     @pytest.mark.parametrize("native", UNPACK_PATHS)
     @pytest.mark.parametrize("width", [64, 128, 192, 320])
     def test_full_slots_round_trip(self, width, native):
         coeffs = ((1 << width) - 1, 0, 1, (1 << width) - 1)
-        assert onedsums._unpack(packed(coeffs, width), width, native) == coeffs
-        spread = onedsums._respace(packed(coeffs, width), width, width + 64)
-        assert onedsums._unpack(spread, width + 64, native) == coeffs
+        assert qring._unpack(packed(coeffs, width), width, native) == coeffs
+        spread = qring._respace(packed(coeffs, width), width, width + 64)
+        assert qring._unpack(spread, width + 64, native) == coeffs
 
     def test_slot_width_is_the_least_multiple_of_64_above_the_count_bound(self):
-        # A coefficient counts length-j tails, at most |B|^j <= 2^(j * bits),
-        # so a slot of more than j * bits bits never carries.
-        for bits in range(1, 9):
-            for j in range(300):
-                width = onedsums._slot_width(j, bits)
-                assert width % 64 == 0 and width - 64 <= j * bits < width, (bits, j)
+        # A count polynomial of length j over ``parts`` letters, a kernel
+        # value or a q-multinomial, has coefficients and partial sums of
+        # at most parts^j, so a slot that holds parts^j never carries.
+        # The symmetric powers reach 84 letters.
+        for parts in range(2, 91):
+            for j in range(301):
+                bound, width = parts**j, qring._slot_width(j, parts)
+                assert width % 64 == 0 and bound < 2**width, (parts, j)
+                assert width == 64 or bound >= 2 ** (width - 64), (parts, j)
+                b = parts.bit_length() - 1
+                if parts == 2**b:
+                    assert width == 64 * (j * b // 64 + 1), (parts, j)
 
-    @pytest.mark.parametrize("family,n,lengths", [("A1", 1, (63, 64, 65)), ("A1", 2, (31, 32, 33))])
+    @pytest.mark.parametrize("family,n,lengths", [("A1", 1, (63, 64, 65)), ("A1", 2, (40, 41, 42))])
     def test_values_across_a_slot_widening(self, family, n, lengths):
-        # W(j) grows from 64 to 128 bits where j * bits reaches 64, so
-        # the middle length re-spaces its children.
+        # W(j) grows from 64 to 128 bits where |B|^j reaches 2^64, so the
+        # middle length re-spaces its children.
         c = perfect_crystal(family, n)
-        bits = (len(c) - 1).bit_length()
-        assert [onedsums._slot_width(j, bits) for j in lengths] == [64, 128, 128]
+        assert [qring._slot_width(j, len(c)) for j in lengths] == [64, 128, 128]
         for j in lengths:
             coords = min(tail_weight_support(c, j), key=lambda w: (sum(map(abs, w)), w))
             wholes = [g_recursive(c, b, Weight(coords), j) for b in c.elements]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import convolved_qmultinomial
+from brute import compositions, convolved_qmultinomial
 
 from demchar import qring
 from demchar.qring import (
@@ -152,17 +152,6 @@ class TestFactorials:
         assert all(c >= 0 for _, c in poly.terms())
 
 
-
-def compositions(j, parts):
-    """Every tuple of ``parts`` nonnegative ints summing to j."""
-    if parts == 1:
-        yield (j,)
-        return
-    for first in range(j + 1):
-        for rest in compositions(j - first, parts - 1):
-            yield (first, *rest)
-
-
 class TestPackedMultinomial:
     @pytest.mark.parametrize("base_exp", [1, 2])
     def test_equals_dict_convolution(self, base_exp):
@@ -183,7 +172,7 @@ class TestPackedMultinomial:
         # The coefficient sum passes 2^64, so the slots are wider than a
         # machine word; the sum is the multinomial coefficient and the
         # coefficients are palindromic about half the top degree.
-        assert qring._multinomial_width(j, len(gamma)) == width
+        assert qring._slot_width(j, len(gamma)) == width
         coeffs = dict(qmultinomial(j, gamma).terms())
         total = math.factorial(j)
         for g in gamma:

@@ -581,16 +581,6 @@ class TestPackedCharacter:
         assert to_keys(cancelled) == {}
         assert repr(cancelled) == "FormalCharacter({})"
 
-    def test_a_character_equals_itself_without_reading_its_terms(self):
-        class Uncomparable(dict):
-            def __eq__(self, other):
-                raise AssertionError("terms compared")
-
-        chi = FormalCharacter._packed(2, Uncomparable({1: 1}))
-        assert chi == chi
-        with pytest.raises(AssertionError, match="terms compared"):
-            chi == FormalCharacter._packed(2, Uncomparable({1: 1}))
-
     @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
     def test_field_outside_its_slot_rejected(self, bad):
         with pytest.raises(ValueError, match=rf"key \(0, {bad}, 0\) does not fit 32-bit slots"):
