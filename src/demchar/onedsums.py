@@ -104,7 +104,9 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     nonzero one.  Each ``rec`` keeps its own memo, node store and bulk
     table, so ``_recursion.cache_clear()`` drops them all.
 
-    The memo holds a value as ``(low, packed)`` in the packed format of
+    The memo maps a state (t, fit, coords, j) to one entry ``(cap, low,
+    packed)``: ``cap`` is inf for a whole value, ``packed == 0`` is zero,
+    and otherwise ``packed`` is the value in the packed format of
     ``qring``, at the slot width W(j) = ``_slot_width(j, |B|)`` of its
     length j, listed once per length reached, so that a state reads it by
     index: a coefficient counts length-j tails, at most |B|^j < 2^W(j),
@@ -119,15 +121,17 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     and nothing cancels.  It tries the letters in order of the bound j
     H(t, u) + floor[j-1][u] on their lowest exponent, floor[m][u] being
     the least energy of any length-m tail after u, and stops at the first
-    bound past the cap.  Uncapped values are kept apart from capped ones,
-    which carry their cap: a capped read hits an uncapped value or one
-    stored under a cap no lower, and recomputes the state otherwise.  An
-    uncapped state's children (u, fit + gain, rest - step, j - 1) do not
-    depend on its head t, only their shift j H(t, u) does: the first head
-    at a node (fit, rest, j) tests its letters and keeps each live child,
+    bound past the cap.  One rule reads the memo, in ``rec`` and inline
+    in ``walk``'s letter loop: an entry answers a read when its cap is at
+    least the cap asked; otherwise ``walk`` stores the state's entry over
+    it, a capped walk counting one recomputed state.  An uncapped state's
+    children (u, fit + gain, rest - step, j - 1) do not depend on its
+    head t, only their shift j H(t, u) does: the first head at a node
+    (fit, rest, j) tests its letters and keeps each live child,
     re-spaced, in the node store, and every head adds each with one
-    shift-add.  ``walk`` reads a child's uncapped entry inline, with no
-    Python call; any other read costs one frame.
+    shift-add.  The node counts the heads left to sum it, one fewer as
+    each head's entry is stored, and its last head drops it; a node of
+    checked nodes whose other heads never come keeps its children.
 
     Inside, the weight left for the tail is held in the crystal's letter
     coordinates (``PerfectCrystal.letter_coordinates``), in which every
@@ -136,15 +140,15 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     when the weight has no coordinates or when j letters cannot carry
     them by the table's L1 rule.  Past that, a letter is skipped when the
     coordinates left after it have an L1 norm above (j - 1) times the
-    table's stride: no tail can carry them, so the skipped call could
-    only return None.  A step grows the norm by at most the stride, so
+    table's stride: no tail can carry them, so the skipped state could
+    only be zero.  A step grows the norm by at most the stride, so
     only a state with less slack than that tests its letters, reading
     the norm after a letter off the entries its step moves before the
     coordinates are built.  The parity half of the rule needs no test
     past the entry, because every step changes the norm's parity alike.
     For every crystal built here the rule is exact, so with no checked
     node the memo holds no dead state; with checked nodes a state can
-    still be None when no tail fits.  With no checked node, as for every
+    still be zero when no tail fits.  With no checked node, as for every
     g, there is no epsilon test and ``fit`` stays the empty tuple.
 
     The node store serves point reads: ``g_recursive``, ``x_recursive``,
@@ -163,8 +167,8 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
     length built keeps them.  The table makes no ``rec`` call and no
     coordinate solve, and since the L1 rule is exact each row holds the
     tail-weight support and nothing else.  ``cache_info()`` counts the
-    states, the capped states recomputed under a higher cap, the stored
-    nodes, and the table's nodes and head rows by length.
+    states, the capped states recomputed under a higher cap, the nodes
+    with a head left to sum, and the table's nodes and head rows by length.
     """
     table = crystal.letter_coordinates
     energy = crystal.energy_table
@@ -178,11 +182,11 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         rows.append((u, step, moves, tuple(e[i] for i in idx), tuple(wt[i] for i in idx)))
     floor = [[0] * len(energy)]
     orders: dict[tuple[int, int], list] = {}
-    full: dict[tuple, tuple | None] = {}
-    capped: dict[tuple, tuple[int, tuple | None]] = {}
+    memo: dict[tuple, tuple] = {}
     nodes: dict[tuple, list] = {}
     plain = [(0, 0, *row) for row in rows]  # an uncapped build: no bound, no head shift
-    known = full.get
+    known = memo.get
+    miss = (-inf, 0, 0)  # answers no read
     redone = [0]
 
     def reach(j: int) -> None:
@@ -215,21 +219,18 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
                 acc += packed << wide * (low - best)
         return best, acc
 
-    def walk(key: tuple, cap: float) -> tuple | None:
-        """State ``key`` up to ``cap`` (inf for all), stored in the memo."""
+    def walk(key: tuple, cap: float) -> tuple:
+        """State ``key`` up to ``cap`` (inf for all): the entry it stores."""
         t, fit, rest, j = key
         if j == 0:
-            full[key] = value = None if any(rest) else (0, 1)
-            return value
+            memo[key] = entry = (inf, 0, 0 if any(rest) else 1)
+            return entry
         if cap < inf:
-            kept = capped.get(key)
-            if kept and kept[0] >= cap:
-                return kept[1]
             kids, tried = None, orders.get((t, j)) or order(t, j)
-        elif (kids := nodes.get(key[1:])) is None:
+        elif (node := nodes.get(key[1:])) is None:
             kids, tried = [], plain
         else:
-            tried = ()
+            kids, tried = node[1], ()
         wide = widths[j]
         if tried:
             narrow = widths[j - 1]
@@ -253,11 +254,10 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
                 child = (u, tuple(map(add, fit, gain)), tuple(map(sub, rest, step)), j - 1)
             else:
                 child = (u, fit, tuple(map(sub, rest, step)), j - 1)
-            inner = known(child, full)  # the dict itself marks a miss
-            if inner is full:
-                inner = walk(child, cap - head)
-            if inner is not None:
-                low, packed = inner
+            if (entry := known(child, miss))[0] < cap - head:
+                entry = walk(child, cap - head)
+            _, low, packed = entry
+            if packed:
                 low += head
                 if low > cap:
                     continue
@@ -274,17 +274,17 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         if kids is None:
             if acc:
                 acc &= (1 << wide * (cap - best + 1)) - 1
-            value = (best, acc) if acc else None
-            redone[0] += kept is not None
-            capped[key] = (cap, value)
-            return value
+            redone[0] += key in memo
+            memo[key] = entry = (cap, best, acc)
+            return entry
         if tried:
-            nodes[key[1:]] = kids
+            nodes[key[1:]] = node = [parts, kids]
         best, acc = shift_sum(kids, energy[t], j, wide)
-        full[key] = value = (best, acc) if acc else None
-        if capped:
-            capped.pop(key, None)
-        return value
+        memo[key] = entry = (inf, best, acc)
+        node[0] -= 1  # one head fewer left to sum this node's children
+        if not node[0]:
+            del nodes[key[1:]]
+        return entry
 
     # The bulk table, by length m: the tail weights (nodes) in one order,
     # each node's live children (u, low, packed) until every head row of
@@ -347,21 +347,19 @@ def _recursion(crystal: PerfectCrystal, idx: tuple[int, ...]):
         if coords is None:
             return None
         key = (t, fit, coords, j)
-        value = known(key, full)
-        if value is full:
-            value = walk(key, inf if cap is None else cap)
-        if value is None:
+        top = inf if cap is None else cap
+        if (entry := known(key, miss))[0] < top:
+            entry = walk(key, top)
+        _, low, packed = entry
+        if not packed or low > top:
             return None
-        low, packed = value
         width = widths[j]
         if cap is not None:
-            if low > cap:
-                return None
             packed &= (1 << width * (cap - low + 1)) - 1
         return low, _unpack(packed, width)
 
     rec.cache_info = lambda: SimpleNamespace(
-        currsize=len(full) + len(capped),
+        currsize=len(memo),
         recomputed=redone[0],
         nodes=len(nodes),
         table_nodes=tuple(map(len, points)),

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .crystals import Element, PerfectCrystal, verify_perfect
 from .tensor import signature_scan
-from .weights import Weight, _require_count, ascents
+from .weights import Weight, _is_int, _require_count, ascents
 
 Word = tuple[Element, ...]
 
@@ -410,8 +410,8 @@ def demazure_schedule(
     if lam_node == node:
         perm = ()
     ground = GroundState(crystal, lam)
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    if not (_is_int(variant) and variant in (1, 2)):
+        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     if variant > len(words[lam_node]):
         raise ValueError(f"family {family} at node {lam_node} has a single schedule")
     word = words[lam_node][variant - 1]

@@ -1160,7 +1160,8 @@ class TestWindowedKernel:
     @pytest.mark.parametrize("family,n,j", [("A1", 2, 6), ("B1", 3, 5), ("D2", 2, 6), ("A2odd", 3, 4)])
     def test_a_larger_cap_recomputes_what_a_smaller_one_stored(self, family, n, j):
         """States filled under a small cap, then read under a larger cap
-        and uncapped, in either order, answer as a cold read does."""
+        and uncapped, in either order, answer as a cold read does, and
+        leave one entry per state, as a cold uncapped read does."""
         c = perfect_crystal(family, n)
         points = [(t, coords) for coords in sorted(tail_weight_support(c, j)) for t in range(len(c))]
         low = min(
@@ -1179,12 +1180,15 @@ class TestWindowedKernel:
             onedsums._recursion.cache_clear()
             cold[cap] = read(cap)
         assert cold[small] != cold[large] != cold[None]
+        whole = onedsums._recursion(c, ()).cache_info().currsize
         for later in ([large, None], [None, large]):
             onedsums._recursion.cache_clear()
             assert read(small) == cold[small]
             for cap in later:
                 assert read(cap) == cold[cap], (later, cap)
                 assert read(small) == cold[small], (later, cap)
+            # One entry per state: the whole value replaced the capped one.
+            assert onedsums._recursion(c, ()).cache_info().currsize == whole, later
         onedsums._recursion.cache_clear()
         read(small)
         read(large)
@@ -1687,8 +1691,8 @@ class TestLetterCoordinates:
         """The children that every head letter at one node shares are
         built by whichever head comes first: reading g at every head and
         support point up to length 4 in letter order and in reverse gives
-        the same values and the same memo, with one stored node per live
-        (tail weight, length) of positive length."""
+        the same values and the same memo, and a node's children go with
+        its last head, so no node is left stored."""
         c = perfect_crystal(family, n)
         reads = [
             (t, w, m) for m in range(5) for w in sorted(tail_weight_support(c, m)) for t in range(len(c))
@@ -1701,8 +1705,7 @@ class TestLetterCoordinates:
             values = {(t, w, m): rec(t, (), w, m) for t, w, m in order}
             seen.append((values, vars(rec.cache_info())))
         assert seen[0] == seen[1]
-        live = sum(len(tail_weight_support(c, k)) for k in range(1, 5))
-        assert seen[0][1]["nodes"] == live
+        assert seen[0][1]["nodes"] == 0
         onedsums._recursion.cache_clear()
         assert onedsums._recursion(c, ()).cache_info().nodes == 0
 

@@ -1,6 +1,7 @@
 """Tests for ground-state data, truncated paths, and scheduled growth."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 from itertools import islice, product
@@ -300,6 +301,14 @@ class TestScheduleVariants:
             lam = crystal.cartan.fundamental_weight(node)
             with pytest.raises(ValueError):
                 demazure_schedule(crystal, lam, variant=2)
+
+    @pytest.mark.parametrize("variant", [1.0, True, "1"])
+    def test_variant_must_be_the_int_1_or_2(self, variant):
+        # 1.0 and True equal 1, and "1" prints as 1.
+        crystal = perfect_crystal("B1", 3)
+        lam = crystal.cartan.fundamental_weight(3)
+        with pytest.raises(ValueError, match=re.escape(f"got {variant!r}")):
+            demazure_schedule(crystal, lam, variant=variant)
 
     def test_middle_node_weight_variant_two_index_row(self):
         crystal = perfect_crystal("B1", 3)
